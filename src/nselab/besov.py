@@ -275,9 +275,9 @@ class Trajectory:
         return Trajectory(self.grid, self.times[idx],
                           [self.fields[i] for i in idx])
 
-    def map(self, fn) -> "Trajectory":
-        return Trajectory(self.grid, self.times,
-                          [fn(f) for f in self.fields])
+    def coeffs_stack(self) -> np.ndarray:
+        """Sample coefficients stacked along a leading time axis."""
+        return np.stack([f.coeffs for f in self.fields])
 
     def lp_series(self, p: float) -> np.ndarray:
         return np.array([f.lp_norm(p) for f in self.fields])

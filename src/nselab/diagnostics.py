@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field as dc_field, asdict
 
 import numpy as np
@@ -16,13 +15,13 @@ from scipy.integrate import simpson
 
 from .besov import (BesovIndex, DyadicPartition, Trajectory, besov_norm,
                     critical_exponent, default_partition)
-from .errors import ConfigError, GridError, PicardDivergenceError
+from .errors import ConfigError, GridError
 from .heat import _pl_weights
 from .solver import (SolverConfig, _forcing_stack, mild_solve_nse,
                      mild_solve_perturbed, mollified_solve,
                      solve_with_continuation)
-from .spectral import (Grid, Mollifier, SpectralField, divergence_residual,
-                       read_clf1, write_clf1)
+from .spectral import (Grid, Mollifier, SpectralField, atomic_write_bytes,
+                       divergence_residual, read_clf1, write_clf1)
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -182,13 +181,12 @@ def _ledger_forcing(grid: Grid, u_stack: np.ndarray, nonlinearity: str,
     if nonlinearity == "mollified":
         if rho is None:
             raise ConfigError("mollified ledger needs rho")
-        moll = Mollifier(grid.dim, rho)
-        mult = moll.hat(rho * grid.xi_abs.ravel()).reshape(grid.shape)
+        mult = Mollifier(grid.dim, rho).symbol(grid)
     elif nonlinearity != "nse":
         raise ConfigError(f"unknown nonlinearity {nonlinearity!r}")
     g = -_forcing_stack(grid, u_stack, u_stack, w_multiplier=mult)
     if background is not None:
-        v_stack = np.stack([f.coeffs for f in background.fields])
+        v_stack = background.coeffs_stack()
         g = g - _forcing_stack(grid, u_stack, v_stack) \
             - _forcing_stack(grid, v_stack, u_stack)
     return g
@@ -216,7 +214,7 @@ def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
     if background is not None and (len(background) != len(traj) or
                                    not np.allclose(background.times, times)):
         raise ConfigError("background must share the trajectory schedule")
-    u_stack = np.stack([f.coeffs for f in traj.fields])
+    u_stack = traj.coeffs_stack()
     if g_stack is None:
         g_stack = _ledger_forcing(grid, u_stack, nonlinearity, rho, background)
     vol = grid.volume
@@ -359,20 +357,6 @@ def _resolve_recipe(grid: Grid, recipe: dict, seed: int) -> SpectralField:
     raise ConfigError(f"unknown data family {kind!r}")
 
 
-def atomic_write_bytes(path: str, payload: bytes) -> None:
-    """Write-temp-then-rename so partial files never appear."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
@@ -430,11 +414,7 @@ def run_experiment(config: ExperimentConfig) -> DiagnosticsReport:
     """
     grid = Grid(config.dim, config.n, config.box_length)
     u0 = _resolve_recipe(grid, config.recipe, config.seed)
-    try:
-        traj, status, ledger_mode, meta = _run_solver(config, grid, u0)
-    except PicardDivergenceError as exc:
-        raise PicardDivergenceError(
-            f"solver diverged: {exc}", norms=exc.norms, diffs=exc.diffs)
+    traj, status, ledger_mode, meta = _run_solver(config, grid, u0)
 
     t_end = float(traj.times[-1]) if status != "completed" else config.horizon
     report = DiagnosticsReport(times=traj.times, status=status, t_end=t_end,
@@ -486,9 +466,7 @@ def _archive(config: ExperimentConfig, report: DiagnosticsReport,
     manifest["series_files"].append("ledger.csv")
     for i, (t, f) in enumerate(traj):
         name = f"sample_{i:04d}.clf1"
-        tmp = os.path.join(out, name + ".tmp")
-        write_clf1(tmp, f)
-        os.replace(tmp, os.path.join(out, name))
+        write_clf1(os.path.join(out, name), f)
         manifest["field_files"].append({"file": name, "time": float(t)})
     atomic_write_text(os.path.join(out, "manifest.json"),
                       json.dumps(manifest, indent=2, sort_keys=True))

@@ -15,7 +15,8 @@ import numpy as np
 
 from .besov import BesovIndex, Trajectory, kato_norm
 from .errors import ExponentError, QuadratureError, RankError
-from .spectral import Grid, SpectralField, leray_project
+from .spectral import (Grid, SpectralField, interpolate_stack, lp_norms,
+                       projected_divergence_coeffs)
 
 
 def heat_evolve(field: SpectralField, t: float) -> SpectralField:
@@ -35,10 +36,8 @@ def projected_divergence(tensor: SpectralField) -> SpectralField:
     """P div F for a matrix field: contract i xi_j into F_ij, project."""
     if tensor.rank != "matrix":
         raise RankError("P div needs a matrix field")
-    xi = tensor.grid.deriv_wavevectors
-    c = 1j * np.einsum("j...,ij...->i...", xi, tensor.coeffs)
-    vec = SpectralField(tensor.grid, "vector", c, check_hermitian=False)
-    return leray_project(vec)
+    c = projected_divergence_coeffs(tensor.grid, tensor.coeffs)
+    return SpectralField(tensor.grid, "vector", c, check_hermitian=False)
 
 
 def oseen_apply(tensor: SpectralField, t: float) -> SpectralField:
@@ -109,17 +108,9 @@ class QuadratureScheme:
 
 
 def _gather_forcing(traj: Trajectory):
-    """Stack P div F over the samples of a tensor trajectory."""
-    g = [projected_divergence(f).coeffs for f in traj.fields]
-    return np.stack(g)
-
-
-def _interp_mode(times, stack, t):
-    """Linear interpolation of stacked mode arrays at time t."""
-    i = int(np.searchsorted(times, t, side="right")) - 1
-    i = min(max(i, 0), times.size - 2)
-    w = (t - times[i]) / (times[i + 1] - times[i])
-    return (1.0 - w) * stack[i] + w * stack[i + 1]
+    """Stack P div F over the samples of a tensor trajectory (one sample
+    at a time, so no second copy of the tensor stack is built)."""
+    return np.stack([projected_divergence(f).coeffs for f in traj.fields])
 
 
 def _duhamel_at(times, g_stack, xi_sq, t, scheme: QuadratureScheme):
@@ -130,7 +121,7 @@ def _duhamel_at(times, g_stack, xi_sq, t, scheme: QuadratureScheme):
         sb = min(times[i + 1], t)
         ga = g_stack[i]
         gb = g_stack[i + 1] if sb == times[i + 1] else \
-            _interp_mode(times, g_stack, sb)
+            interpolate_stack(times, g_stack, sb)
         if scheme.kind == "exact-exponential":
             dt = sb - sa
             z = xi_sq * dt
@@ -220,18 +211,6 @@ def verify_kato_estimate(f_traj: Trajectory, s1: float, p1: float,
             "input_norm": in_norm, "output_norm": out_norm}
 
 
-def _lp_norm_stack(grid: Grid, coeffs: np.ndarray, p: float) -> float:
-    """L^p norm of a coefficient array with arbitrary leading axes
-    (Frobenius pointwise magnitude)."""
-    axes = tuple(range(coeffs.ndim - grid.dim, coeffs.ndim))
-    phys = np.fft.ifftn(coeffs * grid.n**grid.dim, axes=axes).real
-    lead = tuple(range(coeffs.ndim - grid.dim))
-    mag = np.sqrt(np.sum(phys**2, axis=lead)) if lead else np.abs(phys)
-    if math.isinf(p):
-        return float(np.max(mag))
-    return float((grid.cell_volume * np.sum(mag**p)) ** (1.0 / p))
-
-
 def _grad_stack(grid: Grid, coeffs: np.ndarray, order: int) -> np.ndarray:
     out = coeffs
     for _ in range(order):
@@ -282,9 +261,9 @@ def verify_smoothing_derivatives(f_traj: Trajectory, k: int, l: int,
     for i in np.nonzero(pos)[0]:
         c = _grad_stack(grid, derivs[k][i], l)
         w = times[i] ** (-s2 / 2.0 + k + l / 2.0)
-        lhs = max(lhs, w * _lp_norm_stack(grid, c, p2))
+        lhs = max(lhs, w * float(lp_norms(grid, c, p2)))
 
-    f_stack = np.stack([f.coeffs for f in f_traj.fields])
+    f_stack = f_traj.coeffs_stack()
     f_derivs = [f_stack, _time_slopes(times, f_stack),
                 np.zeros_like(f_stack)]
     rhs = 0.0
@@ -294,7 +273,7 @@ def verify_smoothing_derivatives(f_traj: Trajectory, k: int, l: int,
             for i in np.nonzero(pos)[0]:
                 c = _grad_stack(grid, f_derivs[a][i], b)
                 w = times[i] ** (-s1 / 2.0 + a + b / 2.0)
-                term = max(term, w * _lp_norm_stack(grid, c, p1))
+                term = max(term, w * float(lp_norms(grid, c, p1)))
             rhs += term
     const = lhs / rhs if rhs > 0 else 0.0
     return {"constant": const, "s2": s2, "lhs": lhs, "rhs": rhs}

@@ -10,8 +10,7 @@ Duhamel recursion over the schedule.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -20,7 +19,9 @@ from .errors import ConfigError, GridError, PicardDivergenceError, QuadratureErr
 from .heat import duhamel_stack, time_schedule
 from .picard import (FixedPointReport, PicardProblem, estimate_constants,
                      solve_picard)
-from .spectral import Grid, Mollifier, SpectralField, divergence_residual
+from .spectral import (Grid, Mollifier, SpectralField, dealiased_tensor,
+                       divergence_residual, interpolate_stack, lp_norms,
+                       projected_divergence_coeffs, xi_dot)
 
 DEFAULT_KAPPA = 0.17  # existence-time smallness constant, calibrated empirically
 
@@ -69,40 +70,14 @@ class MildSolution:
 # Stack helpers
 # ---------------------------------------------------------------------
 
-def _grid_axes(grid: Grid, stack: np.ndarray):
-    return tuple(range(stack.ndim - grid.dim, stack.ndim))
-
-
-def _stack_to_physical(grid: Grid, stack: np.ndarray) -> np.ndarray:
-    axes = _grid_axes(grid, stack)
-    return np.fft.ifftn(stack * grid.n**grid.dim, axes=axes).real
-
-
-def _physical_to_stack(grid: Grid, phys: np.ndarray) -> np.ndarray:
-    axes = _grid_axes(grid, phys)
-    return np.fft.fftn(phys, axes=axes) / grid.n**grid.dim
-
-
 def _forcing_stack(grid: Grid, v_stack: np.ndarray, w_stack: np.ndarray,
                    w_multiplier: np.ndarray | None = None) -> np.ndarray:
     """G = P div dealias(v (x) w), per sample; w may be premultiplied
     (mollification)."""
-    wc = v_stack if w_stack is None else w_stack
     if w_multiplier is not None:
-        wc = wc * w_multiplier
-    pv = _stack_to_physical(grid, v_stack)
-    pw = _stack_to_physical(grid, wc)
-    tensor = pv[:, :, None] * pw[:, None, :]  # (M, i, j, grid)
-    tc = _physical_to_stack(grid, tensor) * grid.dealias_mask
-    xi = grid.deriv_wavevectors
-    g = 1j * np.einsum("j...,mij...->mi...", xi, tc)
-    # Leray projection
-    inv = np.zeros_like(grid.deriv_xi_sq)
-    nz = grid.deriv_xi_sq > 0
-    inv[nz] = 1.0 / grid.deriv_xi_sq[nz]
-    xg = np.einsum("i...,mi...->m...", xi, g)
-    g = g - xi[None] * (xg * inv)[:, None]
-    return g
+        w_stack = w_stack * w_multiplier
+    return projected_divergence_coeffs(
+        grid, dealiased_tensor(grid, v_stack, w_stack))
 
 
 def _heat_stack(grid: Grid, u0: SpectralField, times: np.ndarray) -> np.ndarray:
@@ -110,20 +85,11 @@ def _heat_stack(grid: Grid, u0: SpectralField, times: np.ndarray) -> np.ndarray:
     return decay[:, None] * u0.coeffs[None]
 
 
-def _stack_lp_series(grid: Grid, stack: np.ndarray, p: float) -> np.ndarray:
-    phys = _stack_to_physical(grid, stack)
-    mag = np.sqrt(np.sum(phys**2, axis=1))
-    if math.isinf(p):
-        return np.max(mag, axis=tuple(range(1, mag.ndim)))
-    vols = grid.cell_volume
-    return (vols * np.sum(mag**p, axis=tuple(range(1, mag.ndim)))) ** (1.0 / p)
-
-
 def kato_stack_norm(grid: Grid, times: np.ndarray, stack: np.ndarray,
                     p: float) -> float:
     """Kato K_p norm of a coefficient stack (t = 0 sample skipped)."""
     s = critical_exponent(p)
-    series = _stack_lp_series(grid, stack, p)
+    series = lp_norms(grid, stack, p, batch_axes=1)
     pos = times > 0
     if not np.any(pos):
         return 0.0
@@ -199,13 +165,7 @@ def _doubled_residual(grid: Grid, times: np.ndarray, stack: np.ndarray,
     fine_times = np.sort(np.concatenate(
         [times, 0.5 * (times[:-1] + times[1:])]))
     # linear interpolation of the solution onto the refined schedule
-    idx = np.searchsorted(times, fine_times, side="right") - 1
-    idx = np.clip(idx, 0, times.size - 2)
-    w = (fine_times - times[idx]) / (times[idx + 1] - times[idx])
-    shape = (fine_times.size,) + stack.shape[1:]
-    fine = (1 - w).reshape(-1, *[1] * (stack.ndim - 1)) * stack[idx] \
-        + w.reshape(-1, *[1] * (stack.ndim - 1)) * stack[idx + 1]
-    assert fine.shape == shape
+    fine = interpolate_stack(times, stack, fine_times)
     a_fine = _heat_stack(grid, u0, fine_times)
     b_fine = _nse_bilinear(grid, fine_times, w_multiplier)(fine, fine)
     rhs = a_fine + b_fine
@@ -243,12 +203,8 @@ def mild_solve_perturbed(u0_large: SpectralField, background: Trajectory,
     """
     grid = config.grid
     times = config.schedule()
-    if len(background) != times.size or \
-            not np.allclose(background.times, times, rtol=1e-12, atol=0):
-        raise QuadratureError("background trajectory must share the "
-                              "solver time schedule")
+    v_stack = _background_stack(grid, times, background)
     u0_large = _prepare_data(u0_large, grid)
-    v_stack = np.stack([f.coeffs for f in background.fields])
     bilinear = _nse_bilinear(grid, times)
 
     def linear(w):
@@ -261,11 +217,7 @@ def mild_solve_perturbed(u0_large: SpectralField, background: Trajectory,
     stack = report.solution
 
     def linear_refined(fine_times, fine):
-        idx = np.searchsorted(times, fine_times, side="right") - 1
-        idx = np.clip(idx, 0, times.size - 2)
-        w = (fine_times - times[idx]) / (times[idx + 1] - times[idx])
-        vf = (1 - w).reshape(-1, *[1] * (v_stack.ndim - 1)) * v_stack[idx] \
-            + w.reshape(-1, *[1] * (v_stack.ndim - 1)) * v_stack[idx + 1]
+        vf = interpolate_stack(times, v_stack, fine_times)
         b = _nse_bilinear(grid, fine_times)
         return b(fine, vf) + b(vf, fine)
 
@@ -281,10 +233,11 @@ def _background_stack(grid: Grid, times: np.ndarray, bg) -> np.ndarray | None:
     if bg is None:
         return None
     if isinstance(bg, Trajectory):
-        if len(bg) != times.size or not np.allclose(bg.times, times):
+        if len(bg) != times.size or \
+                not np.allclose(bg.times, times, rtol=1e-12, atol=0):
             raise QuadratureError("background trajectory must share the "
                                   "solver schedule")
-        return np.stack([f.coeffs for f in bg.fields])
+        return bg.coeffs_stack()
     if isinstance(bg, SpectralField):
         return np.broadcast_to(bg.coeffs[None],
                                (times.size,) + bg.coeffs.shape).copy()
@@ -301,16 +254,12 @@ def mollified_solve(u0: SpectralField, a_bg, b_bg, rho: float,
     grid = config.grid
     u0 = _prepare_data(u0, grid)
     times = config.schedule()
-    moll = Mollifier(grid.dim, rho)
-    if rho >= grid.box_length:
-        raise GridError("mollification radius exceeds the box")
-    m_rho = moll.hat(rho * grid.xi_abs.ravel()).reshape(grid.shape)
+    m_rho = Mollifier(grid.dim, rho).symbol(grid)
 
     a_stack_bg = _background_stack(grid, times, a_bg)
     b_stack_bg = _background_stack(grid, times, b_bg)
     if b_stack_bg is not None:
-        xi = grid.deriv_wavevectors
-        div_b = np.einsum("i...,mi...->m...", xi, b_stack_bg)
+        div_b = xi_dot(grid, b_stack_bg)
         scale = np.max(np.abs(b_stack_bg))
         if scale > 0 and np.max(np.abs(div_b)) > 1e-10 * grid.xi_max * scale:
             raise GridError("background b must be divergence-free")
@@ -390,14 +339,7 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
     reports = []
     while t0 < config.horizon - 1e-12:
         step = min(step, config.horizon - t0)
-        sub = SolverConfig(grid=grid, horizon=step,
-                           n_geometric=config.n_geometric,
-                           n_uniform=config.n_uniform,
-                           first_exponent=config.first_exponent,
-                           kato_p=config.kato_p,
-                           picard_tol=config.picard_tol,
-                           max_iter=config.max_iter,
-                           measure_probes=config.measure_probes)
+        sub = replace(config, horizon=step, times=None)
         try:
             sol = mild_solve_nse(current, sub)
         except PicardDivergenceError:

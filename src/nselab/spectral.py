@@ -2,6 +2,11 @@
 operators everything else is built from: Leray projection, pressure
 recovery, spectral derivatives, mollification, and dealiased products.
 
+Each operator is written once, as an array kernel over coefficient
+arrays with any leading (time-sample or component) axes, so a single
+``SpectralField`` and a solver time stack ``(M, dim, N, ..., N)`` share
+one definition.  This is the only module that calls an FFT.
+
 Conventions
 -----------
 A field is stored by its Fourier coefficients ``c_k`` in numpy FFT index
@@ -14,6 +19,9 @@ order, normalized so that ``f(x) = sum_k c_k exp(i xi_k . x)`` with
 
 from __future__ import annotations
 
+import math
+import os
+import tempfile
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -29,6 +37,15 @@ _VECTOR = "vector"
 _MATRIX = "matrix"
 
 
+def _check_grid_args(dim: int, n: int, box_length: float) -> None:
+    if dim not in (2, 3):
+        raise GridError(f"dim must be 2 or 3, got {dim}")
+    if n % 2 != 0 or n < 8:
+        raise GridError(f"points_per_axis must be even and >= 8, got {n}")
+    if not box_length > 0:
+        raise GridError(f"box_length must be positive, got {box_length}")
+
+
 class Grid:
     """Isotropic periodic grid: ``dim`` axes, N points each, period L.
 
@@ -37,12 +54,7 @@ class Grid:
     """
 
     def __init__(self, dim: int, n: int, box_length: float):
-        if dim not in (2, 3):
-            raise GridError(f"dim must be 2 or 3, got {dim}")
-        if n % 2 != 0 or n < 8:
-            raise GridError(f"points_per_axis must be even and >= 8, got {n}")
-        if not box_length > 0:
-            raise GridError(f"box_length must be positive, got {box_length}")
+        _check_grid_args(dim, n, box_length)
         self.dim = dim
         self.n = int(n)
         self.box_length = float(box_length)
@@ -112,6 +124,110 @@ def _conjugate_partner(c: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------
+# Array kernels: the trailing grid.dim axes are the grid, leading axes
+# are any mix of batch (time-sample) and component axes.
+# ---------------------------------------------------------------------
+
+def _rank_shape(rank: str, dim: int, n: int) -> tuple:
+    """Coefficient-array shape of a field of the given rank."""
+    components = {_SCALAR: (), _VECTOR: (dim,), _MATRIX: (dim, dim)}
+    if rank not in components:
+        raise RankError(f"unknown rank {rank!r}")
+    return components[rank] + (n,) * dim
+
+
+def forward_transform(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Fourier coefficients of real physical samples."""
+    out = np.fft.fftn(values, axes=tuple(range(-grid.dim, 0)))
+    out /= grid.n**grid.dim
+    return out
+
+
+def inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Real physical samples of Fourier coefficients."""
+    out = np.fft.ifftn(coeffs * grid.n**grid.dim,
+                       axes=tuple(range(-grid.dim, 0)))
+    return out.real
+
+
+def xi_dot(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """xi . c, contracting the component axis just before the grid axes
+    with the derivative wavevectors."""
+    s = "xyz"[:grid.dim]
+    return np.einsum(f"i{s},...i{s}->...{s}", grid.deriv_wavevectors, coeffs)
+
+
+def _inverse_laplacian(grid: Grid) -> np.ndarray:
+    """1/|xi|^2 on the derivative wavevectors, 0 where xi = 0."""
+    inv = np.zeros_like(grid.deriv_xi_sq)
+    nz = grid.deriv_xi_sq > 0
+    inv[nz] = 1.0 / grid.deriv_xi_sq[nz]
+    return inv
+
+
+def leray_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Leray projection (delta_ij - xi_i xi_j/|xi|^2) of vector
+    coefficients."""
+    xi = grid.deriv_wavevectors
+    xu = xi_dot(grid, coeffs) * _inverse_laplacian(grid)
+    return coeffs - xi * np.expand_dims(xu, -grid.dim - 1)
+
+
+def projected_divergence_coeffs(grid: Grid, tensor: np.ndarray) -> np.ndarray:
+    """P div F of tensor coefficients: contract i xi_j into F_ij, project."""
+    s = "xyz"[:grid.dim]
+    g = 1j * np.einsum(f"j{s},...ij{s}->...i{s}", grid.deriv_wavevectors,
+                       tensor)
+    return leray_coeffs(grid, g)
+
+
+def dealiased_tensor(grid: Grid, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """2/3-rule dealiased coefficients of the tensor v_i w_j of two vector
+    coefficient arrays (physical product, transformed back)."""
+    pv = np.expand_dims(inverse_transform(grid, v), -grid.dim - 1)
+    pw = np.expand_dims(inverse_transform(grid, w), -grid.dim - 2)
+    out = forward_transform(grid, pv * pw)
+    out *= grid.dealias_mask
+    return out
+
+
+def magnitude(grid: Grid, coeffs: np.ndarray,
+              batch_axes: int = 0) -> np.ndarray:
+    """Pointwise magnitude |f(x)| on the grid.  The first ``batch_axes``
+    axes are kept; the remaining leading axes are components, reduced
+    by the Euclidean/Frobenius norm."""
+    phys = inverse_transform(grid, coeffs)
+    comp_axes = tuple(range(batch_axes, phys.ndim - grid.dim))
+    if not comp_axes:
+        return np.abs(phys)
+    return np.sqrt(np.sum(phys**2, axis=comp_axes))
+
+
+def lp_norms(grid: Grid, coeffs: np.ndarray, p: float,
+             batch_axes: int = 0) -> np.ndarray:
+    """Grid-quadrature L^p norm of the pointwise magnitude, one per entry
+    of the first ``batch_axes`` axes."""
+    mag = magnitude(grid, coeffs, batch_axes)
+    space = tuple(range(batch_axes, mag.ndim))
+    if math.isinf(p):
+        return np.max(mag, axis=space)
+    return (grid.cell_volume * np.sum(mag**p, axis=space)) ** (1.0 / p)
+
+
+def interpolate_stack(times: np.ndarray, stack: np.ndarray,
+                      new_times) -> np.ndarray:
+    """Piecewise-linear interpolation in time of a stack (M, ...) sampled
+    at ``times``, evaluated at ``new_times`` (scalar or 1-D); the end
+    intervals extend linearly past the sampled range."""
+    new_times = np.asarray(new_times, dtype=float)
+    idx = np.searchsorted(times, new_times, side="right") - 1
+    idx = np.clip(idx, 0, times.size - 2)
+    w = (new_times - times[idx]) / (times[idx + 1] - times[idx])
+    w = w.reshape(w.shape + (1,) * (stack.ndim - 1))
+    return (1 - w) * stack[idx] + w * stack[idx + 1]
+
+
 class SpectralField:
     """Immutable periodic field stored as Fourier coefficients.
 
@@ -121,13 +237,7 @@ class SpectralField:
 
     def __init__(self, grid: Grid, rank: str, coeffs: np.ndarray,
                  check_hermitian: bool = True):
-        if rank not in (_SCALAR, _VECTOR, _MATRIX):
-            raise RankError(f"unknown rank {rank!r}")
-        expected = {
-            _SCALAR: grid.shape,
-            _VECTOR: (grid.dim,) + grid.shape,
-            _MATRIX: (grid.dim, grid.dim) + grid.shape,
-        }[rank]
+        expected = _rank_shape(rank, grid.dim, grid.n)
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.shape != expected:
             raise RankError(
@@ -159,17 +269,12 @@ class SpectralField:
             rank = _MATRIX
         else:
             raise RankError(f"cannot infer rank from shape {values.shape}")
-        axes = tuple(range(values.ndim - grid.dim, values.ndim))
-        coeffs = np.fft.fftn(values, axes=axes) / grid.n**grid.dim
-        return cls(grid, rank, coeffs, check_hermitian=False)
+        return cls(grid, rank, forward_transform(grid, values),
+                   check_hermitian=False)
 
     @classmethod
     def zero(cls, grid: Grid, rank: str = _VECTOR) -> "SpectralField":
-        shape = {
-            _SCALAR: grid.shape,
-            _VECTOR: (grid.dim,) + grid.shape,
-            _MATRIX: (grid.dim, grid.dim) + grid.shape,
-        }[rank]
+        shape = _rank_shape(rank, grid.dim, grid.n)
         return cls(grid, rank, np.zeros(shape, dtype=np.complex128),
                    check_hermitian=False)
 
@@ -180,24 +285,15 @@ class SpectralField:
 
     # -- transforms and reductions ------------------------------------
     def to_physical(self) -> np.ndarray:
-        axes = tuple(range(self.coeffs.ndim - self.grid.dim, self.coeffs.ndim))
-        out = np.fft.ifftn(self.coeffs * self.grid.n**self.grid.dim, axes=axes)
-        return np.real(out)
+        return inverse_transform(self.grid, self.coeffs)
 
     def pointwise_magnitude(self) -> np.ndarray:
         """|f(x)| on the grid; Euclidean/Frobenius over component axes."""
-        phys = self.to_physical()
-        if self.rank == _SCALAR:
-            return np.abs(phys)
-        comp_axes = tuple(range(phys.ndim - self.grid.dim))
-        return np.sqrt(np.sum(phys**2, axis=comp_axes))
+        return magnitude(self.grid, self.coeffs)
 
     def lp_norm(self, p: float) -> float:
         """Grid-quadrature L^p norm of the pointwise magnitude."""
-        mag = self.pointwise_magnitude()
-        if np.isinf(p):
-            return float(np.max(mag))
-        return float((self.grid.cell_volume * np.sum(mag**p)) ** (1.0 / p))
+        return float(lp_norms(self.grid, self.coeffs, p))
 
     def l2_norm(self) -> float:
         """Parseval L^2 norm from the coefficients."""
@@ -276,17 +372,6 @@ def apply_multiplier(field: SpectralField, symbol) -> SpectralField:
     return field.with_coeffs(field.coeffs * m)
 
 
-def radial_symbol(fn):
-    """Lift a function of |xi| to a multiplier symbol."""
-    def symbol(xi):
-        return fn(np.sqrt(np.sum(xi**2, axis=0)))
-    return symbol
-
-
-def heat_symbol(grid: Grid, t: float) -> np.ndarray:
-    return np.exp(-grid.xi_sq * t)
-
-
 # ---------------------------------------------------------------------
 # Differential / projection operators
 # ---------------------------------------------------------------------
@@ -295,8 +380,7 @@ def divergence(field: SpectralField) -> SpectralField:
     """Spectral divergence i xi . u^ of a vector field."""
     if field.rank != _VECTOR:
         raise RankError("divergence needs a vector field")
-    xi = field.grid.deriv_wavevectors
-    c = 1j * np.sum(xi * field.coeffs, axis=0)
+    c = 1j * xi_dot(field.grid, field.coeffs)
     return SpectralField(field.grid, _SCALAR, c, check_hermitian=False)
 
 
@@ -333,14 +417,7 @@ def leray_project(field: SpectralField) -> SpectralField:
     """Project onto divergence-free fields: (delta_ij - xi_i xi_j/|xi|^2)."""
     if field.rank != _VECTOR:
         raise RankError("Leray projection needs a vector field")
-    g = field.grid
-    inv = np.zeros_like(g.deriv_xi_sq)
-    nz = g.deriv_xi_sq > 0
-    inv[nz] = 1.0 / g.deriv_xi_sq[nz]
-    xi = g.deriv_wavevectors
-    xu = np.sum(xi * field.coeffs, axis=0)  # xi . u^
-    c = field.coeffs - xi * (xu * inv)[None]
-    return field.with_coeffs(c)
+    return field.with_coeffs(leray_coeffs(field.grid, field.coeffs))
 
 
 def divergence_residual(field: SpectralField) -> float:
@@ -348,7 +425,7 @@ def divergence_residual(field: SpectralField) -> float:
     scale = field.max_abs_coeff()
     if scale == 0:
         return 0.0
-    xu = np.sum(field.grid.deriv_wavevectors * field.coeffs, axis=0)
+    xu = xi_dot(field.grid, field.coeffs)
     return float(np.max(np.abs(xu)) / (field.grid.xi_max * scale))
 
 
@@ -361,25 +438,18 @@ def dealias_product(u: SpectralField, v: SpectralField) -> SpectralField:
     if u.grid != v.grid:
         raise GridError("fields on different grids")
     g = u.grid
+    if u.rank == _VECTOR and v.rank == _VECTOR:
+        c = dealiased_tensor(g, u.coeffs, v.coeffs)
+        return SpectralField(g, _MATRIX, c, check_hermitian=False)
+    if v.rank == _SCALAR and u.rank != _SCALAR:
+        return dealias_product(v, u)
+    if u.rank != _SCALAR:
+        raise RankError(f"unsupported product ranks {u.rank} x {v.rank}")
     pu = u.to_physical()
     pv = v.to_physical()
-    if u.rank == _VECTOR and v.rank == _VECTOR:
-        prod = pu[:, None] * pv[None, :]
-        rank = _MATRIX
-    elif u.rank == _SCALAR and v.rank == _SCALAR:
-        prod = pu * pv
-        rank = _SCALAR
-    elif u.rank == _SCALAR:
-        prod = pu[None] * pv if v.rank == _VECTOR else pu[(None, None)] * pv
-        rank = v.rank
-    elif v.rank == _SCALAR:
-        return dealias_product(v, u)
-    else:
-        raise RankError(f"unsupported product ranks {u.rank} x {v.rank}")
-    axes = tuple(range(prod.ndim - g.dim, prod.ndim))
-    c = np.fft.fftn(prod, axes=axes) / g.n**g.dim
-    c = c * g.dealias_mask
-    return SpectralField(g, rank, c, check_hermitian=False)
+    prod = pu[(None,) * (pv.ndim - pu.ndim)] * pv
+    c = forward_transform(g, prod) * g.dealias_mask
+    return SpectralField(g, v.rank, c, check_hermitian=False)
 
 
 def dealias(field: SpectralField) -> SpectralField:
@@ -399,10 +469,8 @@ def pressure_from_velocity(u: SpectralField, v: SpectralField) -> SpectralField:
     tensor = dealias_product(u, v)
     xi = g.deriv_wavevectors
     num = -np.einsum("i...,j...,ij...->...", xi, xi, tensor.coeffs)
-    inv = np.zeros_like(g.deriv_xi_sq)
-    nz = g.deriv_xi_sq > 0
-    inv[nz] = 1.0 / g.deriv_xi_sq[nz]
-    return SpectralField(g, _SCALAR, num * inv, check_hermitian=False)
+    return SpectralField(g, _SCALAR, num * _inverse_laplacian(g),
+                         check_hermitian=False)
 
 
 # ---------------------------------------------------------------------
@@ -467,62 +535,79 @@ class Mollifier:
             vals = 2.0 * np.pi * np.sum(g * j0(sr), axis=-1)
         return vals / self._mass
 
+    def symbol(self, grid: Grid) -> np.ndarray:
+        """The multiplier theta^(rho |xi|) of theta_rho on the grid.
+
+        Rejects rho >= box length (the kernel would wrap around the torus).
+        """
+        if self.dim != grid.dim:
+            raise GridError("mollifier dimension does not match the grid")
+        if self.rho >= grid.box_length:
+            raise GridError("mollifier radius exceeds the periodic box")
+        return self.hat(self.rho * grid.xi_abs.ravel()).reshape(grid.shape)
+
 
 def mollify(field: SpectralField, mollifier: Mollifier) -> SpectralField:
-    """Convolve with theta_rho, i.e. multiply by theta^(rho |xi|).
-
-    Rejects rho >= box length (the kernel would wrap around the torus).
-    """
-    g = field.grid
-    if mollifier.dim != g.dim:
-        raise GridError("mollifier dimension does not match the grid")
-    if mollifier.rho >= g.box_length:
-        raise GridError("mollifier radius exceeds the periodic box")
-    svals = mollifier.rho * g.xi_abs.ravel()
-    m = mollifier.hat(svals).reshape(g.shape)
-    return field.with_coeffs(field.coeffs * m)
+    """Convolve with theta_rho, i.e. multiply by theta^(rho |xi|)."""
+    return field.with_coeffs(field.coeffs * mollifier.symbol(field.grid))
 
 
 # ---------------------------------------------------------------------
 # CLF1 field file format
 # ---------------------------------------------------------------------
 
+def atomic_write_bytes(path, payload: bytes) -> None:
+    """Write-temp-then-rename so partial files never appear."""
+    d = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_clf1(path, field: SpectralField) -> None:
     """Write a field as CLF1: ASCII header then little-endian float64
     (re, im) pairs in row-major k-order per component."""
     g = field.grid
-    ncomp = {_SCALAR: 1, _VECTOR: g.dim, _MATRIX: g.dim * g.dim}[field.rank]
+    ncomp = field.coeffs.size // g.n**g.dim
     header = f"CLF1 {g.dim} {g.n} {g.box_length!r} {field.rank} {ncomp}\n"
     flat = field.coeffs.reshape(ncomp, -1)
     pairs = np.empty((ncomp, flat.shape[1], 2), dtype="<f8")
     pairs[..., 0] = flat.real
     pairs[..., 1] = flat.imag
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(pairs.tobytes())
+    atomic_write_bytes(path, header.encode("ascii") + pairs.tobytes())
 
 
 def read_clf1(path) -> SpectralField:
-    """Read a CLF1 field file; bit-exact inverse of write_clf1."""
+    """Read a CLF1 field file; bit-exact inverse of write_clf1.
+
+    The header and the payload size are checked before the grid is
+    built, so a corrupt file fails with GridError or RankError rather
+    than a grid-sized allocation.
+    """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if len(header) != 6 or header[0] != "CLF1":
-            raise GridError(f"not a CLF1 file: {path}")
-        dim, n = int(header[1]), int(header[2])
-        box = float(header[3])
-        rank = header[4]
-        ncomp = int(header[5])
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    grid = Grid(dim, n, box)
-    npts = n**dim
-    if raw.size != ncomp * npts * 2:
+        header = fh.readline().split()
+        payload = fh.read()
+    try:
+        magic, dim, n, box, rank, ncomp = (h.decode("ascii") for h in header)
+        dim, n, box, ncomp = int(dim), int(n), float(box), int(ncomp)
+    except ValueError as exc:  # token count, encoding or number syntax
+        raise GridError(f"not a CLF1 file: {path}") from exc
+    if magic != "CLF1":
+        raise GridError(f"not a CLF1 file: {path}")
+    _check_grid_args(dim, n, box)
+    shape = _rank_shape(rank, dim, n)
+    if ncomp != math.prod(shape[:-dim]):
+        raise GridError(f"CLF1 component count {ncomp} does not match "
+                        f"rank {rank!r}")
+    if len(payload) != 16 * math.prod(shape):
         raise GridError("CLF1 payload size mismatch")
-    pairs = raw.reshape(ncomp, npts, 2)
-    coeffs = (pairs[..., 0] + 1j * pairs[..., 1])
-    shape = {
-        _SCALAR: grid.shape,
-        _VECTOR: (dim,) + grid.shape,
-        _MATRIX: (dim, dim) + grid.shape,
-    }[rank]
-    return SpectralField(grid, rank, coeffs.reshape(shape),
+    pairs = np.frombuffer(payload, dtype="<f8").reshape(shape + (2,))
+    return SpectralField(Grid(dim, n, box), rank,
+                         pairs[..., 0] + 1j * pairs[..., 1],
                          check_hermitian=False)

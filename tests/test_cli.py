@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from nselab import default_partition, make_grid, read_clf1, write_clf1
+from nselab import (NseLabError, default_partition, make_grid, read_clf1,
+                    write_clf1)
 from nselab.cli import main
 from nselab.families import critical_random
 
@@ -100,3 +101,17 @@ def test_solve_and_report_roundtrip(tmp_path, capsys):
 
 def test_report_missing_archive(tmp_path):
     assert main(["report", "--archive", str(tmp_path / "empty")]) == 2
+
+
+@pytest.mark.parametrize("header, n_payload", [
+    (b"CLF1 3 16 6.283185307179586 tensor 9\n", 9 * 16**3),
+    (b"CLF1 3 100000 6.283185307179586 vector 3\n", 3 * 16**3),
+], ids=["unknown-rank", "huge-grid"])
+def test_corrupt_clf1_fails_with_package_error(tmp_path, capsys, header,
+                                               n_payload):
+    path = tmp_path / "bad.clf1"
+    path.write_bytes(header + bytes(16 * n_payload))
+    with pytest.raises(NseLabError):
+        read_clf1(path)
+    assert main(["norm", "--in", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -177,3 +177,19 @@ def test_run_experiment_rejects_unknown_family():
                            recipe={"family": "nonsense"})
     with pytest.raises(ConfigError):
         run_experiment(cfg)
+
+
+def test_run_experiment_passes_divergence_through(monkeypatch):
+    from nselab import PicardDivergenceError, diagnostics
+
+    err = PicardDivergenceError("iterates grew", norms=[1.0, 10.0])
+
+    def diverge(*args):
+        raise err
+
+    monkeypatch.setattr(diagnostics, "_run_solver", diverge)
+    cfg = ExperimentConfig(dim=2, n=16, box_length=2 * np.pi, horizon=0.1,
+                           recipe={"family": "zero"})
+    with pytest.raises(PicardDivergenceError) as info:
+        run_experiment(cfg)
+    assert info.value is err

@@ -129,3 +129,12 @@ def test_continuation_flags_violent_data(grid16):
                        first_exponent=10, max_iter=30)
     res = solve_with_continuation(u0, cfg, step_floor=0.2)
     assert res.status == "blow-up suspected"
+
+
+def test_continuation_keeps_probe_seed(grid16):
+    u0 = random_power_law(grid16, alpha=2.0, seed=7, amplitude=5e-2)
+    cfg = small_config(grid16, horizon=0.2, n_geometric=6, n_uniform=6,
+                       measure_probes=3, probe_seed=1)
+    res = solve_with_continuation(u0, cfg)
+    assert res.segment_horizons == [0.2]
+    assert res.reports[0].gamma == mild_solve_nse(u0, cfg).report.gamma

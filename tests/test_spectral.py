@@ -1,12 +1,19 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
+import nselab
 from nselab import (Grid, GridError, Mollifier, RankError, SpectralField,
                     SymbolError, apply_multiplier, curl, dealias_product,
                     divergence, divergence_residual, gradient, leray_project,
                     make_grid, mollify, pressure_from_velocity, read_clf1,
                     write_clf1)
 from nselab.families import random_power_law, single_mode
+from nselab.heat import projected_divergence
+from nselab.spectral import (dealiased_tensor, interpolate_stack, leray_coeffs,
+                             lp_norms, projected_divergence_coeffs)
 
 
 def test_grid_validation():
@@ -154,3 +161,109 @@ def test_gradient_ranks(grid16):
     assert gradient(v).rank == "matrix"
     with pytest.raises(RankError):
         curl(s)
+
+
+def test_write_clf1_failure_leaves_target_unchanged(tmp_path, grid16,
+                                                    monkeypatch):
+    path = tmp_path / "u.clf1"
+    write_clf1(path, random_power_law(grid16, alpha=1.0, seed=9))
+    before = path.read_bytes()
+    real_fdopen = os.fdopen
+
+    class HalfThenFail:
+        """File wrapper whose write stores half the bytes, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("simulated full disk")
+
+    monkeypatch.setattr(os, "fdopen",
+                        lambda fd, mode: HalfThenFail(real_fdopen(fd, mode)))
+    with pytest.raises(OSError):
+        write_clf1(path, random_power_law(grid16, alpha=1.0, seed=10))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["u.clf1"]
+
+
+# ---------------------------------------------------------------------
+# Array kernels: one definition serves a single field and a time stack
+# ---------------------------------------------------------------------
+
+def _samples(grid16):
+    u = [random_power_law(grid16, alpha=1.0, seed=20 + k) for k in range(3)]
+    v = [random_power_law(grid16, alpha=0.5, seed=30 + k) for k in range(3)]
+    return u, v
+
+
+def _stack(fields):
+    return np.stack([f.coeffs for f in fields])
+
+
+def _interp_case(grid16, u, v):
+    times = np.array([0.0, 0.25, 1.0])
+    new_times = np.array([0.1, 0.25, 0.6])
+    per_field = []
+    for t in new_times:
+        i = min(int(np.searchsorted(times, t, side="right")) - 1, 1)
+        w = (t - times[i]) / (times[i + 1] - times[i])
+        per_field.append(((1.0 - w) * u[i] + w * u[i + 1]).coeffs)
+    return interpolate_stack(times, _stack(u), new_times), per_field
+
+
+KERNEL_CASES = {
+    "lp2": lambda g, u, v: (lp_norms(g, _stack(u), 2.0, batch_axes=1),
+                            [f.lp_norm(2.0) for f in u]),
+    "lp4": lambda g, u, v: (lp_norms(g, _stack(u), 4.0, batch_axes=1),
+                            [f.lp_norm(4.0) for f in u]),
+    "lpinf": lambda g, u, v: (lp_norms(g, _stack(u), np.inf, batch_axes=1),
+                              [f.lp_norm(np.inf) for f in u]),
+    "leray": lambda g, u, v: (leray_coeffs(g, _stack(u)),
+                              [leray_project(f).coeffs for f in u]),
+    "pdiv": lambda g, u, v: (
+        projected_divergence_coeffs(
+            g, _stack([dealias_product(a, b) for a, b in zip(u, v)])),
+        [projected_divergence(dealias_product(a, b)).coeffs
+         for a, b in zip(u, v)]),
+    "tensor": lambda g, u, v: (dealiased_tensor(g, _stack(u), _stack(v)),
+                               [dealias_product(a, b).coeffs
+                                for a, b in zip(u, v)]),
+    "interpolation": _interp_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_stack_kernel_matches_per_field(grid16, case):
+    u, v = _samples(grid16)
+    stacked, per_field = KERNEL_CASES[case](grid16, u, v)
+    assert len(stacked) == 3
+    for got, want in zip(stacked, per_field):
+        scale = np.max(np.abs(want))
+        assert scale > 0
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def test_only_spectral_calls_fft():
+    # every transform goes through spectral.py, so the FFT backend is a
+    # one-file decision (Grid's fftfreq lives there too)
+    pattern = re.compile(r"\b(?:np|numpy|scipy)\.fft\b|"
+                         r"\bfrom\s+(?:numpy|scipy)(?:\.fft)?\s+import\s+.*fft"
+                         r"|\bi?r?fft(?:n|2)?\s*\(")
+    src = os.path.dirname(nselab.__file__)
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "spectral.py":
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    if pattern.search(line):
+                        offenders.append(f"{name}:{lineno}: {line.strip()}")
+    assert offenders == []
