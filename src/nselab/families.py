@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .besov import DyadicPartition, critical_exponent, lp_block

@@ -99,8 +99,9 @@ def solve_picard(problem: PicardProblem, tol: float = 1e-10,
                  max_iter: int = 60, strict: bool = False) -> FixedPointReport:
     """Iterate P_{k+1} = a + L(P_k) + B(P_k, P_k) from P_0 = a.
 
-    Divergence (three consecutive norm increases, or norm above 1e6x
-    the seed) raises PicardDivergenceError carrying the history.  With
+    Divergence (a non-finite increment or norm, three consecutive
+    increment increases, or norm above 1e6x the seed) raises
+    PicardDivergenceError carrying the history.  With
     ``strict`` the smallness condition
     ||(I-L)^{-1} a|| < 1/(4 ||(I-L)^{-1}|| gamma) must hold up front.
     """
@@ -141,7 +142,9 @@ def solve_picard(problem: PicardProblem, tol: float = 1e-10,
             increases += 1
         else:
             increases = 0
-        blown = seed_norm > 0 and nx > DIVERGENCE_BLOWUP_FACTOR * seed_norm
+        # NaN compares false, so a non-finite iterate is caught here
+        blown = not (np.isfinite(diff) and np.isfinite(nx)) or (
+            seed_norm > 0 and nx > DIVERGENCE_BLOWUP_FACTOR * seed_norm)
         if increases >= DIVERGENCE_GROWTH_RUN or blown:
             raise PicardDivergenceError(
                 f"Picard iteration diverging after {it} steps "

@@ -9,28 +9,41 @@ one definition.  This is the only module that calls an FFT.
 
 Conventions
 -----------
-A field is stored by its Fourier coefficients ``c_k`` in numpy FFT index
-order, normalized so that ``f(x) = sum_k c_k exp(i xi_k . x)`` with
-``xi_k = 2*pi*k/L``.  Physical samples live on the uniform grid
-``x = (L/N)*m``.  All L^p norms are uniform-grid quadratures,
-``||f||_p^p = (L/N)^d * sum |f(x)|^p``; Parseval then reads
-``||f||_2^2 = L^d * sum |c_k|^2``.
+A field is stored by its Fourier coefficients ``c_k``, the integer
+wavenumbers k in ``fftfreq`` index order along each axis (0 .. N/2-1,
+then -N/2 .. -1), normalized so that ``f(x) = sum_k c_k exp(i xi_k . x)``
+with ``xi_k = 2*pi*k/L``: the forward transform carries the whole
+``1/N^d`` (``norm="forward"``) and the inverse none.  Physical samples
+live on the uniform grid ``x = (L/N)*m``.  All L^p norms are
+uniform-grid quadratures, ``||f||_p^p = (L/N)^d * sum |f(x)|^p``;
+Parseval then reads ``||f||_2^2 = L^d * sum |c_k|^2``.
+
+Transforms are ``scipy.fft`` real-to-complex/complex-to-real FFTs run
+on every CPU this process may use.  Fields are real, so the inverse
+transform reads only the half spectrum and assumes Hermitian
+coefficients, ``c_{-k} = conj(c_k)``; every operator here keeps them so,
+and ``read_clf1`` rejects files that are not.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy.fft
 from numpy.polynomial.legendre import leggauss
 from scipy.special import j0
 
 from .errors import GridError, RankError, SymbolError
 
 HERMITIAN_RTOL = 1e-12
+
+# FFT threads: every CPU the process may run on
+FFT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 _SCALAR = "scalar"
 _VECTOR = "vector"
@@ -138,17 +151,17 @@ def _rank_shape(rank: str, dim: int, n: int) -> tuple:
 
 
 def forward_transform(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Fourier coefficients of real physical samples."""
-    out = np.fft.fftn(values, axes=tuple(range(-grid.dim, 0)))
-    out /= grid.n**grid.dim
-    return out
+    """Fourier coefficients of real physical samples (full spectrum)."""
+    return scipy.fft.fftn(values, axes=tuple(range(-grid.dim, 0)),
+                          norm="forward", workers=FFT_WORKERS)
 
 
 def inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Real physical samples of Fourier coefficients."""
-    out = np.fft.ifftn(coeffs * grid.n**grid.dim,
-                       axes=tuple(range(-grid.dim, 0)))
-    return out.real
+    """Real physical samples of Hermitian Fourier coefficients; only the
+    half spectrum k_last = 0 .. N/2 is read."""
+    return scipy.fft.irfftn(coeffs[..., :grid.n // 2 + 1], s=grid.shape,
+                            axes=tuple(range(-grid.dim, 0)),
+                            norm="forward", workers=FFT_WORKERS)
 
 
 def xi_dot(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -184,9 +197,23 @@ def projected_divergence_coeffs(grid: Grid, tensor: np.ndarray) -> np.ndarray:
 
 def dealiased_tensor(grid: Grid, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """2/3-rule dealiased coefficients of the tensor v_i w_j of two vector
-    coefficient arrays (physical product, transformed back)."""
-    pv = np.expand_dims(inverse_transform(grid, v), -grid.dim - 1)
-    pw = np.expand_dims(inverse_transform(grid, w), -grid.dim - 2)
+    coefficient arrays (physical product, transformed back).
+
+    For ``w is v`` the tensor is symmetric: v is transformed once and only
+    the d(d+1)/2 products i <= j are formed and transformed.
+    """
+    axis = -grid.dim - 1
+    if w is v:
+        i, j = np.triu_indices(grid.dim)
+        pv = inverse_transform(grid, v)
+        out = forward_transform(grid, np.take(pv, i, axis)
+                                * np.take(pv, j, axis))
+        out *= grid.dealias_mask
+        pair = np.empty((grid.dim, grid.dim), dtype=np.intp)
+        pair[i, j] = pair[j, i] = np.arange(i.size)
+        return np.take(out, pair, axis)
+    pv = np.expand_dims(inverse_transform(grid, v), axis)
+    pw = np.expand_dims(inverse_transform(grid, w), axis - 1)
     out = forward_transform(grid, pv * pw)
     out *= grid.dealias_mask
     return out
@@ -558,8 +585,10 @@ def mollify(field: SpectralField, mollifier: Mollifier) -> SpectralField:
 
 def atomic_write_bytes(path, payload: bytes) -> None:
     """Write-temp-then-rename so partial files never appear."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    d, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(d, f".{name}.{secrets.token_hex(8)}.tmp")
+    # mode 0666 lets the umask set the permissions, as open() would
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
@@ -588,7 +617,9 @@ def read_clf1(path) -> SpectralField:
 
     The header and the payload size are checked before the grid is
     built, so a corrupt file fails with GridError or RankError rather
-    than a grid-sized allocation.
+    than a grid-sized allocation.  Non-finite coefficients raise
+    GridError and non-Hermitian ones RankError, since the inverse
+    transform assumes a real field.
     """
     with open(path, "rb") as fh:
         header = fh.readline().split()
@@ -608,6 +639,8 @@ def read_clf1(path) -> SpectralField:
     if len(payload) != 16 * math.prod(shape):
         raise GridError("CLF1 payload size mismatch")
     pairs = np.frombuffer(payload, dtype="<f8").reshape(shape + (2,))
+    if not np.all(np.isfinite(pairs)):
+        raise GridError(f"CLF1 payload has non-finite coefficients: {path}")
     return SpectralField(Grid(dim, n, box), rank,
                          pairs[..., 0] + 1j * pairs[..., 1],
-                         check_hermitian=False)
+                         check_hermitian=True)

@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from nselab import (NseLabError, default_partition, make_grid, read_clf1,
-                    write_clf1)
+from nselab import (NseLabError, SpectralField, default_partition, make_grid,
+                    read_clf1, write_clf1)
 from nselab.cli import main
 from nselab.families import critical_random
 
@@ -111,6 +111,23 @@ def test_corrupt_clf1_fails_with_package_error(tmp_path, capsys, header,
                                                n_payload):
     path = tmp_path / "bad.clf1"
     path.write_bytes(header + bytes(16 * n_payload))
+    with pytest.raises(NseLabError):
+        read_clf1(path)
+    assert main(["norm", "--in", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["nan", "non-hermitian"])
+def test_bad_clf1_payload_fails_with_package_error(field_file, tmp_path,
+                                                   capsys, fault):
+    u = read_clf1(field_file)
+    c = u.coeffs.copy()
+    if fault == "nan":
+        c[0, 1, 0, 0] = np.nan
+    else:
+        c[0, 1, 0, 0] += 1j * np.max(np.abs(c))  # partner at -k unchanged
+    path = tmp_path / "bad.clf1"
+    write_clf1(path, SpectralField(u.grid, u.rank, c, check_hermitian=False))
     with pytest.raises(NseLabError):
         read_clf1(path)
     assert main(["norm", "--in", str(path)]) == 2

@@ -40,6 +40,14 @@ def test_scalar_divergence_detected():
     assert len(exc.value.norms) > 1
 
 
+def test_nan_iterate_detected():
+    # NaN compares false with every bound, so it must be caught explicitly
+    problem = PicardProblem(a=0.1, bilinear=lambda x, y: math.nan,
+                            norm=abs, gamma=1.0, l_norm=0.0)
+    with pytest.raises(PicardDivergenceError):
+        solve_picard(problem)
+
+
 def test_strict_smallness_gate():
     # cap is 1/(4 g); a = 0.3 violates it even though iteration converges
     with pytest.raises(ConfigError):

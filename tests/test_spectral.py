@@ -1,5 +1,6 @@
 import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from nselab import (Grid, GridError, Mollifier, RankError, SpectralField,
                     write_clf1)
 from nselab.families import random_power_law, single_mode
 from nselab.heat import projected_divergence
-from nselab.spectral import (dealiased_tensor, interpolate_stack, leray_coeffs,
-                             lp_norms, projected_divergence_coeffs)
+from nselab.spectral import (dealiased_tensor, forward_transform,
+                             interpolate_stack, inverse_transform,
+                             leray_coeffs, lp_norms,
+                             projected_divergence_coeffs)
 
 
 def test_grid_validation():
@@ -195,6 +198,20 @@ def test_write_clf1_failure_leaves_target_unchanged(tmp_path, grid16,
     assert os.listdir(tmp_path) == ["u.clf1"]
 
 
+def test_clf1_file_mode_follows_umask(tmp_path, grid16):
+    old_umask = os.umask(0o022)
+    try:
+        path = tmp_path / "u.clf1"
+        write_clf1(path, random_power_law(grid16, alpha=1.0, seed=11))
+        plain = tmp_path / "plain"
+        with open(plain, "wb"):
+            pass
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(path.stat().st_mode) == \
+        stat.S_IMODE(plain.stat().st_mode) == 0o644
+
+
 # ---------------------------------------------------------------------
 # Array kernels: one definition serves a single field and a time stack
 # ---------------------------------------------------------------------
@@ -247,6 +264,27 @@ def test_stack_kernel_matches_per_field(grid16, case):
     stacked, per_field = KERNEL_CASES[case](grid16, u, v)
     assert len(stacked) == 3
     for got, want in zip(stacked, per_field):
+        scale = np.max(np.abs(want))
+        assert scale > 0
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_transform_backend_matches_reference(dim):
+    # the real-transform backend against numpy's full complex FFT, and
+    # the symmetric u (x) u branch against the general two-factor one
+    g = make_grid(dim, 16, 2.0 * np.pi)
+    axes = tuple(range(-dim, 0))
+    vals = np.random.default_rng(dim).standard_normal((2, dim) + g.shape)
+    u = _stack([random_power_law(g, alpha=1.0, seed=40 + k)
+                for k in range(2)])
+    cases = [
+        (forward_transform(g, vals), np.fft.fftn(vals, axes=axes) / 16**dim),
+        (inverse_transform(g, u), np.fft.ifftn(u * 16**dim, axes=axes).real),
+        (dealiased_tensor(g, u, u), dealiased_tensor(g, u, u.copy())),
+    ]
+    for got, want in cases:
+        assert got.shape == want.shape
         scale = np.max(np.abs(want))
         assert scale > 0
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
