@@ -1,8 +1,9 @@
 """Command-line interface: norm computations, data splitting, estimate
 verification, solver runs, and archived-report inspection.
 
-Exit codes: 0 success, 2 validation error, 3 solver divergence,
-4 gate failure (a checked invariant did not hold).
+Exit codes: 0 success, 2 validation error, 3 solver divergence
+(including a 'blow-up suspected' run), 4 gate failure (a checked
+invariant did not hold, e.g. a 'numerical failure' run).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 from .besov import (BesovIndex, besov_norm, critical_exponent,
                     default_partition)
 from .calderon import SplitConfig, exponent_sweep, split
-from .diagnostics import (ExperimentConfig, atomic_write_text, rescale,
-                          run_experiment, vanishing_test)
+from .diagnostics import (ExperimentConfig, atomic_write_text, finite_json,
+                          rescale, run_experiment, vanishing_test)
 from .errors import NseLabError, PicardDivergenceError
 from .heat import heat_trajectory, verify_kato_estimate
 from .spectral import Grid, read_clf1, write_clf1
@@ -41,15 +42,18 @@ def _common(sub):
 
 
 def _emit(args, payload: dict, name: str):
+    """Write ``payload`` to stdout (and to ``--out``); non-finite floats
+    become JSON null."""
+    payload = finite_json(payload)
     if args.format == "csv":
         keys = sorted(payload)
         text = ",".join(keys) + "\n" + ",".join(
-            json.dumps(payload[k]) if not isinstance(payload[k], float)
+            json.dumps(payload[k], allow_nan=False)
+            if not isinstance(payload[k], float)
             else repr(payload[k]) for k in keys) + "\n"
     else:
         text = json.dumps(payload, indent=2, sort_keys=True,
-                          default=lambda o: o.tolist()
-                          if isinstance(o, np.ndarray) else o) + "\n"
+                          allow_nan=False) + "\n"
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         ext = "csv" if args.format == "csv" else "json"
@@ -133,7 +137,9 @@ def cmd_solve(args) -> int:
     _emit(args, report.summary(), "solve")
     if report.status == "completed":
         return EXIT_OK
-    return EXIT_DIVERGENCE
+    if report.status == "blow-up suspected":
+        return EXIT_DIVERGENCE
+    return EXIT_GATE
 
 
 def cmd_rescale(args) -> int:

@@ -16,12 +16,13 @@ from scipy.integrate import simpson
 from .besov import (BesovIndex, DyadicPartition, Trajectory, besov_norm,
                     critical_exponent, default_partition)
 from .errors import ConfigError, GridError
-from .heat import _pl_weights
-from .solver import (SolverConfig, _forcing_stack, mild_solve_nse,
-                     mild_solve_perturbed, mollified_solve,
-                     solve_with_continuation)
+from .heat import exponential_weights
+from .solver import (SolverConfig, _forcing_stack, cross_forcing_stack,
+                     half_stack, mild_solve_nse, mild_solve_perturbed,
+                     mollified_solve, solve_with_continuation)
 from .spectral import (Grid, Mollifier, SpectralField, atomic_write_bytes,
-                       divergence_residual, read_clf1, write_clf1)
+                       divergence_residual, half_spectrum, inverse_transform,
+                       read_clf1, write_clf1)
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -175,20 +176,20 @@ class LedgerReport:
 
 def _ledger_forcing(grid: Grid, u_stack: np.ndarray, nonlinearity: str,
                     rho: float | None, background) -> np.ndarray:
+    """Half-spectrum forcing stack of a half-spectrum solution stack."""
     if nonlinearity == "none":
         return np.zeros_like(u_stack)
     mult = None
     if nonlinearity == "mollified":
         if rho is None:
             raise ConfigError("mollified ledger needs rho")
-        mult = Mollifier(grid.dim, rho).symbol(grid)
+        mult = Mollifier(grid.dim, rho).symbol(grid, grid.n_half)
     elif nonlinearity != "nse":
         raise ConfigError(f"unknown nonlinearity {nonlinearity!r}")
     g = -_forcing_stack(grid, u_stack, u_stack, w_multiplier=mult)
     if background is not None:
-        v_stack = background.coeffs_stack()
-        g = g - _forcing_stack(grid, u_stack, v_stack) \
-            - _forcing_stack(grid, v_stack, u_stack)
+        pv = inverse_transform(grid, half_stack(background))
+        g -= cross_forcing_stack(grid, pv, u_stack)
     return g
 
 
@@ -205,7 +206,10 @@ def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
     subintervals (even, >= 2): residuals shrink like substeps^{-4}.
     The forcing is recomputed from the fields (plain, mollified, or
     none, plus optional background coupling) unless ``g_stack`` is
-    given explicitly.
+    given explicitly (in either spectral layout).
+
+    The sums run over the half spectrum with Hermitian weights, which
+    equals the full-spectrum sum for real fields.
     """
     if substeps < 2 or substeps % 2 != 0:
         raise ConfigError("substeps must be even and >= 2")
@@ -214,13 +218,24 @@ def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
     if background is not None and (len(background) != len(traj) or
                                    not np.allclose(background.times, times)):
         raise ConfigError("background must share the trajectory schedule")
-    u_stack = traj.coeffs_stack()
+    u_stack = half_stack(traj)
     if g_stack is None:
         g_stack = _ledger_forcing(grid, u_stack, nonlinearity, rho, background)
-    vol = grid.volume
-    xi_sq = grid.xi_sq
-    energy = 0.5 * vol * np.sum(np.abs(u_stack) ** 2,
-                                axis=tuple(range(1, u_stack.ndim)))
+    g_stack = np.ascontiguousarray(half_spectrum(grid, g_stack),
+                                   dtype=np.complex128)
+    lay = grid.layout(grid.n_half)
+    # Hermitian weights times the volume, repeated over (re, im) so that
+    # sums of Re(x conj y) run over float views of the coefficients
+    weight = np.repeat(grid.volume * lay.hermitian_weight, 2)
+    diss_weight = np.repeat(lay.xi_sq, 2, axis=-1) * weight
+    shape = diss_weight.shape
+
+    def dot(x, y, w):
+        """sum of w * Re(x conj y) over the grid and components."""
+        xy = x.view(np.float64) * y.view(np.float64)
+        return float(np.sum(xy.reshape((-1,) + shape).sum(axis=0) * w))
+
+    energy = np.array([0.5 * dot(u, u, weight) for u in u_stack])
     n_int = times.size - 1
     diss = np.zeros(n_int)
     work = np.zeros(n_int)
@@ -228,16 +243,19 @@ def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
     for i in range(n_int):
         dt = times[i + 1] - times[i]
         a = u_stack[i]
-        g0, g1 = g_stack[i], g_stack[i + 1]
+        g0, dg = g_stack[i], g_stack[i + 1] - g_stack[i]
+        decay, alpha, beta, index = exponential_weights(lay.xi_sq,
+                                                        fracs * dt)
         d_vals = np.empty(substeps + 1)
         w_vals = np.empty(substeps + 1)
         for r, f in enumerate(fracs):
-            tau = f * dt
-            gl = g0 + (g1 - g0) * f
-            alpha, beta = _pl_weights(xi_sq * tau)
-            u_tau = np.exp(-xi_sq * tau) * a + tau * (alpha * g0 + beta * gl)
-            d_vals[r] = vol * np.sum(xi_sq * np.abs(u_tau) ** 2)
-            w_vals[r] = vol * np.sum(np.real(gl * np.conj(u_tau)))
+            gl = g0 + dg * f
+            u_tau = np.take(alpha[r], index) * g0
+            u_tau += np.take(beta[r], index) * gl
+            u_tau *= f * dt
+            u_tau += np.take(decay[r], index) * a
+            d_vals[r] = dot(u_tau, u_tau, diss_weight)
+            w_vals[r] = dot(gl, u_tau, weight)
         nodes = fracs * dt
         diss[i] = float(simpson(d_vals, x=nodes))
         work[i] = float(simpson(w_vals, x=nodes))
@@ -361,6 +379,21 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def finite_json(obj):
+    """``obj`` with numpy arrays and scalars as plain Python values and
+    every non-finite float as None, so that it serializes to strict
+    JSON (``allow_nan=False``)."""
+    if isinstance(obj, dict):
+        return {k: finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [finite_json(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _series_csv(times: np.ndarray, columns: dict) -> str:
     names = ["time"] + list(columns)
     lines = [",".join(names)]
@@ -469,4 +502,5 @@ def _archive(config: ExperimentConfig, report: DiagnosticsReport,
         write_clf1(os.path.join(out, name), f)
         manifest["field_files"].append({"file": name, "time": float(t)})
     atomic_write_text(os.path.join(out, "manifest.json"),
-                      json.dumps(manifest, indent=2, sort_keys=True))
+                      json.dumps(finite_json(manifest), indent=2,
+                                 sort_keys=True, allow_nan=False))

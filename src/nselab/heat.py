@@ -66,6 +66,22 @@ def _pl_weights(z: np.ndarray):
         np.where(small, beta_series, beta)
 
 
+def exponential_weights(xi_sq: np.ndarray, taus):
+    """exp(-|xi|^2 tau) and the weights ``_pl_weights(|xi|^2 tau)`` for
+    every tau, each of shape (len(taus),) + (number of distinct values).
+
+    They are elementwise in |xi|^2, which takes at most d (N/2)^2 + 1
+    distinct values on a grid, so they are evaluated once per distinct
+    value; ``np.take(w[r], index)`` gathers row r onto the grid, where
+    ``index`` is the last item returned.  The gathered values equal the
+    direct evaluation on the grid bit for bit.
+    """
+    values, index = np.unique(xi_sq, return_inverse=True)
+    z = np.multiply.outer(np.asarray(taus, dtype=float), values)
+    alpha, beta = _pl_weights(z)
+    return np.exp(-z), alpha, beta, index.reshape(xi_sq.shape)
+
+
 def duhamel_stack(times: np.ndarray, g_stack: np.ndarray,
                   xi_sq: np.ndarray) -> np.ndarray:
     """Cumulative Duhamel integral at every sample time.
@@ -76,13 +92,14 @@ def duhamel_stack(times: np.ndarray, g_stack: np.ndarray,
     """
     times = np.asarray(times, dtype=float)
     out = np.zeros_like(g_stack)
+    dts = np.diff(times)
+    decay, alpha, beta, index = exponential_weights(xi_sq, dts)
     for i in range(1, times.size):
-        dt = times[i] - times[i - 1]
-        z = xi_sq * dt
-        alpha, beta = _pl_weights(z)
-        decay = np.exp(-z)
-        out[i] = decay * out[i - 1] + dt * (alpha * g_stack[i - 1]
-                                            + beta * g_stack[i])
+        acc = np.take(alpha[i - 1], index) * g_stack[i - 1]
+        acc += np.take(beta[i - 1], index) * g_stack[i]
+        acc *= dts[i - 1]
+        acc += np.take(decay[i - 1], index) * out[i - 1]
+        out[i] = acc
     return out
 
 

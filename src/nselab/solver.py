@@ -3,9 +3,12 @@ the direct solver u = e^{tL}u0 - B(u,u), the perturbed solver around a
 precomputed background, and the Leray-mollified energy solver.
 
 Solver state is the stack of Fourier coefficients at every sample
-time, shape (M, dim, N, ..., N); the bilinear operator forms the
-dealiased tensor product per sample and runs the exact-exponential
-Duhamel recursion over the schedule.
+time in the real-FFT half-spectrum layout, shape (M, dim, N, ...,
+N//2+1) (see ``spectral``); the bilinear operator forms the dealiased
+tensor product per sample and runs the exact-exponential Duhamel
+recursion over the schedule.  Data and backgrounds enter through
+``half_spectrum`` and solutions leave through ``stack_to_trajectory``,
+so ``SpectralField`` and ``Trajectory`` stay full-spectrum.
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ from .heat import duhamel_stack, time_schedule
 from .picard import (FixedPointReport, PicardProblem, estimate_constants,
                      solve_picard)
 from .spectral import (Grid, Mollifier, SpectralField, dealiased_tensor,
-                       divergence_residual, interpolate_stack, lp_norms,
-                       projected_divergence_coeffs, xi_dot)
+                       divergence_residual, full_spectrum, half_spectrum,
+                       interpolate_stack, inverse_transform, lp_norms,
+                       projected_divergence_coeffs, symmetric_tensor, xi_dot)
 
 DEFAULT_KAPPA = 0.17  # existence-time smallness constant, calibrated empirically
+FORCING_CHUNK = 8  # time samples per forcing evaluation
 
 
 @dataclass
@@ -57,7 +62,11 @@ class SolverConfig:
 
 @dataclass
 class MildSolution:
-    """Trajectory plus the Picard iteration record and residual checks."""
+    """Trajectory plus the Picard iteration record and residual checks.
+
+    ``report.solution`` is the solver's half-spectrum stack; the
+    trajectory holds the same samples as full-spectrum fields.
+    """
 
     trajectory: Trajectory
     report: FixedPointReport
@@ -73,16 +82,23 @@ class MildSolution:
 def _forcing_stack(grid: Grid, v_stack: np.ndarray, w_stack: np.ndarray,
                    w_multiplier: np.ndarray | None = None) -> np.ndarray:
     """G = P div dealias(v (x) w), per sample; w may be premultiplied
-    (mollification)."""
+    (mollification).  Computed FORCING_CHUNK samples at a time, so the
+    tensor temporaries do not grow with the schedule."""
     if w_multiplier is not None:
         w_stack = w_stack * w_multiplier
-    return projected_divergence_coeffs(
-        grid, dealiased_tensor(grid, v_stack, w_stack))
+    out = np.empty_like(v_stack)
+    for s in range(0, len(v_stack), FORCING_CHUNK):
+        v = v_stack[s:s + FORCING_CHUNK]
+        w = v if w_stack is v_stack else w_stack[s:s + FORCING_CHUNK]
+        out[s:s + FORCING_CHUNK] = projected_divergence_coeffs(
+            grid, dealiased_tensor(grid, v, w))
+    return out
 
 
 def _heat_stack(grid: Grid, u0: SpectralField, times: np.ndarray) -> np.ndarray:
-    decay = np.exp(-np.multiply.outer(times, grid.xi_sq))  # (M, grid)
-    return decay[:, None] * u0.coeffs[None]
+    xi_sq = grid.layout(grid.n_half).xi_sq
+    decay = np.exp(-np.multiply.outer(times, xi_sq))  # (M, grid)
+    return decay[:, None] * half_spectrum(grid, u0.coeffs)[None]
 
 
 def kato_stack_norm(grid: Grid, times: np.ndarray, stack: np.ndarray,
@@ -98,9 +114,17 @@ def kato_stack_norm(grid: Grid, times: np.ndarray, stack: np.ndarray,
 
 def stack_to_trajectory(grid: Grid, times: np.ndarray,
                         stack: np.ndarray) -> Trajectory:
-    fields = [SpectralField(grid, "vector", stack[i], check_hermitian=False)
+    """Full-spectrum trajectory of a half-spectrum solver stack."""
+    fields = [SpectralField(grid, "vector", full_spectrum(grid, stack[i]),
+                            check_hermitian=False)
               for i in range(times.size)]
     return Trajectory(grid, times, fields)
+
+
+def half_stack(traj: Trajectory) -> np.ndarray:
+    """Half-spectrum stack (M, ...) of a trajectory's samples."""
+    return np.stack([half_spectrum(traj.grid, f.coeffs)
+                     for f in traj.fields])
 
 
 def _prepare_data(u0: SpectralField, grid: Grid) -> SpectralField:
@@ -150,11 +174,40 @@ def _build_problem(grid: Grid, times: np.ndarray, a_stack: np.ndarray,
 
 def _nse_bilinear(grid: Grid, times: np.ndarray,
                   w_multiplier: np.ndarray | None = None):
+    xi_sq = grid.layout(grid.n_half).xi_sq
+
     def bilinear(x, y):
-        g = _forcing_stack(grid, x, y, w_multiplier=w_multiplier)
-        return -duhamel_stack(times, g, grid.xi_sq)
+        out = duhamel_stack(times, _forcing_stack(grid, x, y, w_multiplier),
+                            xi_sq)
+        return np.negative(out, out=out)
 
     return bilinear
+
+
+def cross_forcing_stack(grid: Grid, pv: np.ndarray,
+                        w_stack: np.ndarray) -> np.ndarray:
+    """P div dealias(w (x) v + v (x) w) per sample, one forcing of the
+    symmetric tensor, for v given by its physical samples ``pv``."""
+    out = np.empty_like(w_stack)
+    for s in range(0, len(w_stack), FORCING_CHUNK):
+        part = slice(s, s + FORCING_CHUNK)
+        tensor = symmetric_tensor(grid, pv[part],
+                                  inverse_transform(grid, w_stack[part]),
+                                  w_stack.shape[-1])
+        out[part] = projected_divergence_coeffs(grid, tensor)
+    return out
+
+
+def _cross_linear(grid: Grid, times: np.ndarray, v_stack: np.ndarray):
+    """w -> B(w, v) + B(v, w) for a fixed v; v is transformed once."""
+    xi_sq = grid.layout(grid.n_half).xi_sq
+    pv = inverse_transform(grid, v_stack)
+
+    def linear(w):
+        out = duhamel_stack(times, cross_forcing_stack(grid, pv, w), xi_sq)
+        return np.negative(out, out=out)
+
+    return linear
 
 
 def _doubled_residual(grid: Grid, times: np.ndarray, stack: np.ndarray,
@@ -166,12 +219,11 @@ def _doubled_residual(grid: Grid, times: np.ndarray, stack: np.ndarray,
         [times, 0.5 * (times[:-1] + times[1:])]))
     # linear interpolation of the solution onto the refined schedule
     fine = interpolate_stack(times, stack, fine_times)
-    a_fine = _heat_stack(grid, u0, fine_times)
-    b_fine = _nse_bilinear(grid, fine_times, w_multiplier)(fine, fine)
-    rhs = a_fine + b_fine
+    rhs = _nse_bilinear(grid, fine_times, w_multiplier)(fine, fine)
+    rhs += _heat_stack(grid, u0, fine_times)
     if linear_refined is not None:
-        rhs = rhs + linear_refined(fine_times, fine)
-    resid = fine - rhs
+        rhs += linear_refined(fine_times, fine)
+    resid = np.subtract(fine, rhs, out=rhs)
     # compare at the original samples only
     keep = np.isin(fine_times, times)
     return kato_stack_norm(grid, fine_times[keep], resid[keep], config.kato_p)
@@ -206,10 +258,7 @@ def mild_solve_perturbed(u0_large: SpectralField, background: Trajectory,
     v_stack = _background_stack(grid, times, background)
     u0_large = _prepare_data(u0_large, grid)
     bilinear = _nse_bilinear(grid, times)
-
-    def linear(w):
-        return bilinear(w, v_stack) + bilinear(v_stack, w)
-
+    linear = _cross_linear(grid, times, v_stack)
     a_stack = _heat_stack(grid, u0_large, times)
     problem = _build_problem(grid, times, a_stack, linear, bilinear, config)
     report = solve_picard(problem, tol=config.picard_tol,
@@ -218,8 +267,7 @@ def mild_solve_perturbed(u0_large: SpectralField, background: Trajectory,
 
     def linear_refined(fine_times, fine):
         vf = interpolate_stack(times, v_stack, fine_times)
-        b = _nse_bilinear(grid, fine_times)
-        return b(fine, vf) + b(vf, fine)
+        return _cross_linear(grid, fine_times, vf)(fine)
 
     traj = stack_to_trajectory(grid, times, stack)
     rd = _doubled_residual(grid, times, stack, u0_large, linear_refined,
@@ -237,10 +285,10 @@ def _background_stack(grid: Grid, times: np.ndarray, bg) -> np.ndarray | None:
                 not np.allclose(bg.times, times, rtol=1e-12, atol=0):
             raise QuadratureError("background trajectory must share the "
                                   "solver schedule")
-        return bg.coeffs_stack()
+        return half_stack(bg)
     if isinstance(bg, SpectralField):
-        return np.broadcast_to(bg.coeffs[None],
-                               (times.size,) + bg.coeffs.shape).copy()
+        half = half_spectrum(grid, bg.coeffs)
+        return np.broadcast_to(half[None], (times.size,) + half.shape).copy()
     raise ConfigError("background must be a Trajectory, SpectralField, or None")
 
 
@@ -254,7 +302,7 @@ def mollified_solve(u0: SpectralField, a_bg, b_bg, rho: float,
     grid = config.grid
     u0 = _prepare_data(u0, grid)
     times = config.schedule()
-    m_rho = Mollifier(grid.dim, rho).symbol(grid)
+    m_rho = Mollifier(grid.dim, rho).symbol(grid, grid.n_half)
 
     a_stack_bg = _background_stack(grid, times, a_bg)
     b_stack_bg = _background_stack(grid, times, b_bg)
@@ -327,8 +375,10 @@ class ContinuationResult:
 def solve_with_continuation(u0: SpectralField, config: SolverConfig,
                             step_floor: float = 1e-4) -> ContinuationResult:
     """Re-seeded continuation: solve on shrinking steps while Picard
-    converges; declare 'blow-up suspected' when the step falls below
-    the floor (an explicitly heuristic surrogate for T*)."""
+    converges; a segment that diverges or stops at ``max_iter`` without
+    converging halves the step.  Declares 'blow-up suspected' when the
+    step falls below the floor (an explicitly heuristic surrogate for
+    T*)."""
     grid = config.grid
     t0 = 0.0
     step = config.horizon
@@ -342,7 +392,10 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
         sub = replace(config, horizon=step, times=None)
         try:
             sol = mild_solve_nse(current, sub)
+            converged = sol.report.converged
         except PicardDivergenceError:
+            converged = False
+        if not converged:
             step *= 0.5
             if step < step_floor:
                 traj = Trajectory(grid, np.concatenate(all_times),

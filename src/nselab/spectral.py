@@ -4,8 +4,8 @@ recovery, spectral derivatives, mollification, and dealiased products.
 
 Each operator is written once, as an array kernel over coefficient
 arrays with any leading (time-sample or component) axes, so a single
-``SpectralField`` and a solver time stack ``(M, dim, N, ..., N)`` share
-one definition.  This is the only module that calls an FFT.
+``SpectralField`` and a solver time stack share one definition.  This
+is the only module that calls an FFT.
 
 Conventions
 -----------
@@ -19,10 +19,26 @@ uniform-grid quadratures, ``||f||_p^p = (L/N)^d * sum |f(x)|^p``;
 Parseval then reads ``||f||_2^2 = L^d * sum |c_k|^2``.
 
 Transforms are ``scipy.fft`` real-to-complex/complex-to-real FFTs run
-on every CPU this process may use.  Fields are real, so the inverse
-transform reads only the half spectrum and assumes Hermitian
-coefficients, ``c_{-k} = conj(c_k)``; every operator here keeps them so,
-and ``read_clf1`` rejects files that are not.
+on every CPU this process may use.  Fields are real, so coefficients
+are Hermitian, ``c_{-k} = conj(c_k)``; every operator here keeps them
+so, and ``read_clf1`` rejects files that are not.
+
+Layouts
+-------
+Coefficients come in one of two layouts, told apart by the length of
+the last grid axis:
+
+- the full spectrum, last axis N: ``SpectralField``, ``Trajectory``,
+  CLF1 files and archives;
+- the real-FFT half spectrum, last axis N//2+1 (k_last = 0 .. N/2, the
+  rest being conjugates): the solver's time stacks ``(M, dim, N, ...,
+  N//2+1)`` and the energy ledger.
+
+Every kernel below accepts either layout and returns the layout it was
+given; ``half_spectrum`` and ``full_spectrum`` convert between them.  A
+sum over all modes of the full spectrum is, on the half, a sum weighted
+by ``hermitian_weight`` (each mode off the k_last = 0 and N/2 planes
+stands for itself and its conjugate).
 """
 
 from __future__ import annotations
@@ -31,6 +47,7 @@ import math
 import os
 import secrets
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -55,8 +72,13 @@ def _check_grid_args(dim: int, n: int, box_length: float) -> None:
         raise GridError(f"dim must be 2 or 3, got {dim}")
     if n % 2 != 0 or n < 8:
         raise GridError(f"points_per_axis must be even and >= 8, got {n}")
-    if not box_length > 0:
-        raise GridError(f"box_length must be positive, got {box_length}")
+    if not 0 < box_length < math.inf:
+        raise GridError(f"box_length must be positive and finite, "
+                        f"got {box_length}")
+    xi_nyquist = math.pi * n / box_length
+    if not math.isfinite(dim * xi_nyquist * xi_nyquist):
+        raise GridError(f"box_length {box_length} is too small: |xi|^2 "
+                        f"overflows")
 
 
 class Grid:
@@ -92,10 +114,27 @@ class Grid:
         self.dealias_mask = keep
         self.xi_min_nonzero = 2.0 * np.pi / self.box_length
         self.xi_max = float(np.max(self.xi_abs))
+        self._layouts = {}
 
     @property
     def shape(self):
         return (self.n,) * self.dim
+
+    @property
+    def n_half(self) -> int:
+        """Last-axis length of the half-spectrum layout."""
+        return self.n // 2 + 1
+
+    def layout(self, n_last: int) -> "Layout":
+        """The multiplier symbols for coefficients whose last grid axis
+        has length ``n_last`` (N: full spectrum, N//2+1: half)."""
+        lay = self._layouts.get(n_last)
+        if lay is None:
+            if n_last not in (self.n, self.n_half):
+                raise GridError(f"last grid axis has length {n_last}; "
+                                f"expected {self.n} or {self.n_half}")
+            lay = self._layouts[n_last] = Layout(self, n_last)
+        return lay
 
     @property
     def cell_volume(self) -> float:
@@ -129,6 +168,56 @@ def make_grid(dim: int, n: int, box_length: float) -> Grid:
     return Grid(dim, n, box_length)
 
 
+class Layout:
+    """The grid's multiplier symbols cut to one coefficient layout.
+
+    Each symbol is built on first use, so a grid pays only for the
+    layouts and symbols its callers touch.
+    """
+
+    def __init__(self, grid: Grid, n_last: int):
+        self.grid = grid
+        self.n_last = n_last
+
+    def _cut(self, a: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(a[..., :self.n_last])
+
+    @cached_property
+    def xi_sq(self) -> np.ndarray:
+        return self._cut(self.grid.xi_sq)
+
+    @cached_property
+    def xi_abs(self) -> np.ndarray:
+        return self._cut(self.grid.xi_abs)
+
+    @cached_property
+    def deriv_wavevectors(self) -> np.ndarray:
+        return self._cut(self.grid.deriv_wavevectors)
+
+    @cached_property
+    def dealias_mask(self) -> np.ndarray:
+        return self._cut(self.grid.dealias_mask)
+
+    @cached_property
+    def inverse_laplacian(self) -> np.ndarray:
+        """1/|xi|^2 on the derivative wavevectors, 0 where xi = 0."""
+        xi_sq = self._cut(self.grid.deriv_xi_sq)
+        inv = np.zeros_like(xi_sq)
+        nz = xi_sq > 0
+        inv[nz] = 1.0 / xi_sq[nz]
+        return inv
+
+    @cached_property
+    def hermitian_weight(self) -> np.ndarray:
+        """Modes of the full spectrum each stored mode stands for, along
+        the last axis: 1 on the full layout; on the half, 1 on the
+        k_last = 0 and N/2 planes and 2 elsewhere."""
+        w = np.ones(self.n_last)
+        if self.n_last != self.grid.n:
+            w[1:-1] = 2.0
+        return w
+
+
 def _conjugate_partner(c: np.ndarray, dim: int) -> np.ndarray:
     """Return conj(c at index -k) for the trailing ``dim`` grid axes."""
     out = np.conj(c)
@@ -150,49 +239,96 @@ def _rank_shape(rank: str, dim: int, n: int) -> tuple:
     return components[rank] + (n,) * dim
 
 
+def half_spectrum(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """The half k_last = 0 .. N/2 of full-spectrum coefficients (a view;
+    the identity on the half layout)."""
+    return coeffs[..., :grid.n_half]
+
+
+def full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Full-spectrum coefficients from the half layout, filling
+    k_last = N/2+1 .. N-1 from c_{-k} = conj(c_k)."""
+    h = grid.n_half
+    out = np.empty(half.shape[:-1] + (grid.n,), dtype=np.complex128)
+    out[..., :h] = half
+    mirror = half[..., h - 2:0:-1]         # k_last = N/2-1 .. 1
+    neg = -np.arange(grid.n) % grid.n      # index of -k along an axis
+    for a in range(-grid.dim, -1):
+        mirror = np.take(mirror, neg, axis=a)
+    np.conjugate(mirror, out=out[..., h:])
+    return out
+
+
+def forward_half(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Half-spectrum Fourier coefficients of real physical samples."""
+    return scipy.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)),
+                           norm="forward", workers=FFT_WORKERS)
+
+
 def forward_transform(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Fourier coefficients of real physical samples (full spectrum)."""
-    return scipy.fft.fftn(values, axes=tuple(range(-grid.dim, 0)),
-                          norm="forward", workers=FFT_WORKERS)
+    """Full-spectrum Fourier coefficients of real physical samples."""
+    return full_spectrum(grid, forward_half(grid, values))
 
 
 def inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Real physical samples of Hermitian Fourier coefficients; only the
-    half spectrum k_last = 0 .. N/2 is read."""
-    return scipy.fft.irfftn(coeffs[..., :grid.n // 2 + 1], s=grid.shape,
+    """Real physical samples of Hermitian Fourier coefficients in either
+    layout; only the half spectrum is read."""
+    return scipy.fft.irfftn(half_spectrum(grid, coeffs), s=grid.shape,
                             axes=tuple(range(-grid.dim, 0)),
                             norm="forward", workers=FFT_WORKERS)
+
+
+def _layout_of(grid: Grid, coeffs: np.ndarray) -> Layout:
+    return grid.layout(coeffs.shape[-1])
 
 
 def xi_dot(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """xi . c, contracting the component axis just before the grid axes
     with the derivative wavevectors."""
     s = "xyz"[:grid.dim]
-    return np.einsum(f"i{s},...i{s}->...{s}", grid.deriv_wavevectors, coeffs)
-
-
-def _inverse_laplacian(grid: Grid) -> np.ndarray:
-    """1/|xi|^2 on the derivative wavevectors, 0 where xi = 0."""
-    inv = np.zeros_like(grid.deriv_xi_sq)
-    nz = grid.deriv_xi_sq > 0
-    inv[nz] = 1.0 / grid.deriv_xi_sq[nz]
-    return inv
+    return np.einsum(f"i{s},...i{s}->...{s}",
+                     _layout_of(grid, coeffs).deriv_wavevectors, coeffs)
 
 
 def leray_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Leray projection (delta_ij - xi_i xi_j/|xi|^2) of vector
     coefficients."""
-    xi = grid.deriv_wavevectors
-    xu = xi_dot(grid, coeffs) * _inverse_laplacian(grid)
-    return coeffs - xi * np.expand_dims(xu, -grid.dim - 1)
+    lay = _layout_of(grid, coeffs)
+    xu = xi_dot(grid, coeffs) * lay.inverse_laplacian
+    return coeffs - lay.deriv_wavevectors * np.expand_dims(xu, -grid.dim - 1)
 
 
 def projected_divergence_coeffs(grid: Grid, tensor: np.ndarray) -> np.ndarray:
     """P div F of tensor coefficients: contract i xi_j into F_ij, project."""
     s = "xyz"[:grid.dim]
-    g = 1j * np.einsum(f"j{s},...ij{s}->...i{s}", grid.deriv_wavevectors,
-                       tensor)
+    g = 1j * np.einsum(f"j{s},...ij{s}->...i{s}",
+                       _layout_of(grid, tensor).deriv_wavevectors, tensor)
     return leray_coeffs(grid, g)
+
+
+def _dealiased(grid: Grid, products: np.ndarray, n_last: int) -> np.ndarray:
+    """2/3-rule dealiased coefficients of physical products, in the
+    layout whose last axis has length ``n_last``."""
+    out = forward_half(grid, products)
+    out *= grid.layout(grid.n_half).dealias_mask
+    return out if n_last == grid.n_half else full_spectrum(grid, out)
+
+
+def symmetric_tensor(grid: Grid, pv: np.ndarray, pw: np.ndarray | None,
+                     n_last: int) -> np.ndarray:
+    """Dealiased coefficients of the symmetric tensor v_i v_j (``pw`` is
+    None) or v_i w_j + w_i v_j from physical vector samples, in the
+    layout whose last axis has length ``n_last``.  Only the d(d+1)/2
+    entries i <= j are formed and transformed."""
+    axis = -grid.dim - 1
+    i, j = np.triu_indices(grid.dim)
+    prod = np.take(pv, i, axis) * np.take(pv if pw is None else pw, j, axis)
+    if pw is not None:
+        prod += np.take(pw, i, axis) * np.take(pv, j, axis)
+    out = _dealiased(grid, prod, n_last)
+    pair = np.empty((grid.dim, grid.dim), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(i.size)
+    return np.take(out, pair, axis)
 
 
 def dealiased_tensor(grid: Grid, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -202,21 +338,14 @@ def dealiased_tensor(grid: Grid, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     For ``w is v`` the tensor is symmetric: v is transformed once and only
     the d(d+1)/2 products i <= j are formed and transformed.
     """
-    axis = -grid.dim - 1
+    n_last = v.shape[-1]
     if w is v:
-        i, j = np.triu_indices(grid.dim)
-        pv = inverse_transform(grid, v)
-        out = forward_transform(grid, np.take(pv, i, axis)
-                                * np.take(pv, j, axis))
-        out *= grid.dealias_mask
-        pair = np.empty((grid.dim, grid.dim), dtype=np.intp)
-        pair[i, j] = pair[j, i] = np.arange(i.size)
-        return np.take(out, pair, axis)
+        return symmetric_tensor(grid, inverse_transform(grid, v), None,
+                                n_last)
+    axis = -grid.dim - 1
     pv = np.expand_dims(inverse_transform(grid, v), axis)
     pw = np.expand_dims(inverse_transform(grid, w), axis - 1)
-    out = forward_transform(grid, pv * pw)
-    out *= grid.dealias_mask
-    return out
+    return _dealiased(grid, pv * pw, n_last)
 
 
 def magnitude(grid: Grid, coeffs: np.ndarray,
@@ -252,7 +381,12 @@ def interpolate_stack(times: np.ndarray, stack: np.ndarray,
     idx = np.clip(idx, 0, times.size - 2)
     w = (new_times - times[idx]) / (times[idx + 1] - times[idx])
     w = w.reshape(w.shape + (1,) * (stack.ndim - 1))
-    return (1 - w) * stack[idx] + w * stack[idx + 1]
+    out = np.take(stack, idx, axis=0)          # copies, also for scalar idx
+    out *= 1 - w
+    right = np.take(stack, idx + 1, axis=0)
+    right *= w
+    out += right
+    return out
 
 
 class SpectralField:
@@ -496,7 +630,7 @@ def pressure_from_velocity(u: SpectralField, v: SpectralField) -> SpectralField:
     tensor = dealias_product(u, v)
     xi = g.deriv_wavevectors
     num = -np.einsum("i...,j...,ij...->...", xi, xi, tensor.coeffs)
-    return SpectralField(g, _SCALAR, num * _inverse_laplacian(g),
+    return SpectralField(g, _SCALAR, num * g.layout(g.n).inverse_laplacian,
                          check_hermitian=False)
 
 
@@ -562,8 +696,9 @@ class Mollifier:
             vals = 2.0 * np.pi * np.sum(g * j0(sr), axis=-1)
         return vals / self._mass
 
-    def symbol(self, grid: Grid) -> np.ndarray:
-        """The multiplier theta^(rho |xi|) of theta_rho on the grid.
+    def symbol(self, grid: Grid, n_last: int | None = None) -> np.ndarray:
+        """The multiplier theta^(rho |xi|) of theta_rho on the grid, in the
+        layout whose last axis has length ``n_last`` (default: full).
 
         Rejects rho >= box length (the kernel would wrap around the torus).
         """
@@ -571,7 +706,8 @@ class Mollifier:
             raise GridError("mollifier dimension does not match the grid")
         if self.rho >= grid.box_length:
             raise GridError("mollifier radius exceeds the periodic box")
-        return self.hat(self.rho * grid.xi_abs.ravel()).reshape(grid.shape)
+        xi_abs = grid.layout(n_last or grid.n).xi_abs
+        return self.hat(self.rho * xi_abs.ravel()).reshape(xi_abs.shape)
 
 
 def mollify(field: SpectralField, mollifier: Mollifier) -> SpectralField:

@@ -1,0 +1,185 @@
+"""The solver's real-FFT half-spectrum layout against full-spectrum
+references built from numpy's complex FFT."""
+
+import numpy as np
+import pytest
+from scipy.integrate import simpson
+
+from nselab import SolverConfig, energy_ledger, make_grid, mild_solve_nse
+from nselab.errors import GridError
+from nselab.families import random_power_law
+from nselab.heat import _pl_weights, duhamel_stack, exponential_weights
+from nselab.solver import (_cross_linear, _forcing_stack, _heat_stack,
+                           _nse_bilinear, half_stack, stack_to_trajectory)
+from nselab.spectral import full_spectrum, half_spectrum
+
+
+def _partner(c, dim):
+    """conj(c) at index -k over the trailing ``dim`` axes."""
+    out = np.conj(c)
+    for a in range(c.ndim - dim, c.ndim):
+        out = np.roll(np.flip(out, axis=a), 1, axis=a)
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_full_spectrum_inverts_half_spectrum(dim):
+    g = make_grid(dim, 8, 2.0 * np.pi)
+    rng = np.random.default_rng(dim)
+    shape = (2, dim) + g.shape
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c = x + _partner(x, dim)          # exactly Hermitian
+    nyquist = (Ellipsis, g.n // 2)
+    assert np.all(c[nyquist] != 0) and np.all(c[..., 0] != 0)
+    half = half_spectrum(g, c)
+    assert half.shape == shape[:-1] + (g.n // 2 + 1,)
+    assert np.array_equal(full_spectrum(g, half), c)
+    assert np.array_equal(half_spectrum(g, half), half)
+
+
+def test_layout_rejects_other_lengths():
+    g = make_grid(3, 8, 1.0)
+    with pytest.raises(GridError):
+        g.layout(7)
+
+
+def _full_bilinear_reference(grid, times, x, y):
+    """-Duhamel(P div dealias(x (x) y)) on full-spectrum stacks, with
+    numpy's complex FFT and the grid's full-spectrum symbols."""
+    n, dim = grid.n, grid.dim
+    axes = tuple(range(-dim, 0))
+    px = np.fft.ifftn(x * n**dim, axes=axes).real
+    py = np.fft.ifftn(y * n**dim, axes=axes).real
+    tensor = np.fft.fftn(px[:, :, None] * py[:, None, :], axes=axes) / n**dim
+    tensor *= grid.dealias_mask
+    xi = grid.deriv_wavevectors
+    f = 1j * np.einsum("j...,mij...->mi...", xi, tensor)
+    inv = np.zeros_like(grid.deriv_xi_sq)
+    inv[grid.deriv_xi_sq > 0] = 1.0 / grid.deriv_xi_sq[grid.deriv_xi_sq > 0]
+    f = f - xi[None] * (np.einsum("i...,mi...->m...", xi, f) * inv)[:, None]
+    out = np.zeros_like(f)
+    for i in range(1, times.size):
+        dt = times[i] - times[i - 1]
+        alpha, beta = _pl_weights(grid.xi_sq * dt)
+        out[i] = np.exp(-grid.xi_sq * dt) * out[i - 1] \
+            + dt * (alpha * f[i - 1] + beta * f[i])
+    return -out
+
+
+def _stacks(grid, times):
+    x = _heat_stack(grid, random_power_law(grid, 1.5, seed=1), times)
+    y = _heat_stack(grid, random_power_law(grid, 1.0, seed=2), times)
+    return x, y
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_half_bilinear_matches_full_reference(dim):
+    grid = make_grid(dim, 16, 2.0 * np.pi)
+    times = np.array([0.0, 0.01, 0.05, 0.2])
+    x, y = _stacks(grid, times)
+    assert x.shape[-1] == grid.n // 2 + 1
+    bilinear = _nse_bilinear(grid, times)
+    for got, a, b in ((bilinear(x, x), x, x), (bilinear(x, y), x, y)):
+        want = _full_bilinear_reference(grid, times, full_spectrum(grid, a),
+                                        full_spectrum(grid, b))
+        scale = np.max(np.abs(want))
+        assert scale > 0
+        assert np.max(np.abs(got - half_spectrum(grid, want))) <= 1e-13 * scale
+
+
+def test_cross_linear_matches_two_bilinear_calls(grid16):
+    times = np.array([0.0, 0.01, 0.05, 0.2])
+    w, v = _stacks(grid16, times)
+    bilinear = _nse_bilinear(grid16, times)
+    want = bilinear(w, v) + bilinear(v, w)
+    got = _cross_linear(grid16, times, v)(w)
+    scale = np.max(np.abs(want))
+    assert scale > 0
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n_last", ["full", "half"])
+def test_exponential_weights_equal_direct_evaluation(grid16, n_last):
+    lay = grid16.layout(grid16.n if n_last == "full" else grid16.n_half)
+    taus = np.array([0.0, 1e-9, 1e-4, 0.013, 0.3])
+    decay, alpha, beta, index = exponential_weights(lay.xi_sq, taus)
+    assert decay.shape[1] < lay.xi_sq.size / 10
+    for r, tau in enumerate(taus):
+        a, b = _pl_weights(lay.xi_sq * tau)
+        assert np.array_equal(np.take(alpha[r], index), a)
+        assert np.array_equal(np.take(beta[r], index), b)
+        assert np.array_equal(np.take(decay[r], index),
+                              np.exp(-lay.xi_sq * tau))
+
+
+def test_duhamel_stack_equals_direct_evaluation(grid16):
+    times = np.array([0.0, 0.01, 0.05, 0.2])
+    g, _ = _stacks(grid16, times)
+    xi_sq = grid16.layout(grid16.n_half).xi_sq
+    want = np.zeros_like(g)
+    for i in range(1, times.size):
+        dt = times[i] - times[i - 1]
+        alpha, beta = _pl_weights(xi_sq * dt)
+        want[i] = np.exp(-xi_sq * dt) * want[i - 1] \
+            + dt * (alpha * g[i - 1] + beta * g[i])
+    assert np.array_equal(duhamel_stack(times, g, xi_sq), want)
+
+
+def _full_ledger_reference(traj, g_stack, substeps):
+    """Energy ledger summed over the full spectrum."""
+    grid, times = traj.grid, traj.times
+    u = traj.coeffs_stack()
+    vol, xi_sq = grid.volume, grid.xi_sq
+    energy = 0.5 * vol * np.sum(np.abs(u) ** 2, axis=tuple(range(1, u.ndim)))
+    fracs = np.linspace(0.0, 1.0, substeps + 1)
+    diss, work = [], []
+    for i in range(times.size - 1):
+        dt = times[i + 1] - times[i]
+        d_vals, w_vals = [], []
+        for f in fracs:
+            tau = f * dt
+            gl = g_stack[i] + (g_stack[i + 1] - g_stack[i]) * f
+            alpha, beta = _pl_weights(xi_sq * tau)
+            u_tau = np.exp(-xi_sq * tau) * u[i] \
+                + tau * (alpha * g_stack[i] + beta * gl)
+            d_vals.append(vol * np.sum(xi_sq * np.abs(u_tau) ** 2))
+            w_vals.append(vol * np.sum(np.real(gl * np.conj(u_tau))))
+        diss.append(simpson(d_vals, x=fracs * dt))
+        work.append(simpson(w_vals, x=fracs * dt))
+    diss, work = np.array(diss), np.array(work)
+    return energy, diss, work, energy[:-1] - energy[1:] - diss + work
+
+
+def test_half_ledger_matches_full_reference(grid16):
+    u0 = random_power_law(grid16, alpha=2.0, seed=3, amplitude=0.3)
+    cfg = SolverConfig(grid=grid16, horizon=0.2, n_geometric=4, n_uniform=4,
+                       measure_probes=0)
+    sol = mild_solve_nse(u0, cfg)
+    traj = sol.trajectory
+    assert sol.report.solution.shape[-1] == grid16.n // 2 + 1
+    assert np.array_equal(half_stack(traj), sol.report.solution)
+    led = energy_ledger(traj, substeps=8)
+    # the solver's forcing, expanded to the full spectrum for the reference
+    g_half = -_forcing_stack(grid16, sol.report.solution,
+                             sol.report.solution)
+    ref = _full_ledger_reference(traj, full_spectrum(grid16, g_half), 8)
+    for got, want in zip((led.energy, led.dissipation, led.work, led.slacks),
+                         ref):
+        assert np.max(np.abs(got - want)) <= 1e-13 * led.scale
+    # an explicit forcing may be given in either layout
+    explicit = energy_ledger(traj, substeps=8,
+                             g_stack=full_spectrum(grid16, g_half))
+    assert np.array_equal(explicit.slacks, led.slacks)
+
+
+def test_ledger_background_coupling_is_one_symmetric_forcing(grid16):
+    times = np.array([0.0, 0.01, 0.05, 0.2])
+    u, v = _stacks(grid16, times)
+    traj, bg = (stack_to_trajectory(grid16, times, s) for s in (u, v))
+    two_calls = -(_forcing_stack(grid16, u, u) + _forcing_stack(grid16, u, v)
+                  + _forcing_stack(grid16, v, u))
+    led = energy_ledger(traj, background=bg, substeps=4)
+    ref = energy_ledger(traj, substeps=4, g_stack=two_calls)
+    assert np.max(np.abs(led.work)) > 0
+    for got, want in ((led.work, ref.work), (led.slacks, ref.slacks)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * ref.scale
