@@ -15,8 +15,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ExponentError, GridError, PartitionError, QuadratureError
-from .spectral import Grid, SpectralField, dealias_product
+from .errors import (ExponentError, GridError, PartitionError,
+                     QuadratureError, RankError)
+from .spectral import (Grid, SpectralField, dealias_product, l2_norms,
+                       lp_norms)
 
 CRITICAL_DIM = 3  # s_p := -1 + 3/p throughout, following the 3D theory
 
@@ -236,7 +238,9 @@ def _lq_aggregate(contribs: np.ndarray, q: float) -> float:
 # ---------------------------------------------------------------------
 
 class Trajectory:
-    """Time-stamped sequence of fields on a shared grid.
+    """Time-stamped sequence of fields on a shared grid, held as one
+    read-only full-spectrum coefficient stack ``coeffs`` of shape (M,) +
+    the fields' coefficient shape; ``fields`` are views of it.
 
     Times are strictly increasing; a leading t = 0 sample is allowed
     (it carries the initial data and is skipped by singular-weight
@@ -244,19 +248,42 @@ class Trajectory:
     """
 
     def __init__(self, grid: Grid, times, fields):
+        fields = list(fields)
         times = np.asarray(times, dtype=np.float64)
         if times.ndim != 1 or len(fields) != times.size:
             raise QuadratureError("times and fields length mismatch")
         if times.size == 0:
             raise QuadratureError("empty trajectory")
-        if np.any(np.diff(times) <= 0) or times[0] < 0:
-            raise QuadratureError("times must be non-negative and strictly increasing")
         for f in fields:
             if f.grid != grid:
                 raise GridError("trajectory fields must share the grid")
+            if f.rank != fields[0].rank:
+                raise RankError("trajectory fields must share the rank")
+        self._adopt(grid, times, fields[0].rank,
+                    np.stack([f.coeffs for f in fields]))
+
+    @classmethod
+    def _from_stack(cls, grid: Grid, times, rank: str,
+                    coeffs: np.ndarray) -> "Trajectory":
+        """A trajectory over ``coeffs``, taken over without a copy."""
+        traj = cls.__new__(cls)
+        traj._adopt(grid, np.asarray(times, dtype=np.float64), rank, coeffs)
+        return traj
+
+    def _adopt(self, grid, times, rank, coeffs):
+        if np.any(np.diff(times) <= 0) or times[0] < 0:
+            raise QuadratureError("times must be non-negative and strictly increasing")
         self.grid = grid
         self.times = times
-        self.fields = list(fields)
+        self.rank = rank
+        self.coeffs = coeffs.view()
+        self.coeffs.flags.writeable = False
+        self._lp = {}  # p -> lp_series(p); the stack cannot change
+
+    @property
+    def fields(self) -> list:
+        return [SpectralField(self.grid, self.rank, c, check_hermitian=False)
+                for c in self.coeffs]
 
     def __len__(self):
         return self.times.size
@@ -270,27 +297,23 @@ class Trajectory:
 
     def coarsen(self) -> "Trajectory":
         """Keep every other sample (always keeping the endpoints)."""
-        idx = list(range(0, len(self) - 1, 2)) + [len(self) - 1]
-        idx = sorted(set(idx))
-        return Trajectory(self.grid, self.times[idx],
-                          [self.fields[i] for i in idx])
+        idx = sorted(set(range(0, len(self) - 1, 2)) | {len(self) - 1})
+        return Trajectory._from_stack(self.grid, self.times[idx], self.rank,
+                                      self.coeffs[idx])
 
     def coeffs_stack(self) -> np.ndarray:
         """Sample coefficients stacked along a leading time axis."""
-        return np.stack([f.coeffs for f in self.fields])
+        return self.coeffs
 
     def lp_series(self, p: float) -> np.ndarray:
-        return np.array([f.lp_norm(p) for f in self.fields])
+        """||u(t)||_p per sample, read-only."""
+        if p not in self._lp:
+            self._lp[p] = lp_norms(self.grid, self.coeffs, p, batch_axes=1)
+            self._lp[p].flags.writeable = False
+        return self._lp[p]
 
     def l2_series(self) -> np.ndarray:
-        return np.array([f.l2_norm() for f in self.fields])
-
-
-def _positive_part(traj: Trajectory):
-    """(times, fields) with any t = 0 sample dropped."""
-    if traj.times[0] == 0.0:
-        return traj.times[1:], traj.fields[1:]
-    return traj.times, traj.fields
+        return l2_norms(self.grid, self.coeffs, batch_axes=1)
 
 
 # ---------------------------------------------------------------------
@@ -322,9 +345,17 @@ def besov_norm(field: SpectralField, index: BesovIndex,
 
 def kato_decay_profile(traj: Trajectory, s: float, p: float) -> np.ndarray:
     """Series t^{-s/2} ||u(.,t)||_p over the positive-time samples."""
-    times, fields = _positive_part(traj)
-    return np.array([t ** (-s / 2.0) * f.lp_norm(p)
-                     for t, f in zip(times, fields)])
+    pos = traj.times > 0
+    return traj.times[pos] ** (-s / 2.0) * traj.lp_series(p)[pos]
+
+
+def weighted_sup(grid: Grid, times: np.ndarray, stack: np.ndarray,
+                 expo: float, p: float) -> float:
+    """sup over the positive-time samples of t^expo ||u(t)||_p, for a
+    coefficient stack in either layout (0 if there are none)."""
+    pos = times > 0
+    series = lp_norms(grid, stack, p, batch_axes=1)[pos]
+    return float(np.max(times[pos] ** expo * series, initial=0.0))
 
 
 def kato_norm(traj: Trajectory, index: BesovIndex) -> NormReport:
@@ -333,7 +364,7 @@ def kato_norm(traj: Trajectory, index: BesovIndex) -> NormReport:
     q = inf takes the sup over samples (the smallest attaining sample
     is recorded); finite q integrates by trapezoid in log t.
     """
-    times, _ = _positive_part(traj)
+    times = traj.times[traj.times > 0]
     if times.size == 0:
         raise QuadratureError("trajectory has no positive-time samples")
     profile = kato_decay_profile(traj, index.s, index.p)
@@ -363,13 +394,15 @@ def timespace_besov_norm(traj: Trajectory, r: float, index: BesovIndex,
     For finite r a Richardson check against halved time sampling must
     agree within 1%, otherwise QuadratureError is raised.
     """
+    if traj.grid != partition.grid:
+        raise GridError("trajectory and partition grids differ")
     idx = BesovIndex(index.s, index.p, index.q, r)
 
     def compute(t: Trajectory):
         blocks = []
         for j in partition.j_range:
-            series = np.array([lp_block(f, j, partition).lp_norm(index.p)
-                               for f in t.fields])
+            series = lp_norms(t.grid, t.coeffs * partition.phi_symbol(j),
+                              index.p, batch_axes=1)
             if math.isinf(r):
                 time_norm = float(np.max(series))
             else:
@@ -391,7 +424,7 @@ def timespace_besov_norm(traj: Trajectory, r: float, index: BesovIndex,
 def energy_norm(traj: Trajectory) -> float:
     """Squared energy norm: sup_t ||U||_2^2 + 2 int ||grad U||_2^2 dt."""
     sup = float(np.max(traj.l2_series()) ** 2)
-    grads = np.array([f.h1_seminorm() ** 2 for f in traj.fields])
+    grads = l2_norms(traj.grid, traj.coeffs, 1, weight=traj.grid.xi_sq) ** 2
     integral = float(np.trapezoid(grads, traj.times))
     return sup + 2.0 * integral
 

@@ -21,7 +21,7 @@ from .solver import (SolverConfig, _forcing_stack, cross_forcing_stack,
                      half_stack, mild_solve_nse, mild_solve_perturbed,
                      mollified_solve, solve_with_continuation)
 from .spectral import (Grid, Mollifier, SpectralField, atomic_write_bytes,
-                       divergence_residual, half_spectrum, inverse_transform,
+                       divergence_residuals, half_spectrum, inverse_transform,
                        read_clf1, write_clf1)
 
 CONFIG_SCHEMA_VERSION = 1
@@ -49,9 +49,21 @@ def rescale(field: SpectralField, lam: float,
     grid-point shift.  In 3D the critical Besov norm is exactly
     invariant; in 2D it scales by lam^{1/p} (the volume factor).
     """
-    grid = field.grid
+    one = Trajectory(field.grid, [0.0], [field])
+    return rescale_trajectory(one, lam, x0).fields[0]
+
+
+def rescale_trajectory(traj: Trajectory, lam: float, x0=None,
+                       t0: float = 0.0) -> Trajectory:
+    """Rescale a trajectory (see ``rescale``): samples with t >= t0 map
+    to (t - t0)/lam^2."""
+    keep = traj.times >= t0 - 1e-15
+    if not np.any(keep):
+        raise ConfigError(f"no samples at or after t0 = {t0}")
+    times = (traj.times[keep] - t0) / lam**2
+    times = np.maximum(times, 0.0)
+    grid = traj.grid
     _power_of_two_exponent(lam)
-    new_grid = Grid(grid.dim, grid.n, grid.box_length / lam)
     phase = 1.0
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
@@ -62,21 +74,9 @@ def rescale(field: SpectralField, lam: float,
             raise ConfigError("x0 must be a grid-point shift")
         phase = np.exp(1j * np.einsum("i...,i->...",
                                       grid.wavevectors, x0))
-    coeffs = lam * field.coeffs * phase
-    return SpectralField(new_grid, field.rank, coeffs, check_hermitian=False)
-
-
-def rescale_trajectory(traj: Trajectory, lam: float, x0=None,
-                       t0: float = 0.0) -> Trajectory:
-    """Rescale a trajectory: samples with t >= t0 map to (t - t0)/lam^2."""
-    keep = traj.times >= t0 - 1e-15
-    if not np.any(keep):
-        raise ConfigError(f"no samples at or after t0 = {t0}")
-    times = (traj.times[keep] - t0) / lam**2
-    times = np.maximum(times, 0.0)
-    fields = [rescale(f, lam, x0)
-              for f, k in zip(traj.fields, keep) if k]
-    return Trajectory(fields[0].grid, times, fields)
+    new_grid = Grid(grid.dim, grid.n, grid.box_length / lam)
+    return Trajectory._from_stack(new_grid, times, traj.rank,
+                                  lam * traj.coeffs[keep] * phase)
 
 
 # ---------------------------------------------------------------------
@@ -139,8 +139,7 @@ def leray_monitor(traj: Trajectory, ps, t_end: float) -> dict:
     for p in ps:
         expo = (1.0 - (0.0 if math.isinf(p) else 3.0 / p)) / 2.0
         gap = np.maximum(t_end - traj.times, 0.0)
-        out[p] = np.array([g**expo * f.lp_norm(p)
-                           for g, f in zip(gap, traj.fields)])
+        out[p] = gap**expo * traj.lp_series(p)
     return out
 
 
@@ -403,6 +402,14 @@ def _series_csv(times: np.ndarray, columns: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _status(*solutions) -> str:
+    """'completed' if every Picard solve converged, else 'numerical
+    failure' (a fixed point that was not reached is not a solution)."""
+    if all(sol.report.converged for sol in solutions):
+        return "completed"
+    return "numerical failure"
+
+
 def _run_solver(config: ExperimentConfig, grid: Grid,
                 u0: SpectralField):
     """Returns (trajectory, status, ledger_nonlinearity, meta)."""
@@ -419,7 +426,7 @@ def _run_solver(config: ExperimentConfig, grid: Grid,
         sol = mollified_solve(u0, None, None, config.rho, sc)
         meta["picard_iterations"] = sol.report.iterations
         meta["residual_doubled"] = sol.residual_doubled
-        return sol.trajectory, "completed", "mollified", meta
+        return sol.trajectory, _status(sol), "mollified", meta
     if config.solver == "split-perturbed":
         from .calderon import SplitConfig, split
 
@@ -428,12 +435,12 @@ def _run_solver(config: ExperimentConfig, grid: Grid,
         parts = split(u0, scfg, partition)
         v_sol = mild_solve_nse(parts.small, sc)
         w_sol = mild_solve_perturbed(parts.large, v_sol.trajectory, sc)
-        fields = [a + b for a, b in zip(v_sol.trajectory.fields,
-                                        w_sol.trajectory.fields)]
-        traj = Trajectory(grid, v_sol.trajectory.times, fields)
+        v, w = v_sol.trajectory, w_sol.trajectory
+        traj = Trajectory._from_stack(grid, v.times, "vector",
+                                      v.coeffs + w.coeffs)
         meta["l2_large"] = parts.l2_large
         meta["besov_small"] = parts.besov_small
-        return traj, "completed", "nse", meta
+        return traj, _status(v_sol, w_sol), "nse", meta
     raise ConfigError(f"unknown solver {config.solver!r}")
 
 
@@ -459,8 +466,8 @@ def run_experiment(config: ExperimentConfig) -> DiagnosticsReport:
     ledger = energy_ledger(traj, nonlinearity=ledger_mode,
                            rho=config.rho if ledger_mode == "mollified" else None)
     report.energy_slacks = ledger.slacks
-    report.div_residuals = np.array([divergence_residual(f)
-                                     for f in traj.fields])
+    report.div_residuals = divergence_residuals(grid, traj.coeffs,
+                                                batch_axes=1)
     # residual gates: a run is never silently wrong
     if np.max(report.div_residuals) > 1e-8 or \
             (ledger.slacks.size and ledger.min_slack < -1e-5 * ledger.scale):

@@ -13,23 +13,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import BesovIndex, Trajectory, kato_norm
+from .besov import BesovIndex, Trajectory, kato_norm, weighted_sup
 from .errors import ExponentError, QuadratureError, RankError
-from .spectral import (Grid, SpectralField, interpolate_stack, lp_norms,
+from .spectral import (Grid, SpectralField, interpolate_stack,
                        projected_divergence_coeffs)
 
 
 def heat_evolve(field: SpectralField, t: float) -> SpectralField:
     """e^{t Lap} by the multiplier exp(-|xi|^2 t); t = 0 is the identity."""
-    if t < 0:
-        raise QuadratureError(f"heat flow requires t >= 0, got {t}")
-    return field.with_coeffs(field.coeffs * np.exp(-field.grid.xi_sq * t))
+    return heat_trajectory(field, [t]).fields[0]
+
+
+def heat_stack(grid: Grid, coeffs: np.ndarray, times) -> np.ndarray:
+    """e^{t Lap} of coefficients in either layout at every t, stacked
+    along a new leading axis."""
+    xi_sq = grid.layout(coeffs.shape[-1]).xi_sq
+    decay = np.exp(-np.multiply.outer(times, xi_sq))
+    lead = (1,) * (coeffs.ndim - grid.dim)
+    return decay.reshape(decay.shape[:1] + lead + xi_sq.shape) * coeffs
 
 
 def heat_trajectory(field: SpectralField, times) -> Trajectory:
     times = np.asarray(times, dtype=float)
-    return Trajectory(field.grid, times,
-                      [heat_evolve(field, t) for t in times])
+    if np.any(times < 0):
+        raise QuadratureError(f"heat flow requires t >= 0, got {np.min(times)}")
+    return Trajectory._from_stack(field.grid, times, field.rank,
+                                  heat_stack(field.grid, field.coeffs, times))
 
 
 def projected_divergence(tensor: SpectralField) -> SpectralField:
@@ -124,10 +133,11 @@ class QuadratureScheme:
             raise QuadratureError("substeps must be >= 1")
 
 
-def _gather_forcing(traj: Trajectory):
-    """Stack P div F over the samples of a tensor trajectory (one sample
-    at a time, so no second copy of the tensor stack is built)."""
-    return np.stack([projected_divergence(f).coeffs for f in traj.fields])
+def _forcing(f_traj: Trajectory) -> np.ndarray:
+    """P div F at every sample of a tensor trajectory."""
+    if f_traj.rank != "matrix":
+        raise RankError("P div needs a matrix trajectory")
+    return projected_divergence_coeffs(f_traj.grid, f_traj.coeffs)
 
 
 def _duhamel_at(times, g_stack, xi_sq, t, scheme: QuadratureScheme):
@@ -169,13 +179,13 @@ def duhamel_integral(f_traj: Trajectory, t: float,
         raise QuadratureError(
             f"trajectory [{times[0]}, {times[-1]}] does not cover [0, {t}]")
     xi_sq = f_traj.grid.xi_sq
-    g_stack = _gather_forcing(f_traj)
+    g_stack = _forcing(f_traj)
     acc = _duhamel_at(times, g_stack, xi_sq, t, scheme)
     field = SpectralField(f_traj.grid, "vector", acc, check_hermitian=False)
     err = None
     if scheme.error_estimate and times.size >= 3:
         coarse = f_traj.coarsen()
-        g_coarse = _gather_forcing(coarse)
+        g_coarse = _forcing(coarse)
         acc_c = _duhamel_at(coarse.times, g_coarse, xi_sq, t, scheme)
         err = float(np.max(np.abs(acc - acc_c))) / 3.0
     return field, err
@@ -185,17 +195,14 @@ def duhamel_trajectory(f_traj: Trajectory,
                        scheme: QuadratureScheme | None = None) -> Trajectory:
     """Cumulative Duhamel integral evaluated at every sample time."""
     scheme = scheme or QuadratureScheme()
-    g_stack = _gather_forcing(f_traj)
+    g_stack = _forcing(f_traj)
     if scheme.kind == "exact-exponential":
         out = duhamel_stack(f_traj.times, g_stack, f_traj.grid.xi_sq)
     else:
         out = np.stack([_duhamel_at(f_traj.times, g_stack,
                                     f_traj.grid.xi_sq, t, scheme)
                         for t in f_traj.times])
-    fields = [SpectralField(f_traj.grid, "vector", out[i],
-                            check_hermitian=False)
-              for i in range(len(f_traj))]
-    return Trajectory(f_traj.grid, f_traj.times, fields)
+    return Trajectory._from_stack(f_traj.grid, f_traj.times, "vector", out)
 
 
 # ---------------------------------------------------------------------
@@ -228,26 +235,23 @@ def verify_kato_estimate(f_traj: Trajectory, s1: float, p1: float,
             "input_norm": in_norm, "output_norm": out_norm}
 
 
-def _grad_stack(grid: Grid, coeffs: np.ndarray, order: int) -> np.ndarray:
-    out = coeffs
+def _grad_stack(grid: Grid, stack: np.ndarray, order: int) -> np.ndarray:
+    """grad^order of a coefficient stack (M, ...); each gradient adds a
+    component axis right after the time axis."""
+    xi = 1j * grid.deriv_wavevectors
     for _ in range(order):
-        out = 1j * grid.deriv_wavevectors[(slice(None),) + (None,) * (out.ndim - grid.dim)] * out[None]
-    return out
+        lead = (1,) * (stack.ndim - 1 - grid.dim)
+        stack = xi.reshape(xi.shape[:1] + lead + grid.shape) \
+            * np.expand_dims(stack, 1)
+    return stack
 
 
 def _time_slopes(times: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Sample-point derivative of a piecewise-linear stack (one-sided
     at the ends, interval-average inside)."""
-    slopes = np.zeros_like(stack)
-    fwd = np.zeros_like(stack)
-    for i in range(times.size - 1):
-        fwd[i] = (stack[i + 1] - stack[i]) / (times[i + 1] - times[i])
-    fwd[-1] = fwd[-2]
-    slopes[0] = fwd[0]
-    slopes[-1] = fwd[-2]
-    for i in range(1, times.size - 1):
-        slopes[i] = 0.5 * (fwd[i - 1] + fwd[i])
-    return slopes
+    dt = np.diff(times).reshape((-1,) + (1,) * (stack.ndim - 1))
+    fwd = np.diff(stack, axis=0) / dt
+    return np.concatenate([fwd[:1], 0.5 * (fwd[:-1] + fwd[1:]), fwd[-1:]])
 
 
 def verify_smoothing_derivatives(f_traj: Trajectory, k: int, l: int,
@@ -264,7 +268,7 @@ def verify_smoothing_derivatives(f_traj: Trajectory, k: int, l: int,
     s2 = check_kato_exponents(s1, p1, p2)
     grid = f_traj.grid
     times = f_traj.times
-    g_stack = _gather_forcing(f_traj)
+    g_stack = _forcing(f_traj)
     u_stack = duhamel_stack(times, g_stack, grid.xi_sq)
 
     # time-derivative towers: u^(m) = G^(m-1) - |xi|^2 u^(m-1)
@@ -272,26 +276,16 @@ def verify_smoothing_derivatives(f_traj: Trajectory, k: int, l: int,
     g_derivs = [g_stack, _time_slopes(times, g_stack)]
     for m in range(1, k + 1):
         derivs.append(g_derivs[m - 1] - grid.xi_sq * derivs[m - 1])
+    lhs = weighted_sup(grid, times, _grad_stack(grid, derivs[k], l),
+                       -s2 / 2.0 + k + l / 2.0, p2)
 
-    pos = times > 0
-    lhs = 0.0
-    for i in np.nonzero(pos)[0]:
-        c = _grad_stack(grid, derivs[k][i], l)
-        w = times[i] ** (-s2 / 2.0 + k + l / 2.0)
-        lhs = max(lhs, w * float(lp_norms(grid, c, p2)))
-
-    f_stack = f_traj.coeffs_stack()
-    f_derivs = [f_stack, _time_slopes(times, f_stack),
-                np.zeros_like(f_stack)]
+    f_stack = f_traj.coeffs
+    f_derivs = [f_stack, _time_slopes(times, f_stack), np.zeros_like(f_stack)]
     rhs = 0.0
     for a in range(k + 1):
         for b in range(l + 1):
-            term = 0.0
-            for i in np.nonzero(pos)[0]:
-                c = _grad_stack(grid, f_derivs[a][i], b)
-                w = times[i] ** (-s1 / 2.0 + a + b / 2.0)
-                term = max(term, w * float(lp_norms(grid, c, p1)))
-            rhs += term
+            rhs += weighted_sup(grid, times, _grad_stack(grid, f_derivs[a], b),
+                                -s1 / 2.0 + a + b / 2.0, p1)
     const = lhs / rhs if rhs > 0 else 0.0
     return {"constant": const, "s2": s2, "lhs": lhs, "rhs": rhs}
 

@@ -33,8 +33,9 @@ class PicardProblem:
     l_norm: float | None = None
     probe: object = None        # callable(rng) -> element
 
-    def apply_linear(self, x):
-        return self.linear(x) if self.linear is not None else 0.0 * x
+    def plus_linear(self, base, x):
+        """base + L(x); the zero map adds nothing and is not evaluated."""
+        return base if self.linear is None else base + self.linear(x)
 
     def apply_bilinear(self, x, y):
         return self.bilinear(x, y) if self.bilinear is not None else 0.0 * x
@@ -56,7 +57,7 @@ def estimate_constants(problem: PicardProblem, n_probes: int = 20,
             gamma = max(gamma, problem.norm(problem.apply_bilinear(x, y))
                         / (nx * ny))
         if nx > 0 and problem.linear is not None:
-            l_norm = max(l_norm, problem.norm(problem.apply_linear(x)) / nx)
+            l_norm = max(l_norm, problem.norm(problem.linear(x)) / nx)
     problem.gamma = gamma
     problem.l_norm = l_norm
     return problem
@@ -86,9 +87,11 @@ class FixedPointReport:
 def _resolvent_apply(problem: PicardProblem, rhs, tol: float,
                      max_iter: int = 400):
     """Solve y = rhs + L(y) by linear iteration (valid for ||L|| < 1)."""
+    if problem.linear is None:
+        return rhs
     y = rhs
     for _ in range(max_iter):
-        y_next = rhs + problem.apply_linear(y)
+        y_next = problem.plus_linear(rhs, y)
         if problem.norm(y_next + (-1.0) * y) < tol:
             return y_next
         y = y_next
@@ -130,7 +133,7 @@ def solve_picard(problem: PicardProblem, tol: float = 1e-10,
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        x_next = problem.a + problem.apply_linear(x) \
+        x_next = problem.plus_linear(problem.a, x) \
             + problem.apply_bilinear(x, x)
         diff = problem.norm(x_next + (-1.0) * x)
         nx = problem.norm(x_next)
@@ -155,7 +158,7 @@ def solve_picard(problem: PicardProblem, tol: float = 1e-10,
             break
 
     residual = problem.norm(
-        x + (-1.0) * (problem.a + problem.apply_linear(x)
+        x + (-1.0) * (problem.plus_linear(problem.a, x)
                       + problem.apply_bilinear(x, x)))
     bound_holds = None
     if problem.gamma and problem.gamma > 0:

@@ -17,15 +17,17 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .besov import BesovIndex, DyadicPartition, Trajectory, besov_norm, critical_exponent
+from .besov import (BesovIndex, DyadicPartition, Trajectory, besov_norm,
+                    critical_exponent, weighted_sup)
 from .errors import ConfigError, GridError, PicardDivergenceError, QuadratureError
-from .heat import duhamel_stack, time_schedule
+from .heat import duhamel_stack, heat_stack, time_schedule
 from .picard import (FixedPointReport, PicardProblem, estimate_constants,
                      solve_picard)
 from .spectral import (Grid, Mollifier, SpectralField, dealiased_tensor,
-                       divergence_residual, full_spectrum, half_spectrum,
-                       interpolate_stack, inverse_transform, lp_norms,
-                       projected_divergence_coeffs, symmetric_tensor, xi_dot)
+                       divergence_residual, divergence_residuals,
+                       full_spectrum, half_spectrum,
+                       interpolate_stack, inverse_transform,
+                       projected_divergence_coeffs, symmetric_tensor)
 
 DEFAULT_KAPPA = 0.17  # existence-time smallness constant, calibrated empirically
 FORCING_CHUNK = 8  # time samples per forcing evaluation
@@ -96,35 +98,25 @@ def _forcing_stack(grid: Grid, v_stack: np.ndarray, w_stack: np.ndarray,
 
 
 def _heat_stack(grid: Grid, u0: SpectralField, times: np.ndarray) -> np.ndarray:
-    xi_sq = grid.layout(grid.n_half).xi_sq
-    decay = np.exp(-np.multiply.outer(times, xi_sq))  # (M, grid)
-    return decay[:, None] * half_spectrum(grid, u0.coeffs)[None]
+    return heat_stack(grid, half_spectrum(grid, u0.coeffs), times)
 
 
 def kato_stack_norm(grid: Grid, times: np.ndarray, stack: np.ndarray,
                     p: float) -> float:
     """Kato K_p norm of a coefficient stack (t = 0 sample skipped)."""
-    s = critical_exponent(p)
-    series = lp_norms(grid, stack, p, batch_axes=1)
-    pos = times > 0
-    if not np.any(pos):
-        return 0.0
-    return float(np.max(times[pos] ** (-s / 2.0) * series[pos]))
+    return weighted_sup(grid, times, stack, -critical_exponent(p) / 2.0, p)
 
 
 def stack_to_trajectory(grid: Grid, times: np.ndarray,
                         stack: np.ndarray) -> Trajectory:
     """Full-spectrum trajectory of a half-spectrum solver stack."""
-    fields = [SpectralField(grid, "vector", full_spectrum(grid, stack[i]),
-                            check_hermitian=False)
-              for i in range(times.size)]
-    return Trajectory(grid, times, fields)
+    return Trajectory._from_stack(grid, times, "vector",
+                                  full_spectrum(grid, stack))
 
 
 def half_stack(traj: Trajectory) -> np.ndarray:
-    """Half-spectrum stack (M, ...) of a trajectory's samples."""
-    return np.stack([half_spectrum(traj.grid, f.coeffs)
-                     for f in traj.fields])
+    """Half-spectrum view (M, ...) of a trajectory's stack."""
+    return half_spectrum(traj.grid, traj.coeffs)
 
 
 def _prepare_data(u0: SpectralField, grid: Grid) -> SpectralField:
@@ -156,12 +148,22 @@ def _make_probe(grid: Grid, times: np.ndarray):
 # Solvers
 # ---------------------------------------------------------------------
 
-def _build_problem(grid: Grid, times: np.ndarray, a_stack: np.ndarray,
-                   linear, bilinear, config: SolverConfig) -> PicardProblem:
+def _picard_solution(u0: SpectralField, config: SolverConfig,
+                     times: np.ndarray, linear, w_multiplier=None,
+                     linear_refined=None,
+                     doubled_residual: bool = True) -> MildSolution:
+    """Solve x = e^{tL}u0 + L(x) - B(x, x) on the schedule, B with the
+    advected factor premultiplied by ``w_multiplier``: measure the
+    constants, iterate, and check the solution (the doubled-schedule
+    residual adds ``linear_refined`` on the refined schedule)."""
+    grid = config.grid
+    u0 = _prepare_data(u0, grid)
+
     def norm(stack):
         return kato_stack_norm(grid, times, stack, config.kato_p)
 
-    problem = PicardProblem(a=a_stack, linear=linear, bilinear=bilinear,
+    problem = PicardProblem(a=_heat_stack(grid, u0, times), linear=linear,
+                            bilinear=_nse_bilinear(grid, times, w_multiplier),
                             norm=norm, probe=_make_probe(grid, times))
     if config.measure_probes > 0:
         estimate_constants(problem, n_probes=config.measure_probes,
@@ -169,7 +171,17 @@ def _build_problem(grid: Grid, times: np.ndarray, a_stack: np.ndarray,
     else:
         problem.gamma = 0.0
         problem.l_norm = 0.0
-    return problem
+    report = solve_picard(problem, tol=config.picard_tol,
+                          max_iter=config.max_iter)
+    stack = report.solution
+    rd = float("nan")
+    if doubled_residual:
+        rd = _doubled_residual(grid, times, stack, u0, linear_refined, config,
+                               w_multiplier)
+    divs = divergence_residuals(grid, stack, batch_axes=1)
+    return MildSolution(trajectory=stack_to_trajectory(grid, times, stack),
+                        report=report, residual_doubled=rd,
+                        max_div_residual=float(np.max(divs)), config=config)
 
 
 def _nse_bilinear(grid: Grid, times: np.ndarray,
@@ -231,20 +243,7 @@ def _doubled_residual(grid: Grid, times: np.ndarray, stack: np.ndarray,
 
 def mild_solve_nse(u0: SpectralField, config: SolverConfig) -> MildSolution:
     """Picard solution of u(t) = e^{tL}u0 - B(u, u)(t) on the schedule."""
-    grid = config.grid
-    u0 = _prepare_data(u0, grid)
-    times = config.schedule()
-    a_stack = _heat_stack(grid, u0, times)
-    bilinear = _nse_bilinear(grid, times)
-    problem = _build_problem(grid, times, a_stack, None, bilinear, config)
-    report = solve_picard(problem, tol=config.picard_tol,
-                          max_iter=config.max_iter)
-    stack = report.solution
-    traj = stack_to_trajectory(grid, times, stack)
-    rd = _doubled_residual(grid, times, stack, u0, None, config)
-    divs = max(divergence_residual(f) for f in traj.fields)
-    return MildSolution(trajectory=traj, report=report, residual_doubled=rd,
-                        max_div_residual=divs, config=config)
+    return _picard_solution(u0, config, config.schedule(), None)
 
 
 def mild_solve_perturbed(u0_large: SpectralField, background: Trajectory,
@@ -256,25 +255,14 @@ def mild_solve_perturbed(u0_large: SpectralField, background: Trajectory,
     grid = config.grid
     times = config.schedule()
     v_stack = _background_stack(grid, times, background)
-    u0_large = _prepare_data(u0_large, grid)
-    bilinear = _nse_bilinear(grid, times)
-    linear = _cross_linear(grid, times, v_stack)
-    a_stack = _heat_stack(grid, u0_large, times)
-    problem = _build_problem(grid, times, a_stack, linear, bilinear, config)
-    report = solve_picard(problem, tol=config.picard_tol,
-                          max_iter=config.max_iter)
-    stack = report.solution
 
     def linear_refined(fine_times, fine):
         vf = interpolate_stack(times, v_stack, fine_times)
         return _cross_linear(grid, fine_times, vf)(fine)
 
-    traj = stack_to_trajectory(grid, times, stack)
-    rd = _doubled_residual(grid, times, stack, u0_large, linear_refined,
-                           config)
-    divs = max(divergence_residual(f) for f in traj.fields)
-    return MildSolution(trajectory=traj, report=report, residual_doubled=rd,
-                        max_div_residual=divs, config=config)
+    return _picard_solution(u0_large, config, times,
+                            _cross_linear(grid, times, v_stack),
+                            linear_refined=linear_refined)
 
 
 def _background_stack(grid: Grid, times: np.ndarray, bg) -> np.ndarray | None:
@@ -300,19 +288,14 @@ def mollified_solve(u0: SpectralField, a_bg, b_bg, rho: float,
     L(w) = Duhamel(P div (a (x) w + w (x) b)); requires div b = 0.
     """
     grid = config.grid
-    u0 = _prepare_data(u0, grid)
     times = config.schedule()
     m_rho = Mollifier(grid.dim, rho).symbol(grid, grid.n_half)
 
     a_stack_bg = _background_stack(grid, times, a_bg)
     b_stack_bg = _background_stack(grid, times, b_bg)
-    if b_stack_bg is not None:
-        div_b = xi_dot(grid, b_stack_bg)
-        scale = np.max(np.abs(b_stack_bg))
-        if scale > 0 and np.max(np.abs(div_b)) > 1e-10 * grid.xi_max * scale:
-            raise GridError("background b must be divergence-free")
-
-    bilinear = _nse_bilinear(grid, times, w_multiplier=m_rho)
+    if b_stack_bg is not None and \
+            divergence_residuals(grid, b_stack_bg) > 1e-10:
+        raise GridError("background b must be divergence-free")
 
     linear = None
     if a_stack_bg is not None or b_stack_bg is not None:
@@ -327,18 +310,8 @@ def mollified_solve(u0: SpectralField, a_bg, b_bg, rho: float,
                 out = term if out is None else out + term
             return out
 
-    a_stack = _heat_stack(grid, u0, times)
-    problem = _build_problem(grid, times, a_stack, linear, bilinear, config)
-    report = solve_picard(problem, tol=config.picard_tol,
-                          max_iter=config.max_iter)
-    stack = report.solution
-    traj = stack_to_trajectory(grid, times, stack)
-    rd = _doubled_residual(grid, times, stack, u0, None, config,
-                           w_multiplier=m_rho) if linear is None \
-        else float("nan")
-    divs = max(divergence_residual(f) for f in traj.fields)
-    return MildSolution(trajectory=traj, report=report, residual_doubled=rd,
-                        max_div_residual=divs, config=config)
+    return _picard_solution(u0, config, times, linear, w_multiplier=m_rho,
+                            doubled_residual=linear is None)
 
 
 # ---------------------------------------------------------------------
@@ -384,9 +357,15 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
     step = config.horizon
     current = u0
     all_times = [np.array([0.0])]
-    all_fields = [[_prepare_data(u0, grid)]]
+    stacks = [_prepare_data(u0, grid).coeffs[None]]
     segments = []
     reports = []
+
+    def result(status):
+        traj = Trajectory._from_stack(grid, np.concatenate(all_times),
+                                      "vector", np.concatenate(stacks))
+        return ContinuationResult(traj, status, segments, reports)
+
     while t0 < config.horizon - 1e-12:
         step = min(step, config.horizon - t0)
         sub = replace(config, horizon=step, times=None)
@@ -398,17 +377,12 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
         if not converged:
             step *= 0.5
             if step < step_floor:
-                traj = Trajectory(grid, np.concatenate(all_times),
-                                  [f for seg in all_fields for f in seg])
-                return ContinuationResult(traj, "blow-up suspected",
-                                          segments, reports)
+                return result("blow-up suspected")
             continue
         segments.append(step)
         reports.append(sol.report)
         all_times.append(sol.trajectory.times[1:] + t0)
-        all_fields.append(sol.trajectory.fields[1:])
+        stacks.append(sol.trajectory.coeffs[1:])
         current = sol.trajectory.fields[-1]
         t0 += step
-    traj = Trajectory(grid, np.concatenate(all_times),
-                      [f for seg in all_fields for f in seg])
-    return ContinuationResult(traj, "completed", segments, reports)
+    return result("completed")

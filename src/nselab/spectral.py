@@ -371,6 +371,30 @@ def lp_norms(grid: Grid, coeffs: np.ndarray, p: float,
     return (grid.cell_volume * np.sum(mag**p, axis=space)) ** (1.0 / p)
 
 
+def l2_norms(grid: Grid, coeffs: np.ndarray, batch_axes: int = 0,
+             weight: np.ndarray | None = None) -> np.ndarray:
+    """Parseval norm ``sqrt(L^d sum_k w_k |c_k|^2)`` of full-spectrum
+    coefficients (w = 1: the L^2 norm), one per entry of the first
+    ``batch_axes`` axes."""
+    sq = np.abs(coeffs) ** 2
+    if weight is not None:
+        sq = weight * sq
+    total = np.sum(sq, axis=tuple(range(batch_axes, coeffs.ndim)))
+    return np.sqrt(grid.volume * total)
+
+
+def divergence_residuals(grid: Grid, coeffs: np.ndarray,
+                         batch_axes: int = 0) -> np.ndarray:
+    """max_k |xi . u^| / (xi_max max_k |u^|) of vector coefficients in
+    either layout, one per entry of the first ``batch_axes`` axes; 0
+    where u = 0."""
+    scale = np.max(np.abs(coeffs), axis=tuple(range(batch_axes, coeffs.ndim)))
+    xu = np.abs(xi_dot(grid, coeffs))
+    xu = np.max(xu, axis=tuple(range(batch_axes, xu.ndim)))
+    return np.divide(xu, grid.xi_max * scale, out=np.zeros_like(scale),
+                     where=scale > 0)
+
+
 def interpolate_stack(times: np.ndarray, stack: np.ndarray,
                       new_times) -> np.ndarray:
     """Piecewise-linear interpolation in time of a stack (M, ...) sampled
@@ -393,7 +417,9 @@ class SpectralField:
     """Immutable periodic field stored as Fourier coefficients.
 
     rank 'scalar' -> coeffs shape grid.shape; 'vector' -> (dim,) + shape;
-    'matrix' -> (dim, dim) + shape.
+    'matrix' -> (dim, dim) + shape.  Writeable coefficients are copied;
+    read-only ones (such as a sample of a ``Trajectory`` stack) are
+    shared.
     """
 
     def __init__(self, grid: Grid, rank: str, coeffs: np.ndarray,
@@ -410,8 +436,9 @@ class SpectralField:
             if scale > 0 and np.max(np.abs(coeffs - partner)) > HERMITIAN_RTOL * scale * 10:
                 raise RankError("coefficients are not Hermitian-symmetric "
                                 "(field would not be real-valued)")
-        coeffs = coeffs.copy()
-        coeffs.flags.writeable = False
+        if coeffs.flags.writeable:
+            coeffs = coeffs.copy()
+            coeffs.flags.writeable = False
         self.grid = grid
         self.rank = rank
         self.coeffs = coeffs
@@ -458,20 +485,18 @@ class SpectralField:
 
     def l2_norm(self) -> float:
         """Parseval L^2 norm from the coefficients."""
-        return float(np.sqrt(self.grid.volume * np.sum(np.abs(self.coeffs) ** 2)))
+        return float(l2_norms(self.grid, self.coeffs))
 
     def h1_seminorm(self) -> float:
         """|| |xi| f^ ||, i.e. the homogeneous H^1 seminorm."""
-        w = self.grid.xi_sq * np.abs(self.coeffs) ** 2
-        return float(np.sqrt(self.grid.volume * np.sum(w)))
+        return float(l2_norms(self.grid, self.coeffs, weight=self.grid.xi_sq))
 
     def sobolev_norm(self, s: float) -> float:
         """Homogeneous H^s seminorm (k=0 mode excluded)."""
         mask = self.grid.xi_sq > 0
         w = np.zeros_like(self.grid.xi_sq)
         w[mask] = self.grid.xi_sq[mask] ** s
-        total = np.sum(w * np.abs(self.coeffs) ** 2)
-        return float(np.sqrt(self.grid.volume * total))
+        return float(l2_norms(self.grid, self.coeffs, weight=w))
 
     def mean_mode(self) -> np.ndarray:
         idx = (Ellipsis,) + (0,) * self.grid.dim
@@ -583,11 +608,7 @@ def leray_project(field: SpectralField) -> SpectralField:
 
 def divergence_residual(field: SpectralField) -> float:
     """max_k |xi . u^| / max |u^|; 0 for the zero field."""
-    scale = field.max_abs_coeff()
-    if scale == 0:
-        return 0.0
-    xu = xi_dot(field.grid, field.coeffs)
-    return float(np.max(np.abs(xu)) / (field.grid.xi_max * scale))
+    return float(divergence_residuals(field.grid, field.coeffs))
 
 
 def dealias_product(u: SpectralField, v: SpectralField) -> SpectralField:

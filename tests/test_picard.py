@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from nselab import ConfigError, PicardDivergenceError
+from nselab import (ConfigError, PicardDivergenceError, SolverConfig,
+                    mild_solve_nse)
+from nselab.families import random_power_law
 from nselab.picard import (PicardProblem, estimate_constants,
                            propagation_check, solve_picard)
+from nselab.solver import (_heat_stack, _nse_bilinear, _prepare_data,
+                           kato_stack_norm)
 
 
 def scalar_problem(a, gamma=1.0):
@@ -115,3 +119,34 @@ def test_vector_problem():
     report = solve_picard(problem, tol=1e-14)
     exact = (1.0 - np.sqrt(1.0 - 4.0 * a)) / 2.0
     assert np.max(np.abs(report.solution - exact)) < 1e-12
+
+
+def test_zero_linear_map_is_not_evaluated(grid16):
+    # linear=None leaves the term out instead of adding 0 * x: the same
+    # iterates bit for bit, and the resolvent spends no Kato norm on it
+    u0 = random_power_law(grid16, alpha=2.0, seed=3, amplitude=0.3)
+    cfg = SolverConfig(grid=grid16, horizon=0.2, n_geometric=4, n_uniform=4,
+                       measure_probes=2)
+    sol = mild_solve_nse(u0, cfg)
+    times = cfg.schedule()
+    a = _heat_stack(grid16, _prepare_data(u0, grid16), times)
+    reports, norm_calls = [], []
+    for linear in (None, lambda x: 0.0 * x):
+        calls = []
+
+        def norm(stack):
+            calls.append(1)
+            return kato_stack_norm(grid16, times, stack, cfg.kato_p)
+
+        problem = PicardProblem(a=a, linear=linear,
+                                bilinear=_nse_bilinear(grid16, times),
+                                norm=norm, gamma=sol.report.gamma, l_norm=0.0)
+        reports.append(solve_picard(problem, tol=cfg.picard_tol,
+                                    max_iter=cfg.max_iter))
+        norm_calls.append(len(calls))
+    skipped, zero_map = reports
+    assert np.array_equal(skipped.solution, sol.report.solution)
+    assert np.array_equal(zero_map.solution, sol.report.solution)
+    assert skipped.norms == zero_map.norms == sol.report.norms
+    assert skipped.smallness_margin == zero_map.smallness_margin
+    assert norm_calls[0] == norm_calls[1] - 1

@@ -2,6 +2,7 @@
 segments, CLI exit codes, strict JSON, and arbitrary CLF1 bytes."""
 
 import argparse
+import functools
 import json
 import math
 
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nselab import NseLabError, SolverConfig, SpectralField, Trajectory, make_grid
-from nselab import cli
+from nselab import besov, cli, diagnostics
 from nselab.diagnostics import (DiagnosticsReport, ExperimentConfig,
-                                LedgerReport, _archive, finite_json)
+                                LedgerReport, _archive, finite_json,
+                                run_experiment)
 from nselab.families import random_power_law
 from nselab.solver import solve_with_continuation
 from nselab.spectral import read_clf1
@@ -32,6 +34,41 @@ def test_continuation_rejects_unconverged_segments(grid16):
     res = solve_with_continuation(u0, cfg, step_floor=0.03)
     assert res.status == "blow-up suspected"
     assert res.segment_horizons == []
+
+
+def _small_experiment(solver, **kwargs):
+    return ExperimentConfig(dim=3, n=16, box_length=2.0 * np.pi, horizon=0.2,
+                            recipe={"family": "random", "amplitude": 0.3},
+                            solver=solver, split_lambda=0.01, n_geometric=4,
+                            n_uniform=4, measure_probes=0, **kwargs)
+
+
+@pytest.mark.parametrize("solver", ["split-perturbed", "mollified"])
+def test_unconverged_solve_is_a_numerical_failure(monkeypatch, solver):
+    # the direct solver's continuation halves the step instead (above)
+    monkeypatch.setattr(diagnostics, "SolverConfig",
+                        functools.partial(SolverConfig, max_iter=2))
+    report = run_experiment(_small_experiment(solver))
+    assert report.status == "numerical failure"
+
+
+def test_each_lp_series_is_computed_once(monkeypatch):
+    # report.lp_series and leray_monitor share ||u(t)||_p: one batched
+    # evaluation per exponent on the run's (full-spectrum) trajectory
+    calls = []
+    original = besov.lp_norms
+
+    def counting(grid, coeffs, p, batch_axes=0):
+        if coeffs.shape[-1] == grid.n:
+            calls.append(p)
+        return original(grid, coeffs, p, batch_axes)
+
+    monkeypatch.setattr(besov, "lp_norms", counting)
+    report = run_experiment(_small_experiment("direct",
+                                              monitor_ps=(4.0, 6.0)))
+    assert report.status == "completed"
+    assert sorted(calls) == [4.0, 6.0]
+    assert set(report.leray_series) == {4.0, 6.0}
 
 
 def _report(status):

@@ -11,8 +11,10 @@ from nselab import (Grid, GridError, Mollifier, RankError, SpectralField,
                     divergence, divergence_residual, gradient, leray_project,
                     make_grid, mollify, pressure_from_velocity, read_clf1,
                     write_clf1)
+from nselab import (BesovIndex, Trajectory, duhamel_trajectory,
+                    heat_trajectory, kato_norm, rescale_trajectory)
 from nselab.families import random_power_law, single_mode
-from nselab.heat import projected_divergence
+from nselab.heat import _pl_weights, projected_divergence
 from nselab.spectral import (dealiased_tensor, forward_transform,
                              interpolate_stack, inverse_transform,
                              leray_coeffs, lp_norms,
@@ -237,6 +239,38 @@ def _interp_case(grid16, u, v):
     return interpolate_stack(times, _stack(u), new_times), per_field
 
 
+TIMES = np.array([0.1, 0.25, 1.0])
+
+
+def _kato_case(g, u, v):
+    rep = kato_norm(Trajectory(g, TIMES, u), BesovIndex(-0.25, 4.0, np.inf))
+    return rep.meta["profile"], [t**0.125 * f.lp_norm(4.0)
+                                 for t, f in zip(TIMES, u)]
+
+
+def _duhamel_case(g, u, v):
+    # four tensor samples from t = 0; the first output sample is zero
+    times = np.concatenate([[0.0], TIMES])
+    F = [dealias_product(a, b) for a, b in zip(u + v[:1], v + u[:1])]
+    G = [projected_divergence(f).coeffs for f in F]
+    want = [np.zeros_like(G[0])]
+    for i in range(1, times.size):
+        dt = times[i] - times[i - 1]
+        alpha, beta = _pl_weights(g.xi_sq * dt)
+        want.append(np.exp(-g.xi_sq * dt) * want[-1]
+                    + dt * (alpha * G[i - 1] + beta * G[i]))
+    got = duhamel_trajectory(Trajectory(g, times, F)).coeffs
+    return got[1:], want[1:]
+
+
+def _rescale_case(g, u, v):
+    x0 = np.array([1.0, 0.0, 3.0]) * g.box_length / g.n
+    phase = np.exp(1j * np.einsum("i...,i->...", g.wavevectors, x0))
+    out = rescale_trajectory(Trajectory(g, TIMES, u), 2.0, x0)
+    assert out.grid.box_length == g.box_length / 2.0
+    return out.coeffs, [2.0 * f.coeffs * phase for f in u]
+
+
 KERNEL_CASES = {
     "lp2": lambda g, u, v: (lp_norms(g, _stack(u), 2.0, batch_axes=1),
                             [f.lp_norm(2.0) for f in u]),
@@ -255,6 +289,18 @@ KERNEL_CASES = {
                                [dealias_product(a, b).coeffs
                                 for a, b in zip(u, v)]),
     "interpolation": _interp_case,
+    "traj_lp2": lambda g, u, v: (Trajectory(g, TIMES, u).lp_series(2.0),
+                                 [f.lp_norm(2.0) for f in u]),
+    "traj_lp4": lambda g, u, v: (Trajectory(g, TIMES, u).lp_series(4.0),
+                                 [f.lp_norm(4.0) for f in u]),
+    "traj_lpinf": lambda g, u, v: (Trajectory(g, TIMES, u).lp_series(np.inf),
+                                   [f.lp_norm(np.inf) for f in u]),
+    "traj_kato": _kato_case,
+    "traj_heat": lambda g, u, v: (heat_trajectory(u[0], TIMES).coeffs,
+                                  [u[0].coeffs * np.exp(-g.xi_sq * t)
+                                   for t in TIMES]),
+    "traj_duhamel": _duhamel_case,
+    "traj_rescale": _rescale_case,
 }
 
 
@@ -267,6 +313,24 @@ def test_stack_kernel_matches_per_field(grid16, case):
         scale = np.max(np.abs(want))
         assert scale > 0
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def test_trajectory_is_one_read_only_stack(grid16):
+    u, _ = _samples(grid16)
+    traj = Trajectory(grid16, TIMES, u)
+    assert traj.coeffs.shape == (3, 3) + grid16.shape
+    assert not traj.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        traj.coeffs[0, 0, 0, 0, 0] = 1.0
+    for f, want in zip(traj.fields, u):
+        assert np.shares_memory(f.coeffs, traj.coeffs)
+        assert np.array_equal(f.coeffs, want.coeffs)
+    assert np.shares_memory(traj.coeffs_stack(), traj.coeffs)
+    # the series is computed once and cannot be changed by a caller
+    assert traj.lp_series(4.0) is traj.lp_series(4.0)
+    assert not traj.lp_series(4.0).flags.writeable
+    with pytest.raises(RankError):
+        Trajectory(grid16, TIMES, [u[0], u[1], u[2].component(0)])
 
 
 @pytest.mark.parametrize("dim", [2, 3])
