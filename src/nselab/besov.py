@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import (ExponentError, GridError, PartitionError,
                      QuadratureError, RankError)
-from .spectral import (Grid, SpectralField, dealias_product, l2_norms,
-                       lp_norms)
+from .spectral import (Grid, SpectralField, dealias_product, half_spectrum,
+                       inverse_transform, l2_norms, lp_norms, magnitude,
+                       magnitude_lp_norms)
 
 CRITICAL_DIM = 3  # s_p := -1 + 3/p throughout, following the 3D theory
 
@@ -114,9 +115,8 @@ class DyadicPartition:
 
     def telescoping_deviation(self) -> float:
         """max |chi + sum_{j>=0} phi_j - 1| on the resolved band |xi| <= 3/4*2^(j_max+1)."""
-        total = chi_profile(self.grid.xi_abs)
-        for j in range(0, self.j_max + 1):
-            total = total + self._phi[j]
+        total = sum((self._phi[j] for j in range(0, self.j_max + 1)),
+                    chi_profile(self.grid.xi_abs))
         band = self.grid.xi_abs <= CHI_ONE * 2.0 ** (self.j_max + 1)
         return float(np.max(np.abs(total[band] - 1.0)))
 
@@ -139,6 +139,26 @@ def lp_block(field: SpectralField, j: int,
     if field.grid != partition.grid:
         raise GridError("field and partition grids differ")
     return field.with_coeffs(field.coeffs * partition.phi_symbol(j))
+
+
+def _block_samples(grid: Grid, coeffs: np.ndarray,
+                   partition: DyadicPartition, j: int) -> np.ndarray:
+    """Physical samples of Delta_j f for coefficients in either layout with
+    any leading axes: one batched inverse transform of the half spectrum."""
+    if grid != partition.grid:
+        raise GridError("field and partition grids differ")
+    return inverse_transform(grid, half_spectrum(grid, coeffs)
+                             * half_spectrum(grid, partition.phi_symbol(j)))
+
+
+def block_lp_norms(grid: Grid, coeffs: np.ndarray, partition: DyadicPartition,
+                   p: float, batch_axes: int) -> np.ndarray:
+    """||Delta_j f||_p for j in ``partition.j_range``, as a (..., J) array
+    with one row per entry of the first ``batch_axes`` axes."""
+    return np.stack([
+        magnitude_lp_norms(grid, magnitude(
+            grid, _block_samples(grid, coeffs, partition, j), batch_axes), p)
+        for j in partition.j_range], axis=-1)
 
 
 def low_freq(field: SpectralField, j: int,
@@ -167,14 +187,6 @@ class BesovIndex:
             if not (e >= 1.0):
                 raise ExponentError(f"integrability exponents must be >= 1, got {e}")
 
-    @property
-    def s_critical(self) -> float:
-        return critical_exponent(self.p)
-
-    @property
-    def is_critical(self) -> bool:
-        return abs(self.s + 1.0 - CRITICAL_DIM / self.p) <= 1e-14
-
     def as_dict(self):
         d = {"s": self.s, "p": self.p, "q": self.q}
         if self.r is not None:
@@ -201,7 +213,7 @@ class NormReport:
         contribs = np.array([c for _, c in self.blocks], dtype=float)
         agg = _lq_aggregate(contribs, self.index.q)
         scale = max(abs(self.value), 1e-300)
-        return abs(agg - self.value) / scale
+        return float(abs(agg - self.value) / scale)
 
     def to_json(self) -> str:
         payload = {
@@ -225,17 +237,28 @@ class NormReport:
                    meta=d.get("meta", {}))
 
 
-def _lq_aggregate(contribs: np.ndarray, q: float) -> float:
-    if contribs.size == 0:
-        return 0.0
+def _lq_aggregate(contribs: np.ndarray, q: float) -> np.ndarray:
+    """l^q norm of non-negative entries along the last axis (0 if empty)."""
     if math.isinf(q):
-        return float(np.max(contribs))
-    return float(np.sum(contribs**q) ** (1.0 / q))
+        return np.max(contribs, axis=-1, initial=0.0)
+    return np.sum(contribs**q, axis=-1) ** (1.0 / q)
+
+
+def _dyadic_sum(norms: np.ndarray, partition: DyadicPartition, s: float,
+                q: float):
+    """The weighted blocks 2^{js} norms[..., j] and their l^q sum over j."""
+    contribs = np.array([2.0 ** (j * s) for j in partition.j_range]) * norms
+    return contribs, _lq_aggregate(contribs, q)
 
 
 # ---------------------------------------------------------------------
 # Trajectories
 # ---------------------------------------------------------------------
+
+def _every_other(m: int) -> list:
+    """Every other index of m samples, always keeping both endpoints."""
+    return list(range(0, m - 1, 2)) + [m - 1]
+
 
 class Trajectory:
     """Time-stamped sequence of fields on a shared grid, held as one
@@ -297,13 +320,9 @@ class Trajectory:
 
     def coarsen(self) -> "Trajectory":
         """Keep every other sample (always keeping the endpoints)."""
-        idx = sorted(set(range(0, len(self) - 1, 2)) | {len(self) - 1})
+        idx = _every_other(len(self))
         return Trajectory._from_stack(self.grid, self.times[idx], self.rank,
                                       self.coeffs[idx])
-
-    def coeffs_stack(self) -> np.ndarray:
-        """Sample coefficients stacked along a leading time axis."""
-        return self.coeffs
 
     def lp_series(self, p: float) -> np.ndarray:
         """||u(t)||_p per sample, read-only."""
@@ -320,18 +339,18 @@ class Trajectory:
 # Norms
 # ---------------------------------------------------------------------
 
+def _check_zero_mean(field: SpectralField) -> None:
+    if np.max(np.abs(field.mean_mode())) > 1e-13 * max(field.max_abs_coeff(), 1e-300):
+        raise GridError("Besov norms require zero-mean fields")
+
+
 def besov_norm(field: SpectralField, index: BesovIndex,
                partition: DyadicPartition) -> NormReport:
     """Homogeneous Besov norm: l^q over j of 2^{js} ||Delta_j f||_p."""
-    if np.max(np.abs(field.mean_mode())) > 1e-13 * max(field.max_abs_coeff(), 1e-300):
-        raise GridError("Besov norms require zero-mean fields")
-    blocks = []
-    for j in partition.j_range:
-        bj = lp_block(field, j, partition)
-        contrib = 2.0 ** (j * index.s) * bj.lp_norm(index.p)
-        blocks.append((j, contrib))
-    contribs = np.array([c for _, c in blocks])
-    value = _lq_aggregate(contribs, index.q)
+    _check_zero_mean(field)
+    norms = block_lp_norms(field.grid, field.coeffs, partition, index.p, 0)
+    contribs, value = _dyadic_sum(norms, partition, index.s, index.q)
+    blocks = list(zip(partition.j_range, contribs))
     # blocks at the edge of the tabulated j-range carrying weight mean
     # the (in principle infinite) dyadic sum was truncated
     tol = 1e-12 * max(np.max(contribs), 1e-300)
@@ -339,7 +358,7 @@ def besov_norm(field: SpectralField, index: BesovIndex,
     meta = {}
     if math.isinf(index.q) and value > 0:
         meta["attaining_j"] = int(min(j for (j, c) in blocks if c == value))
-    return NormReport(value=value, index=index, blocks=blocks,
+    return NormReport(value=float(value), index=index, blocks=blocks,
                       truncated=truncated, meta=meta)
 
 
@@ -386,6 +405,14 @@ def kato_norm(traj: Trajectory, index: BesovIndex) -> NormReport:
     return rep
 
 
+def _time_norm(series: np.ndarray, times: np.ndarray, r: float) -> np.ndarray:
+    """L^r norm in time (axis 0) of sampled values: the max for r = inf,
+    else the trapezoid rule."""
+    if math.isinf(r):
+        return np.max(series, axis=0)
+    return np.trapezoid(series**r, times, axis=0) ** (1.0 / r)
+
+
 def timespace_besov_norm(traj: Trajectory, r: float, index: BesovIndex,
                          partition: DyadicPartition,
                          check_resolution: bool = True) -> NormReport:
@@ -394,31 +421,23 @@ def timespace_besov_norm(traj: Trajectory, r: float, index: BesovIndex,
     For finite r a Richardson check against halved time sampling must
     agree within 1%, otherwise QuadratureError is raised.
     """
-    if traj.grid != partition.grid:
-        raise GridError("trajectory and partition grids differ")
     idx = BesovIndex(index.s, index.p, index.q, r)
+    norms = block_lp_norms(traj.grid, traj.coeffs, partition, index.p, 1)
 
-    def compute(t: Trajectory):
-        blocks = []
-        for j in partition.j_range:
-            series = lp_norms(t.grid, t.coeffs * partition.phi_symbol(j),
-                              index.p, batch_axes=1)
-            if math.isinf(r):
-                time_norm = float(np.max(series))
-            else:
-                time_norm = float(np.trapezoid(series**r, t.times) ** (1.0 / r))
-            blocks.append((j, 2.0 ** (j * index.s) * time_norm))
-        contribs = np.array([c for _, c in blocks])
-        return _lq_aggregate(contribs, index.q), blocks
+    def compute(rows):
+        time_norm = _time_norm(norms[rows], traj.times[rows], r)
+        contribs, value = _dyadic_sum(time_norm, partition, index.s, index.q)
+        return float(value), contribs
 
-    value, blocks = compute(traj)
+    value, contribs = compute(slice(None))
     if check_resolution and not math.isinf(r) and len(traj) >= 5:
-        coarse, _ = compute(traj.coarsen())
+        coarse, _ = compute(_every_other(len(traj)))
         if value > 0 and abs(value - coarse) / value > 0.01:
             raise QuadratureError(
                 f"time quadrature under-resolved: refined/coarse values "
                 f"{value} vs {coarse}")
-    return NormReport(value=value, index=idx, blocks=blocks)
+    return NormReport(value=value, index=idx,
+                      blocks=list(zip(partition.j_range, contribs)))
 
 
 def energy_norm(traj: Trajectory) -> float:
@@ -438,11 +457,7 @@ def interpolation_check(traj: Trajectory, m: float, n: float) -> float:
     energy = energy_norm(traj)
     if energy == 0.0:
         return 0.0
-    series = traj.lp_series(n)
-    if math.isinf(m):
-        num = float(np.max(series))
-    else:
-        num = float(np.trapezoid(series**m, traj.times) ** (1.0 / m))
+    num = float(_time_norm(traj.lp_series(n), traj.times, m))
     return num / math.sqrt(energy)
 
 
@@ -462,20 +477,15 @@ def paraproduct(u: SpectralField, v: SpectralField,
         raise GridError("paraproducts are defined on scalar fields here")
     if u.grid != v.grid or u.grid != partition.grid:
         raise GridError("fields and partition must share the grid")
-    blocks_u = {j: lp_block(u, j, partition) for j in partition.j_range}
     blocks_v = {j: lp_block(v, j, partition) for j in partition.j_range}
-    lows_u = {j: low_freq(u, j - 1, partition) for j in partition.j_range}
-    lows_v = {j: low_freq(v, j - 1, partition) for j in partition.j_range}
-
-    t_uv = SpectralField.zero(u.grid, "scalar")
-    t_vu = SpectralField.zero(u.grid, "scalar")
-    reso = SpectralField.zero(u.grid, "scalar")
+    t_uv = t_vu = reso = SpectralField.zero(u.grid, "scalar")
     for j in partition.j_range:
-        t_uv = t_uv + dealias_product(lows_u[j], blocks_v[j])
-        t_vu = t_vu + dealias_product(lows_v[j], blocks_u[j])
+        block_u = lp_block(u, j, partition)
+        t_uv = t_uv + dealias_product(low_freq(u, j - 1, partition), blocks_v[j])
+        t_vu = t_vu + dealias_product(low_freq(v, j - 1, partition), block_u)
         for jp in (j - 1, j, j + 1):
-            if partition.j_min <= jp <= partition.j_max:
-                reso = reso + dealias_product(blocks_u[j], blocks_v[jp])
+            if jp in blocks_v:
+                reso = reso + dealias_product(block_u, blocks_v[jp])
     return t_uv, t_vu, reso
 
 

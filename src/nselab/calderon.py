@@ -12,10 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import (BesovIndex, DyadicPartition, besov_norm,
-                    critical_exponent, lp_block)
+from .besov import (BesovIndex, DyadicPartition, _block_samples,
+                    _check_zero_mean, _dyadic_sum, besov_norm,
+                    critical_exponent)
 from .errors import ConfigError, GridError
-from .spectral import SpectralField, divergence_residual, leray_project
+from .spectral import (SpectralField, divergence_residual, leray_project,
+                       magnitude, magnitude_lp_norms)
 
 
 @dataclass
@@ -131,27 +133,29 @@ def split(u0: SpectralField, config: SplitConfig,
     Points where |Delta_j u0| exceeds the block threshold go to the
     large (L^2) part, the rest to the small part (ties included); both
     sums are Leray-projected, so large + small = P u0 = u0 for
-    divergence-free input.
+    divergence-free input.  The critical norm ||u0||_{B^{s_p}_{p,p}} is
+    read from the same block samples.
     """
     if u0.rank != "vector":
         raise GridError("splitting is defined for vector data")
     if divergence_residual(u0) > 1e-10:
         raise GridError("input data is not divergence-free")
+    _check_zero_mean(u0)
     grid = u0.grid
-    raw_large = np.zeros((grid.dim,) + grid.shape)
-    raw_small = np.zeros((grid.dim,) + grid.shape)
+    raw_large, raw_small = np.zeros((2, grid.dim) + grid.shape)
+    crit_blocks = []
     for j in partition.j_range:
-        blk = lp_block(u0, j, partition)
-        phys = blk.to_physical()
-        mag = np.sqrt(np.sum(phys**2, axis=0))
+        phys = _block_samples(grid, u0.coeffs, partition, j)
+        mag = magnitude(grid, phys)
         over = mag > config.block_threshold(j)
         raw_large += phys * over
         raw_small += phys * ~over
+        crit_blocks.append(magnitude_lp_norms(grid, mag, config.p))
     large = leray_project(SpectralField.from_physical(grid, raw_large).zero_mean())
     small = leray_project(SpectralField.from_physical(grid, raw_small).zero_mean())
 
-    crit_idx = BesovIndex(config.s_p, config.p, config.p)
-    crit = besov_norm(u0, crit_idx, partition).value
+    crit = float(_dyadic_sum(np.array(crit_blocks), partition, config.s_p,
+                             config.p)[1])
     l2_large = large.l2_norm()
     sub_idx = BesovIndex(config.s, config.q, config.q)
     besov_small = besov_norm(small, sub_idx, partition).value
@@ -227,13 +231,8 @@ def exponent_sweep(u0: SpectralField, config: SplitConfig,
         raise ConfigError("sweep needs at least 4 lambda values")
     if lambdas[-1] / lambdas[0] < 99.0:
         raise ConfigError("sweep must span at least two decades")
-    l2s, besovs = [], []
-    for lam in lambdas:
-        res = split(u0, config.with_lambda(lam), partition)
-        l2s.append(res.l2_large)
-        besovs.append(res.besov_small)
-    l2s = np.array(l2s)
-    besovs = np.array(besovs)
+    splits = (split(u0, config.with_lambda(lam), partition) for lam in lambdas)
+    l2s, besovs = np.array([(r.l2_large, r.besov_small) for r in splits]).T
     if np.max(l2s) == 0 and np.max(besovs) == 0:
         return SweepReport(lambdas, l2s, besovs, math.nan, math.nan,
                            math.nan, math.nan,

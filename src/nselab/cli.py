@@ -16,14 +16,15 @@ import sys
 
 import numpy as np
 
-from .besov import (BesovIndex, besov_norm, critical_exponent,
+from .besov import (BesovIndex, Trajectory, besov_norm, critical_exponent,
                     default_partition)
 from .calderon import SplitConfig, exponent_sweep, split
 from .diagnostics import (ExperimentConfig, atomic_write_text, finite_json,
                           rescale, run_experiment, vanishing_test)
 from .errors import NseLabError, PicardDivergenceError
-from .heat import heat_trajectory, verify_kato_estimate
-from .spectral import Grid, read_clf1, write_clf1
+from .families import random_power_law
+from .heat import heat_trajectory, time_schedule, verify_kato_estimate
+from .spectral import Grid, dealias_product, read_clf1, write_clf1
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -104,11 +105,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_heat_verify(args) -> int:
-    from .families import random_power_law
-    from .besov import Trajectory
-    from .spectral import dealias_product
-    from .heat import time_schedule
-
     grid = Grid(args.dim, args.grid, args.box)
     u = random_power_law(grid, alpha=2.0, seed=args.seed)
     times = time_schedule(args.horizon, 16, 16, include_zero=False)

@@ -13,8 +13,10 @@ from dataclasses import dataclass, field as dc_field, asdict
 import numpy as np
 from scipy.integrate import simpson
 
-from .besov import (BesovIndex, DyadicPartition, Trajectory, besov_norm,
-                    critical_exponent, default_partition)
+from .besov import (BesovIndex, DyadicPartition, Trajectory, _dyadic_sum,
+                    block_lp_norms, critical_exponent, default_partition)
+from . import families
+from .calderon import SplitConfig, split
 from .errors import ConfigError, GridError
 from .heat import exponential_weights
 from .solver import (SolverConfig, _forcing_stack, cross_forcing_stack,
@@ -135,12 +137,9 @@ def leray_monitor(traj: Trajectory, ps, t_end: float) -> dict:
             raise ConfigError(f"monitor exponents must satisfy p > 3, got {p}")
     if traj.times[-1] > t_end + 1e-12:
         raise ConfigError("trajectory extends past t_end")
-    out = {}
-    for p in ps:
-        expo = (1.0 - (0.0 if math.isinf(p) else 3.0 / p)) / 2.0
-        gap = np.maximum(t_end - traj.times, 0.0)
-        out[p] = gap**expo * traj.lp_series(p)
-    return out
+    gap = np.maximum(t_end - traj.times, 0.0)
+    return {p: gap ** (-critical_exponent(p) / 2.0) * traj.lp_series(p)
+            for p in ps}
 
 
 # ---------------------------------------------------------------------
@@ -266,11 +265,12 @@ def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
 
 def critical_norm_series(traj: Trajectory, p: float,
                          partition: DyadicPartition | None = None) -> np.ndarray:
-    """Critical Besov norm of every sample."""
+    """Critical Besov norm of every sample, all samples at once (the mean
+    mode is not seen, since phi_j(0) = 0)."""
     partition = partition or default_partition(traj.grid)
     idx = BesovIndex(critical_exponent(p), p, p)
-    return np.array([besov_norm(f.zero_mean(), idx, partition).value
-                     for f in traj.fields])
+    norms = block_lp_norms(traj.grid, traj.coeffs, partition, p, 1)
+    return _dyadic_sum(norms, partition, idx.s, idx.q)[1]
 
 
 # ---------------------------------------------------------------------
@@ -351,8 +351,6 @@ class DiagnosticsReport:
 
 
 def _resolve_recipe(grid: Grid, recipe: dict, seed: int) -> SpectralField:
-    from . import families
-
     kind = recipe.get("family")
     params = {k: v for k, v in recipe.items() if k != "family"}
     if kind == "taylor-green":
@@ -428,8 +426,6 @@ def _run_solver(config: ExperimentConfig, grid: Grid,
         meta["residual_doubled"] = sol.residual_doubled
         return sol.trajectory, _status(sol), "mollified", meta
     if config.solver == "split-perturbed":
-        from .calderon import SplitConfig, split
-
         partition = default_partition(grid)
         scfg = SplitConfig(config.split_p, config.split_q, config.split_lambda)
         parts = split(u0, scfg, partition)

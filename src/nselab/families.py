@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .besov import DyadicPartition, critical_exponent, lp_block
+from .besov import (BesovIndex, DyadicPartition, besov_norm,
+                    critical_exponent, lp_block)
 from .errors import GridError
 from .spectral import Grid, SpectralField, leray_project
 
@@ -108,9 +109,7 @@ def random_block_field(grid: Grid, j: int, partition: DyadicPartition,
         signs = rng.choice([-1.0, 1.0], size=lead + grid.shape)
         vals = mags * signs
     f = SpectralField.from_physical(grid, vals)
-    f = lp_block(f, j, partition) if rank == "scalar" else \
-        f.with_coeffs(f.coeffs * partition.phi_symbol(j))
-    return f.zero_mean()
+    return lp_block(f, j, partition).zero_mean()
 
 
 def sparse_spike_block(grid: Grid, j: int, partition: DyadicPartition,
@@ -134,7 +133,16 @@ def sparse_spike_block(grid: Grid, j: int, partition: DyadicPartition,
     for s in range(n_spikes):
         vals[(slice(None),) + tuple(sites[s])] += heights[s] * dirs[s]
     f = SpectralField.from_physical(grid, vals)
-    return f.with_coeffs(f.coeffs * partition.phi_symbol(j)).zero_mean()
+    return lp_block(f, j, partition).zero_mean()
+
+
+def _unit_critical_norm(total: SpectralField, p: float,
+                        partition: DyadicPartition) -> SpectralField:
+    """``total`` made zero-mean, Leray-projected and scaled to unit
+    B^{s_p}_{p,p} norm."""
+    total = leray_project(total.zero_mean())
+    idx = BesovIndex(critical_exponent(p), p, p)
+    return total * (1.0 / besov_norm(total, idx, partition).value)
 
 
 def critical_spike_field(grid: Grid, p: float, partition: DyadicPartition,
@@ -154,7 +162,6 @@ def critical_spike_field(grid: Grid, p: float, partition: DyadicPartition,
     the default sits slightly above the split's 1/2 to offset the
     early exhaustion of the (resolution-starved) highest blocks.
     """
-    sp = critical_exponent(p)
     if j_hi is None:
         j_hi = partition.j_max - 1
     total = SpectralField.zero(grid, "vector")
@@ -167,10 +174,7 @@ def critical_spike_field(grid: Grid, p: float, partition: DyadicPartition,
         if nb == 0:
             continue
         total = total + blk * (2.0 ** (j * block_exponent) / nb)
-    total = leray_project(total.zero_mean())
-    from .besov import BesovIndex, besov_norm  # local to avoid cycle
-    nrm = besov_norm(total, BesovIndex(sp, p, p), partition).value
-    return total * (1.0 / nrm)
+    return _unit_critical_norm(total, p, partition)
 
 
 def critical_random(grid: Grid, p: float, partition: DyadicPartition,
@@ -200,7 +204,4 @@ def critical_random(grid: Grid, p: float, partition: DyadicPartition,
         n_blocks += 1
     if n_blocks == 0:
         raise GridError("no resolvable blocks in the requested range")
-    total = leray_project(total.zero_mean())
-    from .besov import BesovIndex, besov_norm  # local to avoid cycle
-    nrm = besov_norm(total, BesovIndex(sp, p, p), partition).value
-    return total * (1.0 / nrm)
+    return _unit_critical_norm(total, p, partition)

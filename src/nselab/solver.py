@@ -20,6 +20,7 @@ import numpy as np
 from .besov import (BesovIndex, DyadicPartition, Trajectory, besov_norm,
                     critical_exponent, weighted_sup)
 from .errors import ConfigError, GridError, PicardDivergenceError, QuadratureError
+from .families import random_power_law
 from .heat import duhamel_stack, heat_stack, time_schedule
 from .picard import (FixedPointReport, PicardProblem, estimate_constants,
                      solve_picard)
@@ -134,7 +135,6 @@ def _prepare_data(u0: SpectralField, grid: Grid) -> SpectralField:
 
 def _make_probe(grid: Grid, times: np.ndarray):
     """Heat flows of random divergence-free data as probe elements."""
-    from .families import random_power_law
 
     def probe(rng):
         seed = int(rng.integers(0, 2**31 - 1))

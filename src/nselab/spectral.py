@@ -95,7 +95,6 @@ class Grid:
         self.box_length = float(box_length)
 
         k1 = np.fft.fftfreq(self.n, d=1.0 / self.n)  # integers, FFT order
-        self.k_axis = k1.astype(np.int64)
         mesh = np.meshgrid(*([k1] * dim), indexing="ij")
         self.k_int = np.stack(mesh)  # (dim, N, ..., N)
         self.wavevectors = (2.0 * np.pi / self.box_length) * self.k_int
@@ -108,10 +107,7 @@ class Grid:
         self.xi_sq = np.sum(self.wavevectors**2, axis=0)
         self.xi_abs = np.sqrt(self.xi_sq)
         # 2/3-rule mask: True where a mode survives a dealiased product.
-        keep = np.ones(self.shape, dtype=bool)
-        for a in range(dim):
-            keep &= np.abs(self.k_int[a]) <= self.n / 3.0
-        self.dealias_mask = keep
+        self.dealias_mask = np.all(np.abs(self.k_int) <= self.n / 3.0, axis=0)
         self.xi_min_nonzero = 2.0 * np.pi / self.box_length
         self.xi_max = float(np.max(self.xi_abs))
         self._layouts = {}
@@ -348,27 +344,32 @@ def dealiased_tensor(grid: Grid, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _dealiased(grid, pv * pw, n_last)
 
 
-def magnitude(grid: Grid, coeffs: np.ndarray,
+def magnitude(grid: Grid, values: np.ndarray,
               batch_axes: int = 0) -> np.ndarray:
-    """Pointwise magnitude |f(x)| on the grid.  The first ``batch_axes``
-    axes are kept; the remaining leading axes are components, reduced
-    by the Euclidean/Frobenius norm."""
-    phys = inverse_transform(grid, coeffs)
-    comp_axes = tuple(range(batch_axes, phys.ndim - grid.dim))
+    """Pointwise magnitude |f(x)| of physical samples.  The first
+    ``batch_axes`` axes are kept; the remaining leading axes are
+    components, reduced by the Euclidean/Frobenius norm."""
+    comp_axes = tuple(range(batch_axes, values.ndim - grid.dim))
     if not comp_axes:
-        return np.abs(phys)
-    return np.sqrt(np.sum(phys**2, axis=comp_axes))
+        return np.abs(values)
+    return np.sqrt(np.sum(values**2, axis=comp_axes))
+
+
+def magnitude_lp_norms(grid: Grid, mag: np.ndarray, p: float) -> np.ndarray:
+    """Grid-quadrature L^p norm of a pointwise magnitude, one per entry of
+    the axes before the grid axes."""
+    space = tuple(range(-grid.dim, 0))
+    if math.isinf(p):
+        return np.max(mag, axis=space)
+    return (grid.cell_volume * np.sum(mag**p, axis=space)) ** (1.0 / p)
 
 
 def lp_norms(grid: Grid, coeffs: np.ndarray, p: float,
              batch_axes: int = 0) -> np.ndarray:
     """Grid-quadrature L^p norm of the pointwise magnitude, one per entry
     of the first ``batch_axes`` axes."""
-    mag = magnitude(grid, coeffs, batch_axes)
-    space = tuple(range(batch_axes, mag.ndim))
-    if math.isinf(p):
-        return np.max(mag, axis=space)
-    return (grid.cell_volume * np.sum(mag**p, axis=space)) ** (1.0 / p)
+    phys = inverse_transform(grid, coeffs)
+    return magnitude_lp_norms(grid, magnitude(grid, phys, batch_axes), p)
 
 
 def l2_norms(grid: Grid, coeffs: np.ndarray, batch_axes: int = 0,
@@ -449,15 +450,11 @@ class SpectralField:
         """Build a field from real physical samples (any rank)."""
         values = np.asarray(values, dtype=np.float64)
         lead = values.shape[: values.ndim - grid.dim]
-        if lead == ():
-            rank = _SCALAR
-        elif lead == (grid.dim,):
-            rank = _VECTOR
-        elif lead == (grid.dim, grid.dim):
-            rank = _MATRIX
-        else:
+        ranks = {(): _SCALAR, (grid.dim,): _VECTOR,
+                 (grid.dim, grid.dim): _MATRIX}
+        if lead not in ranks:
             raise RankError(f"cannot infer rank from shape {values.shape}")
-        return cls(grid, rank, forward_transform(grid, values),
+        return cls(grid, ranks[lead], forward_transform(grid, values),
                    check_hermitian=False)
 
     @classmethod
@@ -477,7 +474,7 @@ class SpectralField:
 
     def pointwise_magnitude(self) -> np.ndarray:
         """|f(x)| on the grid; Euclidean/Frobenius over component axes."""
-        return magnitude(self.grid, self.coeffs)
+        return magnitude(self.grid, self.to_physical())
 
     def lp_norm(self, p: float) -> float:
         """Grid-quadrature L^p norm of the pointwise magnitude."""

@@ -9,7 +9,10 @@ from nselab import (BesovIndex, ExponentError, GridError, NormReport,
                     default_partition, energy_norm, heat_trajectory,
                     interpolation_check, kato_norm, lp_block, low_freq,
                     make_grid, paraproduct, phi_profile, timespace_besov_norm)
-from nselab.besov import ProductExponents, paraproduct_estimate_check
+from nselab.besov import (ProductExponents, block_lp_norms,
+                          paraproduct_estimate_check)
+from nselab.calderon import SplitConfig, split
+from nselab.diagnostics import critical_norm_series
 from nselab.families import random_power_law, single_mode
 from nselab.spectral import SpectralField, dealias_product, gradient
 
@@ -131,6 +134,43 @@ def test_truncated_flag(grid16, part16):
     mid = single_mode(grid16, (0, 3, 0), (1.0, 0.0, 0.0))
     rep2 = besov_norm(mid, BesovIndex(-0.25, 4.0, 4.0), part16)
     assert not rep2.truncated
+
+
+def _stack_with_a_mean(grid):
+    """Five vector samples; the middle one has a nonzero mean."""
+    fields = [random_power_law(grid, 2.0, seed) for seed in range(5)]
+    c = fields[2].coeffs.copy()
+    c[:, 0, 0, 0] = [0.3, -0.1, 0.2]
+    fields[2] = SpectralField(grid, "vector", c)
+    return Trajectory(grid, np.linspace(0.1, 0.5, 5), fields)
+
+
+def test_block_lp_norms_match_per_sample_blocks(grid16, part16):
+    traj = _stack_with_a_mean(grid16)
+    got = block_lp_norms(grid16, traj.coeffs, part16, 4.0, 1)
+    assert got.shape == (5, len(part16.j_range))
+    for f, row in zip(traj.fields, got):
+        # s = 0: the reported blocks are the block norms themselves
+        rep = besov_norm(f.zero_mean(), BesovIndex(0.0, 4.0, 4.0), part16)
+        want = np.array([c for _, c in rep.blocks])
+        assert np.max(np.abs(row - want)) <= 1e-13 * np.max(want)
+
+
+def test_critical_norm_series_matches_per_sample(grid16, part16):
+    traj = _stack_with_a_mean(grid16)
+    idx = BesovIndex(critical_exponent(4.0), 4.0, 4.0)
+    want = np.array([besov_norm(f.zero_mean(), idx, part16).value
+                     for f in traj.fields])
+    got = critical_norm_series(traj, 4.0, part16)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+def test_split_critical_norm_is_the_besov_norm(grid16, part16):
+    u0 = random_power_law(grid16, 2.0, 3, amplitude=0.3)
+    cfg = SplitConfig(4.0, 8.0, 0.05)
+    want = besov_norm(u0, BesovIndex(cfg.s_p, cfg.p, cfg.p), part16).value
+    got = split(u0, cfg, part16).critical_norm
+    assert abs(got - want) <= 1e-13 * want
 
 
 def test_kato_single_mode_oracle(grid16):

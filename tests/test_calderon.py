@@ -33,6 +33,14 @@ def test_split_rejects_non_divergence_free(grid16, part16):
         split(f, SplitConfig(4.0, 8.0, 1.0), part16)
 
 
+def test_split_rejects_nonzero_mean(grid16, part16):
+    u0 = critical_random(grid16, 4.0, part16, seed=0)
+    c = u0.coeffs.copy()
+    c[0, 0, 0, 0] = 1.0
+    with pytest.raises(GridError):
+        split(u0.with_coeffs(c), SplitConfig(4.0, 8.0, 1.0), part16)
+
+
 def test_split_extreme_thresholds(grid16, part16):
     u0 = critical_random(grid16, 4.0, part16, seed=0)
     big = split(u0, SplitConfig(4.0, 8.0, 1e8), part16)

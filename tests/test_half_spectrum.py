@@ -128,7 +128,7 @@ def test_duhamel_stack_equals_direct_evaluation(grid16):
 def _full_ledger_reference(traj, g_stack, substeps):
     """Energy ledger summed over the full spectrum."""
     grid, times = traj.grid, traj.times
-    u = traj.coeffs_stack()
+    u = traj.coeffs
     vol, xi_sq = grid.volume, grid.xi_sq
     energy = 0.5 * vol * np.sum(np.abs(u) ** 2, axis=tuple(range(1, u.ndim)))
     fracs = np.linspace(0.0, 1.0, substeps + 1)
