@@ -414,8 +414,7 @@ def _time_norm(series: np.ndarray, times: np.ndarray, r: float) -> np.ndarray:
 
 
 def timespace_besov_norm(traj: Trajectory, r: float, index: BesovIndex,
-                         partition: DyadicPartition,
-                         check_resolution: bool = True) -> NormReport:
+                         partition: DyadicPartition) -> NormReport:
     """Time-space Besov norm: l^q over j of 2^{js} ||Delta_j u||_{L^r_t L^p_x}.
 
     For finite r a Richardson check against halved time sampling must
@@ -430,7 +429,7 @@ def timespace_besov_norm(traj: Trajectory, r: float, index: BesovIndex,
         return float(value), contribs
 
     value, contribs = compute(slice(None))
-    if check_resolution and not math.isinf(r) and len(traj) >= 5:
+    if not math.isinf(r) and len(traj) >= 5:
         coarse, _ = compute(_every_other(len(traj)))
         if value > 0 and abs(value - coarse) / value > 0.01:
             raise QuadratureError(

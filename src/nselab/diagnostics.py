@@ -18,7 +18,7 @@ from .besov import (BesovIndex, DyadicPartition, Trajectory, _dyadic_sum,
 from . import families
 from .calderon import SplitConfig, split
 from .errors import ConfigError, GridError
-from .heat import exponential_weights
+from .heat import _pl_weights
 from .solver import (SolverConfig, _forcing_stack, cross_forcing_stack,
                      half_stack, mild_solve_nse, mild_solve_perturbed,
                      mollified_solve, solve_with_continuation)
@@ -206,8 +206,11 @@ def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
     none, plus optional background coupling) unless ``g_stack`` is
     given explicitly (in either spectral layout).
 
-    The sums run over the half spectrum with Hermitian weights, which
-    equals the full-spectrum sum for real fields.
+    The reconstruction is u(t_i + tau) = c_a u_i + c_0 g_i + c_1 g_{i+1}
+    with weights that depend on a mode only through |xi|^2, so the
+    dissipation and work at every node are quadratic forms in the Gram
+    matrices of (u_i, g_i, g_{i+1}) per |xi|^2 shell, summed over the
+    half spectrum with Hermitian weights (the full sum for real fields).
     """
     if substeps < 2 or substeps % 2 != 0:
         raise ConfigError("substeps must be even and >= 2")
@@ -216,49 +219,47 @@ def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
     if background is not None and (len(background) != len(traj) or
                                    not np.allclose(background.times, times)):
         raise ConfigError("background must share the trajectory schedule")
-    u_stack = half_stack(traj)
+    u = half_stack(traj)
     if g_stack is None:
-        g_stack = _ledger_forcing(grid, u_stack, nonlinearity, rho, background)
-    g_stack = np.ascontiguousarray(half_spectrum(grid, g_stack),
-                                   dtype=np.complex128)
+        g_stack = _ledger_forcing(grid, u, nonlinearity, rho, background)
+    g = half_spectrum(grid, g_stack)
     lay = grid.layout(grid.n_half)
-    # Hermitian weights times the volume, repeated over (re, im) so that
-    # sums of Re(x conj y) run over float views of the coefficients
-    weight = np.repeat(grid.volume * lay.hermitian_weight, 2)
-    diss_weight = np.repeat(lay.xi_sq, 2, axis=-1) * weight
-    shape = diss_weight.shape
+    values, shell = np.unique(lay.xi_sq, return_inverse=True)
+    weight = grid.volume * lay.hermitian_weight
+    bins = shell.ravel() + values.size * np.arange(len(u))[:, None]
+    field_shape = (u[0].size // shell.size,) + lay.xi_sq.shape
 
-    def dot(x, y, w):
-        """sum of w * Re(x conj y) over the grid and components."""
-        xy = x.view(np.float64) * y.view(np.float64)
-        return float(np.sum(xy.reshape((-1,) + shape).sum(axis=0) * w))
+    def gram(x, y):
+        """sum of volume * Hermitian weight * Re(x conj y) over the
+        components and each shell, per sample: (samples, shells)."""
+        x, y = (a.reshape(a.shape[:1] + field_shape) for a in (x, y))
+        xy = (np.einsum("mc...,mc...->m...", x.real, y.real)
+              + np.einsum("mc...,mc...->m...", x.imag, y.imag)) * weight
+        return np.bincount(bins[:len(xy)].ravel(), weights=xy.ravel(),
+                           minlength=len(xy) * values.size
+                           ).reshape(len(xy), values.size)
 
-    energy = np.array([0.5 * dot(u, u, weight) for u in u_stack])
-    n_int = times.size - 1
-    diss = np.zeros(n_int)
-    work = np.zeros(n_int)
+    uu, gg, ug = gram(u, u), gram(g, g), gram(u, g)
+    ug1, gg1 = gram(u[:-1], g[1:]), gram(g[:-1], g[1:])
+    energy = 0.5 * uu.sum(axis=1)
+    moments = np.array([[uu[:-1], ug[:-1], ug1],
+                        [ug[:-1], gg[:-1], gg1],
+                        [ug1, gg1, gg[1:]]])  # (3, 3, interval, shell)
     fracs = np.linspace(0.0, 1.0, substeps + 1)
-    for i in range(n_int):
-        dt = times[i + 1] - times[i]
-        a = u_stack[i]
-        g0, dg = g_stack[i], g_stack[i + 1] - g_stack[i]
-        decay, alpha, beta, index = exponential_weights(lay.xi_sq,
-                                                        fracs * dt)
-        d_vals = np.empty(substeps + 1)
-        w_vals = np.empty(substeps + 1)
-        for r, f in enumerate(fracs):
-            gl = g0 + dg * f
-            u_tau = np.take(alpha[r], index) * g0
-            u_tau += np.take(beta[r], index) * gl
-            u_tau *= f * dt
-            u_tau += np.take(decay[r], index) * a
-            d_vals[r] = dot(u_tau, u_tau, diss_weight)
-            w_vals[r] = dot(gl, u_tau, weight)
-        nodes = fracs * dt
-        diss[i] = float(simpson(d_vals, x=nodes))
-        work[i] = float(simpson(w_vals, x=nodes))
+    tau = np.multiply.outer(np.diff(times), fracs)  # (interval, node)
+    z = tau[..., None] * values
+    alpha, beta = _pl_weights(z)
+    # u(tau) and g(tau) in the basis (u_i, g_i, g_{i+1})
+    coef = np.array([np.exp(-z),
+                     tau[..., None] * (alpha + beta * (1.0 - fracs)[:, None]),
+                     tau[..., None] * beta * fracs[:, None]])
+    forcing = np.array([np.zeros_like(fracs), 1.0 - fracs, fracs])
+    diss = simpson(np.einsum("jirs,kirs,jkis,s->ir", coef, coef, moments,
+                             values), x=tau, axis=-1)
+    work = simpson(np.einsum("jr,kirs,jkis->ir", forcing, coef, moments),
+                   x=tau, axis=-1)
     slacks = energy[:-1] - energy[1:] - diss + work
-    scale = float(np.max(energy) + np.sum(diss)) if n_int else float(np.max(energy))
+    scale = float(np.max(energy) + np.sum(diss))
     return LedgerReport(times=times, energy=energy, dissipation=diss,
                         work=work, slacks=slacks, scale=max(scale, 1e-300))
 

@@ -162,7 +162,7 @@ def solve_picard(problem: PicardProblem, tol: float = 1e-10,
                       + problem.apply_bilinear(x, x)))
     bound_holds = None
     if problem.gamma and problem.gamma > 0:
-        bound_holds = problem.norm(x) < 1.0 / (2.0 * inv_bound * problem.gamma)
+        bound_holds = norms[-1] < 1.0 / (2.0 * inv_bound * problem.gamma)
     return FixedPointReport(solution=x, converged=converged, norms=norms,
                             diffs=diffs, residual=residual, iterations=it,
                             smallness_margin=margin, inv_norm_bound=inv_bound,

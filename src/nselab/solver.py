@@ -31,6 +31,7 @@ from .spectral import (Grid, Mollifier, SpectralField, dealiased_tensor,
                        projected_divergence_coeffs, symmetric_tensor)
 
 DEFAULT_KAPPA = 0.17  # existence-time smallness constant, calibrated empirically
+HORIZON_CAP = 10.0  # existence time returned for zero data
 FORCING_CHUNK = 8  # time samples per forcing evaluation
 
 
@@ -52,7 +53,6 @@ class SolverConfig:
     kato_p: float = 4.0
     picard_tol: float = 1e-10
     max_iter: int = 60
-    rho: float | None = None
     measure_probes: int = 20
     probe_seed: int = 0
 
@@ -319,13 +319,12 @@ def mollified_solve(u0: SpectralField, a_bg, b_bg, rho: float,
 # ---------------------------------------------------------------------
 
 def subcritical_existence_time(v0: SpectralField, q: float, eps: float,
-                               partition: DyadicPartition,
-                               kappa: float = DEFAULT_KAPPA,
-                               horizon_cap: float = 10.0) -> float:
+                               partition: DyadicPartition) -> float:
     """Existence-time rule T = (kappa/M)^{2/eps} with
-    M = ||V0||_{B^{s_q+eps}_{q,q}}; returns the horizon cap for M = 0.
+    M = ||V0||_{B^{s_q+eps}_{q,q}}, capped at HORIZON_CAP (the value for
+    M = 0).
 
-    kappa is configuration calibrated against solver success, not a
+    kappa = DEFAULT_KAPPA is calibrated against solver success, not a
     theoretical constant.
     """
     if not (eps > 0 and eps < -critical_exponent(q)):
@@ -333,8 +332,8 @@ def subcritical_existence_time(v0: SpectralField, q: float, eps: float,
     s = critical_exponent(q) + eps
     m = besov_norm(v0, BesovIndex(s, q, q), partition).value
     if m == 0:
-        return horizon_cap
-    return min(horizon_cap, (kappa / m) ** (2.0 / eps))
+        return HORIZON_CAP
+    return min(HORIZON_CAP, (DEFAULT_KAPPA / m) ** (2.0 / eps))
 
 
 @dataclass

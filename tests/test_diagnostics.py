@@ -106,6 +106,17 @@ def test_energy_ledger_heat_flow(grid16):
     assert rep.max_abs_slack < 0.2 * mid.max_abs_slack
 
 
+
+def test_energy_ledger_single_sample(grid16):
+    # a direct run that suspects blow-up before any segment converged
+    # archives its one data sample: no intervals, only the energy
+    u = random_power_law(grid16, alpha=1.5, seed=8, amplitude=0.3)
+    rep = energy_ledger(Trajectory(grid16, [0.0], [u]))
+    assert rep.energy == pytest.approx([0.5 * u.l2_norm() ** 2], rel=1e-13)
+    for series in (rep.dissipation, rep.work, rep.slacks):
+        assert series.shape == (0,)
+    assert rep.scale == rep.energy[0]
+
 def test_energy_ledger_validation(grid16):
     u = random_power_law(grid16, alpha=1.5, seed=7)
     traj = heat_trajectory(u, np.linspace(0.0, 0.2, 5))

@@ -172,6 +172,23 @@ def test_half_ledger_matches_full_reference(grid16):
     assert np.array_equal(explicit.slacks, led.slacks)
 
 
+
+@pytest.mark.parametrize("substeps", [2, 32])
+def test_2d_ledger_matches_full_reference(grid2d, substeps):
+    u0 = random_power_law(grid2d, alpha=2.0, seed=4, amplitude=0.5)
+    cfg = SolverConfig(grid=grid2d, horizon=0.2, n_geometric=4, n_uniform=4,
+                       measure_probes=0)
+    sol = mild_solve_nse(u0, cfg)
+    led = energy_ledger(sol.trajectory, substeps=substeps)
+    g_half = -_forcing_stack(grid2d, sol.report.solution,
+                             sol.report.solution)
+    assert np.max(np.abs(g_half)) > 0
+    ref = _full_ledger_reference(sol.trajectory,
+                                 full_spectrum(grid2d, g_half), substeps)
+    for got, want in zip((led.energy, led.dissipation, led.work, led.slacks),
+                         ref):
+        assert np.max(np.abs(got - want)) <= 1e-13 * led.scale
+
 def test_ledger_background_coupling_is_one_symmetric_forcing(grid16):
     times = np.array([0.0, 0.01, 0.05, 0.2])
     u, v = _stacks(grid16, times)

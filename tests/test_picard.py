@@ -37,6 +37,23 @@ def test_scalar_quadratic_oracle():
     assert report.bound_holds
 
 
+def test_solve_reuses_the_last_iterate_norm():
+    # the margin's resolved seed, the seed, the increment and the iterate
+    # per step, then the residual: the bound reuses the last iterate norm
+    calls = []
+
+    def norm(x):
+        calls.append(x)
+        return abs(x)
+
+    problem = PicardProblem(a=0.1, bilinear=lambda x, y: x * y, norm=norm,
+                            gamma=1.0, l_norm=0.0)
+    report = solve_picard(problem, tol=1e-14)
+    assert report.converged and report.bound_holds
+    assert report.smallness_margin == 0.25 - 0.1
+    assert len(calls) == 2 * report.iterations + 3
+
+
 def test_scalar_divergence_detected():
     # 4 a g > 1: no real fixed point, iteration must be flagged
     with pytest.raises(PicardDivergenceError) as exc:
