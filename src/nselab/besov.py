@@ -18,8 +18,8 @@ import numpy as np
 from .errors import (ExponentError, GridError, PartitionError,
                      QuadratureError, RankError)
 from .spectral import (Grid, SpectralField, dealias_product, half_spectrum,
-                       inverse_transform, l2_norms, lp_norms, magnitude,
-                       magnitude_lp_norms)
+                       inverse_transform, l2_norms, lp_norms,
+                       magnitude_lp_norms, map_samples)
 
 CRITICAL_DIM = 3  # s_p := -1 + 3/p throughout, following the 3D theory
 
@@ -156,8 +156,8 @@ def block_lp_norms(grid: Grid, coeffs: np.ndarray, partition: DyadicPartition,
     """||Delta_j f||_p for j in ``partition.j_range``, as a (..., J) array
     with one row per entry of the first ``batch_axes`` axes."""
     return np.stack([
-        magnitude_lp_norms(grid, magnitude(
-            grid, _block_samples(grid, coeffs, partition, j), batch_axes), p)
+        magnitude_lp_norms(grid, _block_samples(grid, coeffs, partition, j),
+                           p, batch_axes)
         for j in partition.j_range], axis=-1)
 
 
@@ -371,10 +371,16 @@ def kato_decay_profile(traj: Trajectory, s: float, p: float) -> np.ndarray:
 def weighted_sup(grid: Grid, times: np.ndarray, stack: np.ndarray,
                  expo: float, p: float) -> float:
     """sup over the positive-time samples of t^expo ||u(t)||_p, for a
-    coefficient stack in either layout (0 if there are none)."""
+    coefficient stack in either layout (0 if there are none).  The
+    L^p norms run as ``map_samples`` jobs."""
+    series = np.empty(len(stack))
+
+    def job(part):
+        series[part] = lp_norms(grid, stack[part], p, batch_axes=1)
+
+    map_samples(job, len(stack))
     pos = times > 0
-    series = lp_norms(grid, stack, p, batch_axes=1)[pos]
-    return float(np.max(times[pos] ** expo * series, initial=0.0))
+    return float(np.max(times[pos] ** expo * series[pos], initial=0.0))
 
 
 def kato_norm(traj: Trajectory, index: BesovIndex) -> NormReport:

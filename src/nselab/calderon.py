@@ -150,7 +150,7 @@ def split(u0: SpectralField, config: SplitConfig,
         over = mag > config.block_threshold(j)
         raw_large += phys * over
         raw_small += phys * ~over
-        crit_blocks.append(magnitude_lp_norms(grid, mag, config.p))
+        crit_blocks.append(magnitude_lp_norms(grid, phys, config.p))
     large = leray_project(SpectralField.from_physical(grid, raw_large).zero_mean())
     small = leray_project(SpectralField.from_physical(grid, raw_small).zero_mean())
 

@@ -27,12 +27,11 @@ from .picard import (FixedPointReport, PicardProblem, estimate_constants,
 from .spectral import (Grid, Mollifier, SpectralField, dealiased_tensor,
                        divergence_residual, divergence_residuals,
                        full_spectrum, half_spectrum,
-                       interpolate_stack, inverse_transform,
+                       interpolate_stack, inverse_transform, map_samples,
                        projected_divergence_coeffs, symmetric_tensor)
 
 DEFAULT_KAPPA = 0.17  # existence-time smallness constant, calibrated empirically
 HORIZON_CAP = 10.0  # existence time returned for zero data
-FORCING_CHUNK = 8  # time samples per forcing evaluation
 
 
 @dataclass
@@ -85,16 +84,21 @@ class MildSolution:
 def _forcing_stack(grid: Grid, v_stack: np.ndarray, w_stack: np.ndarray,
                    w_multiplier: np.ndarray | None = None) -> np.ndarray:
     """G = P div dealias(v (x) w), per sample; w may be premultiplied
-    (mollification).  Computed FORCING_CHUNK samples at a time, so the
-    tensor temporaries do not grow with the schedule."""
-    if w_multiplier is not None:
-        w_stack = w_stack * w_multiplier
+    (mollification).  Runs as ``map_samples`` jobs of 4 samples on
+    ``FFT_WORKERS`` threads, each job's FFTs on one thread, so the tensor
+    temporaries do not grow with the schedule and the result is
+    bit-identical to a serial run."""
     out = np.empty_like(v_stack)
-    for s in range(0, len(v_stack), FORCING_CHUNK):
-        v = v_stack[s:s + FORCING_CHUNK]
-        w = v if w_stack is v_stack else w_stack[s:s + FORCING_CHUNK]
-        out[s:s + FORCING_CHUNK] = projected_divergence_coeffs(
+
+    def job(part):
+        v = v_stack[part]
+        w = v if w_stack is v_stack else w_stack[part]
+        if w_multiplier is not None:
+            w = w * w_multiplier
+        out[part] = projected_divergence_coeffs(
             grid, dealiased_tensor(grid, v, w))
+
+    map_samples(job, len(v_stack))
     return out
 
 
@@ -201,12 +205,14 @@ def cross_forcing_stack(grid: Grid, pv: np.ndarray,
     """P div dealias(w (x) v + v (x) w) per sample, one forcing of the
     symmetric tensor, for v given by its physical samples ``pv``."""
     out = np.empty_like(w_stack)
-    for s in range(0, len(w_stack), FORCING_CHUNK):
-        part = slice(s, s + FORCING_CHUNK)
+
+    def job(part):
         tensor = symmetric_tensor(grid, pv[part],
                                   inverse_transform(grid, w_stack[part]),
                                   w_stack.shape[-1])
         out[part] = projected_divergence_coeffs(grid, tensor)
+
+    map_samples(job, len(w_stack))
     return out
 
 

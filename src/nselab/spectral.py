@@ -18,10 +18,20 @@ live on the uniform grid ``x = (L/N)*m``.  All L^p norms are
 uniform-grid quadratures, ``||f||_p^p = (L/N)^d * sum |f(x)|^p``;
 Parseval then reads ``||f||_2^2 = L^d * sum |c_k|^2``.
 
-Transforms are ``scipy.fft`` real-to-complex/complex-to-real FFTs run
-on every CPU this process may use.  Fields are real, so coefficients
-are Hermitian, ``c_{-k} = conj(c_k)``; every operator here keeps them
-so, and ``read_clf1`` rejects files that are not.
+Transforms are ``scipy.fft`` real-to-complex/complex-to-real FFTs.
+Fields are real, so coefficients are Hermitian, ``c_{-k} = conj(c_k)``;
+every operator here keeps them so, and ``read_clf1`` rejects files that
+are not.
+
+Threads
+-------
+This is also the only module that creates threads.  A single transform
+runs on ``FFT_WORKERS`` threads (every CPU this process may use).  The
+solver's stack kernels (forcing, Kato norms) instead run as
+``map_samples`` jobs of ``SAMPLE_CHUNK`` (4) consecutive time samples
+on ``FFT_WORKERS`` threads, the caller among them, and each job's FFTs
+run on one thread.  A job computes exactly what a serial pass over its
+samples would, so results are bit-identical to a serial run.
 
 Layouts
 -------
@@ -46,6 +56,8 @@ from __future__ import annotations
 import math
 import os
 import secrets
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -61,6 +73,7 @@ HERMITIAN_RTOL = 1e-12
 # FFT threads: every CPU the process may run on
 FFT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
+SAMPLE_CHUNK = 4  # time samples per map_samples job
 
 _SCALAR = "scalar"
 _VECTOR = "vector"
@@ -223,6 +236,80 @@ def _conjugate_partner(c: np.ndarray, dim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------
+# Sample-chunk jobs, the package's only threads
+# ---------------------------------------------------------------------
+
+_job = threading.local()  # .active: this thread is running a job
+_pool: ThreadPoolExecutor | None = None
+_pool_pid = 0  # the process that started _pool's threads
+_pool_lock = threading.Lock()
+
+
+def _fft_workers() -> int:
+    """FFT threads of a transform made on this thread: one inside a
+    ``map_samples`` job, ``FFT_WORKERS`` elsewhere."""
+    return 1 if getattr(_job, "active", False) else FFT_WORKERS
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    """The pool that runs ``map_samples`` jobs beside the caller, started
+    on first use (and again in a forked child, which has no threads)."""
+    global _pool, _pool_pid
+    with _pool_lock:
+        if _pool is None or _pool_pid != os.getpid():
+            _pool = ThreadPoolExecutor(FFT_WORKERS - 1,
+                                       thread_name_prefix="nselab-samples")
+            _pool_pid = os.getpid()
+        return _pool
+
+
+def map_samples(fn, n: int) -> None:
+    """Call ``fn(part)`` once for each slice ``part`` of ``SAMPLE_CHUNK``
+    consecutive entries of ``range(n)``; the jobs must write disjoint
+    outputs.
+
+    The caller and ``FFT_WORKERS - 1`` pool threads take slices from one
+    queue, and a job's FFTs run on one thread.  A nested call, a single
+    slice or ``FFT_WORKERS == 1`` runs inline.  If a job raises, no
+    further slice is started; the call returns once every running job
+    has finished and re-raises the exception.
+    """
+    starts = range(0, n, SAMPLE_CHUNK)
+    helpers = min(FFT_WORKERS, len(starts)) - 1
+    if helpers <= 0 or getattr(_job, "active", False):
+        for s in starts:
+            fn(slice(s, s + SAMPLE_CHUNK))
+        return
+    queue = iter(starts)
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def drain():
+        _job.active = True
+        try:
+            while not failed.is_set():
+                with lock:
+                    s = next(queue, None)
+                if s is None:
+                    return
+                fn(slice(s, s + SAMPLE_CHUNK))
+        except BaseException:
+            failed.set()
+            raise
+        finally:
+            _job.active = False
+
+    pool = _helper_pool()
+    futures = [pool.submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
+# ---------------------------------------------------------------------
 # Array kernels: the trailing grid.dim axes are the grid, leading axes
 # are any mix of batch (time-sample) and component axes.
 # ---------------------------------------------------------------------
@@ -258,7 +345,7 @@ def full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
 def forward_half(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Half-spectrum Fourier coefficients of real physical samples."""
     return scipy.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)),
-                           norm="forward", workers=FFT_WORKERS)
+                           norm="forward", workers=_fft_workers())
 
 
 def forward_transform(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -271,7 +358,7 @@ def inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     layout; only the half spectrum is read."""
     return scipy.fft.irfftn(half_spectrum(grid, coeffs), s=grid.shape,
                             axes=tuple(range(-grid.dim, 0)),
-                            norm="forward", workers=FFT_WORKERS)
+                            norm="forward", workers=_fft_workers())
 
 
 def _layout_of(grid: Grid, coeffs: np.ndarray) -> Layout:
@@ -355,10 +442,19 @@ def magnitude(grid: Grid, values: np.ndarray,
     return np.sqrt(np.sum(values**2, axis=comp_axes))
 
 
-def magnitude_lp_norms(grid: Grid, mag: np.ndarray, p: float) -> np.ndarray:
-    """Grid-quadrature L^p norm of a pointwise magnitude, one per entry of
-    the axes before the grid axes."""
+def magnitude_lp_norms(grid: Grid, values: np.ndarray, p: float,
+                       batch_axes: int = 0) -> np.ndarray:
+    """Grid-quadrature L^p norm of the pointwise magnitude of physical
+    samples, one per entry of the first ``batch_axes`` axes.  For even
+    integer p the power is an integer power of the summed squared
+    components, with no square root."""
     space = tuple(range(-grid.dim, 0))
+    if p % 2 == 0:
+        comp_axes = tuple(range(batch_axes, values.ndim - grid.dim))
+        sq = np.sum(values**2, axis=comp_axes)
+        return (grid.cell_volume
+                * np.sum(sq ** (int(p) // 2), axis=space)) ** (1.0 / p)
+    mag = magnitude(grid, values, batch_axes)
     if math.isinf(p):
         return np.max(mag, axis=space)
     return (grid.cell_volume * np.sum(mag**p, axis=space)) ** (1.0 / p)
@@ -368,8 +464,8 @@ def lp_norms(grid: Grid, coeffs: np.ndarray, p: float,
              batch_axes: int = 0) -> np.ndarray:
     """Grid-quadrature L^p norm of the pointwise magnitude, one per entry
     of the first ``batch_axes`` axes."""
-    phys = inverse_transform(grid, coeffs)
-    return magnitude_lp_norms(grid, magnitude(grid, phys, batch_axes), p)
+    return magnitude_lp_norms(grid, inverse_transform(grid, coeffs), p,
+                              batch_axes)
 
 
 def l2_norms(grid: Grid, coeffs: np.ndarray, batch_axes: int = 0,

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from nselab import (GridError, QuadratureError, SolverConfig, SpectralField,
-                    Trajectory, heat_evolve, mild_solve_nse,
-                    mild_solve_perturbed, mollified_solve,
+from nselab import (GridError, Mollifier, QuadratureError, SolverConfig,
+                    SpectralField, Trajectory, heat_evolve, mild_solve_nse,
+                    mild_solve_perturbed, mollified_solve, spectral,
                     solve_with_continuation, subcritical_existence_time)
 from nselab.errors import ConfigError
 from nselab.families import (critical_random, random_power_law, taylor_green,
                              taylor_green_decay_rate)
-from nselab.spectral import gradient
+from nselab.solver import _forcing_stack, cross_forcing_stack, kato_stack_norm
+from nselab.spectral import gradient, half_spectrum, inverse_transform
 
 
 def small_config(grid, horizon=0.3, **kw):
@@ -138,3 +139,25 @@ def test_continuation_keeps_probe_seed(grid16):
     res = solve_with_continuation(u0, cfg)
     assert res.segment_horizons == [0.2]
     assert res.reports[0].gamma == mild_solve_nse(u0, cfg).report.gamma
+
+
+@pytest.mark.parametrize("case", ["x_x", "x_y", "mollified", "cross", "kato"])
+def test_sample_jobs_equal_a_serial_run(grid16, monkeypatch, case):
+    # 13 samples: the last job has a partial chunk
+    x, y = (np.stack([half_spectrum(grid16, random_power_law(
+        grid16, alpha=2.0, seed=seed, amplitude=0.3).coeffs)
+        for seed in range(first, first + 13)]) for first in (0, 20))
+    times = np.linspace(0.0, 0.3, 13)
+    m_rho = Mollifier(3, 0.5).symbol(grid16, grid16.n_half)
+    call = {
+        "x_x": lambda: _forcing_stack(grid16, x, x),
+        "x_y": lambda: _forcing_stack(grid16, x, y),
+        "mollified": lambda: _forcing_stack(grid16, x, x, m_rho),
+        "cross": lambda: cross_forcing_stack(
+            grid16, inverse_transform(grid16, x), y),
+        "kato": lambda: kato_stack_norm(grid16, times, x, 4.0),
+    }[case]
+    monkeypatch.setattr(spectral, "FFT_WORKERS", 2)
+    threaded = call()
+    monkeypatch.setattr(spectral, "FFT_WORKERS", 1)
+    assert np.array_equal(threaded, call())

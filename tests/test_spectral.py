@@ -1,11 +1,18 @@
+import ast
 import os
 import re
 import stat
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import nselab
+from nselab import spectral
 from nselab import (Grid, GridError, Mollifier, RankError, SpectralField,
                     SymbolError, apply_multiplier, curl, dealias_product,
                     divergence, divergence_residual, gradient, leray_project,
@@ -17,7 +24,8 @@ from nselab.families import random_power_law, single_mode
 from nselab.heat import _pl_weights, projected_divergence
 from nselab.spectral import (dealiased_tensor, forward_transform,
                              interpolate_stack, inverse_transform,
-                             leray_coeffs, lp_norms,
+                             leray_coeffs, lp_norms, magnitude,
+                             magnitude_lp_norms, map_samples,
                              projected_divergence_coeffs)
 
 
@@ -353,6 +361,20 @@ def test_transform_backend_matches_reference(dim):
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
+@pytest.mark.parametrize("rank", ["scalar", "vector"])
+def test_even_p_norms_match_the_magnitude_power(grid16, p, rank):
+    # even p sums |f|^2 to an integer power; the reference takes sqrt
+    # and a float power, so the two differ by rounding only
+    u = [random_power_law(grid16, 1.0, seed, rank=rank) for seed in (5, 6)]
+    phys = inverse_transform(grid16, _stack(u))
+    mag = magnitude(grid16, phys, batch_axes=1)
+    want = (grid16.cell_volume
+            * np.sum(mag**p, axis=(-3, -2, -1))) ** (1.0 / p)
+    got = magnitude_lp_norms(grid16, phys, p, batch_axes=1)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
 def test_only_spectral_calls_fft():
     # every transform goes through spectral.py, so the FFT backend is a
     # one-file decision (Grid's fftfreq lives there too)
@@ -368,3 +390,115 @@ def test_only_spectral_calls_fft():
                     if pattern.search(line):
                         offenders.append(f"{name}:{lineno}: {line.strip()}")
     assert offenders == []
+
+
+def test_only_spectral_starts_threads():
+    # map_samples is the one place that runs work on other threads
+    src = os.path.dirname(nselab.__file__)
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "spectral.py":
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                offenders += [f"{name}:{node.lineno}: {m}" for m in modules
+                              if m.split(".")[0] in
+                              ("threading", "_thread", "concurrent")]
+    assert offenders == []
+
+
+class JobError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["caller", "pool"])
+def test_failing_job_raises_its_error(monkeypatch, where):
+    monkeypatch.setattr(spectral, "FFT_WORKERS", 2)
+    caller = threading.get_ident()
+    both_busy = threading.Barrier(2, timeout=60)
+    running, started = [], []
+
+    def job(part):
+        running.append(part.start)
+        started.append(part.start)
+        try:
+            # the first two slices wait until the caller and the pool
+            # thread each hold one, so the failing side surely runs a job
+            if part.start < 8:
+                both_busy.wait()
+            if (threading.get_ident() == caller) == (where == "caller"):
+                raise JobError(part.start)
+            time.sleep(0.2)  # still running when the other side fails
+        finally:
+            running.remove(part.start)
+
+    with pytest.raises(JobError):
+        map_samples(job, 13)
+    assert running == []
+    assert sorted(started) == [0, 4]  # no slice starts after the failure
+    out = np.zeros(13)
+
+    def fill(part):
+        out[part] = np.arange(13)[part]
+
+    map_samples(fill, 13)
+    assert np.array_equal(out, np.arange(13))
+
+
+def test_nested_call_runs_inline(monkeypatch):
+    monkeypatch.setattr(spectral, "FFT_WORKERS", 2)
+    seen = np.zeros((13, 13), dtype=int)
+    inline, fft_workers = [], []
+
+    def outer(part):
+        ident = threading.get_ident()
+        fft_workers.append(spectral._fft_workers())
+        for i in range(part.start, min(part.stop, 13)):
+            def inner(q, i=i):
+                seen[i, q] += 1
+                inline.append(threading.get_ident() == ident)
+            map_samples(inner, 13)
+
+    t = threading.Thread(target=map_samples, args=(outer, 13), daemon=True)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive()
+    assert np.all(seen == 1)
+    assert inline and all(inline)
+    # a job's FFTs run on its own thread only
+    assert fft_workers == [1] * 4 and spectral._fft_workers() == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_jobs_run_in_a_forked_child():
+    # the child inherits the started pool but none of its threads
+    script = textwrap.dedent("""
+        import os, signal
+        from nselab import spectral
+        spectral.FFT_WORKERS = 2
+        spectral.map_samples(lambda part: None, 13)
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(30)
+            spectral.map_samples(lambda part: None, 13)
+            os._exit(0)
+        _, status = os.waitpid(pid, 0)
+        raise SystemExit(os.waitstatus_to_exitcode(status))
+        """)
+    src = os.path.dirname(os.path.dirname(nselab.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0
+
+
+def test_one_worker_runs_jobs_on_the_caller(monkeypatch):
+    monkeypatch.setattr(spectral, "FFT_WORKERS", 1)
+    idents = []
+    map_samples(lambda part: idents.append(threading.get_ident()), 13)
+    assert idents == [threading.get_ident()] * 4
