@@ -22,9 +22,9 @@ from .families import (abc_flow, critical_random, critical_spike_field,
                        random_block_field, random_power_law, single_mode,
                        sparse_spike_block, taylor_green,
                        taylor_green_decay_rate)
-from .heat import (QuadratureScheme, duhamel_integral, duhamel_trajectory,
-                   heat_evolve, heat_trajectory, oseen_apply,
-                   projected_divergence, time_schedule, verify_kato_estimate,
+from .heat import (duhamel_integral, duhamel_trajectory, heat_evolve,
+                   heat_trajectory, oseen_apply, projected_divergence,
+                   time_schedule, verify_kato_estimate,
                    verify_smoothing_derivatives)
 from .picard import (FixedPointReport, PicardProblem, estimate_constants,
                      propagation_check, solve_picard)

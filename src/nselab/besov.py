@@ -318,12 +318,6 @@ class Trajectory:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def coarsen(self) -> "Trajectory":
-        """Keep every other sample (always keeping the endpoints)."""
-        idx = _every_other(len(self))
-        return Trajectory._from_stack(self.grid, self.times[idx], self.rank,
-                                      self.coeffs[idx])
-
     def lp_series(self, p: float) -> np.ndarray:
         """||u(t)||_p per sample, read-only."""
         if p not in self._lp:

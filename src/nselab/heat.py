@@ -8,12 +8,9 @@ factor, second order in the sample spacing.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .besov import BesovIndex, Trajectory, kato_norm, weighted_sup
+from .besov import Trajectory, weighted_sup
 from .errors import ExponentError, QuadratureError, RankError
 from .spectral import (Grid, SpectralField, interpolate_stack,
                        projected_divergence_coeffs)
@@ -112,27 +109,6 @@ def duhamel_stack(times: np.ndarray, g_stack: np.ndarray,
     return out
 
 
-@dataclass
-class QuadratureScheme:
-    """Duhamel time-quadrature configuration.
-
-    'exact-exponential' integrates the exponential factor exactly per
-    mode against the piecewise-linear forcing; 'composite' uses a
-    plain trapezoid on ``substeps`` subintervals per sample interval
-    (useful for convergence studies).
-    """
-
-    kind: str = "exact-exponential"
-    substeps: int = 1
-    error_estimate: bool = False
-
-    def __post_init__(self):
-        if self.kind not in ("exact-exponential", "composite"):
-            raise QuadratureError(f"unknown quadrature kind {self.kind!r}")
-        if self.substeps < 1:
-            raise QuadratureError("substeps must be >= 1")
-
-
 def _forcing(f_traj: Trajectory) -> np.ndarray:
     """P div F at every sample of a tensor trajectory."""
     if f_traj.rank != "matrix":
@@ -140,68 +116,31 @@ def _forcing(f_traj: Trajectory) -> np.ndarray:
     return projected_divergence_coeffs(f_traj.grid, f_traj.coeffs)
 
 
-def _duhamel_at(times, g_stack, xi_sq, t, scheme: QuadratureScheme):
-    acc = np.zeros_like(g_stack[0])
-    i = 0
-    while i + 1 < times.size and times[i] < t - 1e-15:
-        sa = times[i]
-        sb = min(times[i + 1], t)
-        ga = g_stack[i]
-        gb = g_stack[i + 1] if sb == times[i + 1] else \
-            interpolate_stack(times, g_stack, sb)
-        if scheme.kind == "exact-exponential":
-            dt = sb - sa
-            z = xi_sq * dt
-            alpha, beta = _pl_weights(z)
-            acc = acc + np.exp(-xi_sq * (t - sb)) * dt * (ga * alpha + gb * beta)
-        else:
-            nodes = np.linspace(sa, sb, scheme.substeps + 1)
-            vals = [np.exp(-xi_sq * (t - s))
-                    * ((1 - w) * ga + w * gb)
-                    for s, w in zip(nodes, np.linspace(0.0, 1.0, nodes.size))]
-            h = (sb - sa) / scheme.substeps
-            acc = acc + h * (0.5 * vals[0] + sum(vals[1:-1]) + 0.5 * vals[-1])
-        i += 1
-    return acc
-
-
-def duhamel_integral(f_traj: Trajectory, t: float,
-                     scheme: QuadratureScheme | None = None):
+def duhamel_integral(f_traj: Trajectory, t: float) -> SpectralField:
     """int_0^t e^{(t-s)Lap} P div F(s) ds from a sampled tensor F.
 
-    The trajectory must cover [0, t].  Returns (field, error_estimate);
-    the estimate is a Richardson difference against halved sampling
-    when the scheme requests it, else None.
+    The trajectory must cover [0, t].  The recursion runs over the
+    samples before t and ends at t, where the forcing is interpolated;
+    at a sample time it equals ``duhamel_trajectory`` there.
     """
-    scheme = scheme or QuadratureScheme()
     times = f_traj.times
     if times[0] > 1e-15 or t > times[-1] + 1e-12:
         raise QuadratureError(
             f"trajectory [{times[0]}, {times[-1]}] does not cover [0, {t}]")
-    xi_sq = f_traj.grid.xi_sq
     g_stack = _forcing(f_traj)
-    acc = _duhamel_at(times, g_stack, xi_sq, t, scheme)
-    field = SpectralField(f_traj.grid, "vector", acc, check_hermitian=False)
-    err = None
-    if scheme.error_estimate and times.size >= 3:
-        coarse = f_traj.coarsen()
-        g_coarse = _forcing(coarse)
-        acc_c = _duhamel_at(coarse.times, g_coarse, xi_sq, t, scheme)
-        err = float(np.max(np.abs(acc - acc_c))) / 3.0
-    return field, err
+    k = int(np.searchsorted(times, t))  # samples strictly before t
+    if k == 0:
+        return SpectralField.zero(f_traj.grid, "vector")
+    g_end = interpolate_stack(times, g_stack, t)
+    out = duhamel_stack(np.append(times[:k], t),
+                        np.concatenate([g_stack[:k], g_end[None]]),
+                        f_traj.grid.xi_sq)
+    return SpectralField(f_traj.grid, "vector", out[-1], check_hermitian=False)
 
 
-def duhamel_trajectory(f_traj: Trajectory,
-                       scheme: QuadratureScheme | None = None) -> Trajectory:
+def duhamel_trajectory(f_traj: Trajectory) -> Trajectory:
     """Cumulative Duhamel integral evaluated at every sample time."""
-    scheme = scheme or QuadratureScheme()
-    g_stack = _forcing(f_traj)
-    if scheme.kind == "exact-exponential":
-        out = duhamel_stack(f_traj.times, g_stack, f_traj.grid.xi_sq)
-    else:
-        out = np.stack([_duhamel_at(f_traj.times, g_stack,
-                                    f_traj.grid.xi_sq, t, scheme)
-                        for t in f_traj.times])
+    out = duhamel_stack(f_traj.times, _forcing(f_traj), f_traj.grid.xi_sq)
     return Trajectory._from_stack(f_traj.grid, f_traj.times, "vector", out)
 
 
@@ -221,18 +160,18 @@ def check_kato_exponents(s1: float, p1: float, p2: float) -> float:
 
 def verify_kato_estimate(f_traj: Trajectory, s1: float, p1: float,
                          p2: float) -> dict:
-    """Measured constant of the Kato-space Duhamel estimate.
+    """Measured constant of the Kato-space Duhamel estimate, the k = l = 0
+    case of ``verify_smoothing_derivatives``.
 
     Returns {'constant', 's2', 'input_norm', 'output_norm'}; refuses
-    exponent configurations outside the estimate's hypotheses.
+    exponent configurations outside the estimate's hypotheses and a
+    trajectory with no positive-time sample.
     """
-    s2 = check_kato_exponents(s1, p1, p2)
-    out = duhamel_trajectory(f_traj)
-    in_norm = kato_norm(f_traj, BesovIndex(s1, p1, math.inf)).value
-    out_norm = kato_norm(out, BesovIndex(s2, p2, math.inf)).value
-    const = out_norm / in_norm if in_norm > 0 else 0.0
-    return {"constant": const, "s2": s2,
-            "input_norm": in_norm, "output_norm": out_norm}
+    if not np.any(f_traj.times > 0):
+        raise QuadratureError("trajectory has no positive-time samples")
+    rep = verify_smoothing_derivatives(f_traj, 0, 0, s1, p1, p2)
+    return {"constant": rep["constant"], "s2": rep["s2"],
+            "input_norm": rep["rhs"], "output_norm": rep["lhs"]}
 
 
 def _grad_stack(grid: Grid, stack: np.ndarray, order: int) -> np.ndarray:

@@ -32,13 +32,15 @@ from .spectral import (Grid, Mollifier, SpectralField, dealiased_tensor,
 
 DEFAULT_KAPPA = 0.17  # existence-time smallness constant, calibrated empirically
 HORIZON_CAP = 10.0  # existence time returned for zero data
+KATO_P = 4.0  # p of the Kato norm K_p that the Picard iteration contracts in
+PICARD_TOL = 1e-10  # Picard increment tolerance
 
 
 @dataclass
 class SolverConfig:
     """Shared solver configuration.
 
-    The contraction norm X is the Kato norm K_p (sup of
+    The contraction norm X is the Kato norm K_p, p = KATO_P (sup of
     t^{-s_p/2}||u(t)||_p); time samples are geometric near zero and
     uniform after T/8.
     """
@@ -49,8 +51,6 @@ class SolverConfig:
     n_uniform: int = 24
     first_exponent: int = 20
     times: np.ndarray | None = None
-    kato_p: float = 4.0
-    picard_tol: float = 1e-10
     max_iter: int = 60
     measure_probes: int = 20
     probe_seed: int = 0
@@ -164,7 +164,7 @@ def _picard_solution(u0: SpectralField, config: SolverConfig,
     u0 = _prepare_data(u0, grid)
 
     def norm(stack):
-        return kato_stack_norm(grid, times, stack, config.kato_p)
+        return kato_stack_norm(grid, times, stack, KATO_P)
 
     problem = PicardProblem(a=_heat_stack(grid, u0, times), linear=linear,
                             bilinear=_nse_bilinear(grid, times, w_multiplier),
@@ -175,12 +175,12 @@ def _picard_solution(u0: SpectralField, config: SolverConfig,
     else:
         problem.gamma = 0.0
         problem.l_norm = 0.0
-    report = solve_picard(problem, tol=config.picard_tol,
+    report = solve_picard(problem, tol=PICARD_TOL,
                           max_iter=config.max_iter)
     stack = report.solution
     rd = float("nan")
     if doubled_residual:
-        rd = _doubled_residual(grid, times, stack, u0, linear_refined, config,
+        rd = _doubled_residual(grid, times, stack, u0, linear_refined,
                                w_multiplier)
     divs = divergence_residuals(grid, stack, batch_axes=1)
     return MildSolution(trajectory=stack_to_trajectory(grid, times, stack),
@@ -229,7 +229,7 @@ def _cross_linear(grid: Grid, times: np.ndarray, v_stack: np.ndarray):
 
 
 def _doubled_residual(grid: Grid, times: np.ndarray, stack: np.ndarray,
-                      u0: SpectralField, linear_refined, config: SolverConfig,
+                      u0: SpectralField, linear_refined,
                       w_multiplier=None) -> float:
     """Integral-equation residual recomputed on a midpoint-refined
     schedule (independent doubled quadrature)."""
@@ -244,7 +244,7 @@ def _doubled_residual(grid: Grid, times: np.ndarray, stack: np.ndarray,
     resid = np.subtract(fine, rhs, out=rhs)
     # compare at the original samples only
     keep = np.isin(fine_times, times)
-    return kato_stack_norm(grid, fine_times[keep], resid[keep], config.kato_p)
+    return kato_stack_norm(grid, fine_times[keep], resid[keep], KATO_P)
 
 
 def mild_solve_nse(u0: SpectralField, config: SolverConfig) -> MildSolution:

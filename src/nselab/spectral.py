@@ -723,8 +723,8 @@ def dealias_product(u: SpectralField, v: SpectralField) -> SpectralField:
     pu = u.to_physical()
     pv = v.to_physical()
     prod = pu[(None,) * (pv.ndim - pu.ndim)] * pv
-    c = forward_transform(g, prod) * g.dealias_mask
-    return SpectralField(g, v.rank, c, check_hermitian=False)
+    return SpectralField(g, v.rank, _dealiased(g, prod, g.n),
+                         check_hermitian=False)
 
 
 def dealias(field: SpectralField) -> SpectralField:

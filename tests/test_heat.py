@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from nselab import (ExponentError, QuadratureError, QuadratureScheme,
-                    RankError, Trajectory, duhamel_integral,
-                    duhamel_trajectory, heat_evolve, heat_trajectory,
-                    oseen_apply, projected_divergence, time_schedule,
-                    verify_kato_estimate, verify_smoothing_derivatives)
+from nselab import (ExponentError, QuadratureError, RankError, Trajectory,
+                    duhamel_integral, duhamel_trajectory, heat_evolve,
+                    heat_trajectory, oseen_apply, projected_divergence,
+                    time_schedule, verify_kato_estimate,
+                    verify_smoothing_derivatives)
 from nselab.besov import lp_block
 from nselab.families import random_power_law, single_mode
 from nselab.heat import check_kato_exponents
@@ -83,19 +83,31 @@ def test_duhamel_constant_forcing_closed_form(grid16):
     F = SpectralField(grid16, "matrix", tensor_c, check_hermitian=False)
     times = np.linspace(0.0, 1.0, 33)
     traj = Trajectory(grid16, times, [F] * times.size)
-    t = 0.75
-    out, _ = duhamel_integral(traj, t)
     g = projected_divergence(F)
-    expected = g * ((1.0 - math.exp(-4.0 * t)) / 4.0)
-    assert (out - expected).max_abs_coeff() \
-        < 1e-12 * expected.max_abs_coeff()
+    # 0.75 is a sample; 0.74 ends inside an interval, on the
+    # interpolated forcing
+    for t in (0.75, 0.74):
+        out = duhamel_integral(traj, t)
+        expected = g * ((1.0 - math.exp(-4.0 * t)) / 4.0)
+        assert (out - expected).max_abs_coeff() \
+            < 1e-12 * expected.max_abs_coeff()
+
+
+def test_duhamel_integral_at_samples_is_the_trajectory(grid16):
+    u = random_power_law(grid16, alpha=1.5, seed=6)
+    times = time_schedule(0.5, 6, 6)
+    F = Trajectory(grid16, times, [dealias_product(f, f) for f in
+                                   heat_trajectory(u, times).fields])
+    traj = duhamel_trajectory(F)
+    for i, t in enumerate(times):
+        assert np.array_equal(duhamel_integral(F, t).coeffs, traj.coeffs[i])
 
 
 def test_duhamel_zero_and_coverage(grid16):
     z = SpectralField.zero(grid16, "matrix")
     times = np.linspace(0.0, 1.0, 5)
     traj = Trajectory(grid16, times, [z] * 5)
-    out, _ = duhamel_integral(traj, 0.5)
+    out = duhamel_integral(traj, 0.5)
     assert out.max_abs_coeff() == 0.0
     with pytest.raises(QuadratureError):
         duhamel_integral(traj, 2.0)
@@ -119,23 +131,6 @@ def test_duhamel_linearity(grid16):
             lin.max_abs_coeff(), 1e-300)
 
 
-def test_composite_scheme_converges_to_exact(grid16):
-    u = random_power_law(grid16, alpha=1.5, seed=6)
-    times = np.linspace(0.0, 0.5, 9)
-    fields = [dealias_product(heat_evolve(u, t), heat_evolve(u, t))
-              for t in times]
-    traj = Trajectory(grid16, times, fields)
-    exact, _ = duhamel_integral(traj, 0.5)
-    errs = []
-    for sub in (2, 4, 8):
-        approx, _ = duhamel_integral(traj, 0.5,
-                                     QuadratureScheme("composite", sub))
-        errs.append((approx - exact).max_abs_coeff())
-    # trapezoid on substeps: second-order decay toward the exact-exponential
-    assert errs[1] < 0.35 * errs[0]
-    assert errs[2] < 0.35 * errs[1]
-
-
 def test_kato_exponent_gate():
     assert check_kato_exponents(-0.5, 2.0, 4.0) == pytest.approx(
         1.0 - 0.5 - 1.5 + 0.75)
@@ -155,6 +150,12 @@ def test_verify_kato_estimate_battery(grid16):
     assert out["constant"] > 0 and np.isfinite(out["constant"])
     with pytest.raises(ExponentError):
         verify_kato_estimate(F, -0.5, 2.0, 6.0)
+
+
+def test_verify_kato_estimate_needs_a_positive_time(grid16):
+    F = Trajectory(grid16, [0.0], [SpectralField.zero(grid16, "matrix")])
+    with pytest.raises(QuadratureError):
+        verify_kato_estimate(F, -0.5, 2.0, 4.0)
 
 
 def test_smoothing_derivatives_reduction_and_finiteness(grid16):

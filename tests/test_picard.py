@@ -8,8 +8,8 @@ from nselab import (ConfigError, PicardDivergenceError, SolverConfig,
 from nselab.families import random_power_law
 from nselab.picard import (PicardProblem, estimate_constants,
                            propagation_check, solve_picard)
-from nselab.solver import (_heat_stack, _nse_bilinear, _prepare_data,
-                           kato_stack_norm)
+from nselab.solver import (KATO_P, PICARD_TOL, _heat_stack, _nse_bilinear,
+                           _prepare_data, kato_stack_norm)
 
 
 def scalar_problem(a, gamma=1.0):
@@ -153,12 +153,12 @@ def test_zero_linear_map_is_not_evaluated(grid16):
 
         def norm(stack):
             calls.append(1)
-            return kato_stack_norm(grid16, times, stack, cfg.kato_p)
+            return kato_stack_norm(grid16, times, stack, KATO_P)
 
         problem = PicardProblem(a=a, linear=linear,
                                 bilinear=_nse_bilinear(grid16, times),
                                 norm=norm, gamma=sol.report.gamma, l_norm=0.0)
-        reports.append(solve_picard(problem, tol=cfg.picard_tol,
+        reports.append(solve_picard(problem, tol=PICARD_TOL,
                                     max_iter=cfg.max_iter))
         norm_calls.append(len(calls))
     skipped, zero_map = reports

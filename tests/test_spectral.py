@@ -392,6 +392,31 @@ def test_only_spectral_calls_fft():
     assert offenders == []
 
 
+def test_no_unused_imports():
+    # an import that nothing references is dead code; __init__.py imports
+    # to re-export, so it is exempt
+    src = os.path.dirname(nselab.__file__)
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            used = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    bound = [a.asname or a.name.split(".")[0]
+                             for a in node.names]
+                elif (isinstance(node, ast.ImportFrom)
+                      and node.module != "__future__"):
+                    bound = [a.asname or a.name for a in node.names]
+                else:
+                    continue
+                offenders += [f"{name}:{node.lineno}: {b}" for b in bound
+                              if b not in used]
+    assert offenders == []
+
+
 def test_only_spectral_starts_threads():
     # map_samples is the one place that runs work on other threads
     src = os.path.dirname(nselab.__file__)
