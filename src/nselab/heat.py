@@ -94,7 +94,9 @@ def duhamel_stack(times: np.ndarray, g_stack: np.ndarray,
 
     g_stack has shape (M,) + field_shape where the trailing axes match
     xi_sq after broadcasting.  Returns the same shape: out[i] =
-    int_0^{t_i} e^{-|xi|^2 (t_i - s)} g(s) ds with g piecewise linear.
+    int_{t_0}^{t_i} e^{-|xi|^2 (t_i - s)} g(s) ds with g piecewise
+    linear.  The integral starts at the first sample time ``times[0]``
+    (out[0] = 0), so it runs from 0 only on a schedule that starts at 0.
     """
     times = np.asarray(times, dtype=float)
     out = np.zeros_like(g_stack)
@@ -167,8 +169,6 @@ def verify_kato_estimate(f_traj: Trajectory, s1: float, p1: float,
     exponent configurations outside the estimate's hypotheses and a
     trajectory with no positive-time sample.
     """
-    if not np.any(f_traj.times > 0):
-        raise QuadratureError("trajectory has no positive-time samples")
     rep = verify_smoothing_derivatives(f_traj, 0, 0, s1, p1, p2)
     return {"constant": rep["constant"], "s2": rep["s2"],
             "input_norm": rep["rhs"], "output_norm": rep["lhs"]}
@@ -200,13 +200,16 @@ def verify_smoothing_derivatives(f_traj: Trajectory, k: int, l: int,
     LHS: sup_t t^{-s2/2} t^{k+l/2} ||d_t^k grad^l Duhamel(F)||_{p2};
     RHS: sum over a <= k, b <= l of the matching weighted Kato norms of
     F.  Time derivatives follow the quadrature model exactly:
-    d_t u = G - |xi|^2 u with G = P div F piecewise linear.
+    d_t u = G - |xi|^2 u with G = P div F piecewise linear.  A
+    trajectory with no positive-time sample is refused.
     """
     if k > 2 or l > 2 or k < 0 or l < 0:
         raise ExponentError("supported derivative orders are k, l <= 2")
     s2 = check_kato_exponents(s1, p1, p2)
     grid = f_traj.grid
     times = f_traj.times
+    if not np.any(times > 0):
+        raise QuadratureError("trajectory has no positive-time samples")
     g_stack = _forcing(f_traj)
     u_stack = duhamel_stack(times, g_stack, grid.xi_sq)
 
@@ -239,8 +242,9 @@ def time_schedule(horizon: float, n_geometric: int = 24, n_uniform: int = 24,
 
     Resolves the singular t^{-s/2} Kato weights near t = 0.
     """
-    if horizon <= 0:
-        raise QuadratureError("horizon must be positive")
+    if not 0 < horizon < np.inf:
+        raise QuadratureError(f"horizon must be positive and finite, got "
+                              f"{horizon}")
     t1 = horizon * 2.0 ** (-first_exponent)
     geo = np.geomspace(t1, horizon / 8.0, n_geometric)
     uni = np.linspace(horizon / 8.0, horizon, n_uniform + 1)[1:]

@@ -2,6 +2,12 @@
 
 Elements may be anything supporting +, scalar *, and the supplied norm
 (floats, numpy arrays, trajectory coefficient stacks).
+
+A problem may supply ``step(x) = L(x) + B(x, x)`` as one callable when
+it can form both terms in one pass; it must agree with
+``linear(x) + bilinear(x, x)`` up to rounding.  The iteration and the
+final residual use it; constant probing, the resolvent and the
+propagation check keep L and B separate.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ class PicardProblem:
 
     gamma and l_norm are the measured bilinear and linear-operator
     constants; ``probe`` (optional) generates random elements for
-    measuring them.
+    measuring them.  ``step`` (optional) is x -> L(x) + B(x, x) in one
+    call; without it the two parts are composed.
     """
 
     a: object
@@ -32,6 +39,7 @@ class PicardProblem:
     gamma: float | None = None
     l_norm: float | None = None
     probe: object = None        # callable(rng) -> element
+    step: object = None         # callable x -> L(x) + B(x, x), or None
 
     def plus_linear(self, base, x):
         """base + L(x); the zero map adds nothing and is not evaluated."""
@@ -40,24 +48,42 @@ class PicardProblem:
     def apply_bilinear(self, x, y):
         return self.bilinear(x, y) if self.bilinear is not None else 0.0 * x
 
+    def picard_map(self, x):
+        """a + L(x) + B(x, x), with ``step`` when supplied."""
+        if self.step is not None:
+            return self.a + self.step(x)
+        return self.plus_linear(self.a, x) + self.apply_bilinear(x, x)
+
 
 def estimate_constants(problem: PicardProblem, n_probes: int = 20,
-                       seed: int = 0) -> PicardProblem:
-    """Measure gamma and ||L|| by randomized probing and fill them in."""
+                       seed: int = 0,
+                       gamma: float | None = None) -> PicardProblem:
+    """Measure gamma and ||L|| by randomized probing and fill them in.
+
+    A known ``gamma`` (measured before with the same B, norm, probe,
+    ``n_probes`` and ``seed``) is taken as is and no B(x, y) probe runs.
+    The probe pairs are still drawn, so ||L|| is measured on the same x
+    as in a full run; with no linear part nothing is probed at all.
+    """
     if problem.probe is None:
         raise ConfigError("constant estimation needs a probe generator")
     rng = np.random.default_rng(seed)
-    gamma = 0.0
+    measure_gamma = gamma is None
+    gamma = 0.0 if measure_gamma else gamma
     l_norm = 0.0
-    for _ in range(n_probes):
-        x = problem.probe(rng)
-        y = problem.probe(rng)
-        nx, ny = problem.norm(x), problem.norm(y)
-        if nx > 0 and ny > 0:
-            gamma = max(gamma, problem.norm(problem.apply_bilinear(x, y))
-                        / (nx * ny))
-        if nx > 0 and problem.linear is not None:
-            l_norm = max(l_norm, problem.norm(problem.linear(x)) / nx)
+    if measure_gamma or problem.linear is not None:
+        for _ in range(n_probes):
+            x = problem.probe(rng)
+            y = problem.probe(rng)
+            nx = problem.norm(x)
+            if measure_gamma:
+                ny = problem.norm(y)
+                if nx > 0 and ny > 0:
+                    gamma = max(gamma,
+                                problem.norm(problem.apply_bilinear(x, y))
+                                / (nx * ny))
+            if nx > 0 and problem.linear is not None:
+                l_norm = max(l_norm, problem.norm(problem.linear(x)) / nx)
     problem.gamma = gamma
     problem.l_norm = l_norm
     return problem
@@ -100,7 +126,8 @@ def _resolvent_apply(problem: PicardProblem, rhs, tol: float,
 
 def solve_picard(problem: PicardProblem, tol: float = 1e-10,
                  max_iter: int = 60, strict: bool = False) -> FixedPointReport:
-    """Iterate P_{k+1} = a + L(P_k) + B(P_k, P_k) from P_0 = a.
+    """Iterate P_{k+1} = a + L(P_k) + B(P_k, P_k) from P_0 = a, through
+    ``problem.step`` when it is supplied.
 
     Divergence (a non-finite increment or norm, three consecutive
     increment increases, or norm above 1e6x the seed) raises
@@ -115,6 +142,7 @@ def solve_picard(problem: PicardProblem, tol: float = 1e-10,
                           "the resolvent bound fails")
     inv_bound = 1.0 / (1.0 - problem.l_norm)
     margin = float("inf")
+    na = None
     if problem.gamma > 0:
         resolved_a = _resolvent_apply(problem, problem.a, tol)
         na = problem.norm(resolved_a)
@@ -126,15 +154,16 @@ def solve_picard(problem: PicardProblem, tol: float = 1e-10,
                 f">= {cap}")
 
     x = problem.a
-    seed_norm = problem.norm(problem.a)
+    # with L = 0 the resolved seed is a itself, whose norm is known
+    seed_norm = na if na is not None and problem.linear is None \
+        else problem.norm(problem.a)
     norms = [seed_norm]
     diffs = []
     increases = 0
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        x_next = problem.plus_linear(problem.a, x) \
-            + problem.apply_bilinear(x, x)
+        x_next = problem.picard_map(x)
         diff = problem.norm(x_next + (-1.0) * x)
         nx = problem.norm(x_next)
         diffs.append(diff)
@@ -157,9 +186,7 @@ def solve_picard(problem: PicardProblem, tol: float = 1e-10,
             converged = True
             break
 
-    residual = problem.norm(
-        x + (-1.0) * (problem.plus_linear(problem.a, x)
-                      + problem.apply_bilinear(x, x)))
+    residual = problem.norm(x + (-1.0) * problem.picard_map(x))
     bound_holds = None
     if problem.gamma and problem.gamma > 0:
         bound_holds = norms[-1] < 1.0 / (2.0 * inv_bound * problem.gamma)

@@ -9,10 +9,23 @@ tensor product per sample and runs the exact-exponential Duhamel
 recursion over the schedule.  Data and backgrounds enter through
 ``half_spectrum`` and solutions leave through ``stack_to_trajectory``,
 so ``SpectralField`` and ``Trajectory`` stay full-spectrum.
+
+The bilinear constant gamma depends only on the grid, the schedule,
+the Kato p, the mollifier and the probe count and seed, never on the
+data.  It is measured once per key (grid, schedule bytes, ``KATO_P``,
+mollifier symbol bytes or None, ``measure_probes``, ``probe_seed``)
+and the last (key, gamma) pair is kept in process, so a perturbed solve
+after a direct solve on the same configuration runs no B(x, y) probe;
+||L|| depends on the background and is always measured.  One pair is
+enough: every caller meets its keys in order and never returns to an
+older one (continuation only shrinks its step).
+The perturbed solver takes each Picard step, and its doubled-schedule
+residual, as one forcing of w (x) w + w (x) v + v (x) w.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -35,6 +48,8 @@ HORIZON_CAP = 10.0  # existence time returned for zero data
 KATO_P = 4.0  # p of the Kato norm K_p that the Picard iteration contracts in
 PICARD_TOL = 1e-10  # Picard increment tolerance
 
+_last_gamma: tuple = (None, None)  # (key, gamma) of the last measurement
+
 
 @dataclass
 class SolverConfig:
@@ -54,6 +69,11 @@ class SolverConfig:
     max_iter: int = 60
     measure_probes: int = 20
     probe_seed: int = 0
+
+    def __post_init__(self):
+        if not 0 < self.horizon < math.inf:
+            raise ConfigError(f"horizon must be positive and finite, got "
+                              f"{self.horizon}")
 
     def schedule(self) -> np.ndarray:
         if self.times is not None:
@@ -152,14 +172,31 @@ def _make_probe(grid: Grid, times: np.ndarray):
 # Solvers
 # ---------------------------------------------------------------------
 
+def _measure_constants(problem: PicardProblem, config: SolverConfig,
+                       times: np.ndarray, w_multiplier) -> None:
+    """``estimate_constants`` with gamma reused when the last measurement
+    had the same key; the measured gamma is remembered."""
+    global _last_gamma
+    grid = config.grid
+    key = ((grid.dim, grid.n, grid.box_length), times.tobytes(), KATO_P,
+           None if w_multiplier is None else w_multiplier.tobytes(),
+           config.measure_probes, config.probe_seed)
+    known = _last_gamma[1] if _last_gamma[0] == key else None
+    estimate_constants(problem, n_probes=config.measure_probes,
+                       seed=config.probe_seed, gamma=known)
+    _last_gamma = (key, problem.gamma)
+
+
 def _picard_solution(u0: SpectralField, config: SolverConfig,
                      times: np.ndarray, linear, w_multiplier=None,
-                     linear_refined=None,
+                     step=None, step_refined=None,
                      doubled_residual: bool = True) -> MildSolution:
     """Solve x = e^{tL}u0 + L(x) - B(x, x) on the schedule, B with the
     advected factor premultiplied by ``w_multiplier``: measure the
-    constants, iterate, and check the solution (the doubled-schedule
-    residual adds ``linear_refined`` on the refined schedule)."""
+    constants, iterate, and check the solution.  ``step`` is the
+    problem's fused L(x) + B(x, x); ``step_refined(fine_times, x)`` is
+    the same on the doubled residual's refined schedule (B(x, x) alone
+    when absent)."""
     grid = config.grid
     u0 = _prepare_data(u0, grid)
 
@@ -168,10 +205,10 @@ def _picard_solution(u0: SpectralField, config: SolverConfig,
 
     problem = PicardProblem(a=_heat_stack(grid, u0, times), linear=linear,
                             bilinear=_nse_bilinear(grid, times, w_multiplier),
-                            norm=norm, probe=_make_probe(grid, times))
+                            norm=norm, probe=_make_probe(grid, times),
+                            step=step)
     if config.measure_probes > 0:
-        estimate_constants(problem, n_probes=config.measure_probes,
-                           seed=config.probe_seed)
+        _measure_constants(problem, config, times, w_multiplier)
     else:
         problem.gamma = 0.0
         problem.l_norm = 0.0
@@ -180,7 +217,7 @@ def _picard_solution(u0: SpectralField, config: SolverConfig,
     stack = report.solution
     rd = float("nan")
     if doubled_residual:
-        rd = _doubled_residual(grid, times, stack, u0, linear_refined,
+        rd = _doubled_residual(grid, times, stack, u0, step_refined,
                                w_multiplier)
     divs = divergence_residuals(grid, stack, batch_axes=1)
     return MildSolution(trajectory=stack_to_trajectory(grid, times, stack),
@@ -200,36 +237,44 @@ def _nse_bilinear(grid: Grid, times: np.ndarray,
     return bilinear
 
 
-def cross_forcing_stack(grid: Grid, pv: np.ndarray,
-                        w_stack: np.ndarray) -> np.ndarray:
+def cross_forcing_stack(grid: Grid, pv: np.ndarray, w_stack: np.ndarray,
+                        fused: bool = False) -> np.ndarray:
     """P div dealias(w (x) v + v (x) w) per sample, one forcing of the
-    symmetric tensor, for v given by its physical samples ``pv``."""
+    symmetric tensor, for v given by its physical samples ``pv``; with
+    ``fused``, P div dealias(w (x) w + w (x) v + v (x) w), the forcing of
+    the perturbed Picard step, as the symmetric tensor of w and w/2 + v."""
     out = np.empty_like(w_stack)
 
     def job(part):
-        tensor = symmetric_tensor(grid, pv[part],
-                                  inverse_transform(grid, w_stack[part]),
-                                  w_stack.shape[-1])
+        pw = inverse_transform(grid, w_stack[part])
+        if fused:
+            tensor = symmetric_tensor(grid, pw, 0.5 * pw + pv[part],
+                                      w_stack.shape[-1])
+        else:
+            tensor = symmetric_tensor(grid, pv[part], pw, w_stack.shape[-1])
         out[part] = projected_divergence_coeffs(grid, tensor)
 
     map_samples(job, len(w_stack))
     return out
 
 
-def _cross_linear(grid: Grid, times: np.ndarray, v_stack: np.ndarray):
-    """w -> B(w, v) + B(v, w) for a fixed v; v is transformed once."""
+def _cross_linear(grid: Grid, times: np.ndarray, pv: np.ndarray,
+                  fused: bool = False):
+    """w -> B(w, v) + B(v, w) for a fixed v given by its physical samples
+    ``pv``; with ``fused`` the perturbed step w -> B(w, v) + B(v, w) +
+    B(w, w), still one forcing and one Duhamel pass."""
     xi_sq = grid.layout(grid.n_half).xi_sq
-    pv = inverse_transform(grid, v_stack)
 
     def linear(w):
-        out = duhamel_stack(times, cross_forcing_stack(grid, pv, w), xi_sq)
+        out = duhamel_stack(times, cross_forcing_stack(grid, pv, w, fused),
+                            xi_sq)
         return np.negative(out, out=out)
 
     return linear
 
 
 def _doubled_residual(grid: Grid, times: np.ndarray, stack: np.ndarray,
-                      u0: SpectralField, linear_refined,
+                      u0: SpectralField, step_refined,
                       w_multiplier=None) -> float:
     """Integral-equation residual recomputed on a midpoint-refined
     schedule (independent doubled quadrature)."""
@@ -237,10 +282,11 @@ def _doubled_residual(grid: Grid, times: np.ndarray, stack: np.ndarray,
         [times, 0.5 * (times[:-1] + times[1:])]))
     # linear interpolation of the solution onto the refined schedule
     fine = interpolate_stack(times, stack, fine_times)
-    rhs = _nse_bilinear(grid, fine_times, w_multiplier)(fine, fine)
+    if step_refined is None:
+        rhs = _nse_bilinear(grid, fine_times, w_multiplier)(fine, fine)
+    else:
+        rhs = step_refined(fine_times, fine)
     rhs += _heat_stack(grid, u0, fine_times)
-    if linear_refined is not None:
-        rhs += linear_refined(fine_times, fine)
     resid = np.subtract(fine, rhs, out=rhs)
     # compare at the original samples only
     keep = np.isin(fine_times, times)
@@ -256,19 +302,24 @@ def mild_solve_perturbed(u0_large: SpectralField, background: Trajectory,
                          config: SolverConfig) -> MildSolution:
     """Solve W = e^{tL}U0 - B(W,W) - B(W,V) - B(V,W) around background V.
 
-    The background must be sampled on the solver schedule.
+    The background must be sampled on the solver schedule.  Each Picard
+    step and the doubled residual form the three products as one
+    forcing; constant probing and the resolvent use L and B apart.
     """
     grid = config.grid
     times = config.schedule()
     v_stack = _background_stack(grid, times, background)
+    pv = inverse_transform(grid, v_stack)
 
-    def linear_refined(fine_times, fine):
-        vf = interpolate_stack(times, v_stack, fine_times)
-        return _cross_linear(grid, fine_times, vf)(fine)
+    def step_refined(fine_times, fine):
+        pvf = inverse_transform(grid, interpolate_stack(times, v_stack,
+                                                        fine_times))
+        return _cross_linear(grid, fine_times, pvf, fused=True)(fine)
 
     return _picard_solution(u0_large, config, times,
-                            _cross_linear(grid, times, v_stack),
-                            linear_refined=linear_refined)
+                            _cross_linear(grid, times, pv),
+                            step=_cross_linear(grid, times, pv, fused=True),
+                            step_refined=step_refined)
 
 
 def _background_stack(grid: Grid, times: np.ndarray, bg) -> np.ndarray | None:

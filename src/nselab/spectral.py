@@ -66,7 +66,7 @@ import scipy.fft
 from numpy.polynomial.legendre import leggauss
 from scipy.special import j0
 
-from .errors import GridError, RankError, SymbolError
+from .errors import GridError, QuadratureError, RankError, SymbolError
 
 HERMITIAN_RTOL = 1e-12
 
@@ -496,7 +496,11 @@ def interpolate_stack(times: np.ndarray, stack: np.ndarray,
                       new_times) -> np.ndarray:
     """Piecewise-linear interpolation in time of a stack (M, ...) sampled
     at ``times``, evaluated at ``new_times`` (scalar or 1-D); the end
-    intervals extend linearly past the sampled range."""
+    intervals extend linearly past the sampled range.  Needs at least
+    two samples."""
+    if len(times) < 2:
+        raise QuadratureError(f"interpolation needs at least two samples, "
+                              f"got {len(times)}")
     new_times = np.asarray(new_times, dtype=float)
     idx = np.searchsorted(times, new_times, side="right") - 1
     idx = np.clip(idx, 0, times.size - 2)

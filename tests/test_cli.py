@@ -99,6 +99,13 @@ def test_solve_and_report_roundtrip(tmp_path, capsys):
     assert payload["status"] == "completed"
 
 
+@pytest.mark.parametrize("horizon", ["nan", "inf", "0", "-1"])
+def test_solve_rejects_a_bad_horizon(horizon, capsys):
+    assert main(["solve", "--family", "taylor-green", "--dim", "2",
+                 "--grid", "8", "--T", horizon]) == 2
+    assert "horizon" in capsys.readouterr().err
+
+
 def test_report_missing_archive(tmp_path):
     assert main(["report", "--archive", str(tmp_path / "empty")]) == 2
 

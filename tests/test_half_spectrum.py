@@ -11,7 +11,7 @@ from nselab.families import random_power_law
 from nselab.heat import _pl_weights, duhamel_stack, exponential_weights
 from nselab.solver import (_cross_linear, _forcing_stack, _heat_stack,
                            _nse_bilinear, half_stack, stack_to_trajectory)
-from nselab.spectral import full_spectrum, half_spectrum
+from nselab.spectral import full_spectrum, half_spectrum, inverse_transform
 
 
 def _partner(c, dim):
@@ -92,7 +92,7 @@ def test_cross_linear_matches_two_bilinear_calls(grid16):
     w, v = _stacks(grid16, times)
     bilinear = _nse_bilinear(grid16, times)
     want = bilinear(w, v) + bilinear(v, w)
-    got = _cross_linear(grid16, times, v)(w)
+    got = _cross_linear(grid16, times, inverse_transform(grid16, v))(w)
     scale = np.max(np.abs(want))
     assert scale > 0
     assert np.max(np.abs(got - want)) <= 1e-13 * scale

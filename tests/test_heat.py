@@ -158,6 +158,13 @@ def test_verify_kato_estimate_needs_a_positive_time(grid16):
         verify_kato_estimate(F, -0.5, 2.0, 4.0)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_smoothing_derivatives_need_a_positive_time(grid16, k):
+    F = Trajectory(grid16, [0.0], [SpectralField.zero(grid16, "matrix")])
+    with pytest.raises(QuadratureError):
+        verify_smoothing_derivatives(F, k, 1, -0.5, 2.0, 4.0)
+
+
 def test_smoothing_derivatives_reduction_and_finiteness(grid16):
     times = time_schedule(1.0, 12, 12, include_zero=False)
     u = random_power_law(grid16, alpha=2.0, seed=8)

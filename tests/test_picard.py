@@ -38,8 +38,9 @@ def test_scalar_quadratic_oracle():
 
 
 def test_solve_reuses_the_last_iterate_norm():
-    # the margin's resolved seed, the seed, the increment and the iterate
-    # per step, then the residual: the bound reuses the last iterate norm
+    # the margin's resolved seed (which is the seed, as L = 0), the
+    # increment and the iterate per step, then the residual: the bound
+    # reuses the last iterate norm
     calls = []
 
     def norm(x):
@@ -51,7 +52,7 @@ def test_solve_reuses_the_last_iterate_norm():
     report = solve_picard(problem, tol=1e-14)
     assert report.converged and report.bound_holds
     assert report.smallness_margin == 0.25 - 0.1
-    assert len(calls) == 2 * report.iterations + 3
+    assert len(calls) == 2 * report.iterations + 2
 
 
 def test_scalar_divergence_detected():
@@ -140,7 +141,8 @@ def test_vector_problem():
 
 def test_zero_linear_map_is_not_evaluated(grid16):
     # linear=None leaves the term out instead of adding 0 * x: the same
-    # iterates bit for bit, and the resolvent spends no Kato norm on it
+    # iterates bit for bit; the resolvent spends no Kato norm on it, and
+    # the seed norm reuses the margin's
     u0 = random_power_law(grid16, alpha=2.0, seed=3, amplitude=0.3)
     cfg = SolverConfig(grid=grid16, horizon=0.2, n_geometric=4, n_uniform=4,
                        measure_probes=2)
@@ -166,4 +168,4 @@ def test_zero_linear_map_is_not_evaluated(grid16):
     assert np.array_equal(zero_map.solution, sol.report.solution)
     assert skipped.norms == zero_map.norms == sol.report.norms
     assert skipped.smallness_margin == zero_map.smallness_margin
-    assert norm_calls[0] == norm_calls[1] - 1
+    assert norm_calls[0] == norm_calls[1] - 2

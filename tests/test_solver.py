@@ -3,12 +3,13 @@ import pytest
 
 from nselab import (GridError, Mollifier, QuadratureError, SolverConfig,
                     SpectralField, Trajectory, heat_evolve, mild_solve_nse,
-                    mild_solve_perturbed, mollified_solve, spectral,
+                    mild_solve_perturbed, mollified_solve, solver, spectral,
                     solve_with_continuation, subcritical_existence_time)
 from nselab.errors import ConfigError
 from nselab.families import (critical_random, random_power_law, taylor_green,
                              taylor_green_decay_rate)
-from nselab.solver import _forcing_stack, cross_forcing_stack, kato_stack_norm
+from nselab.solver import (_cross_linear, _forcing_stack, _nse_bilinear,
+                           cross_forcing_stack, kato_stack_norm)
 from nselab.spectral import gradient, half_spectrum, inverse_transform
 
 
@@ -141,7 +142,8 @@ def test_continuation_keeps_probe_seed(grid16):
     assert res.reports[0].gamma == mild_solve_nse(u0, cfg).report.gamma
 
 
-@pytest.mark.parametrize("case", ["x_x", "x_y", "mollified", "cross", "kato"])
+@pytest.mark.parametrize("case", ["x_x", "x_y", "mollified", "cross", "fused",
+                                  "kato"])
 def test_sample_jobs_equal_a_serial_run(grid16, monkeypatch, case):
     # 13 samples: the last job has a partial chunk
     x, y = (np.stack([half_spectrum(grid16, random_power_law(
@@ -155,9 +157,99 @@ def test_sample_jobs_equal_a_serial_run(grid16, monkeypatch, case):
         "mollified": lambda: _forcing_stack(grid16, x, x, m_rho),
         "cross": lambda: cross_forcing_stack(
             grid16, inverse_transform(grid16, x), y),
+        "fused": lambda: cross_forcing_stack(
+            grid16, inverse_transform(grid16, x), y, fused=True),
         "kato": lambda: kato_stack_norm(grid16, times, x, 4.0),
     }[case]
     monkeypatch.setattr(spectral, "FFT_WORKERS", 2)
     threaded = call()
     monkeypatch.setattr(spectral, "FFT_WORKERS", 1)
     assert np.array_equal(threaded, call())
+
+
+@pytest.fixture
+def probe_log(monkeypatch):
+    """No remembered gamma, the (gamma, ||L||) of every constant
+    measurement, and a count of bilinear calls inside measurements."""
+    monkeypatch.setattr(solver, "_last_gamma", (None, None))
+    log = {"constants": [], "probe_calls": 0}
+    measuring = []
+    estimate, make_bilinear = solver.estimate_constants, solver._nse_bilinear
+
+    def logged_estimate(problem, **kw):
+        measuring.append(True)
+        try:
+            estimate(problem, **kw)
+        finally:
+            measuring.pop()
+        log["constants"].append((problem.gamma, problem.l_norm))
+        return problem
+
+    def counted_bilinear(*args):
+        bilinear = make_bilinear(*args)
+
+        def call(x, y):
+            log["probe_calls"] += bool(measuring)
+            return bilinear(x, y)
+
+        return call
+
+    monkeypatch.setattr(solver, "estimate_constants", logged_estimate)
+    monkeypatch.setattr(solver, "_nse_bilinear", counted_bilinear)
+    return log
+
+
+def test_perturbed_solve_reuses_the_direct_gamma(grid16, probe_log):
+    cfg = small_config(grid16, horizon=0.2, n_geometric=4, n_uniform=4,
+                       measure_probes=3)
+    v_sol = mild_solve_nse(
+        random_power_law(grid16, alpha=2.0, seed=4, amplitude=0.05), cfg)
+    w0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.3)
+    warm = mild_solve_perturbed(w0, v_sol.trajectory, cfg)
+    warm_constants = probe_log["constants"][-1]
+    assert probe_log["probe_calls"] == 3  # the direct solve's probes only
+    solver._last_gamma = (None, None)
+    cold = mild_solve_perturbed(w0, v_sol.trajectory, cfg)
+    assert probe_log["probe_calls"] == 6
+    assert warm_constants == probe_log["constants"][-1]
+    assert warm_constants[0] == v_sol.report.gamma
+    assert warm.report.gamma == cold.report.gamma
+    assert warm.report.norms == cold.report.norms
+    assert np.array_equal(warm.report.solution, cold.report.solution)
+
+
+def test_gamma_cache_key(grid16, probe_log):
+    u0 = random_power_law(grid16, alpha=2.0, seed=6, amplitude=0.05)
+    base = dict(horizon=0.2, n_geometric=2, n_uniform=2, measure_probes=2)
+    mild_solve_nse(u0, small_config(grid16, **base))
+    mild_solve_nse(u0, small_config(grid16, **base))
+    assert probe_log["probe_calls"] == 2
+    variants = [dict(base, probe_seed=1), dict(base, measure_probes=3),
+                dict(base, n_uniform=3),
+                dict(base, times=np.nextafter(
+                    small_config(grid16, **base).schedule(), 1.0))]
+    for kw in variants:
+        # each variant right after the base key, so only kw differs
+        mild_solve_nse(u0, small_config(grid16, **base))
+        calls = probe_log["probe_calls"]
+        mild_solve_nse(u0, small_config(grid16, **kw))
+        assert probe_log["probe_calls"] > calls
+    calls = probe_log["probe_calls"]
+    for rho in (0.5, 0.25):
+        mollified_solve(u0, None, None, rho, small_config(grid16, **base))
+        assert probe_log["probe_calls"] > calls
+        calls = probe_log["probe_calls"]
+    mollified_solve(u0, None, None, 0.25, small_config(grid16, **base))
+    assert probe_log["probe_calls"] == calls
+
+
+def test_fused_step_matches_linear_plus_bilinear(grid16):
+    v, x = (np.stack([half_spectrum(grid16, random_power_law(
+        grid16, alpha=2.0, seed=seed, amplitude=0.3).coeffs)
+        for seed in range(first, first + 6)]) for first in (0, 10))
+    times = np.array([0.0, 0.01, 0.03, 0.07, 0.15, 0.3])
+    pv = inverse_transform(grid16, v)
+    want = _cross_linear(grid16, times, pv)(x) \
+        + _nse_bilinear(grid16, times)(x, x)
+    got = _cross_linear(grid16, times, pv, fused=True)(x)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

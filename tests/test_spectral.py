@@ -13,11 +13,11 @@ import pytest
 
 import nselab
 from nselab import spectral
-from nselab import (Grid, GridError, Mollifier, RankError, SpectralField,
-                    SymbolError, apply_multiplier, curl, dealias_product,
-                    divergence, divergence_residual, gradient, leray_project,
-                    make_grid, mollify, pressure_from_velocity, read_clf1,
-                    write_clf1)
+from nselab import (Grid, GridError, Mollifier, QuadratureError, RankError,
+                    SpectralField, SymbolError, apply_multiplier, curl,
+                    dealias_product, divergence, divergence_residual,
+                    gradient, leray_project, make_grid, mollify,
+                    pressure_from_velocity, read_clf1, write_clf1)
 from nselab import (BesovIndex, Trajectory, duhamel_trajectory,
                     heat_trajectory, kato_norm, rescale_trajectory)
 from nselab.families import random_power_law, single_mode
@@ -527,3 +527,8 @@ def test_one_worker_runs_jobs_on_the_caller(monkeypatch):
     idents = []
     map_samples(lambda part: idents.append(threading.get_ident()), 13)
     assert idents == [threading.get_ident()] * 4
+
+
+def test_interpolate_stack_needs_two_samples():
+    with pytest.raises(QuadratureError):
+        interpolate_stack(np.array([0.0]), np.ones((1, 4)), 0.0)
