@@ -154,11 +154,24 @@ def _block_samples(grid: Grid, coeffs: np.ndarray,
 def block_lp_norms(grid: Grid, coeffs: np.ndarray, partition: DyadicPartition,
                    p: float, batch_axes: int) -> np.ndarray:
     """||Delta_j f||_p for j in ``partition.j_range``, as a (..., J) array
-    with one row per entry of the first ``batch_axes`` axes."""
-    return np.stack([
-        magnitude_lp_norms(grid, _block_samples(grid, coeffs, partition, j),
-                           p, batch_axes)
-        for j in partition.j_range], axis=-1)
+    with one row per entry of the first ``batch_axes`` axes.  With batch
+    axes the samples run as ``map_samples`` jobs along the first one."""
+
+    def norms(c):
+        return np.stack([
+            magnitude_lp_norms(grid, _block_samples(grid, c, partition, j),
+                               p, batch_axes)
+            for j in partition.j_range], axis=-1)
+
+    if batch_axes == 0:
+        return norms(coeffs)
+    out = np.empty(coeffs.shape[:batch_axes] + (len(partition.j_range),))
+
+    def job(part):
+        out[part] = norms(coeffs[part])
+
+    map_samples(job, len(coeffs))
+    return out
 
 
 def low_freq(field: SpectralField, j: int,
@@ -294,8 +307,10 @@ class Trajectory:
         return traj
 
     def _adopt(self, grid, times, rank, coeffs):
-        if np.any(np.diff(times) <= 0) or times[0] < 0:
-            raise QuadratureError("times must be non-negative and strictly increasing")
+        if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0) \
+                or times[0] < 0:
+            raise QuadratureError("times must be finite, non-negative and "
+                                  "strictly increasing")
         self.grid = grid
         self.times = times
         self.rank = rank

@@ -89,17 +89,27 @@ def exponential_weights(xi_sq: np.ndarray, taus):
 
 
 def duhamel_stack(times: np.ndarray, g_stack: np.ndarray,
-                  xi_sq: np.ndarray) -> np.ndarray:
+                  xi_sq: np.ndarray, start: np.ndarray | None = None
+                  ) -> np.ndarray:
     """Cumulative Duhamel integral at every sample time.
 
     g_stack has shape (M,) + field_shape where the trailing axes match
     xi_sq after broadcasting.  Returns the same shape: out[i] =
-    int_{t_0}^{t_i} e^{-|xi|^2 (t_i - s)} g(s) ds with g piecewise
-    linear.  The integral starts at the first sample time ``times[0]``
-    (out[0] = 0), so it runs from 0 only on a schedule that starts at 0.
+    out[0] e^{-|xi|^2 (t_i - t_0)} + int_{t_0}^{t_i} e^{-|xi|^2 (t_i - s)}
+    g(s) ds with g piecewise linear.  ``start`` is out[0], the integral
+    already accumulated at ``times[0]``; it is 0 when None, so the
+    integral then runs from 0 only on a schedule that starts at 0.
+
+    A recursion cut at sample k continues from its value there with the
+    same arithmetic: ``duhamel_stack(times[k:], g_stack[k:], xi_sq,
+    start=out[k])`` equals ``out[k:]`` bit for bit.
     """
     times = np.asarray(times, dtype=float)
-    out = np.zeros_like(g_stack)
+    if start is None:
+        out = np.zeros_like(g_stack)
+    else:
+        out = np.empty_like(g_stack)
+        out[0] = start
     dts = np.diff(times)
     decay, alpha, beta, index = exponential_weights(xi_sq, dts)
     for i in range(1, times.size):
@@ -240,15 +250,33 @@ def time_schedule(horizon: float, n_geometric: int = 24, n_uniform: int = 24,
                   first_exponent: int = 20, include_zero: bool = True):
     """Geometric samples from T*2^{-J} to T/8, then uniform up to T.
 
-    Resolves the singular t^{-s/2} Kato weights near t = 0.
+    Resolves the singular t^{-s/2} Kato weights near t = 0.  At least
+    one uniform sample is needed, so that the schedule ends at T.
     """
     if not 0 < horizon < np.inf:
         raise QuadratureError(f"horizon must be positive and finite, got "
                               f"{horizon}")
+    if n_geometric < 0 or n_uniform < 1:
+        raise QuadratureError(f"need n_geometric >= 0 and n_uniform >= 1, "
+                              f"got {n_geometric} and {n_uniform}")
     t1 = horizon * 2.0 ** (-first_exponent)
     geo = np.geomspace(t1, horizon / 8.0, n_geometric)
     uni = np.linspace(horizon / 8.0, horizon, n_uniform + 1)[1:]
     times = np.concatenate([geo, uni])
     if include_zero:
         times = np.concatenate([[0.0], times])
+    return times
+
+
+def check_schedule(times) -> np.ndarray:
+    """A solver schedule as a float array: finite times that start at 0
+    and increase strictly, at least two of them."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2:
+        raise QuadratureError(f"a schedule needs at least two samples, got "
+                              f"shape {times.shape}")
+    if not np.all(np.isfinite(times)) or times[0] != 0 or \
+            np.any(np.diff(times) <= 0):
+        raise QuadratureError("schedule times must be finite, start at 0 "
+                              "and increase strictly")
     return times

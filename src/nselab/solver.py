@@ -21,6 +21,10 @@ enough: every caller meets its keys in order and never returns to an
 older one (continuation only shrinks its step).
 The perturbed solver takes each Picard step, and its doubled-schedule
 residual, as one forcing of w (x) w + w (x) v + v (x) w.
+
+The doubled-schedule residual streams over its refined schedule in
+chunks of whole ``map_samples`` jobs, so its memory does not grow with
+the schedule, and continuation writes its segments into one stack.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ from .besov import (BesovIndex, DyadicPartition, Trajectory, besov_norm,
                     critical_exponent, weighted_sup)
 from .errors import ConfigError, GridError, PicardDivergenceError, QuadratureError
 from .families import random_power_law
-from .heat import duhamel_stack, heat_stack, time_schedule
+from .heat import check_schedule, duhamel_stack, heat_stack, time_schedule
 from .picard import (FixedPointReport, PicardProblem, estimate_constants,
                      solve_picard)
+from . import spectral
 from .spectral import (Grid, Mollifier, SpectralField, dealiased_tensor,
                        divergence_residual, divergence_residuals,
                        full_spectrum, half_spectrum,
@@ -57,7 +62,7 @@ class SolverConfig:
 
     The contraction norm X is the Kato norm K_p, p = KATO_P (sup of
     t^{-s_p/2}||u(t)||_p); time samples are geometric near zero and
-    uniform after T/8.
+    uniform after T/8.  Explicit ``times`` must pass ``check_schedule``.
     """
 
     grid: Grid
@@ -74,12 +79,16 @@ class SolverConfig:
         if not 0 < self.horizon < math.inf:
             raise ConfigError(f"horizon must be positive and finite, got "
                               f"{self.horizon}")
+        if self.measure_probes < 0:
+            raise ConfigError(f"measure_probes must be >= 0, got "
+                              f"{self.measure_probes}")
 
     def schedule(self) -> np.ndarray:
         if self.times is not None:
-            return np.asarray(self.times, dtype=float)
-        return time_schedule(self.horizon, self.n_geometric, self.n_uniform,
-                             self.first_exponent)
+            return check_schedule(self.times)
+        return check_schedule(time_schedule(
+            self.horizon, self.n_geometric, self.n_uniform,
+            self.first_exponent))
 
 
 @dataclass
@@ -188,15 +197,29 @@ def _measure_constants(problem: PicardProblem, config: SolverConfig,
 
 
 def _picard_solution(u0: SpectralField, config: SolverConfig,
-                     times: np.ndarray, linear, w_multiplier=None,
-                     step=None, step_refined=None,
-                     doubled_residual: bool = True) -> MildSolution:
+                     times: np.ndarray, linear, **kw) -> MildSolution:
+    """``_picard_checked`` with the solution as a full-spectrum
+    trajectory."""
+    report, rd, max_div = _picard_checked(u0, config, times, linear, **kw)
+    return MildSolution(
+        trajectory=stack_to_trajectory(config.grid, times, report.solution),
+        report=report, residual_doubled=rd, max_div_residual=max_div,
+        config=config)
+
+
+def _picard_checked(u0: SpectralField, config: SolverConfig,
+                    times: np.ndarray, linear, w_multiplier=None,
+                    step=None, forcing_refined=None,
+                    doubled_residual: bool = True):
     """Solve x = e^{tL}u0 + L(x) - B(x, x) on the schedule, B with the
     advected factor premultiplied by ``w_multiplier``: measure the
     constants, iterate, and check the solution.  ``step`` is the
-    problem's fused L(x) + B(x, x); ``step_refined(fine_times, x)`` is
-    the same on the doubled residual's refined schedule (B(x, x) alone
-    when absent)."""
+    problem's fused L(x) + B(x, x); ``forcing_refined(fine_times, x)``
+    is the forcing whose negated Duhamel integral is that step on
+    samples of the doubled residual's refined schedule (the forcing of
+    B(x, x) alone when absent).  Returns the Picard report, the doubled
+    residual (NaN when not computed) and the largest divergence
+    residual."""
     grid = config.grid
     u0 = _prepare_data(u0, grid)
 
@@ -217,12 +240,12 @@ def _picard_solution(u0: SpectralField, config: SolverConfig,
     stack = report.solution
     rd = float("nan")
     if doubled_residual:
-        rd = _doubled_residual(grid, times, stack, u0, step_refined,
-                               w_multiplier)
+        if forcing_refined is None:
+            def forcing_refined(fine_times, fine):
+                return _forcing_stack(grid, fine, fine, w_multiplier)
+        rd = _doubled_residual(grid, times, stack, u0, forcing_refined)
     divs = divergence_residuals(grid, stack, batch_axes=1)
-    return MildSolution(trajectory=stack_to_trajectory(grid, times, stack),
-                        report=report, residual_doubled=rd,
-                        max_div_residual=float(np.max(divs)), config=config)
+    return report, rd, float(np.max(divs))
 
 
 def _nse_bilinear(grid: Grid, times: np.ndarray,
@@ -242,7 +265,9 @@ def cross_forcing_stack(grid: Grid, pv: np.ndarray, w_stack: np.ndarray,
     """P div dealias(w (x) v + v (x) w) per sample, one forcing of the
     symmetric tensor, for v given by its physical samples ``pv``; with
     ``fused``, P div dealias(w (x) w + w (x) v + v (x) w), the forcing of
-    the perturbed Picard step, as the symmetric tensor of w and w/2 + v."""
+    the perturbed Picard step, as the symmetric tensor of w and w/2 + v.
+    ``pv`` is read as ``pv[part]`` inside each job, so it may also form
+    the samples of a slice on demand (``_InterpolatedSamples``)."""
     out = np.empty_like(w_stack)
 
     def job(part):
@@ -256,6 +281,21 @@ def cross_forcing_stack(grid: Grid, pv: np.ndarray, w_stack: np.ndarray,
 
     map_samples(job, len(w_stack))
     return out
+
+
+class _InterpolatedSamples:
+    """Physical samples of a coefficient stack interpolated in time onto
+    ``new_times``; indexing by a slice of ``new_times`` interpolates and
+    transforms just those samples."""
+
+    def __init__(self, grid: Grid, times: np.ndarray, stack: np.ndarray,
+                 new_times: np.ndarray):
+        self.grid, self.times, self.stack = grid, times, stack
+        self.new_times = new_times
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        return inverse_transform(self.grid, interpolate_stack(
+            self.times, self.stack, self.new_times[part]))
 
 
 def _cross_linear(grid: Grid, times: np.ndarray, pv: np.ndarray,
@@ -274,23 +314,45 @@ def _cross_linear(grid: Grid, times: np.ndarray, pv: np.ndarray,
 
 
 def _doubled_residual(grid: Grid, times: np.ndarray, stack: np.ndarray,
-                      u0: SpectralField, step_refined,
-                      w_multiplier=None) -> float:
+                      u0: SpectralField, forcing) -> float:
     """Integral-equation residual recomputed on a midpoint-refined
-    schedule (independent doubled quadrature)."""
-    fine_times = np.sort(np.concatenate(
-        [times, 0.5 * (times[:-1] + times[1:])]))
-    # linear interpolation of the solution onto the refined schedule
-    fine = interpolate_stack(times, stack, fine_times)
-    if step_refined is None:
-        rhs = _nse_bilinear(grid, fine_times, w_multiplier)(fine, fine)
-    else:
-        rhs = step_refined(fine_times, fine)
-    rhs += _heat_stack(grid, u0, fine_times)
-    resid = np.subtract(fine, rhs, out=rhs)
-    # compare at the original samples only
-    keep = np.isin(fine_times, times)
-    return kato_stack_norm(grid, fine_times[keep], resid[keep], KATO_P)
+    schedule (independent doubled quadrature): the Kato norm, at the
+    original samples, of x - e^{tL}u0 + Duhamel(forcing(x)) with x
+    interpolated linearly onto the refined schedule.
+
+    ``forcing(fine_times, fine)`` gives the forcing at refined samples.
+    The refined schedule is streamed in chunks of ``FFT_WORKERS``
+    ``map_samples`` jobs: each chunk is interpolated, forced, carried on
+    through the Duhamel recursion from the previous chunk's last sample
+    and forcing, and reduced to its largest weighted norm.  So memory
+    does not grow with the schedule, and the value equals that of one
+    pass over the whole refined stack.  The schedule must start at 0.
+    """
+    fine_times = np.empty(2 * times.size - 1)
+    fine_times[0::2] = times
+    fine_times[1::2] = 0.5 * (times[:-1] + times[1:])
+    xi_sq = grid.layout(grid.n_half).xi_sq
+    c0 = half_spectrum(grid, u0.coeffs)
+    chunk = spectral.SAMPLE_CHUNK * spectral.FFT_WORKERS
+    worst = 0.0
+    for s in range(0, fine_times.size, chunk):
+        ft = fine_times[s:s + chunk]
+        fine = interpolate_stack(times, stack, ft)
+        g = forcing(ft, fine)
+        if s == 0:
+            duh = duhamel_stack(ft, g, xi_sq)
+        else:
+            duh = duhamel_stack(fine_times[s - 1:s + chunk],
+                                np.concatenate([g_last, g]), xi_sq,
+                                start=duh[-1])[1:]
+        g_last = g[-1:]
+        # the original samples are the even refined ones
+        keep = slice(s % 2, None, 2)
+        rhs = np.negative(duh[keep])
+        rhs += heat_stack(grid, c0, ft[keep])
+        resid = np.subtract(fine[keep], rhs, out=rhs)
+        worst = max(worst, kato_stack_norm(grid, ft[keep], resid, KATO_P))
+    return worst
 
 
 def mild_solve_nse(u0: SpectralField, config: SolverConfig) -> MildSolution:
@@ -311,15 +373,14 @@ def mild_solve_perturbed(u0_large: SpectralField, background: Trajectory,
     v_stack = _background_stack(grid, times, background)
     pv = inverse_transform(grid, v_stack)
 
-    def step_refined(fine_times, fine):
-        pvf = inverse_transform(grid, interpolate_stack(times, v_stack,
-                                                        fine_times))
-        return _cross_linear(grid, fine_times, pvf, fused=True)(fine)
+    def forcing_refined(fine_times, fine):
+        pvf = _InterpolatedSamples(grid, times, v_stack, fine_times)
+        return cross_forcing_stack(grid, pvf, fine, fused=True)
 
     return _picard_solution(u0_large, config, times,
                             _cross_linear(grid, times, pv),
                             step=_cross_linear(grid, times, pv, fused=True),
-                            step_refined=step_refined)
+                            forcing_refined=forcing_refined)
 
 
 def _background_stack(grid: Grid, times: np.ndarray, bg) -> np.ndarray | None:
@@ -407,27 +468,40 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
     converges; a segment that diverges or stops at ``max_iter`` without
     converging halves the step.  Declares 'blow-up suspected' when the
     step falls below the floor (an explicitly heuristic surrogate for
-    T*)."""
+    T*).
+
+    The trajectory is one full-spectrum stack: the prepared data, then
+    each segment's samples after its first, written straight from the
+    segments' solver stacks.
+    """
     grid = config.grid
+    first = _prepare_data(u0, grid).coeffs
     t0 = 0.0
     step = config.horizon
     current = u0
     all_times = [np.array([0.0])]
-    stacks = [_prepare_data(u0, grid).coeffs[None]]
     segments = []
     reports = []
 
     def result(status):
-        traj = Trajectory._from_stack(grid, np.concatenate(all_times),
-                                      "vector", np.concatenate(stacks))
+        times = np.concatenate(all_times)
+        coeffs = np.empty((times.size,) + first.shape, dtype=first.dtype)
+        coeffs[0] = first
+        k = 1
+        for rep in reports:
+            for sample in rep.solution[1:]:
+                coeffs[k] = full_spectrum(grid, sample)
+                k += 1
+        traj = Trajectory._from_stack(grid, times, "vector", coeffs)
         return ContinuationResult(traj, status, segments, reports)
 
     while t0 < config.horizon - 1e-12:
         step = min(step, config.horizon - t0)
         sub = replace(config, horizon=step, times=None)
+        times = sub.schedule()
         try:
-            sol = mild_solve_nse(current, sub)
-            converged = sol.report.converged
+            report = _picard_checked(current, sub, times, None)[0]
+            converged = report.converged
         except PicardDivergenceError:
             converged = False
         if not converged:
@@ -436,9 +510,10 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
                 return result("blow-up suspected")
             continue
         segments.append(step)
-        reports.append(sol.report)
-        all_times.append(sol.trajectory.times[1:] + t0)
-        stacks.append(sol.trajectory.coeffs[1:])
-        current = sol.trajectory.fields[-1]
+        reports.append(report)
+        all_times.append(times[1:] + t0)
+        current = SpectralField(grid, "vector",
+                                full_spectrum(grid, report.solution[-1]),
+                                check_hermitian=False)
         t0 += step
     return result("completed")

@@ -502,16 +502,19 @@ def interpolate_stack(times: np.ndarray, stack: np.ndarray,
         raise QuadratureError(f"interpolation needs at least two samples, "
                               f"got {len(times)}")
     new_times = np.asarray(new_times, dtype=float)
-    idx = np.searchsorted(times, new_times, side="right") - 1
+    flat = new_times.reshape(-1)
+    idx = np.searchsorted(times, flat, side="right") - 1
     idx = np.clip(idx, 0, times.size - 2)
-    w = (new_times - times[idx]) / (times[idx + 1] - times[idx])
+    w = (flat - times[idx]) / (times[idx + 1] - times[idx])
     w = w.reshape(w.shape + (1,) * (stack.ndim - 1))
-    out = np.take(stack, idx, axis=0)          # copies, also for scalar idx
+    # fancy indexing copies only the rows it reads (np.take would first
+    # copy a whole non-contiguous stack, such as a half-spectrum view)
+    out = stack[idx]
     out *= 1 - w
-    right = np.take(stack, idx + 1, axis=0)
+    right = stack[idx + 1]
     right *= w
     out += right
-    return out
+    return out.reshape(new_times.shape + stack.shape[1:])
 
 
 class SpectralField:

@@ -201,6 +201,14 @@ def test_kato_zero_trajectory(grid16):
     assert kato_norm(traj, BesovIndex(-0.25, 4.0, math.inf)).value == 0.0
 
 
+@pytest.mark.parametrize("times", [[0.0, math.nan], [0.0, math.inf],
+                                   [math.nan, 0.5], [0.5, 0.5], [-0.1, 0.5]])
+def test_trajectory_rejects_bad_times(grid16, times):
+    z = SpectralField.zero(grid16, "vector")
+    with pytest.raises(QuadratureError):
+        Trajectory(grid16, times, [z, z])
+
+
 def test_timespace_reductions(grid16, part16):
     f = single_mode(grid16, (2, 0, 0), (0.0, 1.0, 0.0))
     times = np.linspace(0.001, 1.0, 200)

@@ -106,6 +106,21 @@ def test_solve_rejects_a_bad_horizon(horizon, capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("measure_probes", -1, "measure_probes"), ("n_uniform", 0, "n_uniform")])
+def test_solve_rejects_a_bad_solver_setting(tmp_path, capsys, field, value,
+                                            message):
+    # 2D 8^2 Taylor-Green: this run completed with gamma = 0 (a negative
+    # probe count) or with a schedule ending at T/8 (no uniform sample)
+    config = {"clab_config": 1, "dim": 2, "n": 8,
+              "box_length": 2.0 * np.pi, "horizon": 0.1,
+              "recipe": {"family": "taylor-green"}, field: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["solve", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_report_missing_archive(tmp_path):
     assert main(["report", "--archive", str(tmp_path / "empty")]) == 2
 

@@ -125,6 +125,16 @@ def test_duhamel_stack_equals_direct_evaluation(grid16):
     assert np.array_equal(duhamel_stack(times, g, xi_sq), want)
 
 
+def test_continued_duhamel_stack_equals_one_pass(grid16):
+    times = np.array([0.0, 1e-4, 1e-3, 0.01, 0.03, 0.05, 0.1, 0.2, 0.3])
+    g, _ = _stacks(grid16, times)
+    xi_sq = grid16.layout(grid16.n_half).xi_sq
+    whole = duhamel_stack(times, g, xi_sq)
+    for k in range(times.size):
+        rest = duhamel_stack(times[k:], g[k:], xi_sq, start=whole[k])
+        assert np.array_equal(rest, whole[k:])
+
+
 def _full_ledger_reference(traj, g_stack, substeps):
     """Energy ledger summed over the full spectrum."""
     grid, times = traj.grid, traj.times

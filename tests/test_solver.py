@@ -1,16 +1,24 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nselab import (GridError, Mollifier, QuadratureError, SolverConfig,
-                    SpectralField, Trajectory, heat_evolve, mild_solve_nse,
+                    SpectralField, Trajectory, default_partition, heat_evolve,
+                    make_grid, mild_solve_nse,
                     mild_solve_perturbed, mollified_solve, solver, spectral,
                     solve_with_continuation, subcritical_existence_time)
 from nselab.errors import ConfigError
 from nselab.families import (critical_random, random_power_law, taylor_green,
                              taylor_green_decay_rate)
-from nselab.solver import (_cross_linear, _forcing_stack, _nse_bilinear,
-                           cross_forcing_stack, kato_stack_norm)
-from nselab.spectral import gradient, half_spectrum, inverse_transform
+from nselab.besov import block_lp_norms
+from nselab.heat import duhamel_stack, heat_stack
+from nselab.solver import (KATO_P, _cross_linear, _doubled_residual,
+                           _forcing_stack, _nse_bilinear, _prepare_data,
+                           cross_forcing_stack, half_stack, kato_stack_norm)
+from nselab.spectral import (gradient, half_spectrum, interpolate_stack,
+                             inverse_transform)
 
 
 def small_config(grid, horizon=0.3, **kw):
@@ -143,7 +151,7 @@ def test_continuation_keeps_probe_seed(grid16):
 
 
 @pytest.mark.parametrize("case", ["x_x", "x_y", "mollified", "cross", "fused",
-                                  "kato"])
+                                  "kato", "blocks"])
 def test_sample_jobs_equal_a_serial_run(grid16, monkeypatch, case):
     # 13 samples: the last job has a partial chunk
     x, y = (np.stack([half_spectrum(grid16, random_power_law(
@@ -160,6 +168,8 @@ def test_sample_jobs_equal_a_serial_run(grid16, monkeypatch, case):
         "fused": lambda: cross_forcing_stack(
             grid16, inverse_transform(grid16, x), y, fused=True),
         "kato": lambda: kato_stack_norm(grid16, times, x, 4.0),
+        "blocks": lambda: block_lp_norms(grid16, x, default_partition(grid16),
+                                         4.0, 1),
     }[case]
     monkeypatch.setattr(spectral, "FFT_WORKERS", 2)
     threaded = call()
@@ -224,10 +234,10 @@ def test_gamma_cache_key(grid16, probe_log):
     mild_solve_nse(u0, small_config(grid16, **base))
     mild_solve_nse(u0, small_config(grid16, **base))
     assert probe_log["probe_calls"] == 2
+    moved = small_config(grid16, **base).schedule()
+    moved[1:] = np.nextafter(moved[1:], 1.0)  # a schedule starts at 0
     variants = [dict(base, probe_seed=1), dict(base, measure_probes=3),
-                dict(base, n_uniform=3),
-                dict(base, times=np.nextafter(
-                    small_config(grid16, **base).schedule(), 1.0))]
+                dict(base, n_uniform=3), dict(base, times=moved)]
     for kw in variants:
         # each variant right after the base key, so only kw differs
         mild_solve_nse(u0, small_config(grid16, **base))
@@ -253,3 +263,109 @@ def test_fused_step_matches_linear_plus_bilinear(grid16):
         + _nse_bilinear(grid16, times)(x, x)
     got = _cross_linear(grid16, times, pv, fused=True)(x)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _one_pass_residual(grid, times, stack, u0, forcing):
+    """The doubled-schedule residual over the whole refined stack at once."""
+    fine_times = np.sort(np.concatenate(
+        [times, 0.5 * (times[:-1] + times[1:])]))
+    fine = interpolate_stack(times, stack, fine_times)
+    rhs = -duhamel_stack(fine_times, forcing(fine_times, fine),
+                         grid.layout(grid.n_half).xi_sq)
+    rhs += heat_stack(grid, half_spectrum(grid, u0.coeffs), fine_times)
+    keep = np.isin(fine_times, times)
+    return kato_stack_norm(grid, fine_times[keep], (fine - rhs)[keep], KATO_P)
+
+
+@pytest.mark.parametrize("kind", ["direct", "perturbed"])
+def test_streamed_residual_equals_one_pass(grid16, monkeypatch, kind):
+    # 13 samples refine to 25, which is not a whole number of 8-sample chunks
+    monkeypatch.setattr(spectral, "FFT_WORKERS", 2)
+    cfg = small_config(grid16, horizon=0.2, n_geometric=6, n_uniform=6,
+                       measure_probes=2)
+    times = cfg.schedule()
+    assert (2 * times.size - 1) % (spectral.SAMPLE_CHUNK * 2) != 0
+    v0 = random_power_law(grid16, alpha=2.0, seed=4, amplitude=0.5)
+    sol = mild_solve_nse(v0, cfg)
+    if kind == "direct":
+        u0 = v0
+
+        def forcing(fine_times, fine):
+            return _forcing_stack(grid16, fine, fine)
+    else:
+        u0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.5)
+        v_stack = half_stack(sol.trajectory)
+        sol = mild_solve_perturbed(u0, sol.trajectory, cfg)
+
+        def forcing(fine_times, fine):
+            pv = inverse_transform(grid16, interpolate_stack(
+                times, v_stack, fine_times))
+            return cross_forcing_stack(grid16, pv, fine, fused=True)
+    want = _one_pass_residual(grid16, times, sol.report.solution,
+                              _prepare_data(u0, grid16), forcing)
+    assert 0 < want < 1e-4
+    assert abs(sol.residual_doubled - want) <= 1e-13 * want
+
+
+def test_streamed_residual_memory_does_not_grow_with_the_schedule(
+        grid16, monkeypatch):
+    monkeypatch.setattr(spectral, "FFT_WORKERS", 2)
+    u0 = _prepare_data(random_power_law(grid16, alpha=2.0, seed=4,
+                                        amplitude=0.5), grid16)
+
+    def forcing(fine_times, fine):
+        return _forcing_stack(grid16, fine, fine)
+
+    peaks = []
+    for n_samples in (25, 49):
+        times = np.linspace(0.0, 0.2, n_samples)
+        stack = heat_stack(grid16, half_spectrum(grid16, u0.coeffs), times)
+        tracemalloc.start()
+        try:
+            _doubled_residual(grid16, times, stack, u0, forcing)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.3 * peaks[0]
+
+
+@pytest.mark.parametrize("amplitude, n_segments", [(5.0, 1), (60.0, 4)],
+                         ids=["one-segment", "several"])
+def test_continuation_stitches_like_concatenation(amplitude, n_segments):
+    grid = make_grid(2, 16, 2.0 * np.pi)
+    u0 = random_power_law(grid, alpha=2.0, seed=3, amplitude=amplitude)
+    cfg = small_config(grid, horizon=0.2, n_geometric=6, n_uniform=6,
+                       measure_probes=2)
+    res = solve_with_continuation(u0, cfg, step_floor=1e-3)
+    assert res.status == "completed"
+    assert len(res.segment_horizons) == n_segments
+    # replay the converged segments and concatenate their trajectories
+    times, stacks = [np.array([0.0])], [_prepare_data(u0, grid).coeffs[None]]
+    t0, current = 0.0, u0
+    for step in res.segment_horizons:
+        sol = mild_solve_nse(current, replace(cfg, horizon=step))
+        times.append(sol.trajectory.times[1:] + t0)
+        stacks.append(sol.trajectory.coeffs[1:])
+        current = sol.trajectory.fields[-1]
+        t0 += step
+    assert np.array_equal(res.trajectory.times, np.concatenate(times))
+    assert np.array_equal(res.trajectory.coeffs, np.concatenate(stacks))
+
+
+@pytest.mark.parametrize("times", [
+    [0.0], [0.0, 0.1, np.nan], [0.0, 0.1, np.inf], [0.05, 0.1, 0.2],
+    [0.0, 0.2, 0.1], [0.0, 0.1, 0.1], [[0.0, 0.1]]],
+    ids=["one-sample", "nan", "inf", "late-start", "decreasing", "repeated",
+         "two-dimensional"])
+def test_solver_schedule_is_checked(grid16, times):
+    cfg = small_config(grid16, horizon=0.2, times=np.array(times))
+    with pytest.raises(QuadratureError):
+        mild_solve_nse(random_power_law(grid16, alpha=2.0, seed=1), cfg)
+
+
+@pytest.mark.parametrize("n_geometric, n_uniform", [(8, 0), (8, -1), (-1, 8)])
+def test_generated_schedule_ends_at_the_horizon(grid16, n_geometric,
+                                                n_uniform):
+    with pytest.raises(QuadratureError):
+        small_config(grid16, horizon=0.2, n_geometric=n_geometric,
+                     n_uniform=n_uniform).schedule()
