@@ -4,13 +4,13 @@
     python3 benchmarks/scale.py --src ../other-checkout/src --label parent \\
         --out BENCH_scale.json
 
-For each grid size (default 24, 32, 48 and 64) a fresh interpreter runs
+For each grid size in ``SIZES`` a fresh interpreter runs
 one 3D ``run_experiment`` with the direct (continuation) solver: random
 alpha = 2 data of amplitude 0.3, seed 1, T = 0.3, the default 49-sample
 schedule and 8 probes, archived to a temporary directory that is
 deleted afterwards.  The child's address space is capped at
-``--max-gb`` (``RLIMIT_AS``), so a run that would not fit fails instead
-of exhausting the host.  Each record holds the wall time of
+``MAX_GB`` GiB (``RLIMIT_AS``), so a run that would not fit fails
+instead of exhausting the host.  Each record holds the wall time of
 ``run_experiment``, the child's peak RSS (``ru_maxrss``), the archive
 size, the run status and the number of continuation segments.  Records
 are printed as JSON lines and, with ``--out``, added to that file under
@@ -29,6 +29,8 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DEFAULT_SRC = os.path.join(os.path.dirname(HERE), "src")
+SIZES = (24, 32, 48, 64)
+MAX_GB = 6.5  # address-space cap of each child
 ABOUT = ("benchmarks/scale.py: one 3D run_experiment per grid size, direct "
          "solver, random alpha = 2 data of amplitude 0.3, seed 1, T = 0.3, "
          "49 samples, 8 probes, each in a fresh interpreter; wall_s is "
@@ -60,10 +62,10 @@ print(json.dumps({
 """
 
 
-def measure(src: str, n: int, max_gb: float) -> dict:
+def measure(src: str, n: int) -> dict:
     """One run at grid size ``n`` in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", CHILD, src, str(n),
-                           str(max_gb)], capture_output=True, text=True)
+                           str(MAX_GB)], capture_output=True, text=True)
     if proc.returncode != 0:
         tail = proc.stderr.strip().splitlines()[-1:] or ["no output"]
         return {"n": n, "status": "error", "error": tail[0]}
@@ -76,13 +78,11 @@ def main(argv=None) -> int:
                     help="directory that holds the nselab package")
     ap.add_argument("--label", default="change",
                     help="name stored with each record")
-    ap.add_argument("--sizes", type=int, nargs="+", default=[24, 32, 48, 64])
-    ap.add_argument("--max-gb", type=float, default=6.5)
     ap.add_argument("--out", default=None, help="JSON file to add records to")
     args = ap.parse_args(argv)
     records = []
-    for n in args.sizes:
-        rec = {"label": args.label, **measure(args.src, n, args.max_gb)}
+    for n in SIZES:
+        rec = {"label": args.label, **measure(args.src, n)}
         print(json.dumps(rec), flush=True)
         records.append(rec)
     if args.out:

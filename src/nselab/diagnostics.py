@@ -420,6 +420,7 @@ def _run_solver(config: ExperimentConfig, grid: Grid,
     if config.solver == "direct":
         res = solve_with_continuation(u0, sc)
         meta["segments"] = [float(s) for s in res.segment_horizons]
+        meta["residual_doubled"] = res.residual_doubled
         return res.trajectory, res.status, "nse", meta
     if config.solver == "mollified":
         sol = mollified_solve(u0, None, None, config.rho, sc)

@@ -265,9 +265,7 @@ def cross_forcing_stack(grid: Grid, pv: np.ndarray, w_stack: np.ndarray,
     """P div dealias(w (x) v + v (x) w) per sample, one forcing of the
     symmetric tensor, for v given by its physical samples ``pv``; with
     ``fused``, P div dealias(w (x) w + w (x) v + v (x) w), the forcing of
-    the perturbed Picard step, as the symmetric tensor of w and w/2 + v.
-    ``pv`` is read as ``pv[part]`` inside each job, so it may also form
-    the samples of a slice on demand (``_InterpolatedSamples``)."""
+    the perturbed Picard step, as the symmetric tensor of w and w/2 + v."""
     out = np.empty_like(w_stack)
 
     def job(part):
@@ -281,21 +279,6 @@ def cross_forcing_stack(grid: Grid, pv: np.ndarray, w_stack: np.ndarray,
 
     map_samples(job, len(w_stack))
     return out
-
-
-class _InterpolatedSamples:
-    """Physical samples of a coefficient stack interpolated in time onto
-    ``new_times``; indexing by a slice of ``new_times`` interpolates and
-    transforms just those samples."""
-
-    def __init__(self, grid: Grid, times: np.ndarray, stack: np.ndarray,
-                 new_times: np.ndarray):
-        self.grid, self.times, self.stack = grid, times, stack
-        self.new_times = new_times
-
-    def __getitem__(self, part: slice) -> np.ndarray:
-        return inverse_transform(self.grid, interpolate_stack(
-            self.times, self.stack, self.new_times[part]))
 
 
 def _cross_linear(grid: Grid, times: np.ndarray, pv: np.ndarray,
@@ -374,7 +357,8 @@ def mild_solve_perturbed(u0_large: SpectralField, background: Trajectory,
     pv = inverse_transform(grid, v_stack)
 
     def forcing_refined(fine_times, fine):
-        pvf = _InterpolatedSamples(grid, times, v_stack, fine_times)
+        pvf = inverse_transform(grid, interpolate_stack(times, v_stack,
+                                                        fine_times))
         return cross_forcing_stack(grid, pvf, fine, fused=True)
 
     return _picard_solution(u0_large, config, times,
@@ -460,6 +444,7 @@ class ContinuationResult:
     status: str                       # 'completed' | 'blow-up suspected'
     segment_horizons: list = dc_field(default_factory=list)
     reports: list = dc_field(default_factory=list)
+    residual_doubled: float = float("nan")  # largest over the segments
 
 
 def solve_with_continuation(u0: SpectralField, config: SolverConfig,
@@ -472,7 +457,9 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
 
     The trajectory is one full-spectrum stack: the prepared data, then
     each segment's samples after its first, written straight from the
-    segments' solver stacks.
+    segments' solver stacks.  ``residual_doubled`` is the largest
+    doubled-schedule residual of the accepted segments (NaN when none
+    was accepted).
     """
     grid = config.grid
     first = _prepare_data(u0, grid).coeffs
@@ -482,6 +469,7 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
     all_times = [np.array([0.0])]
     segments = []
     reports = []
+    residuals = []
 
     def result(status):
         times = np.concatenate(all_times)
@@ -493,14 +481,15 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
                 coeffs[k] = full_spectrum(grid, sample)
                 k += 1
         traj = Trajectory._from_stack(grid, times, "vector", coeffs)
-        return ContinuationResult(traj, status, segments, reports)
+        return ContinuationResult(traj, status, segments, reports,
+                                  max(residuals, default=float("nan")))
 
     while t0 < config.horizon - 1e-12:
         step = min(step, config.horizon - t0)
         sub = replace(config, horizon=step, times=None)
         times = sub.schedule()
         try:
-            report = _picard_checked(current, sub, times, None)[0]
+            report, rd, _ = _picard_checked(current, sub, times, None)
             converged = report.converged
         except PicardDivergenceError:
             converged = False
@@ -511,6 +500,7 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
             continue
         segments.append(step)
         reports.append(report)
+        residuals.append(rd)
         all_times.append(times[1:] + t0)
         current = SpectralField(grid, "vector",
                                 full_spectrum(grid, report.solution[-1]),

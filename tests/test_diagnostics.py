@@ -159,6 +159,8 @@ def test_run_experiment_taylor_green_archive(tmp_path):
     with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
     assert manifest["summary"]["status"] == "completed"
+    # the continuation's doubled-schedule residual reaches the manifest
+    assert 0 <= manifest["summary"]["residual_doubled"] < 1e-10
     assert len(manifest["field_files"]) == report.times.size
     for entry in manifest["field_files"]:
         assert os.path.exists(os.path.join(out, entry["file"]))

@@ -34,6 +34,7 @@ def test_continuation_rejects_unconverged_segments(grid16):
     res = solve_with_continuation(u0, cfg, step_floor=0.03)
     assert res.status == "blow-up suspected"
     assert res.segment_horizons == []
+    assert math.isnan(res.residual_doubled)
 
 
 def _small_experiment(solver, **kwargs):

@@ -341,15 +341,20 @@ def test_continuation_stitches_like_concatenation(amplitude, n_segments):
     assert len(res.segment_horizons) == n_segments
     # replay the converged segments and concatenate their trajectories
     times, stacks = [np.array([0.0])], [_prepare_data(u0, grid).coeffs[None]]
+    residuals = []
     t0, current = 0.0, u0
     for step in res.segment_horizons:
         sol = mild_solve_nse(current, replace(cfg, horizon=step))
         times.append(sol.trajectory.times[1:] + t0)
         stacks.append(sol.trajectory.coeffs[1:])
+        residuals.append(sol.residual_doubled)
         current = sol.trajectory.fields[-1]
         t0 += step
     assert np.array_equal(res.trajectory.times, np.concatenate(times))
     assert np.array_equal(res.trajectory.coeffs, np.concatenate(stacks))
+    # each segment's doubled residual is kept, and the largest reported
+    assert res.residual_doubled == max(residuals)
+    assert 0 < res.residual_doubled < np.inf
 
 
 @pytest.mark.parametrize("times", [
