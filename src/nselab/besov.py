@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (ExponentError, GridError, PartitionError,
                      QuadratureError, RankError)
-from .spectral import (Grid, SpectralField, dealias_product, half_spectrum,
+from .spectral import (Grid, SpectralField, dealias_product,
                        inverse_transform, l2_norms, lp_norms,
                        magnitude_lp_norms, map_samples)
 
@@ -143,12 +143,11 @@ def lp_block(field: SpectralField, j: int,
 
 def _block_samples(grid: Grid, coeffs: np.ndarray,
                    partition: DyadicPartition, j: int) -> np.ndarray:
-    """Physical samples of Delta_j f for coefficients in either layout with
-    any leading axes: one batched inverse transform of the half spectrum."""
+    """Physical samples of Delta_j f for coefficients with any leading
+    axes: one batched inverse transform."""
     if grid != partition.grid:
         raise GridError("field and partition grids differ")
-    return inverse_transform(grid, half_spectrum(grid, coeffs)
-                             * half_spectrum(grid, partition.phi_symbol(j)))
+    return inverse_transform(grid, coeffs * partition.phi_symbol(j))
 
 
 def block_lp_norms(grid: Grid, coeffs: np.ndarray, partition: DyadicPartition,
@@ -275,7 +274,7 @@ def _every_other(m: int) -> list:
 
 class Trajectory:
     """Time-stamped sequence of fields on a shared grid, held as one
-    read-only full-spectrum coefficient stack ``coeffs`` of shape (M,) +
+    read-only half-spectrum coefficient stack ``coeffs`` of shape (M,) +
     the fields' coefficient shape; ``fields`` are views of it.
 
     Times are strictly increasing; a leading t = 0 sample is allowed
@@ -380,8 +379,8 @@ def kato_decay_profile(traj: Trajectory, s: float, p: float) -> np.ndarray:
 def weighted_sup(grid: Grid, times: np.ndarray, stack: np.ndarray,
                  expo: float, p: float) -> float:
     """sup over the positive-time samples of t^expo ||u(t)||_p, for a
-    coefficient stack in either layout (0 if there are none).  The
-    L^p norms run as ``map_samples`` jobs."""
+    coefficient stack (0 if there are none).  The L^p norms run as
+    ``map_samples`` jobs."""
     series = np.empty(len(stack))
 
     def job(part):

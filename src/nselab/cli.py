@@ -107,7 +107,7 @@ def cmd_sweep(args) -> int:
 def cmd_heat_verify(args) -> int:
     grid = Grid(args.dim, args.grid, args.box)
     u = random_power_law(grid, alpha=2.0, seed=args.seed)
-    times = time_schedule(args.horizon, 16, 16, include_zero=False)
+    times = time_schedule(args.horizon, 16, 16)
     flows = heat_trajectory(u, times)
     tensors = Trajectory(grid, times,
                          [dealias_product(f, f) for f in flows.fields])

@@ -20,11 +20,11 @@ from .calderon import SplitConfig, split
 from .errors import ConfigError, GridError
 from .heat import _pl_weights
 from .solver import (SolverConfig, _forcing_stack, cross_forcing_stack,
-                     half_stack, mild_solve_nse, mild_solve_perturbed,
-                     mollified_solve, solve_with_continuation)
+                     mild_solve_nse, mild_solve_perturbed, mollified_solve,
+                     solve_with_continuation)
 from .spectral import (Grid, Mollifier, SpectralField, atomic_write_bytes,
-                       divergence_residuals, half_spectrum, inverse_transform,
-                       read_clf1, write_clf1)
+                       divergence_residuals, inverse_transform, read_clf1,
+                       write_clf1)
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -174,19 +174,19 @@ class LedgerReport:
 
 def _ledger_forcing(grid: Grid, u_stack: np.ndarray, nonlinearity: str,
                     rho: float | None, background) -> np.ndarray:
-    """Half-spectrum forcing stack of a half-spectrum solution stack."""
+    """Forcing stack of a solution stack."""
     if nonlinearity == "none":
         return np.zeros_like(u_stack)
     mult = None
     if nonlinearity == "mollified":
         if rho is None:
             raise ConfigError("mollified ledger needs rho")
-        mult = Mollifier(grid.dim, rho).symbol(grid, grid.n_half)
+        mult = Mollifier(grid.dim, rho).symbol(grid)
     elif nonlinearity != "nse":
         raise ConfigError(f"unknown nonlinearity {nonlinearity!r}")
     g = -_forcing_stack(grid, u_stack, u_stack, w_multiplier=mult)
     if background is not None:
-        pv = inverse_transform(grid, half_stack(background))
+        pv = inverse_transform(grid, background.coeffs)
         g -= cross_forcing_stack(grid, pv, u_stack)
     return g
 
@@ -204,13 +204,13 @@ def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
     subintervals (even, >= 2): residuals shrink like substeps^{-4}.
     The forcing is recomputed from the fields (plain, mollified, or
     none, plus optional background coupling) unless ``g_stack`` is
-    given explicitly (in either spectral layout).
+    given explicitly.
 
     The reconstruction is u(t_i + tau) = c_a u_i + c_0 g_i + c_1 g_{i+1}
     with weights that depend on a mode only through |xi|^2, so the
     dissipation and work at every node are quadratic forms in the Gram
-    matrices of (u_i, g_i, g_{i+1}) per |xi|^2 shell, summed over the
-    half spectrum with Hermitian weights (the full sum for real fields).
+    matrices of (u_i, g_i, g_{i+1}) per |xi|^2 shell, summed with
+    Hermitian weights (the full-spectrum sum for real fields).
     """
     if substeps < 2 or substeps % 2 != 0:
         raise ConfigError("substeps must be even and >= 2")
@@ -219,15 +219,13 @@ def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
     if background is not None and (len(background) != len(traj) or
                                    not np.allclose(background.times, times)):
         raise ConfigError("background must share the trajectory schedule")
-    u = half_stack(traj)
-    if g_stack is None:
-        g_stack = _ledger_forcing(grid, u, nonlinearity, rho, background)
-    g = half_spectrum(grid, g_stack)
-    lay = grid.layout(grid.n_half)
-    values, shell = np.unique(lay.xi_sq, return_inverse=True)
-    weight = grid.volume * lay.hermitian_weight
+    u, g = traj.coeffs, g_stack
+    if g is None:
+        g = _ledger_forcing(grid, u, nonlinearity, rho, background)
+    values, shell = np.unique(grid.xi_sq, return_inverse=True)
+    weight = grid.volume * grid.hermitian_weight
     bins = shell.ravel() + values.size * np.arange(len(u))[:, None]
-    field_shape = (u[0].size // shell.size,) + lay.xi_sq.shape
+    field_shape = (u[0].size // shell.size,) + grid.xi_sq.shape
 
     def gram(x, y):
         """sum of volume * Hermitian weight * Re(x conj y) over the

@@ -52,16 +52,16 @@ def single_mode(grid: Grid, k_int, amp) -> SpectralField:
     """
     k_int = np.asarray(k_int, dtype=np.int64)
     amp = np.asarray(amp, dtype=np.complex128)
-    coeffs = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
-    idx = tuple(int(ki) % grid.n for ki in k_int)
-    nidx = tuple((-int(ki)) % grid.n for ki in k_int)
+    coeffs = np.zeros((grid.dim,) + grid.xi_sq.shape, dtype=np.complex128)
     kk = k_int.astype(float)
     ks = np.dot(kk, kk)
     if ks > 0:
         amp = amp - kk * np.dot(kk, amp) / ks
-    for comp in range(grid.dim):
-        coeffs[(comp,) + idx] = amp[comp]
-        coeffs[(comp,) + nidx] = np.conj(amp[comp])
+    # each of +k and -k is stored where it falls in the half spectrum
+    for sign, value in ((1, amp), (-1, np.conj(amp))):
+        idx = tuple((sign * int(ki)) % grid.n for ki in k_int)
+        if idx[-1] < coeffs.shape[-1]:
+            coeffs[(slice(None),) + idx] = value
     return SpectralField(grid, "vector", coeffs, check_hermitian=False)
 
 
@@ -77,7 +77,7 @@ def random_power_law(grid: Grid, alpha: float, seed: int,
     lead = () if rank == "scalar" else (grid.dim,)
     noise = rng.standard_normal(lead + grid.shape)
     f = SpectralField.from_physical(grid, noise)
-    env = np.zeros(grid.shape)
+    env = np.zeros_like(grid.xi_sq)
     nz = grid.xi_sq > 0
     env[nz] = grid.xi_abs[nz] ** (-alpha)
     env *= grid.dealias_mask

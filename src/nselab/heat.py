@@ -22,9 +22,9 @@ def heat_evolve(field: SpectralField, t: float) -> SpectralField:
 
 
 def heat_stack(grid: Grid, coeffs: np.ndarray, times) -> np.ndarray:
-    """e^{t Lap} of coefficients in either layout at every t, stacked
-    along a new leading axis."""
-    xi_sq = grid.layout(coeffs.shape[-1]).xi_sq
+    """e^{t Lap} of coefficients at every t, stacked along a new leading
+    axis."""
+    xi_sq = grid.xi_sq
     decay = np.exp(-np.multiply.outer(times, xi_sq))
     lead = (1,) * (coeffs.ndim - grid.dim)
     return decay.reshape(decay.shape[:1] + lead + xi_sq.shape) * coeffs
@@ -151,7 +151,9 @@ def duhamel_integral(f_traj: Trajectory, t: float) -> SpectralField:
 
 
 def duhamel_trajectory(f_traj: Trajectory) -> Trajectory:
-    """Cumulative Duhamel integral evaluated at every sample time."""
+    """Cumulative Duhamel integral evaluated at every sample time; the
+    times must pass ``check_schedule``."""
+    check_schedule(f_traj.times)
     out = duhamel_stack(f_traj.times, _forcing(f_traj), f_traj.grid.xi_sq)
     return Trajectory._from_stack(f_traj.grid, f_traj.times, "vector", out)
 
@@ -177,7 +179,7 @@ def verify_kato_estimate(f_traj: Trajectory, s1: float, p1: float,
 
     Returns {'constant', 's2', 'input_norm', 'output_norm'}; refuses
     exponent configurations outside the estimate's hypotheses and a
-    trajectory with no positive-time sample.
+    trajectory whose times fail ``check_schedule``.
     """
     rep = verify_smoothing_derivatives(f_traj, 0, 0, s1, p1, p2)
     return {"constant": rep["constant"], "s2": rep["s2"],
@@ -190,7 +192,7 @@ def _grad_stack(grid: Grid, stack: np.ndarray, order: int) -> np.ndarray:
     xi = 1j * grid.deriv_wavevectors
     for _ in range(order):
         lead = (1,) * (stack.ndim - 1 - grid.dim)
-        stack = xi.reshape(xi.shape[:1] + lead + grid.shape) \
+        stack = xi.reshape(xi.shape[:1] + lead + xi.shape[1:]) \
             * np.expand_dims(stack, 1)
     return stack
 
@@ -210,16 +212,14 @@ def verify_smoothing_derivatives(f_traj: Trajectory, k: int, l: int,
     LHS: sup_t t^{-s2/2} t^{k+l/2} ||d_t^k grad^l Duhamel(F)||_{p2};
     RHS: sum over a <= k, b <= l of the matching weighted Kato norms of
     F.  Time derivatives follow the quadrature model exactly:
-    d_t u = G - |xi|^2 u with G = P div F piecewise linear.  A
-    trajectory with no positive-time sample is refused.
+    d_t u = G - |xi|^2 u with G = P div F piecewise linear.  The
+    trajectory's times must pass ``check_schedule``.
     """
     if k > 2 or l > 2 or k < 0 or l < 0:
         raise ExponentError("supported derivative orders are k, l <= 2")
     s2 = check_kato_exponents(s1, p1, p2)
     grid = f_traj.grid
-    times = f_traj.times
-    if not np.any(times > 0):
-        raise QuadratureError("trajectory has no positive-time samples")
+    times = check_schedule(f_traj.times)
     g_stack = _forcing(f_traj)
     u_stack = duhamel_stack(times, g_stack, grid.xi_sq)
 
@@ -247,8 +247,9 @@ def verify_smoothing_derivatives(f_traj: Trajectory, k: int, l: int,
 # ---------------------------------------------------------------------
 
 def time_schedule(horizon: float, n_geometric: int = 24, n_uniform: int = 24,
-                  first_exponent: int = 20, include_zero: bool = True):
-    """Geometric samples from T*2^{-J} to T/8, then uniform up to T.
+                  first_exponent: int = 20):
+    """t = 0, geometric samples from T*2^{-J} to T/8, then uniform up to
+    T.
 
     Resolves the singular t^{-s/2} Kato weights near t = 0.  At least
     one uniform sample is needed, so that the schedule ends at T.
@@ -262,10 +263,7 @@ def time_schedule(horizon: float, n_geometric: int = 24, n_uniform: int = 24,
     t1 = horizon * 2.0 ** (-first_exponent)
     geo = np.geomspace(t1, horizon / 8.0, n_geometric)
     uni = np.linspace(horizon / 8.0, horizon, n_uniform + 1)[1:]
-    times = np.concatenate([geo, uni])
-    if include_zero:
-        times = np.concatenate([[0.0], times])
-    return times
+    return np.concatenate([[0.0], geo, uni])
 
 
 def check_schedule(times) -> np.ndarray:

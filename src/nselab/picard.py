@@ -27,9 +27,10 @@ class PicardProblem:
     """Fixed-point data: seed a, linear part L, bilinear part B, norm.
 
     gamma and l_norm are the measured bilinear and linear-operator
-    constants; ``probe`` (optional) generates random elements for
-    measuring them.  ``step`` (optional) is x -> L(x) + B(x, x) in one
-    call; without it the two parts are composed.
+    constants; ``probe`` (optional) builds a random element from an
+    integer seed for measuring them.  ``step`` (optional) is
+    x -> L(x) + B(x, x) in one call; without it the two parts are
+    composed.
     """
 
     a: object
@@ -38,7 +39,7 @@ class PicardProblem:
     norm: object = None         # callable -> float
     gamma: float | None = None
     l_norm: float | None = None
-    probe: object = None        # callable(rng) -> element
+    probe: object = None        # callable(seed) -> element
     step: object = None         # callable x -> L(x) + B(x, x), or None
 
     def plus_linear(self, base, x):
@@ -55,15 +56,21 @@ class PicardProblem:
         return self.plus_linear(self.a, x) + self.apply_bilinear(x, x)
 
 
+def _probe_seed(rng) -> int:
+    """The seed of the next probe drawn from ``rng``."""
+    return int(rng.integers(0, 2**31 - 1))
+
+
 def estimate_constants(problem: PicardProblem, n_probes: int = 20,
                        seed: int = 0,
                        gamma: float | None = None) -> PicardProblem:
     """Measure gamma and ||L|| by randomized probing and fill them in.
 
-    A known ``gamma`` (measured before with the same B, norm, probe,
-    ``n_probes`` and ``seed``) is taken as is and no B(x, y) probe runs.
-    The probe pairs are still drawn, so ||L|| is measured on the same x
-    as in a full run; with no linear part nothing is probed at all.
+    Each probe pair (x, y) draws two seeds from one stream.  A known
+    ``gamma`` (measured before with the same B, norm, probe, ``n_probes``
+    and ``seed``) is taken as is: no y is built and no B(x, y) runs, but
+    y's seed is still drawn, so ||L|| is measured on the same x as in a
+    full run.  With no linear part nothing is probed at all.
     """
     if problem.probe is None:
         raise ConfigError("constant estimation needs a probe generator")
@@ -73,10 +80,11 @@ def estimate_constants(problem: PicardProblem, n_probes: int = 20,
     l_norm = 0.0
     if measure_gamma or problem.linear is not None:
         for _ in range(n_probes):
-            x = problem.probe(rng)
-            y = problem.probe(rng)
+            x = problem.probe(_probe_seed(rng))
+            y_seed = _probe_seed(rng)
             nx = problem.norm(x)
             if measure_gamma:
+                y = problem.probe(y_seed)
                 ny = problem.norm(y)
                 if nx > 0 and ny > 0:
                     gamma = max(gamma,
@@ -220,12 +228,12 @@ def propagation_check(problem: PicardProblem, report: FixedPointReport,
     eta = 0.0
     if problem.probe is not None:
         for _ in range(n_probes):
-            y = problem.probe(rng)
+            y = problem.probe(_probe_seed(rng))
             ney = e_norm(y)
             if ney > 0:
                 resolved = _resolvent_apply(problem, y, 1e-12 * ney)
                 inv_e = max(inv_e, e_norm(resolved) / ney)
-            z = problem.probe(rng)
+            z = problem.probe(_probe_seed(rng))
             nz = problem.norm(z)
             if ney > 0 and nz > 0:
                 eta = max(eta,

@@ -3,12 +3,10 @@ the direct solver u = e^{tL}u0 - B(u,u), the perturbed solver around a
 precomputed background, and the Leray-mollified energy solver.
 
 Solver state is the stack of Fourier coefficients at every sample
-time in the real-FFT half-spectrum layout, shape (M, dim, N, ...,
-N//2+1) (see ``spectral``); the bilinear operator forms the dealiased
-tensor product per sample and runs the exact-exponential Duhamel
-recursion over the schedule.  Data and backgrounds enter through
-``half_spectrum`` and solutions leave through ``stack_to_trajectory``,
-so ``SpectralField`` and ``Trajectory`` stay full-spectrum.
+time, shape (M, dim, N, ..., N//2+1); the bilinear operator forms the
+dealiased tensor product per sample and runs the exact-exponential
+Duhamel recursion over the schedule.  A solution's trajectory is that
+stack itself.
 
 The bilinear constant gamma depends only on the grid, the schedule,
 the Kato p, the mollifier and the probe count and seed, never on the
@@ -44,7 +42,6 @@ from .picard import (FixedPointReport, PicardProblem, estimate_constants,
 from . import spectral
 from .spectral import (Grid, Mollifier, SpectralField, dealiased_tensor,
                        divergence_residual, divergence_residuals,
-                       full_spectrum, half_spectrum,
                        interpolate_stack, inverse_transform, map_samples,
                        projected_divergence_coeffs, symmetric_tensor)
 
@@ -95,8 +92,8 @@ class SolverConfig:
 class MildSolution:
     """Trajectory plus the Picard iteration record and residual checks.
 
-    ``report.solution`` is the solver's half-spectrum stack; the
-    trajectory holds the same samples as full-spectrum fields.
+    The trajectory is a view of ``report.solution``, the solver's
+    stack; both are read-only.
     """
 
     trajectory: Trajectory
@@ -131,26 +128,10 @@ def _forcing_stack(grid: Grid, v_stack: np.ndarray, w_stack: np.ndarray,
     return out
 
 
-def _heat_stack(grid: Grid, u0: SpectralField, times: np.ndarray) -> np.ndarray:
-    return heat_stack(grid, half_spectrum(grid, u0.coeffs), times)
-
-
 def kato_stack_norm(grid: Grid, times: np.ndarray, stack: np.ndarray,
                     p: float) -> float:
     """Kato K_p norm of a coefficient stack (t = 0 sample skipped)."""
     return weighted_sup(grid, times, stack, -critical_exponent(p) / 2.0, p)
-
-
-def stack_to_trajectory(grid: Grid, times: np.ndarray,
-                        stack: np.ndarray) -> Trajectory:
-    """Full-spectrum trajectory of a half-spectrum solver stack."""
-    return Trajectory._from_stack(grid, times, "vector",
-                                  full_spectrum(grid, stack))
-
-
-def half_stack(traj: Trajectory) -> np.ndarray:
-    """Half-spectrum view (M, ...) of a trajectory's stack."""
-    return half_spectrum(traj.grid, traj.coeffs)
 
 
 def _prepare_data(u0: SpectralField, grid: Grid) -> SpectralField:
@@ -169,10 +150,9 @@ def _prepare_data(u0: SpectralField, grid: Grid) -> SpectralField:
 def _make_probe(grid: Grid, times: np.ndarray):
     """Heat flows of random divergence-free data as probe elements."""
 
-    def probe(rng):
-        seed = int(rng.integers(0, 2**31 - 1))
+    def probe(seed):
         w = random_power_law(grid, alpha=2.0, seed=seed, amplitude=1.0)
-        return _heat_stack(grid, w, times)
+        return heat_stack(grid, w.coeffs, times)
 
     return probe
 
@@ -198,11 +178,13 @@ def _measure_constants(problem: PicardProblem, config: SolverConfig,
 
 def _picard_solution(u0: SpectralField, config: SolverConfig,
                      times: np.ndarray, linear, **kw) -> MildSolution:
-    """``_picard_checked`` with the solution as a full-spectrum
-    trajectory."""
+    """``_picard_checked`` with the solution as a trajectory, which
+    shares the solver's stack; the stack is made read-only."""
     report, rd, max_div = _picard_checked(u0, config, times, linear, **kw)
+    report.solution.flags.writeable = False
     return MildSolution(
-        trajectory=stack_to_trajectory(config.grid, times, report.solution),
+        trajectory=Trajectory._from_stack(config.grid, times, "vector",
+                                          report.solution),
         report=report, residual_doubled=rd, max_div_residual=max_div,
         config=config)
 
@@ -226,7 +208,8 @@ def _picard_checked(u0: SpectralField, config: SolverConfig,
     def norm(stack):
         return kato_stack_norm(grid, times, stack, KATO_P)
 
-    problem = PicardProblem(a=_heat_stack(grid, u0, times), linear=linear,
+    problem = PicardProblem(a=heat_stack(grid, u0.coeffs, times),
+                            linear=linear,
                             bilinear=_nse_bilinear(grid, times, w_multiplier),
                             norm=norm, probe=_make_probe(grid, times),
                             step=step)
@@ -250,11 +233,9 @@ def _picard_checked(u0: SpectralField, config: SolverConfig,
 
 def _nse_bilinear(grid: Grid, times: np.ndarray,
                   w_multiplier: np.ndarray | None = None):
-    xi_sq = grid.layout(grid.n_half).xi_sq
-
     def bilinear(x, y):
         out = duhamel_stack(times, _forcing_stack(grid, x, y, w_multiplier),
-                            xi_sq)
+                            grid.xi_sq)
         return np.negative(out, out=out)
 
     return bilinear
@@ -271,10 +252,9 @@ def cross_forcing_stack(grid: Grid, pv: np.ndarray, w_stack: np.ndarray,
     def job(part):
         pw = inverse_transform(grid, w_stack[part])
         if fused:
-            tensor = symmetric_tensor(grid, pw, 0.5 * pw + pv[part],
-                                      w_stack.shape[-1])
+            tensor = symmetric_tensor(grid, pw, 0.5 * pw + pv[part])
         else:
-            tensor = symmetric_tensor(grid, pv[part], pw, w_stack.shape[-1])
+            tensor = symmetric_tensor(grid, pv[part], pw)
         out[part] = projected_divergence_coeffs(grid, tensor)
 
     map_samples(job, len(w_stack))
@@ -286,11 +266,9 @@ def _cross_linear(grid: Grid, times: np.ndarray, pv: np.ndarray,
     """w -> B(w, v) + B(v, w) for a fixed v given by its physical samples
     ``pv``; with ``fused`` the perturbed step w -> B(w, v) + B(v, w) +
     B(w, w), still one forcing and one Duhamel pass."""
-    xi_sq = grid.layout(grid.n_half).xi_sq
-
     def linear(w):
         out = duhamel_stack(times, cross_forcing_stack(grid, pv, w, fused),
-                            xi_sq)
+                            grid.xi_sq)
         return np.negative(out, out=out)
 
     return linear
@@ -314,8 +292,6 @@ def _doubled_residual(grid: Grid, times: np.ndarray, stack: np.ndarray,
     fine_times = np.empty(2 * times.size - 1)
     fine_times[0::2] = times
     fine_times[1::2] = 0.5 * (times[:-1] + times[1:])
-    xi_sq = grid.layout(grid.n_half).xi_sq
-    c0 = half_spectrum(grid, u0.coeffs)
     chunk = spectral.SAMPLE_CHUNK * spectral.FFT_WORKERS
     worst = 0.0
     for s in range(0, fine_times.size, chunk):
@@ -323,16 +299,16 @@ def _doubled_residual(grid: Grid, times: np.ndarray, stack: np.ndarray,
         fine = interpolate_stack(times, stack, ft)
         g = forcing(ft, fine)
         if s == 0:
-            duh = duhamel_stack(ft, g, xi_sq)
+            duh = duhamel_stack(ft, g, grid.xi_sq)
         else:
             duh = duhamel_stack(fine_times[s - 1:s + chunk],
-                                np.concatenate([g_last, g]), xi_sq,
+                                np.concatenate([g_last, g]), grid.xi_sq,
                                 start=duh[-1])[1:]
         g_last = g[-1:]
         # the original samples are the even refined ones
         keep = slice(s % 2, None, 2)
         rhs = np.negative(duh[keep])
-        rhs += heat_stack(grid, c0, ft[keep])
+        rhs += heat_stack(grid, u0.coeffs, ft[keep])
         resid = np.subtract(fine[keep], rhs, out=rhs)
         worst = max(worst, kato_stack_norm(grid, ft[keep], resid, KATO_P))
     return worst
@@ -375,10 +351,10 @@ def _background_stack(grid: Grid, times: np.ndarray, bg) -> np.ndarray | None:
                 not np.allclose(bg.times, times, rtol=1e-12, atol=0):
             raise QuadratureError("background trajectory must share the "
                                   "solver schedule")
-        return half_stack(bg)
+        return bg.coeffs
     if isinstance(bg, SpectralField):
-        half = half_spectrum(grid, bg.coeffs)
-        return np.broadcast_to(half[None], (times.size,) + half.shape).copy()
+        c = bg.coeffs
+        return np.broadcast_to(c[None], (times.size,) + c.shape).copy()
     raise ConfigError("background must be a Trajectory, SpectralField, or None")
 
 
@@ -391,7 +367,7 @@ def mollified_solve(u0: SpectralField, a_bg, b_bg, rho: float,
     """
     grid = config.grid
     times = config.schedule()
-    m_rho = Mollifier(grid.dim, rho).symbol(grid, grid.n_half)
+    m_rho = Mollifier(grid.dim, rho).symbol(grid)
 
     a_stack_bg = _background_stack(grid, times, a_bg)
     b_stack_bg = _background_stack(grid, times, b_bg)
@@ -455,9 +431,8 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
     step falls below the floor (an explicitly heuristic surrogate for
     T*).
 
-    The trajectory is one full-spectrum stack: the prepared data, then
-    each segment's samples after its first, written straight from the
-    segments' solver stacks.  ``residual_doubled`` is the largest
+    The trajectory is one stack: the prepared data, then each segment's
+    samples after its first.  ``residual_doubled`` is the largest
     doubled-schedule residual of the accepted segments (NaN when none
     was accepted).
     """
@@ -472,15 +447,10 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
     residuals = []
 
     def result(status):
-        times = np.concatenate(all_times)
-        coeffs = np.empty((times.size,) + first.shape, dtype=first.dtype)
-        coeffs[0] = first
-        k = 1
-        for rep in reports:
-            for sample in rep.solution[1:]:
-                coeffs[k] = full_spectrum(grid, sample)
-                k += 1
-        traj = Trajectory._from_stack(grid, times, "vector", coeffs)
+        coeffs = np.concatenate([first[None]]
+                                + [rep.solution[1:] for rep in reports])
+        traj = Trajectory._from_stack(grid, np.concatenate(all_times),
+                                      "vector", coeffs)
         return ContinuationResult(traj, status, segments, reports,
                                   max(residuals, default=float("nan")))
 
@@ -502,8 +472,7 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
         reports.append(report)
         residuals.append(rd)
         all_times.append(times[1:] + t0)
-        current = SpectralField(grid, "vector",
-                                full_spectrum(grid, report.solution[-1]),
+        current = SpectralField(grid, "vector", report.solution[-1],
                                 check_hermitian=False)
         t0 += step
     return result("completed")

@@ -19,9 +19,14 @@ uniform-grid quadratures, ``||f||_p^p = (L/N)^d * sum |f(x)|^p``;
 Parseval then reads ``||f||_2^2 = L^d * sum |c_k|^2``.
 
 Transforms are ``scipy.fft`` real-to-complex/complex-to-real FFTs.
-Fields are real, so coefficients are Hermitian, ``c_{-k} = conj(c_k)``;
-every operator here keeps them so, and ``read_clf1`` rejects files that
-are not.
+Fields are real, so coefficients are Hermitian, ``c_{-k} = conj(c_k)``,
+and only the real-FFT half spectrum is held: the last grid axis has
+N//2+1 entries, the first N//2+1 of the ``fftfreq`` order (k_last = 0
+.. N/2-1, then -N/2).  A sum over all modes is a sum over the half
+weighted by ``Grid.hermitian_weight`` (each mode off the k_last = 0 and
+N/2 planes stands for itself and its conjugate).  CLF1 files hold the
+full spectrum; ``write_clf1`` fills it in and ``read_clf1`` rejects
+files that are not Hermitian.
 
 Threads
 -------
@@ -32,23 +37,6 @@ solver's stack kernels (forcing, Kato norms) instead run as
 on ``FFT_WORKERS`` threads, the caller among them, and each job's FFTs
 run on one thread.  A job computes exactly what a serial pass over its
 samples would, so results are bit-identical to a serial run.
-
-Layouts
--------
-Coefficients come in one of two layouts, told apart by the length of
-the last grid axis:
-
-- the full spectrum, last axis N: ``SpectralField``, ``Trajectory``,
-  CLF1 files and archives;
-- the real-FFT half spectrum, last axis N//2+1 (k_last = 0 .. N/2, the
-  rest being conjugates): the solver's time stacks ``(M, dim, N, ...,
-  N//2+1)`` and the energy ledger.
-
-Every kernel below accepts either layout and returns the layout it was
-given; ``half_spectrum`` and ``full_spectrum`` convert between them.  A
-sum over all modes of the full spectrum is, on the half, a sum weighted
-by ``hermitian_weight`` (each mode off the k_last = 0 and N/2 planes
-stands for itself and its conjugate).
 """
 
 from __future__ import annotations
@@ -59,7 +47,6 @@ import secrets
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -98,7 +85,9 @@ class Grid:
     """Isotropic periodic grid: ``dim`` axes, N points each, period L.
 
     Wavenumbers per axis are the integers -N/2 .. N/2-1 in FFT order;
-    physical frequencies are xi = 2*pi*k/L.
+    physical frequencies are xi = 2*pi*k/L.  The symbols cover the half
+    spectrum: the last axis keeps the first N//2+1 wavenumbers, 0 ..
+    N/2-1 and -N/2.
     """
 
     def __init__(self, dim: int, n: int, box_length: float):
@@ -108,8 +97,8 @@ class Grid:
         self.box_length = float(box_length)
 
         k1 = np.fft.fftfreq(self.n, d=1.0 / self.n)  # integers, FFT order
-        mesh = np.meshgrid(*([k1] * dim), indexing="ij")
-        self.k_int = np.stack(mesh)  # (dim, N, ..., N)
+        axes = [k1] * (dim - 1) + [k1[:self.n // 2 + 1]]
+        self.k_int = np.stack(np.meshgrid(*axes, indexing="ij"))
         self.wavevectors = (2.0 * np.pi / self.box_length) * self.k_int
         # for odd-order derivative symbols the unpaired Nyquist mode
         # k = -N/2 must act as zero, or real fields lose their
@@ -121,29 +110,20 @@ class Grid:
         self.xi_abs = np.sqrt(self.xi_sq)
         # 2/3-rule mask: True where a mode survives a dealiased product.
         self.dealias_mask = np.all(np.abs(self.k_int) <= self.n / 3.0, axis=0)
+        # 1/|xi|^2 on the derivative wavevectors, 0 where xi = 0
+        self.inverse_laplacian = np.divide(
+            1.0, self.deriv_xi_sq, out=np.zeros_like(self.deriv_xi_sq),
+            where=self.deriv_xi_sq > 0)
+        # modes of the full spectrum each stored mode stands for
+        self.hermitian_weight = np.full(self.n // 2 + 1, 2.0)
+        self.hermitian_weight[[0, -1]] = 1.0
         self.xi_min_nonzero = 2.0 * np.pi / self.box_length
         self.xi_max = float(np.max(self.xi_abs))
-        self._layouts = {}
 
     @property
     def shape(self):
+        """Shape of the physical samples."""
         return (self.n,) * self.dim
-
-    @property
-    def n_half(self) -> int:
-        """Last-axis length of the half-spectrum layout."""
-        return self.n // 2 + 1
-
-    def layout(self, n_last: int) -> "Layout":
-        """The multiplier symbols for coefficients whose last grid axis
-        has length ``n_last`` (N: full spectrum, N//2+1: half)."""
-        lay = self._layouts.get(n_last)
-        if lay is None:
-            if n_last not in (self.n, self.n_half):
-                raise GridError(f"last grid axis has length {n_last}; "
-                                f"expected {self.n} or {self.n_half}")
-            lay = self._layouts[n_last] = Layout(self, n_last)
-        return lay
 
     @property
     def cell_volume(self) -> float:
@@ -177,62 +157,13 @@ def make_grid(dim: int, n: int, box_length: float) -> Grid:
     return Grid(dim, n, box_length)
 
 
-class Layout:
-    """The grid's multiplier symbols cut to one coefficient layout.
-
-    Each symbol is built on first use, so a grid pays only for the
-    layouts and symbols its callers touch.
-    """
-
-    def __init__(self, grid: Grid, n_last: int):
-        self.grid = grid
-        self.n_last = n_last
-
-    def _cut(self, a: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(a[..., :self.n_last])
-
-    @cached_property
-    def xi_sq(self) -> np.ndarray:
-        return self._cut(self.grid.xi_sq)
-
-    @cached_property
-    def xi_abs(self) -> np.ndarray:
-        return self._cut(self.grid.xi_abs)
-
-    @cached_property
-    def deriv_wavevectors(self) -> np.ndarray:
-        return self._cut(self.grid.deriv_wavevectors)
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        return self._cut(self.grid.dealias_mask)
-
-    @cached_property
-    def inverse_laplacian(self) -> np.ndarray:
-        """1/|xi|^2 on the derivative wavevectors, 0 where xi = 0."""
-        xi_sq = self._cut(self.grid.deriv_xi_sq)
-        inv = np.zeros_like(xi_sq)
-        nz = xi_sq > 0
-        inv[nz] = 1.0 / xi_sq[nz]
-        return inv
-
-    @cached_property
-    def hermitian_weight(self) -> np.ndarray:
-        """Modes of the full spectrum each stored mode stands for, along
-        the last axis: 1 on the full layout; on the half, 1 on the
-        k_last = 0 and N/2 planes and 2 elsewhere."""
-        w = np.ones(self.n_last)
-        if self.n_last != self.grid.n:
-            w[1:-1] = 2.0
-        return w
-
-
-def _conjugate_partner(c: np.ndarray, dim: int) -> np.ndarray:
-    """Return conj(c at index -k) for the trailing ``dim`` grid axes."""
-    out = np.conj(c)
-    for a in range(c.ndim - dim, c.ndim):
-        out = np.roll(np.flip(out, axis=a), 1, axis=a)
-    return out
+def _require_hermitian(coeffs: np.ndarray, partner: np.ndarray,
+                       scale: float) -> None:
+    """RankError unless ``coeffs`` equals its conjugate ``partner`` to
+    rounding relative to ``scale``."""
+    if scale > 0 and np.max(np.abs(coeffs - partner)) > HERMITIAN_RTOL * scale * 10:
+        raise RankError("coefficients are not Hermitian-symmetric "
+                        "(field would not be real-valued)")
 
 
 # ---------------------------------------------------------------------
@@ -315,23 +246,19 @@ def map_samples(fn, n: int) -> None:
 # ---------------------------------------------------------------------
 
 def _rank_shape(rank: str, dim: int, n: int) -> tuple:
-    """Coefficient-array shape of a field of the given rank."""
+    """Half-spectrum coefficient-array shape of a field of the given
+    rank."""
     components = {_SCALAR: (), _VECTOR: (dim,), _MATRIX: (dim, dim)}
     if rank not in components:
         raise RankError(f"unknown rank {rank!r}")
-    return components[rank] + (n,) * dim
-
-
-def half_spectrum(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """The half k_last = 0 .. N/2 of full-spectrum coefficients (a view;
-    the identity on the half layout)."""
-    return coeffs[..., :grid.n_half]
+    return components[rank] + (n,) * (dim - 1) + (n // 2 + 1,)
 
 
 def full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Full-spectrum coefficients from the half layout, filling
-    k_last = N/2+1 .. N-1 from c_{-k} = conj(c_k)."""
-    h = grid.n_half
+    """Full-spectrum coefficients (last axis N) of the half spectrum,
+    filling k_last = N/2+1 .. N-1 from c_{-k} = conj(c_k); CLF1 files
+    hold this layout."""
+    h = half.shape[-1]
     out = np.empty(half.shape[:-1] + (grid.n,), dtype=np.complex128)
     out[..., :h] = half
     mirror = half[..., h - 2:0:-1]         # k_last = N/2-1 .. 1
@@ -348,67 +275,53 @@ def forward_half(grid: Grid, values: np.ndarray) -> np.ndarray:
                            norm="forward", workers=_fft_workers())
 
 
-def forward_transform(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Full-spectrum Fourier coefficients of real physical samples."""
-    return full_spectrum(grid, forward_half(grid, values))
-
-
 def inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Real physical samples of Hermitian Fourier coefficients in either
-    layout; only the half spectrum is read."""
-    return scipy.fft.irfftn(half_spectrum(grid, coeffs), s=grid.shape,
+    """Real physical samples of half-spectrum Fourier coefficients."""
+    return scipy.fft.irfftn(coeffs, s=grid.shape,
                             axes=tuple(range(-grid.dim, 0)),
                             norm="forward", workers=_fft_workers())
-
-
-def _layout_of(grid: Grid, coeffs: np.ndarray) -> Layout:
-    return grid.layout(coeffs.shape[-1])
 
 
 def xi_dot(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """xi . c, contracting the component axis just before the grid axes
     with the derivative wavevectors."""
     s = "xyz"[:grid.dim]
-    return np.einsum(f"i{s},...i{s}->...{s}",
-                     _layout_of(grid, coeffs).deriv_wavevectors, coeffs)
+    return np.einsum(f"i{s},...i{s}->...{s}", grid.deriv_wavevectors, coeffs)
 
 
 def leray_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Leray projection (delta_ij - xi_i xi_j/|xi|^2) of vector
     coefficients."""
-    lay = _layout_of(grid, coeffs)
-    xu = xi_dot(grid, coeffs) * lay.inverse_laplacian
-    return coeffs - lay.deriv_wavevectors * np.expand_dims(xu, -grid.dim - 1)
+    xu = xi_dot(grid, coeffs) * grid.inverse_laplacian
+    return coeffs - grid.deriv_wavevectors * np.expand_dims(xu, -grid.dim - 1)
 
 
 def projected_divergence_coeffs(grid: Grid, tensor: np.ndarray) -> np.ndarray:
     """P div F of tensor coefficients: contract i xi_j into F_ij, project."""
     s = "xyz"[:grid.dim]
-    g = 1j * np.einsum(f"j{s},...ij{s}->...i{s}",
-                       _layout_of(grid, tensor).deriv_wavevectors, tensor)
+    g = 1j * np.einsum(f"j{s},...ij{s}->...i{s}", grid.deriv_wavevectors,
+                       tensor)
     return leray_coeffs(grid, g)
 
 
-def _dealiased(grid: Grid, products: np.ndarray, n_last: int) -> np.ndarray:
-    """2/3-rule dealiased coefficients of physical products, in the
-    layout whose last axis has length ``n_last``."""
+def _dealiased(grid: Grid, products: np.ndarray) -> np.ndarray:
+    """2/3-rule dealiased coefficients of physical products."""
     out = forward_half(grid, products)
-    out *= grid.layout(grid.n_half).dealias_mask
-    return out if n_last == grid.n_half else full_spectrum(grid, out)
+    out *= grid.dealias_mask
+    return out
 
 
-def symmetric_tensor(grid: Grid, pv: np.ndarray, pw: np.ndarray | None,
-                     n_last: int) -> np.ndarray:
+def symmetric_tensor(grid: Grid, pv: np.ndarray,
+                     pw: np.ndarray | None) -> np.ndarray:
     """Dealiased coefficients of the symmetric tensor v_i v_j (``pw`` is
-    None) or v_i w_j + w_i v_j from physical vector samples, in the
-    layout whose last axis has length ``n_last``.  Only the d(d+1)/2
-    entries i <= j are formed and transformed."""
+    None) or v_i w_j + w_i v_j from physical vector samples.  Only the
+    d(d+1)/2 entries i <= j are formed and transformed."""
     axis = -grid.dim - 1
     i, j = np.triu_indices(grid.dim)
     prod = np.take(pv, i, axis) * np.take(pv if pw is None else pw, j, axis)
     if pw is not None:
         prod += np.take(pw, i, axis) * np.take(pv, j, axis)
-    out = _dealiased(grid, prod, n_last)
+    out = _dealiased(grid, prod)
     pair = np.empty((grid.dim, grid.dim), dtype=np.intp)
     pair[i, j] = pair[j, i] = np.arange(i.size)
     return np.take(out, pair, axis)
@@ -421,14 +334,12 @@ def dealiased_tensor(grid: Grid, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     For ``w is v`` the tensor is symmetric: v is transformed once and only
     the d(d+1)/2 products i <= j are formed and transformed.
     """
-    n_last = v.shape[-1]
     if w is v:
-        return symmetric_tensor(grid, inverse_transform(grid, v), None,
-                                n_last)
+        return symmetric_tensor(grid, inverse_transform(grid, v), None)
     axis = -grid.dim - 1
     pv = np.expand_dims(inverse_transform(grid, v), axis)
     pw = np.expand_dims(inverse_transform(grid, w), axis - 1)
-    return _dealiased(grid, pv * pw, n_last)
+    return _dealiased(grid, pv * pw)
 
 
 def magnitude(grid: Grid, values: np.ndarray,
@@ -470,21 +381,21 @@ def lp_norms(grid: Grid, coeffs: np.ndarray, p: float,
 
 def l2_norms(grid: Grid, coeffs: np.ndarray, batch_axes: int = 0,
              weight: np.ndarray | None = None) -> np.ndarray:
-    """Parseval norm ``sqrt(L^d sum_k w_k |c_k|^2)`` of full-spectrum
-    coefficients (w = 1: the L^2 norm), one per entry of the first
-    ``batch_axes`` axes."""
-    sq = np.abs(coeffs) ** 2
+    """Parseval norm ``sqrt(L^d sum_k w_k |c_k|^2)`` over the full
+    spectrum (w = 1: the L^2 norm), one per entry of the first
+    ``batch_axes`` axes; on the half spectrum each mode carries
+    ``grid.hermitian_weight``."""
+    sq = grid.hermitian_weight * np.abs(coeffs) ** 2
     if weight is not None:
-        sq = weight * sq
+        sq *= weight
     total = np.sum(sq, axis=tuple(range(batch_axes, coeffs.ndim)))
     return np.sqrt(grid.volume * total)
 
 
 def divergence_residuals(grid: Grid, coeffs: np.ndarray,
                          batch_axes: int = 0) -> np.ndarray:
-    """max_k |xi . u^| / (xi_max max_k |u^|) of vector coefficients in
-    either layout, one per entry of the first ``batch_axes`` axes; 0
-    where u = 0."""
+    """max_k |xi . u^| / (xi_max max_k |u^|) of vector coefficients, one
+    per entry of the first ``batch_axes`` axes; 0 where u = 0."""
     scale = np.max(np.abs(coeffs), axis=tuple(range(batch_axes, coeffs.ndim)))
     xu = np.abs(xi_dot(grid, coeffs))
     xu = np.max(xu, axis=tuple(range(batch_axes, xu.ndim)))
@@ -520,10 +431,12 @@ def interpolate_stack(times: np.ndarray, stack: np.ndarray,
 class SpectralField:
     """Immutable periodic field stored as Fourier coefficients.
 
-    rank 'scalar' -> coeffs shape grid.shape; 'vector' -> (dim,) + shape;
-    'matrix' -> (dim, dim) + shape.  Writeable coefficients are copied;
-    read-only ones (such as a sample of a ``Trajectory`` stack) are
-    shared.
+    ``coeffs`` is the half spectrum: rank 'scalar' -> shape (N, ...,
+    N//2+1); 'vector' -> (dim,) + that; 'matrix' -> (dim, dim) + that.
+    Writeable coefficients are copied; read-only ones (such as a sample
+    of a ``Trajectory`` stack) are shared.  ``check_hermitian`` checks
+    the k_last = 0 and N/2 planes, the modes whose conjugates are held
+    too.
     """
 
     def __init__(self, grid: Grid, rank: str, coeffs: np.ndarray,
@@ -535,11 +448,11 @@ class SpectralField:
                 f"coeff shape {coeffs.shape} does not match rank {rank!r} "
                 f"on {grid!r}")
         if check_hermitian:
-            partner = _conjugate_partner(coeffs, grid.dim)
-            scale = np.max(np.abs(coeffs))
-            if scale > 0 and np.max(np.abs(coeffs - partner)) > HERMITIAN_RTOL * scale * 10:
-                raise RankError("coefficients are not Hermitian-symmetric "
-                                "(field would not be real-valued)")
+            planes = coeffs[..., [0, -1]]
+            partner = np.conj(planes)  # at -k within each plane
+            for a in range(-grid.dim, -1):
+                partner = np.roll(np.flip(partner, axis=a), 1, axis=a)
+            _require_hermitian(planes, partner, np.max(np.abs(coeffs)))
         if coeffs.flags.writeable:
             coeffs = coeffs.copy()
             coeffs.flags.writeable = False
@@ -557,7 +470,7 @@ class SpectralField:
                  (grid.dim, grid.dim): _MATRIX}
         if lead not in ranks:
             raise RankError(f"cannot infer rank from shape {values.shape}")
-        return cls(grid, ranks[lead], forward_transform(grid, values),
+        return cls(grid, ranks[lead], forward_half(grid, values),
                    check_hermitian=False)
 
     @classmethod
@@ -646,13 +559,15 @@ class SpectralField:
 def apply_multiplier(field: SpectralField, symbol) -> SpectralField:
     """Apply a scalar Fourier multiplier m(xi) to every component.
 
-    ``symbol`` receives the wavevector array of shape (dim, N, ..., N)
-    and must return finite values on every grid point (including xi=0).
+    ``symbol`` receives the half-layout wavevector array
+    ``grid.wavevectors`` of shape (dim, N, ..., N//2+1) and must return
+    finite values on every one of its points (including xi=0).
     """
-    m = np.asarray(symbol(field.grid.wavevectors))
-    if m.shape != field.grid.shape:
+    xi = field.grid.wavevectors
+    m = np.asarray(symbol(xi))
+    if m.shape != xi.shape[1:]:
         raise SymbolError(f"symbol returned shape {m.shape}, "
-                          f"expected {field.grid.shape}")
+                          f"expected {xi.shape[1:]}")
     if not np.all(np.isfinite(m)):
         raise SymbolError("symbol produced non-finite values on the grid")
     return field.with_coeffs(field.coeffs * m)
@@ -730,7 +645,7 @@ def dealias_product(u: SpectralField, v: SpectralField) -> SpectralField:
     pu = u.to_physical()
     pv = v.to_physical()
     prod = pu[(None,) * (pv.ndim - pu.ndim)] * pv
-    return SpectralField(g, v.rank, _dealiased(g, prod, g.n),
+    return SpectralField(g, v.rank, _dealiased(g, prod),
                          check_hermitian=False)
 
 
@@ -751,7 +666,7 @@ def pressure_from_velocity(u: SpectralField, v: SpectralField) -> SpectralField:
     tensor = dealias_product(u, v)
     xi = g.deriv_wavevectors
     num = -np.einsum("i...,j...,ij...->...", xi, xi, tensor.coeffs)
-    return SpectralField(g, _SCALAR, num * g.layout(g.n).inverse_laplacian,
+    return SpectralField(g, _SCALAR, num * g.inverse_laplacian,
                          check_hermitian=False)
 
 
@@ -817,9 +732,8 @@ class Mollifier:
             vals = 2.0 * np.pi * np.sum(g * j0(sr), axis=-1)
         return vals / self._mass
 
-    def symbol(self, grid: Grid, n_last: int | None = None) -> np.ndarray:
-        """The multiplier theta^(rho |xi|) of theta_rho on the grid, in the
-        layout whose last axis has length ``n_last`` (default: full).
+    def symbol(self, grid: Grid) -> np.ndarray:
+        """The multiplier theta^(rho |xi|) of theta_rho on the grid.
 
         Rejects rho >= box length (the kernel would wrap around the torus).
         """
@@ -827,8 +741,8 @@ class Mollifier:
             raise GridError("mollifier dimension does not match the grid")
         if self.rho >= grid.box_length:
             raise GridError("mollifier radius exceeds the periodic box")
-        xi_abs = grid.layout(n_last or grid.n).xi_abs
-        return self.hat(self.rho * xi_abs.ravel()).reshape(xi_abs.shape)
+        return self.hat(self.rho * grid.xi_abs.ravel()).reshape(
+            grid.xi_abs.shape)
 
 
 def mollify(field: SpectralField, mollifier: Mollifier) -> SpectralField:
@@ -858,11 +772,13 @@ def atomic_write_bytes(path, payload: bytes) -> None:
 
 def write_clf1(path, field: SpectralField) -> None:
     """Write a field as CLF1: ASCII header then little-endian float64
-    (re, im) pairs in row-major k-order per component."""
+    (re, im) pairs of the full spectrum in row-major k-order per
+    component."""
     g = field.grid
-    ncomp = field.coeffs.size // g.n**g.dim
+    coeffs = full_spectrum(g, field.coeffs)
+    ncomp = coeffs.size // g.n**g.dim
     header = f"CLF1 {g.dim} {g.n} {g.box_length!r} {field.rank} {ncomp}\n"
-    flat = field.coeffs.reshape(ncomp, -1)
+    flat = coeffs.reshape(ncomp, -1)
     pairs = np.empty((ncomp, flat.shape[1], 2), dtype="<f8")
     pairs[..., 0] = flat.real
     pairs[..., 1] = flat.imag
@@ -875,8 +791,9 @@ def read_clf1(path) -> SpectralField:
     The header and the payload size are checked before the grid is
     built, so a corrupt file fails with GridError or RankError rather
     than a grid-sized allocation.  Non-finite coefficients raise
-    GridError and non-Hermitian ones RankError, since the inverse
-    transform assumes a real field.
+    GridError and non-Hermitian ones RankError, since the field keeps
+    only the half spectrum and the inverse transform assumes a real
+    field: the file must equal the full spectrum of its own half.
     """
     with open(path, "rb") as fh:
         header = fh.readline().split()
@@ -890,14 +807,19 @@ def read_clf1(path) -> SpectralField:
         raise GridError(f"not a CLF1 file: {path}")
     _check_grid_args(dim, n, box)
     shape = _rank_shape(rank, dim, n)
+    full = shape[:-1] + (n,)
     if ncomp != math.prod(shape[:-dim]):
         raise GridError(f"CLF1 component count {ncomp} does not match "
                         f"rank {rank!r}")
-    if len(payload) != 16 * math.prod(shape):
+    if len(payload) != 16 * math.prod(full):
         raise GridError("CLF1 payload size mismatch")
-    pairs = np.frombuffer(payload, dtype="<f8").reshape(shape + (2,))
+    pairs = np.frombuffer(payload, dtype="<f8").reshape(full + (2,))
     if not np.all(np.isfinite(pairs)):
         raise GridError(f"CLF1 payload has non-finite coefficients: {path}")
-    return SpectralField(Grid(dim, n, box), rank,
-                         pairs[..., 0] + 1j * pairs[..., 1],
-                         check_hermitian=True)
+    grid = Grid(dim, n, box)
+    coeffs = pairs[..., 0] + 1j * pairs[..., 1]
+    field = SpectralField(grid, rank, coeffs[..., :shape[-1]],
+                          check_hermitian=True)
+    _require_hermitian(coeffs, full_spectrum(grid, field.coeffs),
+                       np.max(np.abs(coeffs)))
+    return field

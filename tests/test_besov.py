@@ -72,7 +72,7 @@ def test_besov_zero_field(grid16, part16):
 
 
 def test_besov_rejects_nonzero_mean(grid16, part16):
-    c = np.zeros((3,) + grid16.shape, dtype=np.complex128)
+    c = np.zeros((3,) + grid16.xi_sq.shape, dtype=np.complex128)
     c[0, 0, 0, 0] = 1.0
     f = SpectralField(grid16, "vector", c)
     with pytest.raises(GridError):

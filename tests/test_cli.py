@@ -139,17 +139,26 @@ def test_corrupt_clf1_fails_with_package_error(tmp_path, capsys, header,
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fault", ["nan", "non-hermitian"])
+@pytest.mark.parametrize("fault", ["nan", "non-hermitian",
+                                   "non-hermitian-upper"])
 def test_bad_clf1_payload_fails_with_package_error(field_file, tmp_path,
                                                    capsys, fault):
     u = read_clf1(field_file)
     c = u.coeffs.copy()
     if fault == "nan":
         c[0, 1, 0, 0] = np.nan
-    else:
+    elif fault == "non-hermitian":
         c[0, 1, 0, 0] += 1j * np.max(np.abs(c))  # partner at -k unchanged
     path = tmp_path / "bad.clf1"
     write_clf1(path, SpectralField(u.grid, u.rank, c, check_hermitian=False))
+    if fault == "non-hermitian-upper":
+        # one mode with k_last in N/2+1 .. N-1, the half a field drops
+        header, payload = path.read_bytes().split(b"\n", 1)
+        n = u.grid.n
+        pairs = np.frombuffer(payload, dtype="<f8").reshape(
+            (3, n, n, n, 2)).copy()
+        pairs[0, 1, 0, n // 2 + 1, 1] += np.max(np.abs(c))
+        path.write_bytes(header + b"\n" + pairs.tobytes())
     with pytest.raises(NseLabError):
         read_clf1(path)
     assert main(["norm", "--in", str(path)]) == 2

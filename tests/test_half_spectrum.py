@@ -1,17 +1,17 @@
-"""The solver's real-FFT half-spectrum layout against full-spectrum
-references built from numpy's complex FFT."""
+"""The half-spectrum layout against full-spectrum references built from
+numpy's complex FFT."""
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from nselab import SolverConfig, energy_ledger, make_grid, mild_solve_nse
-from nselab.errors import GridError
+from nselab import (SolverConfig, Trajectory, energy_ledger, make_grid,
+                    mild_solve_nse, read_clf1, write_clf1)
 from nselab.families import random_power_law
-from nselab.heat import _pl_weights, duhamel_stack, exponential_weights
-from nselab.solver import (_cross_linear, _forcing_stack, _heat_stack,
-                           _nse_bilinear, half_stack, stack_to_trajectory)
-from nselab.spectral import full_spectrum, half_spectrum, inverse_transform
+from nselab.heat import _pl_weights, duhamel_stack, exponential_weights, \
+    heat_stack
+from nselab.solver import _cross_linear, _forcing_stack, _nse_bilinear
+from nselab.spectral import full_spectrum, inverse_transform
 
 
 def _partner(c, dim):
@@ -22,53 +22,78 @@ def _partner(c, dim):
     return out
 
 
+def _full_symbols(grid):
+    """|xi|^2, the derivative wavevectors and the dealias mask over the
+    full spectrum, from numpy's FFT frequencies."""
+    k1 = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    k = np.stack(np.meshgrid(*([k1] * grid.dim), indexing="ij"))
+    xi = (2.0 * np.pi / grid.box_length) * k
+    deriv = np.where(k == -grid.n // 2, 0.0, xi)
+    mask = np.all(np.abs(k) <= grid.n / 3.0, axis=0)
+    return np.sum(xi**2, axis=0), deriv, mask
+
+
+def _physical(grid, stack):
+    """Physical samples of half-spectrum coefficients, by numpy's FFT."""
+    return np.fft.irfftn(stack * grid.n**grid.dim, s=grid.shape,
+                         axes=tuple(range(-grid.dim, 0)))
+
+
+def _full(grid, stack):
+    """numpy's full-spectrum coefficients of a half-spectrum stack."""
+    return np.fft.fftn(_physical(grid, stack),
+                       axes=tuple(range(-grid.dim, 0))) / grid.n**grid.dim
+
+
 @pytest.mark.parametrize("dim", [2, 3])
-def test_full_spectrum_inverts_half_spectrum(dim):
+def test_full_spectrum_inverts_half_spectrum(dim, tmp_path):
+    # CLF1 holds the full spectrum: read keeps the half, write refills it
     g = make_grid(dim, 8, 2.0 * np.pi)
     rng = np.random.default_rng(dim)
-    shape = (2, dim) + g.shape
+    shape = (dim,) + (g.n,) * dim
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     c = x + _partner(x, dim)          # exactly Hermitian
-    nyquist = (Ellipsis, g.n // 2)
-    assert np.all(c[nyquist] != 0) and np.all(c[..., 0] != 0)
-    half = half_spectrum(g, c)
-    assert half.shape == shape[:-1] + (g.n // 2 + 1,)
+    for a in range(-dim, 0):          # every Nyquist plane is nonzero
+        assert np.all(np.take(c, g.n // 2, axis=a) != 0)
+    half = c[..., :g.n // 2 + 1]
     assert np.array_equal(full_spectrum(g, half), c)
-    assert np.array_equal(half_spectrum(g, half), half)
-
-
-def test_layout_rejects_other_lengths():
-    g = make_grid(3, 8, 1.0)
-    with pytest.raises(GridError):
-        g.layout(7)
+    pairs = np.stack([c.real, c.imag], axis=-1).astype("<f8")
+    payload = (f"CLF1 {dim} {g.n} {g.box_length!r} vector {dim}\n"
+               .encode("ascii") + pairs.tobytes())
+    path = tmp_path / "u.clf1"
+    path.write_bytes(payload)
+    field = read_clf1(path)
+    assert np.array_equal(field.coeffs, half)
+    write_clf1(path, field)
+    assert path.read_bytes() == payload
 
 
 def _full_bilinear_reference(grid, times, x, y):
-    """-Duhamel(P div dealias(x (x) y)) on full-spectrum stacks, with
-    numpy's complex FFT and the grid's full-spectrum symbols."""
+    """-Duhamel(P div dealias(x (x) y)) over the full spectrum, with
+    numpy's complex FFT and full-spectrum symbols, sliced to the half."""
     n, dim = grid.n, grid.dim
     axes = tuple(range(-dim, 0))
-    px = np.fft.ifftn(x * n**dim, axes=axes).real
-    py = np.fft.ifftn(y * n**dim, axes=axes).real
+    xi_sq, xi, mask = _full_symbols(grid)
+    px, py = _physical(grid, x), _physical(grid, y)
     tensor = np.fft.fftn(px[:, :, None] * py[:, None, :], axes=axes) / n**dim
-    tensor *= grid.dealias_mask
-    xi = grid.deriv_wavevectors
+    tensor *= mask
     f = 1j * np.einsum("j...,mij...->mi...", xi, tensor)
-    inv = np.zeros_like(grid.deriv_xi_sq)
-    inv[grid.deriv_xi_sq > 0] = 1.0 / grid.deriv_xi_sq[grid.deriv_xi_sq > 0]
+    d_sq = np.sum(xi**2, axis=0)
+    inv = np.zeros_like(d_sq)
+    inv[d_sq > 0] = 1.0 / d_sq[d_sq > 0]
     f = f - xi[None] * (np.einsum("i...,mi...->m...", xi, f) * inv)[:, None]
     out = np.zeros_like(f)
     for i in range(1, times.size):
         dt = times[i] - times[i - 1]
-        alpha, beta = _pl_weights(grid.xi_sq * dt)
-        out[i] = np.exp(-grid.xi_sq * dt) * out[i - 1] \
+        alpha, beta = _pl_weights(xi_sq * dt)
+        out[i] = np.exp(-xi_sq * dt) * out[i - 1] \
             + dt * (alpha * f[i - 1] + beta * f[i])
-    return -out
+    return -out[..., :n // 2 + 1]
 
 
 def _stacks(grid, times):
-    x = _heat_stack(grid, random_power_law(grid, 1.5, seed=1), times)
-    y = _heat_stack(grid, random_power_law(grid, 1.0, seed=2), times)
+    x = heat_stack(grid, random_power_law(grid, 1.5, seed=1).coeffs, times)
+    y = heat_stack(grid, random_power_law(grid, 1.0, seed=2).coeffs, times)
     return x, y
 
 
@@ -80,11 +105,10 @@ def test_half_bilinear_matches_full_reference(dim):
     assert x.shape[-1] == grid.n // 2 + 1
     bilinear = _nse_bilinear(grid, times)
     for got, a, b in ((bilinear(x, x), x, x), (bilinear(x, y), x, y)):
-        want = _full_bilinear_reference(grid, times, full_spectrum(grid, a),
-                                        full_spectrum(grid, b))
+        want = _full_bilinear_reference(grid, times, a, b)
         scale = np.max(np.abs(want))
         assert scale > 0
-        assert np.max(np.abs(got - half_spectrum(grid, want))) <= 1e-13 * scale
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 def test_cross_linear_matches_two_bilinear_calls(grid16):
@@ -98,24 +122,22 @@ def test_cross_linear_matches_two_bilinear_calls(grid16):
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("n_last", ["full", "half"])
-def test_exponential_weights_equal_direct_evaluation(grid16, n_last):
-    lay = grid16.layout(grid16.n if n_last == "full" else grid16.n_half)
+def test_exponential_weights_equal_direct_evaluation(grid16):
+    xi_sq = grid16.xi_sq
     taus = np.array([0.0, 1e-9, 1e-4, 0.013, 0.3])
-    decay, alpha, beta, index = exponential_weights(lay.xi_sq, taus)
-    assert decay.shape[1] < lay.xi_sq.size / 10
+    decay, alpha, beta, index = exponential_weights(xi_sq, taus)
+    assert decay.shape[1] < xi_sq.size / 10
     for r, tau in enumerate(taus):
-        a, b = _pl_weights(lay.xi_sq * tau)
+        a, b = _pl_weights(xi_sq * tau)
         assert np.array_equal(np.take(alpha[r], index), a)
         assert np.array_equal(np.take(beta[r], index), b)
-        assert np.array_equal(np.take(decay[r], index),
-                              np.exp(-lay.xi_sq * tau))
+        assert np.array_equal(np.take(decay[r], index), np.exp(-xi_sq * tau))
 
 
 def test_duhamel_stack_equals_direct_evaluation(grid16):
     times = np.array([0.0, 0.01, 0.05, 0.2])
     g, _ = _stacks(grid16, times)
-    xi_sq = grid16.layout(grid16.n_half).xi_sq
+    xi_sq = grid16.xi_sq
     want = np.zeros_like(g)
     for i in range(1, times.size):
         dt = times[i] - times[i - 1]
@@ -128,7 +150,7 @@ def test_duhamel_stack_equals_direct_evaluation(grid16):
 def test_continued_duhamel_stack_equals_one_pass(grid16):
     times = np.array([0.0, 1e-4, 1e-3, 0.01, 0.03, 0.05, 0.1, 0.2, 0.3])
     g, _ = _stacks(grid16, times)
-    xi_sq = grid16.layout(grid16.n_half).xi_sq
+    xi_sq = grid16.xi_sq
     whole = duhamel_stack(times, g, xi_sq)
     for k in range(times.size):
         rest = duhamel_stack(times[k:], g[k:], xi_sq, start=whole[k])
@@ -136,10 +158,11 @@ def test_continued_duhamel_stack_equals_one_pass(grid16):
 
 
 def _full_ledger_reference(traj, g_stack, substeps):
-    """Energy ledger summed over the full spectrum."""
+    """Energy ledger summed over numpy's full spectrum of the half-spectrum
+    solution and forcing stacks."""
     grid, times = traj.grid, traj.times
-    u = traj.coeffs
-    vol, xi_sq = grid.volume, grid.xi_sq
+    u, g_stack = _full(grid, traj.coeffs), _full(grid, g_stack)
+    vol, xi_sq = grid.volume, _full_symbols(grid)[0]
     energy = 0.5 * vol * np.sum(np.abs(u) ** 2, axis=tuple(range(1, u.ndim)))
     fracs = np.linspace(0.0, 1.0, substeps + 1)
     diss, work = [], []
@@ -166,19 +189,19 @@ def test_half_ledger_matches_full_reference(grid16):
                        measure_probes=0)
     sol = mild_solve_nse(u0, cfg)
     traj = sol.trajectory
-    assert sol.report.solution.shape[-1] == grid16.n // 2 + 1
-    assert np.array_equal(half_stack(traj), sol.report.solution)
+    assert traj.coeffs.shape[-1] == grid16.n // 2 + 1
+    # the trajectory is the solver's stack, not a copy of it
+    assert np.shares_memory(traj.coeffs, sol.report.solution)
+    assert np.array_equal(traj.coeffs, sol.report.solution)
     led = energy_ledger(traj, substeps=8)
-    # the solver's forcing, expanded to the full spectrum for the reference
     g_half = -_forcing_stack(grid16, sol.report.solution,
                              sol.report.solution)
-    ref = _full_ledger_reference(traj, full_spectrum(grid16, g_half), 8)
+    ref = _full_ledger_reference(traj, g_half, 8)
     for got, want in zip((led.energy, led.dissipation, led.work, led.slacks),
                          ref):
         assert np.max(np.abs(got - want)) <= 1e-13 * led.scale
-    # an explicit forcing may be given in either layout
-    explicit = energy_ledger(traj, substeps=8,
-                             g_stack=full_spectrum(grid16, g_half))
+    # an explicit forcing gives the ledger of the recomputed one
+    explicit = energy_ledger(traj, substeps=8, g_stack=g_half)
     assert np.array_equal(explicit.slacks, led.slacks)
 
 
@@ -193,8 +216,7 @@ def test_2d_ledger_matches_full_reference(grid2d, substeps):
     g_half = -_forcing_stack(grid2d, sol.report.solution,
                              sol.report.solution)
     assert np.max(np.abs(g_half)) > 0
-    ref = _full_ledger_reference(sol.trajectory,
-                                 full_spectrum(grid2d, g_half), substeps)
+    ref = _full_ledger_reference(sol.trajectory, g_half, substeps)
     for got, want in zip((led.energy, led.dissipation, led.work, led.slacks),
                          ref):
         assert np.max(np.abs(got - want)) <= 1e-13 * led.scale
@@ -202,7 +224,8 @@ def test_2d_ledger_matches_full_reference(grid2d, substeps):
 def test_ledger_background_coupling_is_one_symmetric_forcing(grid16):
     times = np.array([0.0, 0.01, 0.05, 0.2])
     u, v = _stacks(grid16, times)
-    traj, bg = (stack_to_trajectory(grid16, times, s) for s in (u, v))
+    traj, bg = (Trajectory._from_stack(grid16, times, "vector", s)
+                for s in (u, v))
     two_calls = -(_forcing_stack(grid16, u, u) + _forcing_stack(grid16, u, v)
                   + _forcing_stack(grid16, v, u))
     led = energy_ledger(traj, background=bg, substeps=4)

@@ -40,7 +40,7 @@ def test_oseen_divergence_free_and_decay(grid16):
         projected_divergence(u)
     # single-mode tensor: log-norm linear in t with slope -|xi|^2
     mode = single_mode(grid16, (2, 0, 0), (0.0, 1.0, 0.0))
-    tensor_c = np.zeros((3, 3) + grid16.shape, dtype=np.complex128)
+    tensor_c = np.zeros((3, 3) + grid16.xi_sq.shape, dtype=np.complex128)
     tensor_c[0, 1] = mode.coeffs[1]
     tensor_c[1, 0] = mode.coeffs[1]
     F1 = SpectralField(grid16, "matrix", tensor_c, check_hermitian=False)
@@ -78,7 +78,7 @@ def test_bernstein_gain_scaling(grid32, part32):
 def test_duhamel_constant_forcing_closed_form(grid16):
     # constant-in-time single-mode tensor: (1 - e^{-|k|^2 t})/|k|^2 factor
     mode = single_mode(grid16, (0, 2, 0), (1.0, 0.0, 0.0))
-    tensor_c = np.zeros((3, 3) + grid16.shape, dtype=np.complex128)
+    tensor_c = np.zeros((3, 3) + grid16.xi_sq.shape, dtype=np.complex128)
     tensor_c[0, 1] = mode.coeffs[0]
     F = SpectralField(grid16, "matrix", tensor_c, check_hermitian=False)
     times = np.linspace(0.0, 1.0, 33)
@@ -141,7 +141,7 @@ def test_kato_exponent_gate():
 
 
 def test_verify_kato_estimate_battery(grid16):
-    times = time_schedule(1.0, 12, 12, include_zero=False)
+    times = time_schedule(1.0, 12, 12)
     u = random_power_law(grid16, alpha=2.0, seed=7)
     flows = heat_trajectory(u, times)
     F = Trajectory(grid16, times,
@@ -166,7 +166,7 @@ def test_smoothing_derivatives_need_a_positive_time(grid16, k):
 
 
 def test_smoothing_derivatives_reduction_and_finiteness(grid16):
-    times = time_schedule(1.0, 12, 12, include_zero=False)
+    times = time_schedule(1.0, 12, 12)
     u = random_power_law(grid16, alpha=2.0, seed=8)
     flows = heat_trajectory(u, times)
     F = Trajectory(grid16, times,

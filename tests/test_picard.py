@@ -6,9 +6,10 @@ import pytest
 from nselab import (ConfigError, PicardDivergenceError, SolverConfig,
                     mild_solve_nse)
 from nselab.families import random_power_law
+from nselab.heat import heat_stack
 from nselab.picard import (PicardProblem, estimate_constants,
                            propagation_check, solve_picard)
-from nselab.solver import (KATO_P, PICARD_TOL, _heat_stack, _nse_bilinear,
+from nselab.solver import (KATO_P, PICARD_TOL, _nse_bilinear,
                            _prepare_data, kato_stack_norm)
 
 
@@ -94,12 +95,34 @@ def test_large_linear_norm_rejected():
 def test_estimate_constants_scalar():
     problem = PicardProblem(a=0.1, linear=lambda x: 0.5 * x,
                             bilinear=lambda x, y: x * y, norm=abs,
-                            probe=lambda rng: rng.uniform(0.1, 1.0))
+                            probe=lambda seed: np.random.default_rng(
+                                seed).uniform(0.1, 1.0))
     estimate_constants(problem, n_probes=50)
     assert problem.gamma == pytest.approx(1.0)
     assert problem.l_norm == pytest.approx(0.5)
     with pytest.raises(ConfigError):
         estimate_constants(PicardProblem(a=0.1, norm=abs))
+
+
+def test_known_gamma_builds_only_the_x_probes():
+    # a known gamma needs no y probe; y's seed is still drawn, so ||L||
+    # sees the same x as in a full run
+    seeds = []
+
+    def probe(seed):
+        seeds.append(seed)
+        return np.random.default_rng(seed).uniform(0.1, 1.0)
+
+    problem = PicardProblem(a=0.1, linear=lambda x: 0.5 * x,
+                            bilinear=lambda x, y: x * y,
+                            norm=lambda x: abs(x) * (1.0 + x), probe=probe)
+    estimate_constants(problem, n_probes=5, seed=3)
+    full, seeds[:] = list(seeds), []
+    measured = (problem.gamma, problem.l_norm)
+    estimate_constants(problem, n_probes=5, seed=3, gamma=measured[0])
+    assert len(full) == 10
+    assert seeds == full[::2]
+    assert (problem.gamma, problem.l_norm) == measured
 
 
 def test_linear_part_resolvent():
@@ -119,7 +142,8 @@ def test_propagation_check_scalar():
     problem = PicardProblem(a=0.05, linear=None,
                             bilinear=lambda x, y: x * y, norm=abs,
                             gamma=1.0, l_norm=0.0,
-                            probe=lambda rng: rng.uniform(0.01, 0.1))
+                            probe=lambda seed: np.random.default_rng(
+                                seed).uniform(0.01, 0.1))
     report = solve_picard(problem, tol=1e-14)
     prop = propagation_check(problem, report, e_norm=abs)
     assert prop.holds
@@ -148,7 +172,7 @@ def test_zero_linear_map_is_not_evaluated(grid16):
                        measure_probes=2)
     sol = mild_solve_nse(u0, cfg)
     times = cfg.schedule()
-    a = _heat_stack(grid16, _prepare_data(u0, grid16), times)
+    a = heat_stack(grid16, _prepare_data(u0, grid16).coeffs, times)
     reports, norm_calls = [], []
     for linear in (None, lambda x: 0.0 * x):
         calls = []

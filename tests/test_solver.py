@@ -16,9 +16,8 @@ from nselab.besov import block_lp_norms
 from nselab.heat import duhamel_stack, heat_stack
 from nselab.solver import (KATO_P, _cross_linear, _doubled_residual,
                            _forcing_stack, _nse_bilinear, _prepare_data,
-                           cross_forcing_stack, half_stack, kato_stack_norm)
-from nselab.spectral import (gradient, half_spectrum, interpolate_stack,
-                             inverse_transform)
+                           cross_forcing_stack, kato_stack_norm)
+from nselab.spectral import gradient, interpolate_stack, inverse_transform
 
 
 def small_config(grid, horizon=0.3, **kw):
@@ -154,11 +153,11 @@ def test_continuation_keeps_probe_seed(grid16):
                                   "kato", "blocks"])
 def test_sample_jobs_equal_a_serial_run(grid16, monkeypatch, case):
     # 13 samples: the last job has a partial chunk
-    x, y = (np.stack([half_spectrum(grid16, random_power_law(
-        grid16, alpha=2.0, seed=seed, amplitude=0.3).coeffs)
+    x, y = (np.stack([random_power_law(
+        grid16, alpha=2.0, seed=seed, amplitude=0.3).coeffs
         for seed in range(first, first + 13)]) for first in (0, 20))
     times = np.linspace(0.0, 0.3, 13)
-    m_rho = Mollifier(3, 0.5).symbol(grid16, grid16.n_half)
+    m_rho = Mollifier(3, 0.5).symbol(grid16)
     call = {
         "x_x": lambda: _forcing_stack(grid16, x, x),
         "x_y": lambda: _forcing_stack(grid16, x, y),
@@ -254,8 +253,8 @@ def test_gamma_cache_key(grid16, probe_log):
 
 
 def test_fused_step_matches_linear_plus_bilinear(grid16):
-    v, x = (np.stack([half_spectrum(grid16, random_power_law(
-        grid16, alpha=2.0, seed=seed, amplitude=0.3).coeffs)
+    v, x = (np.stack([random_power_law(
+        grid16, alpha=2.0, seed=seed, amplitude=0.3).coeffs
         for seed in range(first, first + 6)]) for first in (0, 10))
     times = np.array([0.0, 0.01, 0.03, 0.07, 0.15, 0.3])
     pv = inverse_transform(grid16, v)
@@ -271,8 +270,8 @@ def _one_pass_residual(grid, times, stack, u0, forcing):
         [times, 0.5 * (times[:-1] + times[1:])]))
     fine = interpolate_stack(times, stack, fine_times)
     rhs = -duhamel_stack(fine_times, forcing(fine_times, fine),
-                         grid.layout(grid.n_half).xi_sq)
-    rhs += heat_stack(grid, half_spectrum(grid, u0.coeffs), fine_times)
+                         grid.xi_sq)
+    rhs += heat_stack(grid, u0.coeffs, fine_times)
     keep = np.isin(fine_times, times)
     return kato_stack_norm(grid, fine_times[keep], (fine - rhs)[keep], KATO_P)
 
@@ -294,7 +293,7 @@ def test_streamed_residual_equals_one_pass(grid16, monkeypatch, kind):
             return _forcing_stack(grid16, fine, fine)
     else:
         u0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.5)
-        v_stack = half_stack(sol.trajectory)
+        v_stack = sol.trajectory.coeffs
         sol = mild_solve_perturbed(u0, sol.trajectory, cfg)
 
         def forcing(fine_times, fine):
@@ -319,7 +318,7 @@ def test_streamed_residual_memory_does_not_grow_with_the_schedule(
     peaks = []
     for n_samples in (25, 49):
         times = np.linspace(0.0, 0.2, n_samples)
-        stack = heat_stack(grid16, half_spectrum(grid16, u0.coeffs), times)
+        stack = heat_stack(grid16, u0.coeffs, times)
         tracemalloc.start()
         try:
             _doubled_residual(grid16, times, stack, u0, forcing)

@@ -22,7 +22,7 @@ from nselab import (BesovIndex, Trajectory, duhamel_trajectory,
                     heat_trajectory, kato_norm, rescale_trajectory)
 from nselab.families import random_power_law, single_mode
 from nselab.heat import _pl_weights, projected_divergence
-from nselab.spectral import (dealiased_tensor, forward_transform,
+from nselab.spectral import (dealiased_tensor, forward_half,
                              interpolate_stack, inverse_transform,
                              leray_coeffs, lp_norms, magnitude,
                              magnitude_lp_norms, map_samples,
@@ -55,10 +55,12 @@ def test_parseval(grid32):
 
 
 def test_hermitian_enforcement(grid16):
-    coeffs = np.zeros((3,) + grid16.shape, dtype=np.complex128)
-    coeffs[0, 1, 0, 0] = 1.0 + 1.0j  # no conjugate partner at -k
-    with pytest.raises(RankError):
-        SpectralField(grid16, "vector", coeffs, check_hermitian=True)
+    # the k_last = 0 and N/2 planes hold both k and -k
+    for k in ((1, 0, 0), (0, 3, 8)):
+        coeffs = np.zeros((3,) + grid16.xi_sq.shape, dtype=np.complex128)
+        coeffs[(0,) + k] = 1.0 + 1.0j  # no conjugate partner at -k
+        with pytest.raises(RankError):
+            SpectralField(grid16, "vector", coeffs, check_hermitian=True)
 
 
 def test_leray_projector_idempotent(grid32):
@@ -92,11 +94,11 @@ def test_pressure_balances_momentum(grid32):
 def test_dealias_product_single_modes(grid16):
     # two scalar modes whose sum stays inside the retained band
     k1, k2 = 2, 3
-    c = np.zeros(grid16.shape, dtype=np.complex128)
+    c = np.zeros(grid16.xi_sq.shape, dtype=np.complex128)
     c[k1, 0, 0] = 0.5
     c[-k1, 0, 0] = 0.5
     u = SpectralField(grid16, "scalar", c)
-    d = np.zeros(grid16.shape, dtype=np.complex128)
+    d = np.zeros(grid16.xi_sq.shape, dtype=np.complex128)
     d[k2, 0, 0] = 0.5
     d[-k2, 0, 0] = 0.5
     v = SpectralField(grid16, "scalar", d)
@@ -108,7 +110,7 @@ def test_dealias_product_single_modes(grid16):
 
 def test_dealias_zeroes_aliasing(grid16):
     # modes at k=7: sum 14 > N/3, aliased output must be zeroed
-    c = np.zeros(grid16.shape, dtype=np.complex128)
+    c = np.zeros(grid16.xi_sq.shape, dtype=np.complex128)
     c[7, 0, 0] = 0.5
     c[-7, 0, 0] = 0.5
     u = SpectralField(grid16, "scalar", c)
@@ -326,7 +328,7 @@ def test_stack_kernel_matches_per_field(grid16, case):
 def test_trajectory_is_one_read_only_stack(grid16):
     u, _ = _samples(grid16)
     traj = Trajectory(grid16, TIMES, u)
-    assert traj.coeffs.shape == (3, 3) + grid16.shape
+    assert traj.coeffs.shape == (3, 3) + grid16.xi_sq.shape
     assert not traj.coeffs.flags.writeable
     with pytest.raises(ValueError):
         traj.coeffs[0, 0, 0, 0, 0] = 1.0
@@ -342,16 +344,19 @@ def test_trajectory_is_one_read_only_stack(grid16):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_transform_backend_matches_reference(dim):
-    # the real-transform backend against numpy's full complex FFT, and
-    # the symmetric u (x) u branch against the general two-factor one
+    # the real-transform backend against numpy's complex FFT sliced to
+    # the half spectrum and numpy's real inverse FFT, and the symmetric
+    # u (x) u branch against the general two-factor one
     g = make_grid(dim, 16, 2.0 * np.pi)
     axes = tuple(range(-dim, 0))
     vals = np.random.default_rng(dim).standard_normal((2, dim) + g.shape)
     u = _stack([random_power_law(g, alpha=1.0, seed=40 + k)
                 for k in range(2)])
     cases = [
-        (forward_transform(g, vals), np.fft.fftn(vals, axes=axes) / 16**dim),
-        (inverse_transform(g, u), np.fft.ifftn(u * 16**dim, axes=axes).real),
+        (forward_half(g, vals),
+         np.fft.fftn(vals, axes=axes)[..., :9] / 16**dim),
+        (inverse_transform(g, u),
+         np.fft.irfftn(u * 16**dim, s=g.shape, axes=axes)),
         (dealiased_tensor(g, u, u), dealiased_tensor(g, u, u.copy())),
     ]
     for got, want in cases:
@@ -390,6 +395,69 @@ def test_only_spectral_calls_fft():
                     if pattern.search(line):
                         offenders.append(f"{name}:{lineno}: {line.strip()}")
     assert offenders == []
+
+
+def _source_trees():
+    src = os.path.dirname(nselab.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
+def _names_full_spectrum(node):
+    return (isinstance(node, ast.Name) and node.id == "full_spectrum"
+            or isinstance(node, ast.Attribute) and node.attr == "full_spectrum"
+            or isinstance(node, ast.alias) and node.name == "full_spectrum")
+
+
+def _cuts_to_half(node):
+    """``x[..., :n_half]`` or ``x[..., :grid.n // 2 + 1]``."""
+    if not (isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Tuple)):
+        return False
+    first, *rest = node.slice.elts
+    return (isinstance(first, ast.Constant) and first.value is Ellipsis
+            and any(isinstance(e, ast.Slice) and e.upper is not None
+                    and re.fullmatch(r"(\w+\.)?(n_half|n // 2 \+ 1)",
+                                     ast.unparse(e.upper))
+                    for e in rest))
+
+
+def test_one_coefficient_layout():
+    # fields, trajectories and solver stacks all hold the half spectrum:
+    # the full spectrum exists only behind the CLF1 file format, and no
+    # module cuts a full-spectrum array down to the half
+    found, allowed, cuts = set(), set(), []
+    for name, tree in _source_trees():
+        for node in ast.walk(tree):
+            if _names_full_spectrum(node):
+                found.add((name, node.lineno))
+            if _cuts_to_half(node):
+                cuts.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+            if (name == "spectral.py" and isinstance(node, ast.FunctionDef)
+                    and node.name in ("write_clf1", "read_clf1")):
+                allowed.update((name, n.lineno) for n in ast.walk(node)
+                               if _names_full_spectrum(n))
+    assert len(allowed) == 2
+    assert found == allowed
+    assert cuts == []
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_fields_trajectories_and_symbols_hold_the_half_spectrum(dim):
+    g = make_grid(dim, 8, 2.0 * np.pi)
+    u = random_power_law(g, alpha=1.0, seed=12)
+    arrays = [u.coeffs, heat_trajectory(u, [0.0, 0.1]).coeffs,
+              SpectralField.zero(g, "matrix").coeffs,
+              SpectralField.from_physical(g, np.ones(g.shape)).coeffs,
+              g.k_int, g.wavevectors, g.deriv_wavevectors, g.xi_sq,
+              g.deriv_xi_sq, g.xi_abs, g.dealias_mask, g.inverse_laplacian,
+              g.hermitian_weight]
+    assert [a.shape[-1] for a in arrays] == [g.n // 2 + 1] * len(arrays)
+    # the last index is k = -N/2, as in the full FFT order
+    assert np.all(g.k_int[-1, ..., -1] == -g.n // 2)
+    assert g.hermitian_weight.tolist() == [1.0, 2.0, 2.0, 2.0, 1.0]
 
 
 def test_no_unused_imports():
