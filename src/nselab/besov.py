@@ -164,13 +164,8 @@ def block_lp_norms(grid: Grid, coeffs: np.ndarray, partition: DyadicPartition,
 
     if batch_axes == 0:
         return norms(coeffs)
-    out = np.empty(coeffs.shape[:batch_axes] + (len(partition.j_range),))
-
-    def job(part):
-        out[part] = norms(coeffs[part])
-
-    map_samples(job, len(coeffs))
-    return out
+    return map_samples(lambda part: norms(coeffs[part]), np.empty(
+        coeffs.shape[:batch_axes] + (len(partition.j_range),)))
 
 
 def low_freq(field: SpectralField, j: int,
@@ -370,23 +365,11 @@ def besov_norm(field: SpectralField, index: BesovIndex,
                       truncated=truncated, meta=meta)
 
 
-def kato_decay_profile(traj: Trajectory, s: float, p: float) -> np.ndarray:
-    """Series t^{-s/2} ||u(.,t)||_p over the positive-time samples."""
-    pos = traj.times > 0
-    return traj.times[pos] ** (-s / 2.0) * traj.lp_series(p)[pos]
-
-
 def weighted_sup(grid: Grid, times: np.ndarray, stack: np.ndarray,
                  expo: float, p: float) -> float:
     """sup over the positive-time samples of t^expo ||u(t)||_p, for a
-    coefficient stack (0 if there are none).  The L^p norms run as
-    ``map_samples`` jobs."""
-    series = np.empty(len(stack))
-
-    def job(part):
-        series[part] = lp_norms(grid, stack[part], p, batch_axes=1)
-
-    map_samples(job, len(stack))
+    coefficient stack (0 if there are none)."""
+    series = lp_norms(grid, stack, p, batch_axes=1)
     pos = times > 0
     return float(np.max(times[pos] ** expo * series[pos], initial=0.0))
 
@@ -397,10 +380,11 @@ def kato_norm(traj: Trajectory, index: BesovIndex) -> NormReport:
     q = inf takes the sup over samples (the smallest attaining sample
     is recorded); finite q integrates by trapezoid in log t.
     """
-    times = traj.times[traj.times > 0]
+    pos = traj.times > 0
+    times = traj.times[pos]
     if times.size == 0:
         raise QuadratureError("trajectory has no positive-time samples")
-    profile = kato_decay_profile(traj, index.s, index.p)
+    profile = times ** (-index.s / 2.0) * traj.lp_series(index.p)[pos]
     blocks = list(enumerate(profile))
     if math.isinf(index.q):
         value = float(np.max(profile))

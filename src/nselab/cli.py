@@ -33,13 +33,18 @@ EXIT_GATE = 4
 
 
 def _common(sub):
+    sub.add_argument("--out", default=None, help="output directory")
+    sub.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _common_with_grid(sub):
+    """``_common`` plus the grid of the commands that build their own."""
+    _common(sub)
     sub.add_argument("--grid", type=int, default=32,
                      help="points per axis (default 32)")
     sub.add_argument("--box", type=float, default=2.0 * math.pi,
                      help="box side length (default 2*pi)")
     sub.add_argument("--dim", type=int, default=3, choices=(2, 3))
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _emit(args, payload: dict, name: str):
@@ -175,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("partition-check",
                         help="dyadic partition-of-unity deviation")
-    _common(p)
+    _common_with_grid(p)
     p.set_defaults(fn=cmd_partition_check)
 
     p = subs.add_parser("norm", help="Besov norm of a CLF1 field")
@@ -207,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("heat-verify",
                         help="measured Duhamel smoothing constant")
-    _common(p)
+    _common_with_grid(p)
     p.add_argument("--s1", type=float, default=-0.5)
     p.add_argument("--p1", type=float, default=2.0)
     p.add_argument("--p2", type=float, default=4.0)
@@ -216,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_heat_verify)
 
     p = subs.add_parser("solve", help="run and archive a solver experiment")
-    _common(p)
+    _common_with_grid(p)
     p.add_argument("--family", default="taylor-green",
                    choices=("taylor-green", "abc", "random", "zero"))
     p.add_argument("--solver", default="direct",

@@ -19,9 +19,9 @@ from . import families
 from .calderon import SplitConfig, split
 from .errors import ConfigError, GridError
 from .heat import _pl_weights
-from .solver import (SolverConfig, _forcing_stack, cross_forcing_stack,
-                     mild_solve_nse, mild_solve_perturbed, mollified_solve,
-                     solve_with_continuation)
+from .solver import (SolverConfig, _background_stack, _forcing_stack,
+                     cross_forcing_stack, mild_solve_nse, mild_solve_perturbed,
+                     mollified_solve, solve_with_continuation)
 from .spectral import (Grid, Mollifier, SpectralField, atomic_write_bytes,
                        divergence_residuals, inverse_transform, read_clf1,
                        write_clf1)
@@ -173,8 +173,8 @@ class LedgerReport:
 
 
 def _ledger_forcing(grid: Grid, u_stack: np.ndarray, nonlinearity: str,
-                    rho: float | None, background) -> np.ndarray:
-    """Forcing stack of a solution stack."""
+                    rho: float | None, v_stack) -> np.ndarray:
+    """Forcing stack of a solution stack (around ``v_stack`` if given)."""
     if nonlinearity == "none":
         return np.zeros_like(u_stack)
     mult = None
@@ -185,8 +185,8 @@ def _ledger_forcing(grid: Grid, u_stack: np.ndarray, nonlinearity: str,
     elif nonlinearity != "nse":
         raise ConfigError(f"unknown nonlinearity {nonlinearity!r}")
     g = -_forcing_stack(grid, u_stack, u_stack, w_multiplier=mult)
-    if background is not None:
-        pv = inverse_transform(grid, background.coeffs)
+    if v_stack is not None:
+        pv = inverse_transform(grid, v_stack)
         g -= cross_forcing_stack(grid, pv, u_stack)
     return g
 
@@ -204,7 +204,8 @@ def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
     subintervals (even, >= 2): residuals shrink like substeps^{-4}.
     The forcing is recomputed from the fields (plain, mollified, or
     none, plus optional background coupling) unless ``g_stack`` is
-    given explicitly.
+    given explicitly.  A background must share the schedule as the
+    perturbed solver's does (``solver._background_stack``).
 
     The reconstruction is u(t_i + tau) = c_a u_i + c_0 g_i + c_1 g_{i+1}
     with weights that depend on a mode only through |xi|^2, so the
@@ -216,12 +217,10 @@ def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
         raise ConfigError("substeps must be even and >= 2")
     grid = traj.grid
     times = traj.times
-    if background is not None and (len(background) != len(traj) or
-                                   not np.allclose(background.times, times)):
-        raise ConfigError("background must share the trajectory schedule")
+    v_stack = _background_stack(grid, times, background)
     u, g = traj.coeffs, g_stack
     if g is None:
-        g = _ledger_forcing(grid, u, nonlinearity, rho, background)
+        g = _ledger_forcing(grid, u, nonlinearity, rho, v_stack)
     values, shell = np.unique(grid.xi_sq, return_inverse=True)
     weight = grid.volume * grid.hermitian_weight
     bins = shell.ravel() + values.size * np.arange(len(u))[:, None]
@@ -264,8 +263,8 @@ def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
 
 def critical_norm_series(traj: Trajectory, p: float,
                          partition: DyadicPartition | None = None) -> np.ndarray:
-    """Critical Besov norm of every sample, all samples at once (the mean
-    mode is not seen, since phi_j(0) = 0)."""
+    """Critical Besov norm of every sample, as sample jobs (the mean mode
+    is not seen, since phi_j(0) = 0)."""
     partition = partition or default_partition(traj.grid)
     idx = BesovIndex(critical_exponent(p), p, p)
     norms = block_lp_norms(traj.grid, traj.coeffs, partition, p, 1)

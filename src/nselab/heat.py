@@ -12,8 +12,8 @@ import numpy as np
 
 from .besov import Trajectory, weighted_sup
 from .errors import ExponentError, QuadratureError, RankError
-from .spectral import (Grid, SpectralField, interpolate_stack,
-                       projected_divergence_coeffs)
+from .spectral import (Grid, SpectralField, gradient_coeffs,
+                       interpolate_stack, projected_divergence_coeffs)
 
 
 def heat_evolve(field: SpectralField, t: float) -> SpectralField:
@@ -31,9 +31,8 @@ def heat_stack(grid: Grid, coeffs: np.ndarray, times) -> np.ndarray:
 
 
 def heat_trajectory(field: SpectralField, times) -> Trajectory:
+    """e^{t Lap} of a field at strictly increasing times t >= 0."""
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise QuadratureError(f"heat flow requires t >= 0, got {np.min(times)}")
     return Trajectory._from_stack(field.grid, times, field.rank,
                                   heat_stack(field.grid, field.coeffs, times))
 
@@ -187,13 +186,9 @@ def verify_kato_estimate(f_traj: Trajectory, s1: float, p1: float,
 
 
 def _grad_stack(grid: Grid, stack: np.ndarray, order: int) -> np.ndarray:
-    """grad^order of a coefficient stack (M, ...); each gradient adds a
-    component axis right after the time axis."""
-    xi = 1j * grid.deriv_wavevectors
+    """grad^order of a stack (M, ...), the new axes after the time axis."""
     for _ in range(order):
-        lead = (1,) * (stack.ndim - 1 - grid.dim)
-        stack = xi.reshape(xi.shape[:1] + lead + xi.shape[1:]) \
-            * np.expand_dims(stack, 1)
+        stack = gradient_coeffs(grid, stack, batch_axes=1)
     return stack
 
 

@@ -114,18 +114,15 @@ def _forcing_stack(grid: Grid, v_stack: np.ndarray, w_stack: np.ndarray,
     ``FFT_WORKERS`` threads, each job's FFTs on one thread, so the tensor
     temporaries do not grow with the schedule and the result is
     bit-identical to a serial run."""
-    out = np.empty_like(v_stack)
 
     def job(part):
         v = v_stack[part]
         w = v if w_stack is v_stack else w_stack[part]
         if w_multiplier is not None:
             w = w * w_multiplier
-        out[part] = projected_divergence_coeffs(
-            grid, dealiased_tensor(grid, v, w))
+        return projected_divergence_coeffs(grid, dealiased_tensor(grid, v, w))
 
-    map_samples(job, len(v_stack))
-    return out
+    return map_samples(job, np.empty_like(v_stack))
 
 
 def kato_stack_norm(grid: Grid, times: np.ndarray, stack: np.ndarray,
@@ -247,7 +244,6 @@ def cross_forcing_stack(grid: Grid, pv: np.ndarray, w_stack: np.ndarray,
     symmetric tensor, for v given by its physical samples ``pv``; with
     ``fused``, P div dealias(w (x) w + w (x) v + v (x) w), the forcing of
     the perturbed Picard step, as the symmetric tensor of w and w/2 + v."""
-    out = np.empty_like(w_stack)
 
     def job(part):
         pw = inverse_transform(grid, w_stack[part])
@@ -255,10 +251,9 @@ def cross_forcing_stack(grid: Grid, pv: np.ndarray, w_stack: np.ndarray,
             tensor = symmetric_tensor(grid, pw, 0.5 * pw + pv[part])
         else:
             tensor = symmetric_tensor(grid, pv[part], pw)
-        out[part] = projected_divergence_coeffs(grid, tensor)
+        return projected_divergence_coeffs(grid, tensor)
 
-    map_samples(job, len(w_stack))
-    return out
+    return map_samples(job, np.empty_like(w_stack))
 
 
 def _cross_linear(grid: Grid, times: np.ndarray, pv: np.ndarray,
@@ -432,9 +427,11 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
     T*).
 
     The trajectory is one stack: the prepared data, then each segment's
-    samples after its first.  ``residual_doubled`` is the largest
-    doubled-schedule residual of the accepted segments (NaN when none
-    was accepted).
+    samples after its first (one segment's stack is taken as it is);
+    each report's ``solution`` becomes a read-only view of its segment
+    there, from the previous segment's last sample on.  The largest
+    doubled-schedule residual of the accepted segments is
+    ``residual_doubled`` (NaN when none was accepted).
     """
     grid = config.grid
     first = _prepare_data(u0, grid).coeffs
@@ -447,10 +444,14 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
     residuals = []
 
     def result(status):
-        coeffs = np.concatenate([first[None]]
-                                + [rep.solution[1:] for rep in reports])
+        coeffs = reports[0].solution if len(reports) == 1 else np.concatenate(
+            [first[None]] + [rep.solution[1:] for rep in reports])
         traj = Trajectory._from_stack(grid, np.concatenate(all_times),
                                       "vector", coeffs)
+        start = 0
+        for rep in reports:
+            rep.solution = traj.coeffs[start:start + len(rep.solution)]
+            start += len(rep.solution) - 1
         return ContinuationResult(traj, status, segments, reports,
                                   max(residuals, default=float("nan")))
 

@@ -32,7 +32,7 @@ Threads
 -------
 This is also the only module that creates threads.  A single transform
 runs on ``FFT_WORKERS`` threads (every CPU this process may use).  The
-solver's stack kernels (forcing, Kato norms) instead run as
+stack kernels (forcing, L^p series, Besov blocks) instead run as
 ``map_samples`` jobs of ``SAMPLE_CHUNK`` (4) consecutive time samples
 on ``FFT_WORKERS`` threads, the caller among them, and each job's FFTs
 run on one thread.  A job computes exactly what a serial pass over its
@@ -61,6 +61,7 @@ HERMITIAN_RTOL = 1e-12
 FFT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 SAMPLE_CHUNK = 4  # time samples per map_samples job
+MAX_GRID_POINTS = 128**3  # larger grids are refused before any allocation
 
 _SCALAR = "scalar"
 _VECTOR = "vector"
@@ -72,6 +73,8 @@ def _check_grid_args(dim: int, n: int, box_length: float) -> None:
         raise GridError(f"dim must be 2 or 3, got {dim}")
     if n % 2 != 0 or n < 8:
         raise GridError(f"points_per_axis must be even and >= 8, got {n}")
+    if int(n) ** dim > MAX_GRID_POINTS:  # int: a numpy n**dim may wrap
+        raise GridError(f"a {n}^{dim} grid exceeds {MAX_GRID_POINTS} points")
     if not 0 < box_length < math.inf:
         raise GridError(f"box_length must be positive and finite, "
                         f"got {box_length}")
@@ -194,10 +197,10 @@ def _helper_pool() -> ThreadPoolExecutor:
         return _pool
 
 
-def map_samples(fn, n: int) -> None:
-    """Call ``fn(part)`` once for each slice ``part`` of ``SAMPLE_CHUNK``
-    consecutive entries of ``range(n)``; the jobs must write disjoint
-    outputs.
+def map_samples(fn, out: np.ndarray) -> np.ndarray:
+    """Set ``out[part] = fn(part)`` for each slice ``part`` of
+    ``SAMPLE_CHUNK`` consecutive samples (first-axis entries) of ``out``,
+    and return ``out``; each job writes only its own slice.
 
     The caller and ``FFT_WORKERS - 1`` pool threads take slices from one
     queue, and a job's FFTs run on one thread.  A nested call, a single
@@ -205,13 +208,14 @@ def map_samples(fn, n: int) -> None:
     further slice is started; the call returns once every running job
     has finished and re-raises the exception.
     """
-    starts = range(0, n, SAMPLE_CHUNK)
-    helpers = min(FFT_WORKERS, len(starts)) - 1
+    parts = [slice(s, s + SAMPLE_CHUNK)
+             for s in range(0, len(out), SAMPLE_CHUNK)]
+    helpers = min(FFT_WORKERS, len(parts)) - 1
     if helpers <= 0 or getattr(_job, "active", False):
-        for s in starts:
-            fn(slice(s, s + SAMPLE_CHUNK))
-        return
-    queue = iter(starts)
+        for part in parts:
+            out[part] = fn(part)
+        return out
+    queue = iter(parts)
     lock = threading.Lock()
     failed = threading.Event()
 
@@ -220,10 +224,10 @@ def map_samples(fn, n: int) -> None:
         try:
             while not failed.is_set():
                 with lock:
-                    s = next(queue, None)
-                if s is None:
+                    part = next(queue, None)
+                if part is None:
                     return
-                fn(slice(s, s + SAMPLE_CHUNK))
+                out[part] = fn(part)
         except BaseException:
             failed.set()
             raise
@@ -238,6 +242,7 @@ def map_samples(fn, n: int) -> None:
         wait(futures)
     for f in futures:
         f.result()
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -287,6 +292,15 @@ def xi_dot(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     with the derivative wavevectors."""
     s = "xyz"[:grid.dim]
     return np.einsum(f"i{s},...i{s}->...{s}", grid.deriv_wavevectors, coeffs)
+
+
+def gradient_coeffs(grid: Grid, coeffs: np.ndarray,
+                    batch_axes: int = 0) -> np.ndarray:
+    """i xi_i c: the spectral gradient as a new component axis right
+    after the first ``batch_axes`` axes."""
+    lead = range(1, coeffs.ndim - batch_axes - grid.dim + 1)
+    xi = np.expand_dims(1j * grid.deriv_wavevectors, tuple(lead))
+    return xi * np.expand_dims(coeffs, batch_axes)
 
 
 def leray_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -374,9 +388,13 @@ def magnitude_lp_norms(grid: Grid, values: np.ndarray, p: float,
 def lp_norms(grid: Grid, coeffs: np.ndarray, p: float,
              batch_axes: int = 0) -> np.ndarray:
     """Grid-quadrature L^p norm of the pointwise magnitude, one per entry
-    of the first ``batch_axes`` axes."""
-    return magnitude_lp_norms(grid, inverse_transform(grid, coeffs), p,
-                              batch_axes)
+    of the first ``batch_axes`` axes.  With batch axes the samples run as
+    ``map_samples`` jobs along the first one."""
+    if batch_axes == 0:
+        return magnitude_lp_norms(grid, inverse_transform(grid, coeffs), p)
+    return map_samples(lambda part: magnitude_lp_norms(
+        grid, inverse_transform(grid, coeffs[part]), p, batch_axes),
+        np.empty(coeffs.shape[:batch_axes]))
 
 
 def l2_norms(grid: Grid, coeffs: np.ndarray, batch_axes: int = 0,
@@ -587,14 +605,12 @@ def divergence(field: SpectralField) -> SpectralField:
 
 def gradient(field: SpectralField) -> SpectralField:
     """Spectral gradient; scalar -> vector, vector -> matrix (d_i u_j)."""
-    xi = field.grid.deriv_wavevectors
-    if field.rank == _SCALAR:
-        c = 1j * xi * field.coeffs[None]
-        return SpectralField(field.grid, _VECTOR, c, check_hermitian=False)
-    if field.rank == _VECTOR:
-        c = 1j * xi[:, None] * field.coeffs[None, :]
-        return SpectralField(field.grid, _MATRIX, c, check_hermitian=False)
-    raise RankError("gradient of a matrix field is not supported")
+    ranks = {_SCALAR: _VECTOR, _VECTOR: _MATRIX}
+    if field.rank not in ranks:
+        raise RankError("gradient of a matrix field is not supported")
+    return SpectralField(field.grid, ranks[field.rank],
+                         gradient_coeffs(field.grid, field.coeffs),
+                         check_hermitian=False)
 
 
 def curl(field: SpectralField):

@@ -10,7 +10,7 @@ from nselab import (BesovIndex, ExponentError, GridError, NormReport,
                     interpolation_check, kato_norm, lp_block, low_freq,
                     make_grid, paraproduct, phi_profile, timespace_besov_norm)
 from nselab.besov import (ProductExponents, block_lp_norms,
-                          paraproduct_estimate_check)
+                          paraproduct_estimate_check, weighted_sup)
 from nselab.calderon import SplitConfig, split
 from nselab.diagnostics import critical_norm_series
 from nselab.families import random_power_law, single_mode
@@ -154,6 +154,17 @@ def test_block_lp_norms_match_per_sample_blocks(grid16, part16):
         rep = besov_norm(f.zero_mean(), BesovIndex(0.0, 4.0, 4.0), part16)
         want = np.array([c for _, c in rep.blocks])
         assert np.max(np.abs(row - want)) <= 1e-13 * np.max(want)
+
+
+def test_lp_series_is_weighted_sups_series(grid16):
+    # 13 samples: more than one 4-sample job, the last one partial
+    u = random_power_law(grid16, alpha=2.0, seed=3)
+    traj = heat_trajectory(u, np.linspace(0.0, 0.3, 13))
+    for p in (3.0, 4.0, math.inf):
+        # with one positive time t = 1, weighted_sup reads one sample
+        sups = [weighted_sup(grid16, np.eye(len(traj))[k], traj.coeffs,
+                             0.0, p) for k in range(len(traj))]
+        assert np.array_equal(traj.lp_series(p), sups)
 
 
 def test_critical_norm_series_matches_per_sample(grid16, part16):

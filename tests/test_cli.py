@@ -40,6 +40,24 @@ def test_norm_command(field_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_grid_options_only_where_they_act(field_file, tmp_path, capsys):
+    # the other commands take their grid from the input file or archive
+    assert main(["norm", "--in", field_file, "--grid", "64"]) == 2
+    for argv in (["split", "--in", field_file], ["sweep", "--in", field_file],
+                 ["vanish", "--in", field_file, "--lambdas", "1.0"],
+                 ["rescale", "--in", field_file, "--lambda", "2.0",
+                  "--outfile", str(tmp_path / "r.clf1")],
+                 ["report", "--archive", str(tmp_path)]):
+        for option in ("--grid", "--box", "--dim"):
+            assert main(argv + [option, "3"]) == 2
+    assert "--grid" in capsys.readouterr().err
+
+
+def test_oversized_grid_is_a_validation_error(capsys):
+    assert main(["partition-check", "--grid", "100000"]) == 2
+    assert "exceeds" in capsys.readouterr().err
+
+
 def test_norm_missing_file(tmp_path):
     assert main(["norm", "--in", str(tmp_path / "nope.clf1")]) == 2
 

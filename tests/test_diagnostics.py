@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from nselab import (BesovIndex, ConfigError, DiagnosticsReport,
-                    ExperimentConfig, GridError, Trajectory, besov_norm,
-                    critical_exponent, default_partition, energy_ledger,
-                    heat_trajectory, leray_monitor, rescale,
-                    rescale_trajectory, run_experiment, vanishing_test)
+                    ExperimentConfig, GridError, QuadratureError,
+                    SolverConfig, Trajectory, besov_norm, critical_exponent,
+                    default_partition, energy_ledger, heat_trajectory,
+                    leray_monitor, mild_solve_perturbed, rescale,
+                    rescale_trajectory, run_experiment, time_schedule,
+                    vanishing_test)
 from nselab.families import critical_random, random_power_law, taylor_green
 
 
@@ -126,6 +128,21 @@ def test_energy_ledger_validation(grid16):
         energy_ledger(traj, nonlinearity="bogus")
     with pytest.raises(ConfigError):
         energy_ledger(traj, nonlinearity="mollified")  # rho missing
+
+
+def test_energy_ledger_checks_the_schedule_as_the_solver_does(grid16):
+    u = random_power_law(grid16, alpha=2.0, seed=7, amplitude=0.1)
+    times = time_schedule(0.3, 4, 4)
+    traj = heat_trajectory(u, times)
+    assert energy_ledger(traj, background=traj).slacks.size == 8
+    # 5e-9 is 1.7% of the first positive sample, 0.3 * 2^-20
+    shifted = Trajectory._from_stack(grid16, times + 5e-9, "vector",
+                                     traj.coeffs)
+    with pytest.raises(QuadratureError):
+        energy_ledger(traj, background=shifted)
+    with pytest.raises(QuadratureError):
+        mild_solve_perturbed(u, shifted, SolverConfig(
+            grid=grid16, horizon=0.3, times=times, measure_probes=0))
 
 
 def test_experiment_config_roundtrip():

@@ -149,6 +149,53 @@ def test_continuation_keeps_probe_seed(grid16):
     assert res.reports[0].gamma == mild_solve_nse(u0, cfg).report.gamma
 
 
+def test_one_segment_continuation_holds_its_samples_once(grid16):
+    u0 = random_power_law(grid16, alpha=2.0, seed=7, amplitude=5e-2)
+    cfg = small_config(grid16, horizon=0.2, n_geometric=12, n_uniform=12)
+    tracemalloc.start()
+    try:
+        res = solve_with_continuation(u0, cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    coeffs = res.trajectory.coeffs
+    assert res.segment_horizons == [0.2]
+    solution = res.reports[0].solution
+    assert np.shares_memory(solution, coeffs)
+    assert not solution.flags.writeable
+    assert np.array_equal(solution, coeffs)
+    assert coeffs.nbytes < held < 1.5 * coeffs.nbytes
+
+
+def test_continuation_reports_are_views_of_the_trajectory(grid16,
+                                                         monkeypatch):
+    solved = {}
+    picard_checked = solver._picard_checked
+
+    def recording(*args, **kwargs):
+        out = picard_checked(*args, **kwargs)
+        solved[id(out[0])] = out[0].solution.copy()
+        return out
+
+    monkeypatch.setattr(solver, "_picard_checked", recording)
+    u0 = random_power_law(grid16, alpha=2.0, seed=7, amplitude=5.0)
+    cfg = small_config(grid16, horizon=0.2, n_geometric=4, n_uniform=4,
+                       max_iter=6)
+    res = solve_with_continuation(u0, cfg, step_floor=0.01)
+    assert res.status == "completed" and len(res.segment_horizons) > 1
+    coeffs = res.trajectory.coeffs
+    start = 0
+    for rep in res.reports:
+        own = solved[id(rep)]
+        # from the previous segment's last sample, which seeded this one
+        assert np.array_equal(rep.solution, coeffs[start:start + len(own)])
+        assert np.array_equal(rep.solution, own)
+        assert np.shares_memory(rep.solution, coeffs)
+        assert not rep.solution.flags.writeable
+        start += len(own) - 1
+    assert start == len(coeffs) - 1
+
+
 @pytest.mark.parametrize("case", ["x_x", "x_y", "mollified", "cross", "fused",
                                   "kato", "blocks"])
 def test_sample_jobs_equal_a_serial_run(grid16, monkeypatch, case):

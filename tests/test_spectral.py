@@ -7,6 +7,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from nselab import (Grid, GridError, Mollifier, QuadratureError, RankError,
 from nselab import (BesovIndex, Trajectory, duhamel_trajectory,
                     heat_trajectory, kato_norm, rescale_trajectory)
 from nselab.families import random_power_law, single_mode
-from nselab.heat import _pl_weights, projected_divergence
+from nselab.heat import _grad_stack, _pl_weights, projected_divergence
 from nselab.spectral import (dealiased_tensor, forward_half,
                              interpolate_stack, inverse_transform,
                              leray_coeffs, lp_norms, magnitude,
@@ -36,6 +37,21 @@ def test_grid_validation():
         make_grid(3, 15, 1.0)
     with pytest.raises(GridError):
         make_grid(3, 16, -1.0)
+
+
+def test_oversized_grid_is_refused_before_any_allocation():
+    spectral._check_grid_args(3, 128, 1.0)  # the largest 3D grid
+    spectral._check_grid_args(2, 1448, 1.0)  # 1448^2 < 128^3
+    tracemalloc.start()
+    try:
+        for dim, n in ((3, 130), (3, 100000), (2, 1450),
+                       (3, np.int64(2**22))):  # 2^66 wraps in int64
+            with pytest.raises(GridError, match="exceeds"):
+                make_grid(dim, n, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_round_trip_transform(grid32):
@@ -176,6 +192,16 @@ def test_gradient_ranks(grid16):
     assert gradient(v).rank == "matrix"
     with pytest.raises(RankError):
         curl(s)
+
+
+def test_field_gradient_is_the_stack_gradient_of_one_sample(grid16):
+    for rank in ("scalar", "vector"):
+        f = random_power_law(grid16, alpha=1.0, seed=8, rank=rank)
+        stack = _grad_stack(grid16, f.coeffs[None], 1)
+        assert np.array_equal(gradient(f).coeffs, stack[0])
+    s = random_power_law(grid16, alpha=1.0, seed=8, rank="scalar")
+    assert np.array_equal(gradient(gradient(s)).coeffs,
+                          _grad_stack(grid16, s.coeffs[None], 2)[0])
 
 
 def test_write_clf1_failure_leaves_target_unchanged(tmp_path, grid16,
@@ -485,6 +511,27 @@ def test_no_unused_imports():
     assert offenders == []
 
 
+def test_every_private_definition_is_used():
+    # a module-level _name function or class is referenced somewhere in
+    # the package besides its own definition
+    src = os.path.dirname(nselab.__file__)
+    defined, used = {}, set()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            defined.update(
+                (node.name, f"{name}:{node.lineno}") for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__"))
+            used.update(node.id if isinstance(node, ast.Name) else node.attr
+                        for node in ast.walk(tree)
+                        if isinstance(node, (ast.Name, ast.Attribute)))
+    assert defined
+    assert [where for n, where in defined.items() if n not in used] == []
+
+
 def test_only_spectral_starts_threads():
     # map_samples is the one place that runs work on other threads
     src = os.path.dirname(nselab.__file__)
@@ -532,16 +579,31 @@ def test_failing_job_raises_its_error(monkeypatch, where):
             running.remove(part.start)
 
     with pytest.raises(JobError):
-        map_samples(job, 13)
+        map_samples(job, np.empty(13, dtype=object))
     assert running == []
     assert sorted(started) == [0, 4]  # no slice starts after the failure
     out = np.zeros(13)
-
-    def fill(part):
-        out[part] = np.arange(13)[part]
-
-    map_samples(fill, 13)
+    assert map_samples(lambda part: np.arange(13)[part], out) is out
     assert np.array_equal(out, np.arange(13))
+
+
+def test_jobs_fill_their_slices_under_contention(monkeypatch):
+    # six threads and a short switch interval: a lost or misplaced slice
+    # write would show in the output
+    monkeypatch.setattr(spectral, "FFT_WORKERS", 6)
+    monkeypatch.setattr(spectral, "_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (1, 5, 401):
+            out = np.full((n, 3), -1.0)
+            map_samples(lambda part: np.arange(3 * n).reshape(n, 3)[part],
+                        out)
+            assert np.array_equal(out, np.arange(3 * n).reshape(n, 3))
+    finally:
+        sys.setswitchinterval(interval)
+        if spectral._pool is not None:
+            spectral._pool.shutdown(wait=True)
 
 
 def test_nested_call_runs_inline(monkeypatch):
@@ -556,9 +618,10 @@ def test_nested_call_runs_inline(monkeypatch):
             def inner(q, i=i):
                 seen[i, q] += 1
                 inline.append(threading.get_ident() == ident)
-            map_samples(inner, 13)
+            map_samples(inner, np.empty(13, dtype=object))
 
-    t = threading.Thread(target=map_samples, args=(outer, 13), daemon=True)
+    t = threading.Thread(target=map_samples,
+                         args=(outer, np.empty(13, dtype=object)), daemon=True)
     t.start()
     t.join(timeout=60)
     assert not t.is_alive()
@@ -573,13 +636,14 @@ def test_jobs_run_in_a_forked_child():
     # the child inherits the started pool but none of its threads
     script = textwrap.dedent("""
         import os, signal
+        import numpy as np
         from nselab import spectral
         spectral.FFT_WORKERS = 2
-        spectral.map_samples(lambda part: None, 13)
+        spectral.map_samples(lambda part: 0.0, np.empty(13))
         pid = os.fork()
         if pid == 0:
             signal.alarm(30)
-            spectral.map_samples(lambda part: None, 13)
+            spectral.map_samples(lambda part: 0.0, np.empty(13))
             os._exit(0)
         _, status = os.waitpid(pid, 0)
         raise SystemExit(os.waitstatus_to_exitcode(status))
@@ -593,7 +657,8 @@ def test_jobs_run_in_a_forked_child():
 def test_one_worker_runs_jobs_on_the_caller(monkeypatch):
     monkeypatch.setattr(spectral, "FFT_WORKERS", 1)
     idents = []
-    map_samples(lambda part: idents.append(threading.get_ident()), 13)
+    map_samples(lambda part: idents.append(threading.get_ident()),
+                np.empty(13, dtype=object))
     assert idents == [threading.get_ident()] * 4
 
 
