@@ -25,7 +25,9 @@ CRITICAL_DIM = 3  # s_p := -1 + 3/p throughout, following the 3D theory
 
 
 def critical_exponent(p: float) -> float:
-    """s_p = -1 + 3/p (p = inf gives -1)."""
+    """s_p = -1 + 3/p for p >= 1 (p = inf gives -1)."""
+    if not p >= 1:
+        raise ExponentError(f"critical exponents need p >= 1, got {p}")
     return -1.0 + (0.0 if math.isinf(p) else CRITICAL_DIM / p)
 
 
@@ -267,6 +269,17 @@ def _every_other(m: int) -> list:
     return list(range(0, m - 1, 2)) + [m - 1]
 
 
+def check_times(times) -> np.ndarray:
+    """Sample times as a float array: 1-D, finite, non-negative and
+    strictly increasing (the one rule for every time axis)."""
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or not np.all(np.isfinite(times)) or \
+            np.any(times < 0) or np.any(np.diff(times) <= 0):
+        raise QuadratureError("times must be 1-D, finite, non-negative and "
+                              "strictly increasing")
+    return times
+
+
 class Trajectory:
     """Time-stamped sequence of fields on a shared grid, held as one
     read-only half-spectrum coefficient stack ``coeffs`` of shape (M,) +
@@ -279,11 +292,9 @@ class Trajectory:
 
     def __init__(self, grid: Grid, times, fields):
         fields = list(fields)
-        times = np.asarray(times, dtype=np.float64)
-        if times.ndim != 1 or len(fields) != times.size:
-            raise QuadratureError("times and fields length mismatch")
-        if times.size == 0:
-            raise QuadratureError("empty trajectory")
+        if not fields or len(fields) != check_times(times).size:
+            raise QuadratureError("a trajectory needs one field per time, "
+                                  "and at least one")
         for f in fields:
             if f.grid != grid:
                 raise GridError("trajectory fields must share the grid")
@@ -297,16 +308,12 @@ class Trajectory:
                     coeffs: np.ndarray) -> "Trajectory":
         """A trajectory over ``coeffs``, taken over without a copy."""
         traj = cls.__new__(cls)
-        traj._adopt(grid, np.asarray(times, dtype=np.float64), rank, coeffs)
+        traj._adopt(grid, times, rank, coeffs)
         return traj
 
     def _adopt(self, grid, times, rank, coeffs):
-        if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0) \
-                or times[0] < 0:
-            raise QuadratureError("times must be finite, non-negative and "
-                                  "strictly increasing")
         self.grid = grid
-        self.times = times
+        self.times = check_times(times)
         self.rank = rank
         self.coeffs = coeffs.view()
         self.coeffs.flags.writeable = False

@@ -40,8 +40,9 @@ class SplitConfig:
     def __post_init__(self):
         if not (3.0 < self.p < self.q):
             raise ConfigError(f"need 3 < p < q, got p={self.p}, q={self.q}")
-        if not self.lam > 0:
-            raise ConfigError("threshold scale lambda must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ConfigError(f"threshold scale lambda must be positive and "
+                              f"finite, got {self.lam}")
         if self.block_exponent is None:
             self.block_exponent = -self.s_p * self.p / (self.p - 2.0)
         self._validate()
@@ -162,10 +163,13 @@ def split(u0: SpectralField, config: SplitConfig,
 
     c_large = c_small = 0.0
     if crit > 0:
-        c_large = l2_large / (crit ** (config.p / 2.0)
-                              * config.lam ** (1.0 - config.p / 2.0))
+        # as numpy scalars, an extreme lambda gives inf or NaN, not an error
+        c, lam = np.float64(crit), np.float64(config.lam)
         pq = config.p / config.q if not math.isinf(config.q) else 0.0
-        c_small = besov_small / (crit**pq * config.lam ** (1.0 - pq))
+        with np.errstate(all="ignore"):
+            c_large = l2_large / (c ** (config.p / 2.0)
+                                  * lam ** (1.0 - config.p / 2.0))
+            c_small = besov_small / (c**pq * lam ** (1.0 - pq))
     return SplitResult(large=large, small=small, config=config,
                        l2_large=l2_large, besov_small=besov_small,
                        critical_norm=crit,

@@ -19,9 +19,9 @@ from . import families
 from .calderon import SplitConfig, split
 from .errors import ConfigError, GridError
 from .heat import _pl_weights
-from .solver import (SolverConfig, _background_stack, _forcing_stack,
-                     cross_forcing_stack, mild_solve_nse, mild_solve_perturbed,
-                     mollified_solve, solve_with_continuation)
+from .solver import (SolverConfig, _background_stack, _step_forcing,
+                     mild_solve_nse, mild_solve_perturbed, mollified_solve,
+                     solve_with_continuation)
 from .spectral import (Grid, Mollifier, SpectralField, atomic_write_bytes,
                        divergence_residuals, inverse_transform, read_clf1,
                        write_clf1)
@@ -174,7 +174,8 @@ class LedgerReport:
 
 def _ledger_forcing(grid: Grid, u_stack: np.ndarray, nonlinearity: str,
                     rho: float | None, v_stack) -> np.ndarray:
-    """Forcing stack of a solution stack (around ``v_stack`` if given)."""
+    """Forcing stack of a solution stack (around ``v_stack`` if given):
+    the solvers' ``_step_forcing``, negated."""
     if nonlinearity == "none":
         return np.zeros_like(u_stack)
     mult = None
@@ -184,11 +185,9 @@ def _ledger_forcing(grid: Grid, u_stack: np.ndarray, nonlinearity: str,
         mult = Mollifier(grid.dim, rho).symbol(grid)
     elif nonlinearity != "nse":
         raise ConfigError(f"unknown nonlinearity {nonlinearity!r}")
-    g = -_forcing_stack(grid, u_stack, u_stack, w_multiplier=mult)
-    if v_stack is not None:
-        pv = inverse_transform(grid, v_stack)
-        g -= cross_forcing_stack(grid, pv, u_stack)
-    return g
+    pv = None if v_stack is None else inverse_transform(grid, v_stack)
+    g = _step_forcing(grid, u_stack, pv, mult)
+    return np.negative(g, out=g)
 
 
 def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
@@ -202,10 +201,11 @@ def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
     from the quadrature model u' = Lap u + g with g linear in time, so
     the only ledger error is the composite Simpson rule on ``substeps``
     subintervals (even, >= 2): residuals shrink like substeps^{-4}.
-    The forcing is recomputed from the fields (plain, mollified, or
-    none, plus optional background coupling) unless ``g_stack`` is
-    given explicitly.  A background must share the schedule as the
-    perturbed solver's does (``solver._background_stack``).
+    The forcing is recomputed from the fields by the solvers' one
+    forcing (plain, mollified, or none, plus optional background
+    coupling) unless ``g_stack`` is given explicitly.  A background must
+    share the schedule as the perturbed solver's does
+    (``solver._background_stack``).
 
     The reconstruction is u(t_i + tau) = c_a u_i + c_0 g_i + c_1 g_{i+1}
     with weights that depend on a mode only through |xi|^2, so the
@@ -420,7 +420,7 @@ def _run_solver(config: ExperimentConfig, grid: Grid,
         meta["residual_doubled"] = res.residual_doubled
         return res.trajectory, res.status, "nse", meta
     if config.solver == "mollified":
-        sol = mollified_solve(u0, None, None, config.rho, sc)
+        sol = mollified_solve(u0, None, config.rho, sc)
         meta["picard_iterations"] = sol.report.iterations
         meta["residual_doubled"] = sol.residual_doubled
         return sol.trajectory, _status(sol), "mollified", meta
@@ -443,9 +443,9 @@ def run_experiment(config: ExperimentConfig) -> DiagnosticsReport:
     """Run one solver experiment, compute diagnostics, archive results.
 
     Status is 'completed', 'blow-up suspected', or 'numerical failure'
-    (residual gates: divergence-free and energy-slack checks).  When
-    ``out_dir`` is set the archive holds manifest.json, per-series CSV
-    files, and the sampled fields as CLF1.
+    (residual gates: divergence-free and energy-slack checks, and every
+    archived series finite).  When ``out_dir`` is set the archive holds
+    manifest.json, per-series CSV files, and the sampled fields as CLF1.
     """
     grid = Grid(config.dim, config.n, config.box_length)
     u0 = _resolve_recipe(grid, config.recipe, config.seed)
@@ -463,9 +463,14 @@ def run_experiment(config: ExperimentConfig) -> DiagnosticsReport:
     report.energy_slacks = ledger.slacks
     report.div_residuals = divergence_residuals(grid, traj.coeffs,
                                                 batch_axes=1)
-    # residual gates: a run is never silently wrong
-    if np.max(report.div_residuals) > 1e-8 or \
-            (ledger.slacks.size and ledger.min_slack < -1e-5 * ledger.scale):
+    # residual gates: a run is never silently wrong, and every archived
+    # series must be finite
+    archived = (*report.lp_series.values(), report.besov_series,
+                *report.leray_series.values(), report.div_residuals,
+                ledger.energy, ledger.dissipation, ledger.work, ledger.slacks)
+    if not (all(np.all(np.isfinite(s)) for s in archived)
+            and np.max(report.div_residuals) <= 1e-8
+            and np.all(ledger.slacks >= -1e-5 * ledger.scale)):
         report.status = "numerical failure"
     report.meta["energy_scale"] = ledger.scale
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .besov import Trajectory, weighted_sup
+from .besov import Trajectory, check_times, weighted_sup
 from .errors import ExponentError, QuadratureError, RankError
 from .spectral import (Grid, SpectralField, gradient_coeffs,
                        interpolate_stack, projected_divergence_coeffs)
@@ -31,18 +31,17 @@ def heat_stack(grid: Grid, coeffs: np.ndarray, times) -> np.ndarray:
 
 
 def heat_trajectory(field: SpectralField, times) -> Trajectory:
-    """e^{t Lap} of a field at strictly increasing times t >= 0."""
-    times = np.asarray(times, dtype=float)
+    """e^{t Lap} of a field at times that pass ``check_times``, checked
+    before the stack is built."""
+    times = check_times(times)
     return Trajectory._from_stack(field.grid, times, field.rank,
                                   heat_stack(field.grid, field.coeffs, times))
 
 
 def projected_divergence(tensor: SpectralField) -> SpectralField:
     """P div F for a matrix field: contract i xi_j into F_ij, project."""
-    if tensor.rank != "matrix":
-        raise RankError("P div needs a matrix field")
-    c = projected_divergence_coeffs(tensor.grid, tensor.coeffs)
-    return SpectralField(tensor.grid, "vector", c, check_hermitian=False)
+    return SpectralField(tensor.grid, "vector", _forcing(tensor),
+                         check_hermitian=False)
 
 
 def oseen_apply(tensor: SpectralField, t: float) -> SpectralField:
@@ -120,11 +119,12 @@ def duhamel_stack(times: np.ndarray, g_stack: np.ndarray,
     return out
 
 
-def _forcing(f_traj: Trajectory) -> np.ndarray:
-    """P div F at every sample of a tensor trajectory."""
-    if f_traj.rank != "matrix":
-        raise RankError("P div needs a matrix trajectory")
-    return projected_divergence_coeffs(f_traj.grid, f_traj.coeffs)
+def _forcing(f) -> np.ndarray:
+    """P div F of a tensor field, or at every sample of a tensor
+    trajectory: the one rank check of both."""
+    if f.rank != "matrix":
+        raise RankError("P div needs a matrix field")
+    return projected_divergence_coeffs(f.grid, f.coeffs)
 
 
 def duhamel_integral(f_traj: Trajectory, t: float) -> SpectralField:
@@ -262,14 +262,10 @@ def time_schedule(horizon: float, n_geometric: int = 24, n_uniform: int = 24,
 
 
 def check_schedule(times) -> np.ndarray:
-    """A solver schedule as a float array: finite times that start at 0
-    and increase strictly, at least two of them."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise QuadratureError(f"a schedule needs at least two samples, got "
-                              f"shape {times.shape}")
-    if not np.all(np.isfinite(times)) or times[0] != 0 or \
-            np.any(np.diff(times) <= 0):
-        raise QuadratureError("schedule times must be finite, start at 0 "
-                              "and increase strictly")
+    """A solver schedule as a float array: times that pass
+    ``check_times``, start at 0, and number at least two."""
+    times = check_times(times)
+    if times.size < 2 or times[0] != 0:
+        raise QuadratureError(f"a schedule starts at 0 and has at least two "
+                              f"samples, got {times.size} from {times[:1]}")
     return times

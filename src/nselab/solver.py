@@ -17,8 +17,12 @@ after a direct solve on the same configuration runs no B(x, y) probe;
 ||L|| depends on the background and is always measured.  One pair is
 enough: every caller meets its keys in order and never returns to an
 older one (continuation only shrinks its step).
-The perturbed solver takes each Picard step, and its doubled-schedule
-residual, as one forcing of w (x) w + w (x) v + v (x) w.
+
+Every solve is one call of ``_picard_checked`` with an optional
+divergence-free background v and mollifier symbol.  One forcing,
+``_step_forcing``, defines its nonlinearity, P div dealias(w (x) (w)_rho
++ w (x) v + v (x) w): the Picard step, the doubled-schedule residual
+and the energy ledger all take it from there.
 
 The doubled-schedule residual streams over its refined schedule in
 chunks of whole ``map_samples`` jobs, so its memory does not grow with
@@ -81,11 +85,10 @@ class SolverConfig:
                               f"{self.measure_probes}")
 
     def schedule(self) -> np.ndarray:
-        if self.times is not None:
-            return check_schedule(self.times)
-        return check_schedule(time_schedule(
-            self.horizon, self.n_geometric, self.n_uniform,
-            self.first_exponent))
+        return check_schedule(self.times if self.times is not None else
+                              time_schedule(self.horizon, self.n_geometric,
+                                            self.n_uniform,
+                                            self.first_exponent))
 
 
 @dataclass
@@ -173,37 +176,36 @@ def _measure_constants(problem: PicardProblem, config: SolverConfig,
     _last_gamma = (key, problem.gamma)
 
 
-def _picard_solution(u0: SpectralField, config: SolverConfig,
-                     times: np.ndarray, linear, **kw) -> MildSolution:
-    """``_picard_checked`` with the solution as a trajectory, which
-    shares the solver's stack; the stack is made read-only."""
-    report, rd, max_div = _picard_checked(u0, config, times, linear, **kw)
-    report.solution.flags.writeable = False
-    return MildSolution(
-        trajectory=Trajectory._from_stack(config.grid, times, "vector",
-                                          report.solution),
-        report=report, residual_doubled=rd, max_div_residual=max_div,
-        config=config)
-
-
 def _picard_checked(u0: SpectralField, config: SolverConfig,
-                    times: np.ndarray, linear, w_multiplier=None,
-                    step=None, forcing_refined=None,
-                    doubled_residual: bool = True):
-    """Solve x = e^{tL}u0 + L(x) - B(x, x) on the schedule, B with the
-    advected factor premultiplied by ``w_multiplier``: measure the
-    constants, iterate, and check the solution.  ``step`` is the
-    problem's fused L(x) + B(x, x); ``forcing_refined(fine_times, x)``
-    is the forcing whose negated Duhamel integral is that step on
-    samples of the doubled residual's refined schedule (the forcing of
-    B(x, x) alone when absent).  Returns the Picard report, the doubled
-    residual (NaN when not computed) and the largest divergence
-    residual."""
+                    times: np.ndarray, background=None,
+                    w_multiplier=None) -> MildSolution:
+    """The one solve path: x = e^{tL}u0 - B(x, x) - B(x, v) - B(v, x)
+    around a divergence-free background v (none when None), the advected
+    factor of B(x, x) premultiplied by ``w_multiplier``.  The Picard step
+    and the doubled residual take their forcing from ``_step_forcing``;
+    constant probing and the resolvent use L = -B(., v) - B(v, .) and B
+    apart.  The trajectory is the solver's stack, made read-only."""
     grid = config.grid
     u0 = _prepare_data(u0, grid)
+    v_stack = _background_stack(grid, times, background)
+    pv = linear = None
+    if v_stack is not None:
+        if np.max(divergence_residuals(grid, v_stack, batch_axes=1)) > 1e-10:
+            raise GridError("background must be divergence-free")
+        pv = inverse_transform(grid, v_stack)
+        linear = _cross_linear(grid, times, pv)
 
     def norm(stack):
         return kato_stack_norm(grid, times, stack, KATO_P)
+
+    def step(x):
+        return _minus_duhamel(grid, times,
+                              _step_forcing(grid, x, pv, w_multiplier))
+
+    def forcing(fine_times, fine):
+        pvf = None if v_stack is None else inverse_transform(
+            grid, interpolate_stack(times, v_stack, fine_times))
+        return _step_forcing(grid, fine, pvf, w_multiplier)
 
     problem = PicardProblem(a=heat_stack(grid, u0.coeffs, times),
                             linear=linear,
@@ -218,53 +220,67 @@ def _picard_checked(u0: SpectralField, config: SolverConfig,
     report = solve_picard(problem, tol=PICARD_TOL,
                           max_iter=config.max_iter)
     stack = report.solution
-    rd = float("nan")
-    if doubled_residual:
-        if forcing_refined is None:
-            def forcing_refined(fine_times, fine):
-                return _forcing_stack(grid, fine, fine, w_multiplier)
-        rd = _doubled_residual(grid, times, stack, u0, forcing_refined)
+    rd = _doubled_residual(grid, times, stack, u0, forcing)
     divs = divergence_residuals(grid, stack, batch_axes=1)
-    return report, rd, float(np.max(divs))
+    stack.flags.writeable = False
+    return MildSolution(Trajectory._from_stack(grid, times, "vector", stack),
+                        report, rd, float(np.max(divs)), config)
+
+
+def _minus_duhamel(grid: Grid, times: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """-Duhamel(g) on the schedule, written over the recursion's output."""
+    out = duhamel_stack(times, g, grid.xi_sq)
+    return np.negative(out, out=out)
 
 
 def _nse_bilinear(grid: Grid, times: np.ndarray,
                   w_multiplier: np.ndarray | None = None):
     def bilinear(x, y):
-        out = duhamel_stack(times, _forcing_stack(grid, x, y, w_multiplier),
-                            grid.xi_sq)
-        return np.negative(out, out=out)
+        return _minus_duhamel(grid, times,
+                              _forcing_stack(grid, x, y, w_multiplier))
 
     return bilinear
 
 
-def cross_forcing_stack(grid: Grid, pv: np.ndarray, w_stack: np.ndarray,
-                        fused: bool = False) -> np.ndarray:
+def cross_forcing_stack(grid: Grid, pv: np.ndarray,
+                        w_stack: np.ndarray) -> np.ndarray:
     """P div dealias(w (x) v + v (x) w) per sample, one forcing of the
-    symmetric tensor, for v given by its physical samples ``pv``; with
-    ``fused``, P div dealias(w (x) w + w (x) v + v (x) w), the forcing of
-    the perturbed Picard step, as the symmetric tensor of w and w/2 + v."""
+    symmetric tensor, for v given by its physical samples ``pv``."""
 
     def job(part):
         pw = inverse_transform(grid, w_stack[part])
-        if fused:
-            tensor = symmetric_tensor(grid, pw, 0.5 * pw + pv[part])
-        else:
-            tensor = symmetric_tensor(grid, pv[part], pw)
-        return projected_divergence_coeffs(grid, tensor)
+        return projected_divergence_coeffs(
+            grid, symmetric_tensor(grid, pv[part], pw))
 
     return map_samples(job, np.empty_like(w_stack))
 
 
-def _cross_linear(grid: Grid, times: np.ndarray, pv: np.ndarray,
-                  fused: bool = False):
+def _step_forcing(grid: Grid, x: np.ndarray, pv: np.ndarray | None,
+                  w_multiplier: np.ndarray | None) -> np.ndarray:
+    """The nonlinearity of every solve, per sample: P div dealias(x (x)
+    (x)_rho), (x)_rho being x premultiplied by ``w_multiplier``, plus
+    x (x) v + v (x) x around a background v given by its physical
+    samples ``pv``.  Unmollified around a background it is one forcing,
+    the symmetric tensor of x and x/2 + v."""
+    if pv is None:
+        return _forcing_stack(grid, x, x, w_multiplier)
+    if w_multiplier is not None:
+        g = _forcing_stack(grid, x, x, w_multiplier)
+        return np.add(g, cross_forcing_stack(grid, pv, x), out=g)
+
+    def job(part):
+        px = inverse_transform(grid, x[part])
+        return projected_divergence_coeffs(
+            grid, symmetric_tensor(grid, px, 0.5 * px + pv[part]))
+
+    return map_samples(job, np.empty_like(x))
+
+
+def _cross_linear(grid: Grid, times: np.ndarray, pv: np.ndarray):
     """w -> B(w, v) + B(v, w) for a fixed v given by its physical samples
-    ``pv``; with ``fused`` the perturbed step w -> B(w, v) + B(v, w) +
-    B(w, w), still one forcing and one Duhamel pass."""
+    ``pv``."""
     def linear(w):
-        out = duhamel_stack(times, cross_forcing_stack(grid, pv, w, fused),
-                            grid.xi_sq)
-        return np.negative(out, out=out)
+        return _minus_duhamel(grid, times, cross_forcing_stack(grid, pv, w))
 
     return linear
 
@@ -311,80 +327,46 @@ def _doubled_residual(grid: Grid, times: np.ndarray, stack: np.ndarray,
 
 def mild_solve_nse(u0: SpectralField, config: SolverConfig) -> MildSolution:
     """Picard solution of u(t) = e^{tL}u0 - B(u, u)(t) on the schedule."""
-    return _picard_solution(u0, config, config.schedule(), None)
+    return _picard_checked(u0, config, config.schedule())
 
 
-def mild_solve_perturbed(u0_large: SpectralField, background: Trajectory,
+def mild_solve_perturbed(u0_large: SpectralField, background,
                          config: SolverConfig) -> MildSolution:
-    """Solve W = e^{tL}U0 - B(W,W) - B(W,V) - B(V,W) around background V.
-
-    The background must be sampled on the solver schedule.  Each Picard
-    step and the doubled residual form the three products as one
-    forcing; constant probing and the resolvent use L and B apart.
-    """
-    grid = config.grid
-    times = config.schedule()
-    v_stack = _background_stack(grid, times, background)
-    pv = inverse_transform(grid, v_stack)
-
-    def forcing_refined(fine_times, fine):
-        pvf = inverse_transform(grid, interpolate_stack(times, v_stack,
-                                                        fine_times))
-        return cross_forcing_stack(grid, pvf, fine, fused=True)
-
-    return _picard_solution(u0_large, config, times,
-                            _cross_linear(grid, times, pv),
-                            step=_cross_linear(grid, times, pv, fused=True),
-                            forcing_refined=forcing_refined)
+    """Solve W = e^{tL}U0 - B(W,W) - B(W,V) - B(V,W) around a
+    divergence-free background V, a ``Trajectory`` sampled on the solver
+    schedule or a ``SpectralField`` held constant in time."""
+    return _picard_checked(u0_large, config, config.schedule(), background)
 
 
 def _background_stack(grid: Grid, times: np.ndarray, bg) -> np.ndarray | None:
+    """The coefficient stack of a background on the schedule (None for
+    None): a trajectory's own stack, or a field at every sample as a
+    read-only view of its coefficients."""
     if bg is None:
         return None
-    if isinstance(bg, Trajectory):
-        if len(bg) != times.size or \
-                not np.allclose(bg.times, times, rtol=1e-12, atol=0):
-            raise QuadratureError("background trajectory must share the "
-                                  "solver schedule")
-        return bg.coeffs
+    if not isinstance(bg, (Trajectory, SpectralField)):
+        raise ConfigError("background must be a Trajectory, SpectralField, "
+                          "or None")
+    if bg.grid != grid or bg.rank != "vector":
+        raise GridError("background must be a vector field on the grid")
     if isinstance(bg, SpectralField):
-        c = bg.coeffs
-        return np.broadcast_to(c[None], (times.size,) + c.shape).copy()
-    raise ConfigError("background must be a Trajectory, SpectralField, or None")
+        return np.broadcast_to(bg.coeffs, (times.size,) + bg.coeffs.shape)
+    if len(bg) != times.size or \
+            not np.allclose(bg.times, times, rtol=1e-12, atol=0):
+        raise QuadratureError("background trajectory must share the "
+                              "solver schedule")
+    return bg.coeffs
 
 
-def mollified_solve(u0: SpectralField, a_bg, b_bg, rho: float,
+def mollified_solve(u0: SpectralField, background, rho: float,
                     config: SolverConfig) -> MildSolution:
-    """Leray-mollified perturbed solver:
-    U = e^{tL}U0 - B_rho(U, U) - L(U), with the advected factor
-    mollified, B_rho(v,w) = Duhamel(P div v (x) (w)_rho) and
-    L(w) = Duhamel(P div (a (x) w + w (x) b)); requires div b = 0.
+    """Leray-mollified solver around a divergence-free background V (or
+    None), taken as in ``mild_solve_perturbed``:
+    U = e^{tL}U0 - B_rho(U, U) - B(U, V) - B(V, U), with the advected
+    factor mollified, B_rho(v, w) = Duhamel(P div v (x) (w)_rho).
     """
-    grid = config.grid
-    times = config.schedule()
-    m_rho = Mollifier(grid.dim, rho).symbol(grid)
-
-    a_stack_bg = _background_stack(grid, times, a_bg)
-    b_stack_bg = _background_stack(grid, times, b_bg)
-    if b_stack_bg is not None and \
-            divergence_residuals(grid, b_stack_bg) > 1e-10:
-        raise GridError("background b must be divergence-free")
-
-    linear = None
-    if a_stack_bg is not None or b_stack_bg is not None:
-        plain = _nse_bilinear(grid, times)
-
-        def linear(w):
-            out = None
-            if a_stack_bg is not None:
-                out = plain(a_stack_bg, w)
-            if b_stack_bg is not None:
-                term = plain(w, b_stack_bg)
-                out = term if out is None else out + term
-            return out
-
-    return _picard_solution(u0, config, times, linear, w_multiplier=m_rho,
-                            doubled_residual=linear is None)
+    m_rho = Mollifier(config.grid.dim, rho).symbol(config.grid)
+    return _picard_checked(u0, config, config.schedule(), background, m_rho)
 
 
 # ---------------------------------------------------------------------
@@ -455,13 +437,13 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
         return ContinuationResult(traj, status, segments, reports,
                                   max(residuals, default=float("nan")))
 
-    while t0 < config.horizon - 1e-12:
+    while t0 < config.horizon * (1.0 - 1e-12):
         step = min(step, config.horizon - t0)
         sub = replace(config, horizon=step, times=None)
         times = sub.schedule()
         try:
-            report, rd, _ = _picard_checked(current, sub, times, None)
-            converged = report.converged
+            sol = _picard_checked(current, sub, times)
+            converged = sol.report.converged
         except PicardDivergenceError:
             converged = False
         if not converged:
@@ -470,10 +452,10 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
                 return result("blow-up suspected")
             continue
         segments.append(step)
-        reports.append(report)
-        residuals.append(rd)
+        reports.append(sol.report)
+        residuals.append(sol.residual_doubled)
         all_times.append(times[1:] + t0)
-        current = SpectralField(grid, "vector", report.solution[-1],
+        current = SpectralField(grid, "vector", sol.report.solution[-1],
                                 check_hermitian=False)
         t0 += step
     return result("completed")

@@ -53,7 +53,8 @@ import scipy.fft
 from numpy.polynomial.legendre import leggauss
 from scipy.special import j0
 
-from .errors import GridError, QuadratureError, RankError, SymbolError
+from .errors import (ExponentError, GridError, QuadratureError, RankError,
+                     SymbolError)
 
 HERMITIAN_RTOL = 1e-12
 
@@ -75,9 +76,9 @@ def _check_grid_args(dim: int, n: int, box_length: float) -> None:
         raise GridError(f"points_per_axis must be even and >= 8, got {n}")
     if int(n) ** dim > MAX_GRID_POINTS:  # int: a numpy n**dim may wrap
         raise GridError(f"a {n}^{dim} grid exceeds {MAX_GRID_POINTS} points")
-    if not 0 < box_length < math.inf:
-        raise GridError(f"box_length must be positive and finite, "
-                        f"got {box_length}")
+    if not 0 < box_length < np.finfo(float).max ** (1.0 / dim):
+        raise GridError(f"box_length must be positive with a finite "
+                        f"volume, got {box_length}")
     xi_nyquist = math.pi * n / box_length
     if not math.isfinite(dim * xi_nyquist * xi_nyquist):
         raise GridError(f"box_length {box_length} is too small: |xi|^2 "
@@ -370,9 +371,11 @@ def magnitude(grid: Grid, values: np.ndarray,
 def magnitude_lp_norms(grid: Grid, values: np.ndarray, p: float,
                        batch_axes: int = 0) -> np.ndarray:
     """Grid-quadrature L^p norm of the pointwise magnitude of physical
-    samples, one per entry of the first ``batch_axes`` axes.  For even
-    integer p the power is an integer power of the summed squared
-    components, with no square root."""
+    samples, one per entry of the first ``batch_axes`` axes, p >= 1.
+    For even integer p the power is an integer power of the summed
+    squared components, with no square root."""
+    if not p >= 1:
+        raise ExponentError(f"an L^p norm needs p >= 1, got {p}")
     space = tuple(range(-grid.dim, 0))
     if p % 2 == 0:
         comp_axes = tuple(range(batch_axes, values.ndim - grid.dim))

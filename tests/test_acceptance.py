@@ -181,7 +181,7 @@ def test_criterion_09_energy_ledgers():
     u0 = random_power_law(grid, alpha=2.0, seed=0, amplitude=0.1)
     cfg = SolverConfig(grid=grid, horizon=0.5, n_geometric=10, n_uniform=10,
                        measure_probes=0)
-    moll = mollified_solve(u0, None, None, 0.5, cfg)
+    moll = mollified_solve(u0, None, 0.5, cfg)
     ledgers = {m: energy_ledger(moll.trajectory, nonlinearity="mollified",
                                 rho=0.5, substeps=m) for m in (2, 4, 32)}
     assert ledgers[32].max_abs_slack < 1e-6 * ledgers[32].scale

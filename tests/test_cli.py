@@ -181,3 +181,11 @@ def test_bad_clf1_payload_fails_with_package_error(field_file, tmp_path,
         read_clf1(path)
     assert main(["norm", "--in", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", ["inf", "nan", "0"])
+def test_split_rejects_a_non_finite_lambda(field_file, tmp_path, capsys, lam):
+    assert main(["split", "--in", field_file, "--lambda", lam,
+                 "--out", str(tmp_path)]) == 2
+    assert "lambda" in capsys.readouterr().err
+

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from nselab import (ExponentError, QuadratureError, RankError, Trajectory,
                     heat_trajectory, oseen_apply, projected_divergence,
                     time_schedule, verify_kato_estimate,
                     verify_smoothing_derivatives)
-from nselab.besov import lp_block
+from nselab.besov import check_times, lp_block
 from nselab.families import random_power_law, single_mode
-from nselab.heat import check_kato_exponents
+from nselab.heat import check_kato_exponents, check_schedule
 from nselab.spectral import SpectralField, dealias_product, divergence_residual
 
 
@@ -189,3 +190,24 @@ def test_time_schedule_shape():
     assert np.all(np.diff(times) > 0)
     with pytest.raises(QuadratureError):
         time_schedule(-1.0)
+
+
+def test_heat_trajectory_checks_times_before_the_stack(grid16):
+    f = random_power_law(grid16, alpha=2.0, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow in exp first
+        with pytest.raises(QuadratureError):
+            heat_evolve(f, -10.0)
+
+
+@pytest.mark.parametrize("times", [[0.0, -1.0], [0.0, np.nan], [[0.0, 0.1]],
+                                   [0.0, 0.2, 0.1]])
+def test_one_time_sample_rule(grid16, times):
+    f = random_power_law(grid16, alpha=2.0, seed=1)
+    for check in (check_times, check_schedule,
+                  lambda t: Trajectory._from_stack(grid16, t, "vector",
+                                                   np.zeros((2, 3, 1)))):
+        with pytest.raises(QuadratureError, match="1-D, finite"):
+            check(times)
+    with pytest.raises(QuadratureError, match="1-D, finite"):
+        heat_trajectory(f, times)

@@ -5,10 +5,12 @@ import argparse
 import functools
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nselab import NseLabError, SolverConfig, SpectralField, Trajectory, make_grid
 from nselab import besov, cli, diagnostics
@@ -50,6 +52,16 @@ def test_unconverged_solve_is_a_numerical_failure(monkeypatch, solver):
     monkeypatch.setattr(diagnostics, "SolverConfig",
                         functools.partial(SolverConfig, max_iter=2))
     report = run_experiment(_small_experiment(solver))
+    assert report.status == "numerical failure"
+
+
+def test_non_finite_slacks_are_a_numerical_failure():
+    # converged solves, but the ledger's quadrature overflows at t = 1e300
+    report = run_experiment(ExperimentConfig(
+        dim=2, n=8, box_length=2.0 * np.pi, horizon=1e300,
+        recipe={"family": "taylor-green"}, n_geometric=4, n_uniform=4,
+        measure_probes=2))
+    assert not np.all(np.isfinite(report.energy_slacks))
     assert report.status == "numerical failure"
 
 
@@ -180,3 +192,86 @@ def test_read_clf1_gives_field_or_package_error(tmp_path, data):
         return
     assert np.all(np.isfinite(field.coeffs))
     assert math.isfinite(field.grid.box_length)
+
+
+_BAD_FLOATS = st.sampled_from([0.0, -1.0, 1e-300, 1e-13, 1e300, math.inf,
+                               -math.inf, math.nan])
+
+
+@st.composite
+def _number(draw, low, high):
+    """Mostly a float in [low, high], one time in ten an extreme or
+    invalid one."""
+    return draw(_BAD_FLOATS if draw(st.integers(0, 9)) == 0
+                else st.floats(low, high))
+
+
+@st.composite
+def _count(draw, low, high):
+    """Mostly an integer in [low, high], one time in ten low - 1."""
+    return low - 1 if draw(st.integers(0, 9)) == 0 else draw(
+        st.integers(low, high))
+
+
+@st.composite
+def experiment_configs(draw):
+    """JSON configs of 2D 8^2 runs with every numeric field drawn."""
+    recipe = {"family": draw(st.sampled_from(["taylor-green", "random",
+                                               "zero"]))}
+    if recipe["family"] == "random":
+        recipe["amplitude"] = draw(_number(0.01, 50.0))
+    return {"clab_config": 1, "dim": 2, "n": 8,
+            "box_length": draw(_number(1.0, 20.0)),
+            "horizon": draw(_number(1e-3, 1.0)), "recipe": recipe,
+            "solver": draw(st.sampled_from(
+                ["direct", "mollified", "split-perturbed"])),
+            "monitor_ps": draw(st.lists(_number(3.5, 8.0), max_size=2)),
+            "besov_p": draw(_number(1.0, 8.0)),
+            "rho": draw(_number(0.1, 2.0)),
+            "split_p": draw(_number(3.5, 6.0)),
+            "split_q": draw(_number(6.5, 12.0)),
+            "split_lambda": draw(_number(1e-3, 10.0)),
+            "seed": draw(st.integers(0, 3)),
+            "n_geometric": draw(_count(0, 4)),
+            "n_uniform": draw(_count(1, 4)),
+            "measure_probes": draw(_count(0, 2))}
+
+
+def _tg_2d(**kw):
+    config = {"clab_config": 1, "dim": 2, "n": 8, "box_length": 2 * math.pi,
+              "horizon": 0.3, "recipe": {"family": "taylor-green"},
+              "n_geometric": 4, "n_uniform": 4, "measure_probes": 2}
+    config.update(kw)
+    return config
+
+
+def _csv_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        return [[float(x) for x in line.split(",")]
+                for line in fh.read().splitlines()[1:]]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(config=experiment_configs())
+# NaN energy slacks once passed the gates as 'completed'
+@example(config=_tg_2d(horizon=1e300))
+# a horizon below 1e-12 once gave 'completed' with no segment solved
+@example(config=_tg_2d(recipe={"family": "random"}, horizon=1e-13))
+# an infinite threshold scale once ended in a ZeroDivisionError
+@example(config=_tg_2d(solver="split-perturbed", split_lambda=math.inf))
+def test_solve_config_exits_with_a_code(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with tempfile.TemporaryDirectory(dir=tmp_path) as out:
+        code = cli.main(["solve", "--config", str(path), "--out", out])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            series = _csv_rows(os.path.join(out, "series.csv"))
+            ledger = _csv_rows(os.path.join(out, "ledger.csv"))
+            assert np.all(np.isfinite(series)) and np.all(np.isfinite(ledger))
+            # a completed run covers the horizon
+            assert len(series) > 1
+            assert series[-1][0] == pytest.approx(config["horizon"], rel=1e-12)
+    capsys.readouterr()

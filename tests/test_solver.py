@@ -14,9 +14,10 @@ from nselab.families import (critical_random, random_power_law, taylor_green,
                              taylor_green_decay_rate)
 from nselab.besov import block_lp_norms
 from nselab.heat import duhamel_stack, heat_stack
-from nselab.solver import (KATO_P, _cross_linear, _doubled_residual,
-                           _forcing_stack, _nse_bilinear, _prepare_data,
-                           cross_forcing_stack, kato_stack_norm)
+from nselab.solver import (KATO_P, _background_stack, _cross_linear,
+                           _doubled_residual, _forcing_stack, _nse_bilinear,
+                           _prepare_data, _step_forcing, cross_forcing_stack,
+                           kato_stack_norm)
 from nselab.spectral import gradient, interpolate_stack, inverse_transform
 
 
@@ -92,7 +93,7 @@ def test_mollified_taylor_green_keeps_exact_decay(grid2d):
     # all active modes share |xi|, so mollification scales the advected
     # factor uniformly and the nonlinearity stays a pure gradient
     tg = taylor_green(grid2d)
-    sol = mollified_solve(tg, None, None, 0.5, small_config(grid2d, 0.5))
+    sol = mollified_solve(tg, None, 0.5, small_config(grid2d, 0.5))
     assert sol.report.converged
     scale = tg.max_abs_coeff()
     for t, f in sol.trajectory:
@@ -103,9 +104,9 @@ def test_mollified_rejects_bad_background(grid16):
     u0 = random_power_law(grid16, alpha=2.0, seed=4, amplitude=1e-2)
     s = random_power_law(grid16, alpha=1.0, seed=5, rank="scalar")
     with pytest.raises(GridError):
-        mollified_solve(u0, None, gradient(s), 0.5, small_config(grid16))
+        mollified_solve(u0, gradient(s), 0.5, small_config(grid16))
     with pytest.raises(GridError):
-        mollified_solve(u0, None, None, 10.0, small_config(grid16))
+        mollified_solve(u0, None, 10.0, small_config(grid16))
 
 
 def test_subcritical_existence_time_scaling(grid16, part16):
@@ -174,7 +175,7 @@ def test_continuation_reports_are_views_of_the_trajectory(grid16,
 
     def recording(*args, **kwargs):
         out = picard_checked(*args, **kwargs)
-        solved[id(out[0])] = out[0].solution.copy()
+        solved[id(out.report)] = out.report.solution.copy()
         return out
 
     monkeypatch.setattr(solver, "_picard_checked", recording)
@@ -211,8 +212,8 @@ def test_sample_jobs_equal_a_serial_run(grid16, monkeypatch, case):
         "mollified": lambda: _forcing_stack(grid16, x, x, m_rho),
         "cross": lambda: cross_forcing_stack(
             grid16, inverse_transform(grid16, x), y),
-        "fused": lambda: cross_forcing_stack(
-            grid16, inverse_transform(grid16, x), y, fused=True),
+        "fused": lambda: _step_forcing(
+            grid16, y, inverse_transform(grid16, x), None),
         "kato": lambda: kato_stack_norm(grid16, times, x, 4.0),
         "blocks": lambda: block_lp_norms(grid16, x, default_partition(grid16),
                                          4.0, 1),
@@ -292,10 +293,10 @@ def test_gamma_cache_key(grid16, probe_log):
         assert probe_log["probe_calls"] > calls
     calls = probe_log["probe_calls"]
     for rho in (0.5, 0.25):
-        mollified_solve(u0, None, None, rho, small_config(grid16, **base))
+        mollified_solve(u0, None, rho, small_config(grid16, **base))
         assert probe_log["probe_calls"] > calls
         calls = probe_log["probe_calls"]
-    mollified_solve(u0, None, None, 0.25, small_config(grid16, **base))
+    mollified_solve(u0, None, 0.25, small_config(grid16, **base))
     assert probe_log["probe_calls"] == calls
 
 
@@ -307,7 +308,8 @@ def test_fused_step_matches_linear_plus_bilinear(grid16):
     pv = inverse_transform(grid16, v)
     want = _cross_linear(grid16, times, pv)(x) \
         + _nse_bilinear(grid16, times)(x, x)
-    got = _cross_linear(grid16, times, pv, fused=True)(x)
+    got = -duhamel_stack(times, _step_forcing(grid16, x, pv, None),
+                         grid16.xi_sq)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -346,7 +348,7 @@ def test_streamed_residual_equals_one_pass(grid16, monkeypatch, kind):
         def forcing(fine_times, fine):
             pv = inverse_transform(grid16, interpolate_stack(
                 times, v_stack, fine_times))
-            return cross_forcing_stack(grid16, pv, fine, fused=True)
+            return _step_forcing(grid16, fine, pv, None)
     want = _one_pass_residual(grid16, times, sol.report.solution,
                               _prepare_data(u0, grid16), forcing)
     assert 0 < want < 1e-4
@@ -420,3 +422,81 @@ def test_generated_schedule_ends_at_the_horizon(grid16, n_geometric,
     with pytest.raises(QuadratureError):
         small_config(grid16, horizon=0.2, n_geometric=n_geometric,
                      n_uniform=n_uniform).schedule()
+
+
+def _captured_problems(monkeypatch):
+    """The PicardProblem of every solve, as ``solve_picard`` receives it."""
+    problems = []
+    solve = solver.solve_picard
+
+    def capture(problem, **kw):
+        problems.append(problem)
+        return solve(problem, **kw)
+
+    monkeypatch.setattr(solver, "solve_picard", capture)
+    return problems
+
+
+def test_mollified_solve_around_a_background(grid16, monkeypatch):
+    cfg = small_config(grid16, horizon=0.2, n_geometric=6, n_uniform=6,
+                       measure_probes=2)
+    v = mild_solve_nse(random_power_law(grid16, alpha=2.0, seed=4,
+                                        amplitude=0.3), cfg).trajectory
+    problems = _captured_problems(monkeypatch)
+    u0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.3)
+    sol = mollified_solve(u0, v, 0.5, cfg)
+    assert sol.report.converged
+    assert 0 < sol.residual_doubled < 1e-5
+    # its step is L + B_rho, the coupling unmollified
+    problem, = problems
+    x = sol.report.solution
+    want = problem.linear(x) + problem.bilinear(x, x)
+    assert np.max(np.abs(problem.step(x) - want)) \
+        <= 1e-13 * np.max(np.abs(want))
+    m_rho = Mollifier(3, 0.5).symbol(grid16)
+    pv = inverse_transform(grid16, v.coeffs)
+    want = _cross_linear(grid16, cfg.schedule(), pv)(x) \
+        + _nse_bilinear(grid16, cfg.schedule(), m_rho)(x, x)
+    assert np.max(np.abs(problem.step(x) - want)) \
+        <= 1e-13 * np.max(np.abs(want))
+
+
+def test_field_background_is_a_view_of_the_field(grid16):
+    cfg = small_config(grid16, horizon=0.2, n_geometric=2, n_uniform=2)
+    times = cfg.schedule()
+    v = random_power_law(grid16, alpha=2.0, seed=4, amplitude=0.1)
+    stack = _background_stack(grid16, times, v)
+    assert stack.shape == (times.size,) + v.coeffs.shape
+    assert np.shares_memory(stack, v.coeffs) and not stack.flags.writeable
+    # a field background solves as the trajectory that repeats it
+    u0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.1)
+    repeated = Trajectory(grid16, times, [v] * times.size)
+    for solve in (mild_solve_perturbed,
+                  lambda u, bg, c: mollified_solve(u, bg, 0.5, c)):
+        a, b = solve(u0, v, cfg), solve(u0, repeated, cfg)
+        assert np.array_equal(a.report.solution, b.report.solution)
+        assert a.residual_doubled == b.residual_doubled
+
+
+def test_every_solver_background_is_divergence_free(grid16):
+    u0 = random_power_law(grid16, alpha=2.0, seed=4, amplitude=1e-2)
+    cfg = small_config(grid16, horizon=0.2, n_geometric=2, n_uniform=2)
+    bad = gradient(random_power_law(grid16, alpha=1.0, seed=5, rank="scalar"))
+    times = cfg.schedule()
+    for bg in (bad, Trajectory(grid16, times, [bad] * times.size)):
+        with pytest.raises(GridError, match="divergence-free"):
+            mild_solve_perturbed(u0, bg, cfg)
+        with pytest.raises(GridError, match="divergence-free"):
+            mollified_solve(u0, bg, 0.5, cfg)
+    other_grid = SpectralField.zero(make_grid(3, 8, 2.0 * np.pi), "vector")
+    with pytest.raises(GridError, match="vector field on the grid"):
+        mild_solve_perturbed(u0, other_grid, cfg)
+
+
+def test_continuation_covers_a_tiny_horizon(grid16):
+    u0 = random_power_law(grid16, alpha=2.0, seed=7, amplitude=5e-2)
+    cfg = small_config(grid16, horizon=1e-13, n_geometric=2, n_uniform=2)
+    res = solve_with_continuation(u0, cfg)
+    assert res.status == "completed"
+    assert res.segment_horizons == [1e-13]
+    assert res.trajectory.times[-1] == 1e-13
