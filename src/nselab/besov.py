@@ -19,7 +19,7 @@ from .errors import (ExponentError, GridError, PartitionError,
                      QuadratureError, RankError)
 from .spectral import (Grid, SpectralField, dealias_product,
                        inverse_transform, l2_norms, lp_norms,
-                       magnitude_lp_norms, map_samples)
+                       magnitude_lp_norms, map_samples, power_sum_root)
 
 CRITICAL_DIM = 3  # s_p := -1 + 3/p throughout, following the 3D theory
 
@@ -250,7 +250,7 @@ def _lq_aggregate(contribs: np.ndarray, q: float) -> np.ndarray:
     """l^q norm of non-negative entries along the last axis (0 if empty)."""
     if math.isinf(q):
         return np.max(contribs, axis=-1, initial=0.0)
-    return np.sum(contribs**q, axis=-1) ** (1.0 / q)
+    return power_sum_root(contribs, q, q, -1)
 
 
 def _dyadic_sum(norms: np.ndarray, partition: DyadicPartition, s: float,

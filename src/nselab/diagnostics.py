@@ -18,7 +18,7 @@ from .besov import (BesovIndex, DyadicPartition, Trajectory, _dyadic_sum,
 from . import families
 from .calderon import SplitConfig, split
 from .errors import ConfigError, GridError
-from .heat import _pl_weights
+from .heat import exponential_weights
 from .solver import (SolverConfig, _background_stack, _step_forcing,
                      mild_solve_nse, mild_solve_perturbed, mollified_solve,
                      solve_with_continuation)
@@ -221,7 +221,9 @@ def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
     u, g = traj.coeffs, g_stack
     if g is None:
         g = _ledger_forcing(grid, u, nonlinearity, rho, v_stack)
-    values, shell = np.unique(grid.xi_sq, return_inverse=True)
+    fracs = np.linspace(0.0, 1.0, substeps + 1)
+    tau = np.multiply.outer(np.diff(times), fracs)  # (interval, node)
+    decay, alpha, beta, values, shell = exponential_weights(grid.xi_sq, tau)
     weight = grid.volume * grid.hermitian_weight
     bins = shell.ravel() + values.size * np.arange(len(u))[:, None]
     field_shape = (u[0].size // shell.size,) + grid.xi_sq.shape
@@ -242,12 +244,8 @@ def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
     moments = np.array([[uu[:-1], ug[:-1], ug1],
                         [ug[:-1], gg[:-1], gg1],
                         [ug1, gg1, gg[1:]]])  # (3, 3, interval, shell)
-    fracs = np.linspace(0.0, 1.0, substeps + 1)
-    tau = np.multiply.outer(np.diff(times), fracs)  # (interval, node)
-    z = tau[..., None] * values
-    alpha, beta = _pl_weights(z)
     # u(tau) and g(tau) in the basis (u_i, g_i, g_{i+1})
-    coef = np.array([np.exp(-z),
+    coef = np.array([decay,
                      tau[..., None] * (alpha + beta * (1.0 - fracs)[:, None]),
                      tau[..., None] * beta * fracs[:, None]])
     forcing = np.array([np.zeros_like(fracs), 1.0 - fracs, fracs])

@@ -24,10 +24,10 @@ def heat_evolve(field: SpectralField, t: float) -> SpectralField:
 def heat_stack(grid: Grid, coeffs: np.ndarray, times) -> np.ndarray:
     """e^{t Lap} of coefficients at every t, stacked along a new leading
     axis."""
-    xi_sq = grid.xi_sq
-    decay = np.exp(-np.multiply.outer(times, xi_sq))
+    decay, _, _, _, index = exponential_weights(grid.xi_sq, times)
+    decay = np.take(decay, index, axis=1)
     lead = (1,) * (coeffs.ndim - grid.dim)
-    return decay.reshape(decay.shape[:1] + lead + xi_sq.shape) * coeffs
+    return decay.reshape(decay.shape[:1] + lead + index.shape) * coeffs
 
 
 def heat_trajectory(field: SpectralField, times) -> Trajectory:
@@ -57,33 +57,42 @@ def _pl_weights(z: np.ndarray):
     """Weights (alpha, beta) with
     int_0^D e^{-kappa(D-s)} [Ga(1-s/D) + Gb s/D] ds = D*(Ga*alpha + Gb*beta),
     z = kappa*D.  beta = (z-1+e^{-z})/z^2, alpha = (1-e^{-z})/z - beta.
+    Each entry is evaluated by one branch only: a series below z = 1e-4,
+    and from z = 1e150 on, where z^2 would overflow, the values for
+    e^{-z} = 0, alpha = 1/z^2 and beta = 1/z - alpha.
     """
     z = np.asarray(z, dtype=np.float64)
-    small = z < 1e-4
-    zs = np.where(small, 1.0, z)
-    em = np.expm1(-zs)  # e^{-z} - 1
-    beta = (zs + em) / zs**2
-    alpha = -em / zs - beta
-    beta_series = 0.5 - z / 6.0 + z**2 / 24.0
-    alpha_series = 0.5 - z / 3.0 + z**2 / 8.0
-    return np.where(small, alpha_series, alpha), \
-        np.where(small, beta_series, beta)
+    alpha, beta = np.empty_like(z), np.empty_like(z)
+    small, huge = z < 1e-4, z >= 1e150
+    s = z[small]
+    alpha[small] = 0.5 - s / 3.0 + s**2 / 8.0
+    beta[small] = 0.5 - s / 6.0 + s**2 / 24.0
+    mid = ~(small | huge)
+    s = z[mid]
+    em = np.expm1(-s)  # e^{-z} - 1
+    beta[mid] = (s + em) / s**2
+    alpha[mid] = -em / s - beta[mid]
+    s = z[huge]
+    alpha[huge] = 1.0 / s / s
+    beta[huge] = 1.0 / s - alpha[huge]
+    return alpha, beta
 
 
 def exponential_weights(xi_sq: np.ndarray, taus):
     """exp(-|xi|^2 tau) and the weights ``_pl_weights(|xi|^2 tau)`` for
-    every tau, each of shape (len(taus),) + (number of distinct values).
+    every tau, each of shape np.shape(taus) + (number of distinct values),
+    then the distinct values of |xi|^2 and the index that gathers them
+    onto the grid.
 
     They are elementwise in |xi|^2, which takes at most d (N/2)^2 + 1
     distinct values on a grid, so they are evaluated once per distinct
-    value; ``np.take(w[r], index)`` gathers row r onto the grid, where
-    ``index`` is the last item returned.  The gathered values equal the
-    direct evaluation on the grid bit for bit.
+    value; ``np.take(w[r], index)`` gathers row r onto the grid.  The
+    gathered values equal the direct evaluation on the grid bit for bit.
     """
     values, index = np.unique(xi_sq, return_inverse=True)
     z = np.multiply.outer(np.asarray(taus, dtype=float), values)
     alpha, beta = _pl_weights(z)
-    return np.exp(-z), alpha, beta, index.reshape(xi_sq.shape)
+    return np.exp(-z), alpha, beta, values, index.reshape(xi_sq.shape)
 
 
 def duhamel_stack(times: np.ndarray, g_stack: np.ndarray,
@@ -109,7 +118,7 @@ def duhamel_stack(times: np.ndarray, g_stack: np.ndarray,
         out = np.empty_like(g_stack)
         out[0] = start
     dts = np.diff(times)
-    decay, alpha, beta, index = exponential_weights(xi_sq, dts)
+    decay, alpha, beta, _, index = exponential_weights(xi_sq, dts)
     for i in range(1, times.size):
         acc = np.take(alpha[i - 1], index) * g_stack[i - 1]
         acc += np.take(beta[i - 1], index) * g_stack[i]

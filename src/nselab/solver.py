@@ -22,7 +22,9 @@ Every solve is one call of ``_picard_checked`` with an optional
 divergence-free background v and mollifier symbol.  One forcing,
 ``_step_forcing``, defines its nonlinearity, P div dealias(w (x) (w)_rho
 + w (x) v + v (x) w): the Picard step, the doubled-schedule residual
-and the energy ledger all take it from there.
+and the energy ledger all take it from there.  It, the probe B(x, y)
+and the resolvent's L(w) are each one ``_forcing_stack`` job: x is
+transformed once per sample and the caller builds the tensor from it.
 
 The doubled-schedule residual streams over its refined schedule in
 chunks of whole ``map_samples`` jobs, so its memory does not grow with
@@ -110,22 +112,16 @@ class MildSolution:
 # Stack helpers
 # ---------------------------------------------------------------------
 
-def _forcing_stack(grid: Grid, v_stack: np.ndarray, w_stack: np.ndarray,
-                   w_multiplier: np.ndarray | None = None) -> np.ndarray:
-    """G = P div dealias(v (x) w), per sample; w may be premultiplied
-    (mollification).  Runs as ``map_samples`` jobs of 4 samples on
-    ``FFT_WORKERS`` threads, each job's FFTs on one thread, so the tensor
-    temporaries do not grow with the schedule and the result is
-    bit-identical to a serial run."""
-
-    def job(part):
-        v = v_stack[part]
-        w = v if w_stack is v_stack else w_stack[part]
-        if w_multiplier is not None:
-            w = w * w_multiplier
-        return projected_divergence_coeffs(grid, dealiased_tensor(grid, v, w))
-
-    return map_samples(job, np.empty_like(v_stack))
+def _forcing_stack(grid: Grid, x: np.ndarray, tensor) -> np.ndarray:
+    """P div T per sample, T = ``tensor(part, px)`` the dealiased tensor
+    coefficients built from the physical samples ``px`` of ``x[part]``:
+    the one forcing job of every solve, probe and resolvent.  Runs as
+    ``map_samples`` jobs of 4 samples on ``FFT_WORKERS`` threads, each
+    job's FFTs on one thread, so the tensor temporaries do not grow with
+    the schedule and the result is bit-identical to a serial run."""
+    return map_samples(lambda part: projected_divergence_coeffs(
+        grid, tensor(part, inverse_transform(grid, x[part]))),
+        np.empty_like(x))
 
 
 def kato_stack_norm(grid: Grid, times: np.ndarray, stack: np.ndarray,
@@ -235,24 +231,15 @@ def _minus_duhamel(grid: Grid, times: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _nse_bilinear(grid: Grid, times: np.ndarray,
                   w_multiplier: np.ndarray | None = None):
+    """(x, y) -> B(x, y) = -Duhamel(P div dealias(x (x) (y)_rho))."""
+    m = 1.0 if w_multiplier is None else w_multiplier
+
     def bilinear(x, y):
-        return _minus_duhamel(grid, times,
-                              _forcing_stack(grid, x, y, w_multiplier))
+        return _minus_duhamel(grid, times, _forcing_stack(
+            grid, x, lambda part, px: dealiased_tensor(
+                grid, px, inverse_transform(grid, y[part] * m))))
 
     return bilinear
-
-
-def cross_forcing_stack(grid: Grid, pv: np.ndarray,
-                        w_stack: np.ndarray) -> np.ndarray:
-    """P div dealias(w (x) v + v (x) w) per sample, one forcing of the
-    symmetric tensor, for v given by its physical samples ``pv``."""
-
-    def job(part):
-        pw = inverse_transform(grid, w_stack[part])
-        return projected_divergence_coeffs(
-            grid, symmetric_tensor(grid, pv[part], pw))
-
-    return map_samples(job, np.empty_like(w_stack))
 
 
 def _step_forcing(grid: Grid, x: np.ndarray, pv: np.ndarray | None,
@@ -260,27 +247,28 @@ def _step_forcing(grid: Grid, x: np.ndarray, pv: np.ndarray | None,
     """The nonlinearity of every solve, per sample: P div dealias(x (x)
     (x)_rho), (x)_rho being x premultiplied by ``w_multiplier``, plus
     x (x) v + v (x) x around a background v given by its physical
-    samples ``pv``.  Unmollified around a background it is one forcing,
-    the symmetric tensor of x and x/2 + v."""
-    if pv is None:
-        return _forcing_stack(grid, x, x, w_multiplier)
-    if w_multiplier is not None:
-        g = _forcing_stack(grid, x, x, w_multiplier)
-        return np.add(g, cross_forcing_stack(grid, pv, x), out=g)
+    samples ``pv``.  Unmollified it is one symmetric tensor, of x alone
+    or of x and x/2 + v; mollified, the two tensors are summed before
+    the one P div."""
+    def tensor(part, px):
+        if w_multiplier is None:
+            return symmetric_tensor(
+                grid, px, None if pv is None else 0.5 * px + pv[part])
+        t = dealiased_tensor(
+            grid, px, inverse_transform(grid, x[part] * w_multiplier))
+        if pv is not None:
+            t += symmetric_tensor(grid, pv[part], px)
+        return t
 
-    def job(part):
-        px = inverse_transform(grid, x[part])
-        return projected_divergence_coeffs(
-            grid, symmetric_tensor(grid, px, 0.5 * px + pv[part]))
-
-    return map_samples(job, np.empty_like(x))
+    return _forcing_stack(grid, x, tensor)
 
 
 def _cross_linear(grid: Grid, times: np.ndarray, pv: np.ndarray):
     """w -> B(w, v) + B(v, w) for a fixed v given by its physical samples
-    ``pv``."""
+    ``pv``: one forcing of the symmetric tensor of v and w."""
     def linear(w):
-        return _minus_duhamel(grid, times, cross_forcing_stack(grid, pv, w))
+        return _minus_duhamel(grid, times, _forcing_stack(
+            grid, w, lambda part, pw: symmetric_tensor(grid, pv[part], pw)))
 
     return linear
 

@@ -342,19 +342,12 @@ def symmetric_tensor(grid: Grid, pv: np.ndarray,
     return np.take(out, pair, axis)
 
 
-def dealiased_tensor(grid: Grid, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """2/3-rule dealiased coefficients of the tensor v_i w_j of two vector
-    coefficient arrays (physical product, transformed back).
-
-    For ``w is v`` the tensor is symmetric: v is transformed once and only
-    the d(d+1)/2 products i <= j are formed and transformed.
-    """
-    if w is v:
-        return symmetric_tensor(grid, inverse_transform(grid, v), None)
+def dealiased_tensor(grid: Grid, pv: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    """2/3-rule dealiased coefficients of the tensor v_i w_j from physical
+    vector samples (all d^2 products formed and transformed)."""
     axis = -grid.dim - 1
-    pv = np.expand_dims(inverse_transform(grid, v), axis)
-    pw = np.expand_dims(inverse_transform(grid, w), axis - 1)
-    return _dealiased(grid, pv * pw)
+    return _dealiased(grid, np.expand_dims(pv, axis)
+                      * np.expand_dims(pw, axis - 1))
 
 
 def magnitude(grid: Grid, values: np.ndarray,
@@ -366,6 +359,24 @@ def magnitude(grid: Grid, values: np.ndarray,
     if not comp_axes:
         return np.abs(values)
     return np.sqrt(np.sum(values**2, axis=comp_axes))
+
+
+def power_sum_root(base: np.ndarray, e, p: float, axis,
+                   weight: float = 1.0) -> np.ndarray:
+    """(weight * sum of base**e over ``axis``)**(1/p), base >= 0.  Where
+    that power sum is not finite or below the smallest normal float, base
+    is scaled by its largest entry first (the overflow-safe norm of Blue,
+    ACM TOMS 4, 1978); elsewhere the plain sum is kept bit for bit."""
+    with np.errstate(over="ignore"):
+        power = weight * np.sum(base ** e, axis=axis)
+    lost = ~np.isfinite(power) | (power < np.finfo(float).tiny)
+    if not np.any(lost):
+        return power ** (1.0 / p)
+    peak = np.max(base, axis=axis, keepdims=True, initial=0.0)
+    unit = np.where((peak > 0) & np.isfinite(peak), peak, 1.0)
+    scaled = np.squeeze(unit, axis) ** (e / p) * (
+        weight * np.sum((base / unit) ** e, axis=axis)) ** (1.0 / p)
+    return np.where(lost, scaled, power ** (1.0 / p))
 
 
 def magnitude_lp_norms(grid: Grid, values: np.ndarray, p: float,
@@ -380,12 +391,11 @@ def magnitude_lp_norms(grid: Grid, values: np.ndarray, p: float,
     if p % 2 == 0:
         comp_axes = tuple(range(batch_axes, values.ndim - grid.dim))
         sq = np.sum(values**2, axis=comp_axes)
-        return (grid.cell_volume
-                * np.sum(sq ** (int(p) // 2), axis=space)) ** (1.0 / p)
+        return power_sum_root(sq, int(p) // 2, p, space, grid.cell_volume)
     mag = magnitude(grid, values, batch_axes)
     if math.isinf(p):
         return np.max(mag, axis=space)
-    return (grid.cell_volume * np.sum(mag**p, axis=space)) ** (1.0 / p)
+    return power_sum_root(mag, p, p, space, grid.cell_volume)
 
 
 def lp_norms(grid: Grid, coeffs: np.ndarray, p: float,
@@ -648,14 +658,17 @@ def divergence_residual(field: SpectralField) -> float:
 def dealias_product(u: SpectralField, v: SpectralField) -> SpectralField:
     """Pointwise product in physical space, 2/3-rule dealiased.
 
-    vector x vector gives the tensor u_i v_j; scalar factors multiply
+    vector x vector gives the tensor u_i v_j (for ``v is u`` only the
+    d(d+1)/2 products i <= j are formed); scalar factors multiply
     componentwise.
     """
     if u.grid != v.grid:
         raise GridError("fields on different grids")
     g = u.grid
     if u.rank == _VECTOR and v.rank == _VECTOR:
-        c = dealiased_tensor(g, u.coeffs, v.coeffs)
+        pu = u.to_physical()
+        c = symmetric_tensor(g, pu, None) if v is u else \
+            dealiased_tensor(g, pu, v.to_physical())
         return SpectralField(g, _MATRIX, c, check_hermitian=False)
     if v.rank == _SCALAR and u.rank != _SCALAR:
         return dealias_product(v, u)

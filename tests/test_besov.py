@@ -9,10 +9,11 @@ from nselab import (BesovIndex, ExponentError, GridError, NormReport,
                     default_partition, energy_norm, heat_trajectory,
                     interpolation_check, kato_norm, lp_block, low_freq,
                     make_grid, paraproduct, phi_profile, timespace_besov_norm)
-from nselab.besov import (ProductExponents, block_lp_norms,
+from nselab.besov import (ProductExponents, _lq_aggregate, block_lp_norms,
                           paraproduct_estimate_check, weighted_sup)
 from nselab.calderon import SplitConfig, split
-from nselab.diagnostics import critical_norm_series
+from nselab.diagnostics import ExperimentConfig, critical_norm_series, \
+    run_experiment
 from nselab.families import random_power_law, single_mode
 from nselab.spectral import SpectralField, dealias_product, gradient
 
@@ -325,3 +326,23 @@ def test_product_estimate_h_minus_half(grid32):
                       / (u.l2_norm() * v.sobolev_norm(1.0)))
     assert max(ratios) < 10.0
     assert max(ratios) / min(ratios) < 5.0
+
+
+def test_large_q_aggregate_is_overflow_safe():
+    assert _lq_aggregate(np.array([0.2, 0.1]), 1001) == pytest.approx(0.2)
+    assert _lq_aggregate(np.array([2.0, 1.0]), 2001) == pytest.approx(2.0)
+    assert _lq_aggregate(np.array([[0.2, 0.1], [0.0, 0.0]]), 1e300).tolist() \
+        == [0.2, 0.0]
+    assert _lq_aggregate(np.array([]), 1001) == 0.0
+
+
+def test_large_p_series_are_not_zero():
+    # a power sum that underflows is rescaled, so the large-p Besov and
+    # L^p series read their sizes, not 0
+    report = run_experiment(ExperimentConfig(
+        dim=2, n=8, box_length=2.0 * np.pi, horizon=0.3,
+        recipe={"family": "random"}, besov_p=1001, monitor_ps=(1001,),
+        n_geometric=4, n_uniform=4, measure_probes=2))
+    assert report.status == "completed"
+    for series in (report.besov_series, report.lp_series[1001]):
+        assert np.all(series > 0) and np.all(np.isfinite(series))

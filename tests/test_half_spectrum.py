@@ -10,8 +10,9 @@ from nselab import (SolverConfig, Trajectory, energy_ledger, make_grid,
 from nselab.families import random_power_law
 from nselab.heat import _pl_weights, duhamel_stack, exponential_weights, \
     heat_stack
-from nselab.solver import _cross_linear, _forcing_stack, _nse_bilinear
-from nselab.spectral import full_spectrum, inverse_transform
+from nselab.solver import (_cross_linear, _forcing_stack, _nse_bilinear,
+                           _step_forcing)
+from nselab.spectral import dealiased_tensor, full_spectrum, inverse_transform
 
 
 def _partner(c, dim):
@@ -125,8 +126,9 @@ def test_cross_linear_matches_two_bilinear_calls(grid16):
 def test_exponential_weights_equal_direct_evaluation(grid16):
     xi_sq = grid16.xi_sq
     taus = np.array([0.0, 1e-9, 1e-4, 0.013, 0.3])
-    decay, alpha, beta, index = exponential_weights(xi_sq, taus)
+    decay, alpha, beta, values, index = exponential_weights(xi_sq, taus)
     assert decay.shape[1] < xi_sq.size / 10
+    assert np.array_equal(np.take(values, index), xi_sq)
     for r, tau in enumerate(taus):
         a, b = _pl_weights(xi_sq * tau)
         assert np.array_equal(np.take(alpha[r], index), a)
@@ -194,8 +196,7 @@ def test_half_ledger_matches_full_reference(grid16):
     assert np.shares_memory(traj.coeffs, sol.report.solution)
     assert np.array_equal(traj.coeffs, sol.report.solution)
     led = energy_ledger(traj, substeps=8)
-    g_half = -_forcing_stack(grid16, sol.report.solution,
-                             sol.report.solution)
+    g_half = -_step_forcing(grid16, sol.report.solution, None, None)
     ref = _full_ledger_reference(traj, g_half, 8)
     for got, want in zip((led.energy, led.dissipation, led.work, led.slacks),
                          ref):
@@ -213,21 +214,27 @@ def test_2d_ledger_matches_full_reference(grid2d, substeps):
                        measure_probes=0)
     sol = mild_solve_nse(u0, cfg)
     led = energy_ledger(sol.trajectory, substeps=substeps)
-    g_half = -_forcing_stack(grid2d, sol.report.solution,
-                             sol.report.solution)
+    g_half = -_step_forcing(grid2d, sol.report.solution, None, None)
     assert np.max(np.abs(g_half)) > 0
     ref = _full_ledger_reference(sol.trajectory, g_half, substeps)
     for got, want in zip((led.energy, led.dissipation, led.work, led.slacks),
                          ref):
         assert np.max(np.abs(got - want)) <= 1e-13 * led.scale
 
+
+def _pair_forcing(grid, x, y):
+    """P div dealias(x (x) y) per sample, by the general tensor."""
+    return _forcing_stack(grid, x, lambda part, px: dealiased_tensor(
+        grid, px, inverse_transform(grid, y[part])))
+
+
 def test_ledger_background_coupling_is_one_symmetric_forcing(grid16):
     times = np.array([0.0, 0.01, 0.05, 0.2])
     u, v = _stacks(grid16, times)
     traj, bg = (Trajectory._from_stack(grid16, times, "vector", s)
                 for s in (u, v))
-    two_calls = -(_forcing_stack(grid16, u, u) + _forcing_stack(grid16, u, v)
-                  + _forcing_stack(grid16, v, u))
+    two_calls = -(_pair_forcing(grid16, u, u) + _pair_forcing(grid16, u, v)
+                  + _pair_forcing(grid16, v, u))
     led = energy_ledger(traj, background=bg, substeps=4)
     ref = energy_ledger(traj, substeps=4, g_stack=two_calls)
     assert np.max(np.abs(led.work)) > 0

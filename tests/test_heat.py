@@ -11,7 +11,7 @@ from nselab import (ExponentError, QuadratureError, RankError, Trajectory,
                     verify_smoothing_derivatives)
 from nselab.besov import check_times, lp_block
 from nselab.families import random_power_law, single_mode
-from nselab.heat import check_kato_exponents, check_schedule
+from nselab.heat import _pl_weights, check_kato_exponents, check_schedule
 from nselab.spectral import SpectralField, dealias_product, divergence_residual
 
 
@@ -211,3 +211,26 @@ def test_one_time_sample_rule(grid16, times):
             check(times)
     with pytest.raises(QuadratureError, match="1-D, finite"):
         heat_trajectory(f, times)
+
+
+def test_pl_weights_for_every_z():
+    # each z takes one branch: no overflow for huge z, where beta ~ 1/z
+    z = np.array([0.0, 1e-5, 1.0, 1e200, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        alpha, beta = _pl_weights(z)
+    assert alpha[:2].tolist() == [0.5 - z[i] / 3.0 + z[i]**2 / 8.0
+                                  for i in (0, 1)]
+    assert beta[:2].tolist() == [0.5 - z[i] / 6.0 + z[i]**2 / 24.0
+                                 for i in (0, 1)]
+    em = math.expm1(-1.0)
+    assert beta[2] == (1.0 + em) / 1.0**2
+    assert alpha[2] == -em / 1.0 - beta[2]
+    assert beta[3:].tolist() == pytest.approx(1.0 / z[3:], rel=1e-15)
+    assert np.all((alpha[3:] >= 0) & (alpha[3:] <= 1e-300))
+    # below 1e150 the closed form is evaluated as it always was
+    z = np.geomspace(1e-4, 1e149, 300)
+    alpha, beta = _pl_weights(z)
+    em = np.expm1(-z)
+    assert np.array_equal(beta, (z + em) / z**2)
+    assert np.array_equal(alpha, -em / z - (z + em) / z**2)

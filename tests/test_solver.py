@@ -1,3 +1,4 @@
+import ast
 import tracemalloc
 from dataclasses import replace
 
@@ -16,9 +17,9 @@ from nselab.besov import block_lp_norms
 from nselab.heat import duhamel_stack, heat_stack
 from nselab.solver import (KATO_P, _background_stack, _cross_linear,
                            _doubled_residual, _forcing_stack, _nse_bilinear,
-                           _prepare_data, _step_forcing, cross_forcing_stack,
-                           kato_stack_norm)
-from nselab.spectral import gradient, interpolate_stack, inverse_transform
+                           _prepare_data, _step_forcing, kato_stack_norm)
+from nselab.spectral import (dealiased_tensor, gradient, interpolate_stack,
+                             inverse_transform, symmetric_tensor)
 
 
 def small_config(grid, horizon=0.3, **kw):
@@ -198,7 +199,7 @@ def test_continuation_reports_are_views_of_the_trajectory(grid16,
 
 
 @pytest.mark.parametrize("case", ["x_x", "x_y", "mollified", "cross", "fused",
-                                  "kato", "blocks"])
+                                  "mollified_cross", "kato", "blocks"])
 def test_sample_jobs_equal_a_serial_run(grid16, monkeypatch, case):
     # 13 samples: the last job has a partial chunk
     x, y = (np.stack([random_power_law(
@@ -206,14 +207,16 @@ def test_sample_jobs_equal_a_serial_run(grid16, monkeypatch, case):
         for seed in range(first, first + 13)]) for first in (0, 20))
     times = np.linspace(0.0, 0.3, 13)
     m_rho = Mollifier(3, 0.5).symbol(grid16)
+    px = inverse_transform(grid16, x)
     call = {
-        "x_x": lambda: _forcing_stack(grid16, x, x),
-        "x_y": lambda: _forcing_stack(grid16, x, y),
-        "mollified": lambda: _forcing_stack(grid16, x, x, m_rho),
-        "cross": lambda: cross_forcing_stack(
-            grid16, inverse_transform(grid16, x), y),
-        "fused": lambda: _step_forcing(
-            grid16, y, inverse_transform(grid16, x), None),
+        "x_x": lambda: _step_forcing(grid16, x, None, None),
+        "x_y": lambda: _forcing_stack(grid16, x, lambda part, p: (
+            dealiased_tensor(grid16, p, inverse_transform(grid16, y[part])))),
+        "mollified": lambda: _step_forcing(grid16, x, None, m_rho),
+        "cross": lambda: _forcing_stack(grid16, y, lambda part, py: (
+            symmetric_tensor(grid16, px[part], py))),
+        "fused": lambda: _step_forcing(grid16, y, px, None),
+        "mollified_cross": lambda: _step_forcing(grid16, y, px, m_rho),
         "kato": lambda: kato_stack_norm(grid16, times, x, 4.0),
         "blocks": lambda: block_lp_norms(grid16, x, default_partition(grid16),
                                          4.0, 1),
@@ -222,6 +225,19 @@ def test_sample_jobs_equal_a_serial_run(grid16, monkeypatch, case):
     threaded = call()
     monkeypatch.setattr(spectral, "FFT_WORKERS", 1)
     assert np.array_equal(threaded, call())
+
+
+def test_one_forcing_job():
+    # every forcing, the step's, the probe's and the resolvent's, is a
+    # tensor handed to _forcing_stack, the solver's only sample job
+    with open(solver.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    callers = [top.name for top in tree.body
+               if isinstance(top, ast.FunctionDef)
+               for node in ast.walk(top) if isinstance(node, ast.Call)
+               and ast.unparse(node.func).split(".")[-1] == "map_samples"]
+    assert callers == ["_forcing_stack"]
+    assert not hasattr(solver, "cross_forcing_stack")
 
 
 @pytest.fixture
@@ -339,7 +355,7 @@ def test_streamed_residual_equals_one_pass(grid16, monkeypatch, kind):
         u0 = v0
 
         def forcing(fine_times, fine):
-            return _forcing_stack(grid16, fine, fine)
+            return _step_forcing(grid16, fine, None, None)
     else:
         u0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.5)
         v_stack = sol.trajectory.coeffs
@@ -362,7 +378,7 @@ def test_streamed_residual_memory_does_not_grow_with_the_schedule(
                                         amplitude=0.5), grid16)
 
     def forcing(fine_times, fine):
-        return _forcing_stack(grid16, fine, fine)
+        return _step_forcing(grid16, fine, None, None)
 
     peaks = []
     for n_samples in (25, 49):

@@ -27,7 +27,7 @@ from nselab.spectral import (dealiased_tensor, forward_half,
                              interpolate_stack, inverse_transform,
                              leray_coeffs, lp_norms, magnitude,
                              magnitude_lp_norms, map_samples,
-                             projected_divergence_coeffs)
+                             projected_divergence_coeffs, symmetric_tensor)
 
 
 def test_grid_validation():
@@ -321,9 +321,10 @@ KERNEL_CASES = {
             g, _stack([dealias_product(a, b) for a, b in zip(u, v)])),
         [projected_divergence(dealias_product(a, b)).coeffs
          for a, b in zip(u, v)]),
-    "tensor": lambda g, u, v: (dealiased_tensor(g, _stack(u), _stack(v)),
-                               [dealias_product(a, b).coeffs
-                                for a, b in zip(u, v)]),
+    "tensor": lambda g, u, v: (
+        dealiased_tensor(g, inverse_transform(g, _stack(u)),
+                         inverse_transform(g, _stack(v))),
+        [dealias_product(a, b).coeffs for a, b in zip(u, v)]),
     "interpolation": _interp_case,
     "traj_lp2": lambda g, u, v: (Trajectory(g, TIMES, u).lp_series(2.0),
                                  [f.lp_norm(2.0) for f in u]),
@@ -383,13 +384,15 @@ def test_transform_backend_matches_reference(dim):
          np.fft.fftn(vals, axes=axes)[..., :9] / 16**dim),
         (inverse_transform(g, u),
          np.fft.irfftn(u * 16**dim, s=g.shape, axes=axes)),
-        (dealiased_tensor(g, u, u), dealiased_tensor(g, u, u.copy())),
     ]
     for got, want in cases:
         assert got.shape == want.shape
         scale = np.max(np.abs(want))
         assert scale > 0
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    pu = inverse_transform(g, u)
+    assert np.array_equal(symmetric_tensor(g, pu, None),
+                          dealiased_tensor(g, pu, pu))
 
 
 @pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
@@ -405,6 +408,23 @@ def test_even_p_norms_match_the_magnitude_power(grid16, p, rank):
     got = magnitude_lp_norms(grid16, phys, p, batch_axes=1)
     assert np.all(np.abs(got - want) <= 1e-14 * want)
 
+
+
+@pytest.mark.parametrize("p", [1001.0, 1e300])
+def test_large_p_norms_are_overflow_safe(grid16, p):
+    # the plain power sum underflows to 0 (small data) or overflows to inf
+    # (large data); the norm is then taken scaled by the largest magnitude
+    u = random_power_law(grid16, 1.0, seed=5, rank="vector")
+    for amplitude in (1e-3, 1e3):
+        phys = amplitude * inverse_transform(grid16, u.coeffs)
+        mag = magnitude(grid16, phys)
+        peak = np.max(mag)
+        want = peak * (grid16.cell_volume
+                       * np.sum((mag / peak) ** p)) ** (1.0 / p)
+        got = magnitude_lp_norms(grid16, phys, p)
+        assert 0 < got < np.inf
+        assert abs(got - want) <= 1e-12 * want
+    assert magnitude_lp_norms(grid16, np.zeros((3,) + grid16.shape), p) == 0
 
 def test_only_spectral_calls_fft():
     # every transform goes through spectral.py, so the FFT backend is a
