@@ -19,12 +19,11 @@ from . import families
 from .calderon import SplitConfig, split
 from .errors import ConfigError, GridError
 from .heat import exponential_weights
-from .solver import (SolverConfig, _background_stack, _step_forcing,
-                     mild_solve_nse, mild_solve_perturbed, mollified_solve,
+from .solver import (SolverConfig, mild_solve_nse, mild_solve_perturbed,
+                     mollified_solve, nonlinear_forcing,
                      solve_with_continuation)
 from .spectral import (Grid, Mollifier, SpectralField, atomic_write_bytes,
-                       divergence_residuals, inverse_transform, read_clf1,
-                       write_clf1)
+                       divergence_residuals, read_clf1, write_clf1)
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -172,27 +171,8 @@ class LedgerReport:
         return float(np.max(np.abs(self.slacks)))
 
 
-def _ledger_forcing(grid: Grid, u_stack: np.ndarray, nonlinearity: str,
-                    rho: float | None, v_stack) -> np.ndarray:
-    """Forcing stack of a solution stack (around ``v_stack`` if given):
-    the solvers' ``_step_forcing``, negated."""
-    if nonlinearity == "none":
-        return np.zeros_like(u_stack)
-    mult = None
-    if nonlinearity == "mollified":
-        if rho is None:
-            raise ConfigError("mollified ledger needs rho")
-        mult = Mollifier(grid.dim, rho).symbol(grid)
-    elif nonlinearity != "nse":
-        raise ConfigError(f"unknown nonlinearity {nonlinearity!r}")
-    pv = None if v_stack is None else inverse_transform(grid, v_stack)
-    g = _step_forcing(grid, u_stack, pv, mult)
-    return np.negative(g, out=g)
-
-
-def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
-                  nonlinearity: str = "nse", rho: float | None = None,
-                  substeps: int = 32,
+def energy_ledger(traj: Trajectory, background=None,
+                  rho: float | None = None, substeps: int = 32,
                   g_stack: np.ndarray | None = None) -> LedgerReport:
     """Energy balance of a trajectory produced by the exponential
     piecewise-linear-forcing quadrature.
@@ -201,11 +181,10 @@ def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
     from the quadrature model u' = Lap u + g with g linear in time, so
     the only ledger error is the composite Simpson rule on ``substeps``
     subintervals (even, >= 2): residuals shrink like substeps^{-4}.
-    The forcing is recomputed from the fields by the solvers' one
-    forcing (plain, mollified, or none, plus optional background
-    coupling) unless ``g_stack`` is given explicitly.  A background must
-    share the schedule as the perturbed solver's does
-    (``solver._background_stack``).
+    Unless ``g_stack`` is given, g is the solvers' own nonlinearity
+    (``solver.nonlinear_forcing``): the NSE forcing, mollified by ``rho``
+    and coupled to a divergence-free ``background`` on the schedule when
+    given.  A heat-flow ledger passes ``g_stack=np.zeros_like(u)``.
 
     The reconstruction is u(t_i + tau) = c_a u_i + c_0 g_i + c_1 g_{i+1}
     with weights that depend on a mode only through |xi|^2, so the
@@ -217,13 +196,13 @@ def energy_ledger(traj: Trajectory, background: Trajectory | None = None,
         raise ConfigError("substeps must be even and >= 2")
     grid = traj.grid
     times = traj.times
-    v_stack = _background_stack(grid, times, background)
     u, g = traj.coeffs, g_stack
     if g is None:
-        g = _ledger_forcing(grid, u, nonlinearity, rho, v_stack)
+        g = nonlinear_forcing(traj, background, rho)
     fracs = np.linspace(0.0, 1.0, substeps + 1)
     tau = np.multiply.outer(np.diff(times), fracs)  # (interval, node)
-    decay, alpha, beta, values, shell = exponential_weights(grid.xi_sq, tau)
+    decay, alpha, beta = exponential_weights(grid, tau)
+    values, shell = grid.xi_sq_shells
     weight = grid.volume * grid.hermitian_weight
     bins = shell.ravel() + values.size * np.arange(len(u))[:, None]
     field_shape = (u[0].size // shell.size,) + grid.xi_sq.shape
@@ -406,7 +385,7 @@ def _status(*solutions) -> str:
 
 def _run_solver(config: ExperimentConfig, grid: Grid,
                 u0: SpectralField):
-    """Returns (trajectory, status, ledger_nonlinearity, meta)."""
+    """Returns (trajectory, status, the ledger's rho or None, meta)."""
     sc = SolverConfig(grid=grid, horizon=config.horizon,
                       n_geometric=config.n_geometric,
                       n_uniform=config.n_uniform,
@@ -416,12 +395,12 @@ def _run_solver(config: ExperimentConfig, grid: Grid,
         res = solve_with_continuation(u0, sc)
         meta["segments"] = [float(s) for s in res.segment_horizons]
         meta["residual_doubled"] = res.residual_doubled
-        return res.trajectory, res.status, "nse", meta
+        return res.trajectory, res.status, None, meta
     if config.solver == "mollified":
         sol = mollified_solve(u0, None, config.rho, sc)
         meta["picard_iterations"] = sol.report.iterations
         meta["residual_doubled"] = sol.residual_doubled
-        return sol.trajectory, _status(sol), "mollified", meta
+        return sol.trajectory, _status(sol), config.rho, meta
     if config.solver == "split-perturbed":
         partition = default_partition(grid)
         scfg = SplitConfig(config.split_p, config.split_q, config.split_lambda)
@@ -433,7 +412,7 @@ def _run_solver(config: ExperimentConfig, grid: Grid,
                                       v.coeffs + w.coeffs)
         meta["l2_large"] = parts.l2_large
         meta["besov_small"] = parts.besov_small
-        return traj, _status(v_sol, w_sol), "nse", meta
+        return traj, _status(v_sol, w_sol), None, meta
     raise ConfigError(f"unknown solver {config.solver!r}")
 
 
@@ -447,7 +426,7 @@ def run_experiment(config: ExperimentConfig) -> DiagnosticsReport:
     """
     grid = Grid(config.dim, config.n, config.box_length)
     u0 = _resolve_recipe(grid, config.recipe, config.seed)
-    traj, status, ledger_mode, meta = _run_solver(config, grid, u0)
+    traj, status, rho, meta = _run_solver(config, grid, u0)
 
     t_end = float(traj.times[-1]) if status != "completed" else config.horizon
     report = DiagnosticsReport(times=traj.times, status=status, t_end=t_end,
@@ -456,8 +435,7 @@ def run_experiment(config: ExperimentConfig) -> DiagnosticsReport:
         report.lp_series[p] = traj.lp_series(p)
     report.besov_series = critical_norm_series(traj, config.besov_p)
     report.leray_series = leray_monitor(traj, config.monitor_ps, t_end)
-    ledger = energy_ledger(traj, nonlinearity=ledger_mode,
-                           rho=config.rho if ledger_mode == "mollified" else None)
+    ledger = energy_ledger(traj, rho=rho)
     report.energy_slacks = ledger.slacks
     report.div_residuals = divergence_residuals(grid, traj.coeffs,
                                                 batch_axes=1)

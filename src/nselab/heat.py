@@ -24,8 +24,9 @@ def heat_evolve(field: SpectralField, t: float) -> SpectralField:
 def heat_stack(grid: Grid, coeffs: np.ndarray, times) -> np.ndarray:
     """e^{t Lap} of coefficients at every t, stacked along a new leading
     axis."""
-    decay, _, _, _, index = exponential_weights(grid.xi_sq, times)
-    decay = np.take(decay, index, axis=1)
+    values, index = grid.xi_sq_shells
+    decay = np.take(np.exp(-np.multiply.outer(
+        np.asarray(times, dtype=float), values)), index, axis=1)
     lead = (1,) * (coeffs.ndim - grid.dim)
     return decay.reshape(decay.shape[:1] + lead + index.shape) * coeffs
 
@@ -78,37 +79,30 @@ def _pl_weights(z: np.ndarray):
     return alpha, beta
 
 
-def exponential_weights(xi_sq: np.ndarray, taus):
+def exponential_weights(grid: Grid, taus):
     """exp(-|xi|^2 tau) and the weights ``_pl_weights(|xi|^2 tau)`` for
     every tau, each of shape np.shape(taus) + (number of distinct values),
-    then the distinct values of |xi|^2 and the index that gathers them
-    onto the grid.
-
-    They are elementwise in |xi|^2, which takes at most d (N/2)^2 + 1
-    distinct values on a grid, so they are evaluated once per distinct
-    value; ``np.take(w[r], index)`` gathers row r onto the grid.  The
-    gathered values equal the direct evaluation on the grid bit for bit.
-    """
-    values, index = np.unique(xi_sq, return_inverse=True)
-    z = np.multiply.outer(np.asarray(taus, dtype=float), values)
+    once per distinct value in ``grid.xi_sq_shells``: ``np.take(w[r],
+    index)`` gathers row r onto the grid, bit for bit the direct
+    evaluation there."""
+    z = np.multiply.outer(np.asarray(taus, dtype=float), grid.xi_sq_shells[0])
     alpha, beta = _pl_weights(z)
-    return np.exp(-z), alpha, beta, values, index.reshape(xi_sq.shape)
+    return np.exp(-z), alpha, beta
 
 
-def duhamel_stack(times: np.ndarray, g_stack: np.ndarray,
-                  xi_sq: np.ndarray, start: np.ndarray | None = None
-                  ) -> np.ndarray:
+def duhamel_stack(times: np.ndarray, g_stack: np.ndarray, grid: Grid,
+                  start: np.ndarray | None = None) -> np.ndarray:
     """Cumulative Duhamel integral at every sample time.
 
     g_stack has shape (M,) + field_shape where the trailing axes match
-    xi_sq after broadcasting.  Returns the same shape: out[i] =
+    ``grid.xi_sq`` after broadcasting.  Returns the same shape: out[i] =
     out[0] e^{-|xi|^2 (t_i - t_0)} + int_{t_0}^{t_i} e^{-|xi|^2 (t_i - s)}
     g(s) ds with g piecewise linear.  ``start`` is out[0], the integral
     already accumulated at ``times[0]``; it is 0 when None, so the
     integral then runs from 0 only on a schedule that starts at 0.
 
     A recursion cut at sample k continues from its value there with the
-    same arithmetic: ``duhamel_stack(times[k:], g_stack[k:], xi_sq,
+    same arithmetic: ``duhamel_stack(times[k:], g_stack[k:], grid,
     start=out[k])`` equals ``out[k:]`` bit for bit.
     """
     times = np.asarray(times, dtype=float)
@@ -118,7 +112,8 @@ def duhamel_stack(times: np.ndarray, g_stack: np.ndarray,
         out = np.empty_like(g_stack)
         out[0] = start
     dts = np.diff(times)
-    decay, alpha, beta, _, index = exponential_weights(xi_sq, dts)
+    decay, alpha, beta = exponential_weights(grid, dts)
+    index = grid.xi_sq_shells[1]
     for i in range(1, times.size):
         acc = np.take(alpha[i - 1], index) * g_stack[i - 1]
         acc += np.take(beta[i - 1], index) * g_stack[i]
@@ -152,9 +147,8 @@ def duhamel_integral(f_traj: Trajectory, t: float) -> SpectralField:
     if k == 0:
         return SpectralField.zero(f_traj.grid, "vector")
     g_end = interpolate_stack(times, g_stack, t)
-    out = duhamel_stack(np.append(times[:k], t),
-                        np.concatenate([g_stack[:k], g_end[None]]),
-                        f_traj.grid.xi_sq)
+    out = duhamel_stack(np.append(times[:k], t), np.concatenate(
+        [g_stack[:k], g_end[None]]), f_traj.grid)
     return SpectralField(f_traj.grid, "vector", out[-1], check_hermitian=False)
 
 
@@ -162,7 +156,7 @@ def duhamel_trajectory(f_traj: Trajectory) -> Trajectory:
     """Cumulative Duhamel integral evaluated at every sample time; the
     times must pass ``check_schedule``."""
     check_schedule(f_traj.times)
-    out = duhamel_stack(f_traj.times, _forcing(f_traj), f_traj.grid.xi_sq)
+    out = duhamel_stack(f_traj.times, _forcing(f_traj), f_traj.grid)
     return Trajectory._from_stack(f_traj.grid, f_traj.times, "vector", out)
 
 
@@ -225,7 +219,7 @@ def verify_smoothing_derivatives(f_traj: Trajectory, k: int, l: int,
     grid = f_traj.grid
     times = check_schedule(f_traj.times)
     g_stack = _forcing(f_traj)
-    u_stack = duhamel_stack(times, g_stack, grid.xi_sq)
+    u_stack = duhamel_stack(times, g_stack, grid)
 
     # time-derivative towers: u^(m) = G^(m-1) - |xi|^2 u^(m-1)
     derivs = [u_stack]

@@ -11,7 +11,7 @@ stack itself.
 The bilinear constant gamma depends only on the grid, the schedule,
 the Kato p, the mollifier and the probe count and seed, never on the
 data.  It is measured once per key (grid, schedule bytes, ``KATO_P``,
-mollifier symbol bytes or None, ``measure_probes``, ``probe_seed``)
+the mollifier's rho or None, ``measure_probes``, ``probe_seed``)
 and the last (key, gamma) pair is kept in process, so a perturbed solve
 after a direct solve on the same configuration runs no B(x, y) probe;
 ||L|| depends on the background and is always measured.  One pair is
@@ -19,12 +19,14 @@ enough: every caller meets its keys in order and never returns to an
 older one (continuation only shrinks its step).
 
 Every solve is one call of ``_picard_checked`` with an optional
-divergence-free background v and mollifier symbol.  One forcing,
-``_step_forcing``, defines its nonlinearity, P div dealias(w (x) (w)_rho
-+ w (x) v + v (x) w): the Picard step, the doubled-schedule residual
-and the energy ledger all take it from there.  It, the probe B(x, y)
-and the resolvent's L(w) are each one ``_forcing_stack`` job: x is
-transformed once per sample and the caller builds the tensor from it.
+divergence-free background v and mollifier radius rho, which
+``_forcing_factors`` alone turns into physical samples and a symbol.
+One forcing, ``_step_forcing``, defines its nonlinearity, P div
+dealias(w (x) (w)_rho + w (x) v + v (x) w): the Picard step, the
+doubled-schedule residual and the energy ledger (``nonlinear_forcing``)
+all take it from there.  It, the probe B(x, y) and the resolvent's L(w)
+are each one ``_forcing_stack`` job: x is transformed once per sample
+and the caller builds the tensor from it.
 
 The doubled-schedule residual streams over its refined schedule in
 chunks of whole ``map_samples`` jobs, so its memory does not grow with
@@ -158,65 +160,83 @@ def _make_probe(grid: Grid, times: np.ndarray):
 # ---------------------------------------------------------------------
 
 def _measure_constants(problem: PicardProblem, config: SolverConfig,
-                       times: np.ndarray, w_multiplier) -> None:
+                       times: np.ndarray, rho: float | None) -> None:
     """``estimate_constants`` with gamma reused when the last measurement
     had the same key; the measured gamma is remembered."""
     global _last_gamma
     grid = config.grid
     key = ((grid.dim, grid.n, grid.box_length), times.tobytes(), KATO_P,
-           None if w_multiplier is None else w_multiplier.tobytes(),
-           config.measure_probes, config.probe_seed)
+           rho, config.measure_probes, config.probe_seed)
     known = _last_gamma[1] if _last_gamma[0] == key else None
     estimate_constants(problem, n_probes=config.measure_probes,
                        seed=config.probe_seed, gamma=known)
     _last_gamma = (key, problem.gamma)
 
 
+def _forcing_factors(grid: Grid, times: np.ndarray, background,
+                     rho: float | None):
+    """A run's background stack on the schedule and its physical samples,
+    after the one divergence-free check, and the mollifier symbol of rho;
+    each None for None."""
+    v_stack = _background_stack(grid, times, background)
+    pv = None
+    if v_stack is not None:
+        if np.max(divergence_residuals(grid, v_stack, batch_axes=1)) > 1e-10:
+            raise GridError("background must be divergence-free")
+        pv = inverse_transform(grid, v_stack)
+    m_rho = None if rho is None else Mollifier(grid.dim, rho).symbol(grid)
+    return v_stack, pv, m_rho
+
+
+def nonlinear_forcing(traj: Trajectory, background=None,
+                      rho: float | None = None) -> np.ndarray:
+    """The forcing g of u' = Lap u + g along ``traj``: minus the solvers'
+    ``_step_forcing`` around a background taken as the perturbed solver
+    takes it, mollified by rho (None: none of either)."""
+    _, pv, m_rho = _forcing_factors(traj.grid, traj.times, background, rho)
+    g = _step_forcing(traj.grid, traj.coeffs, pv, m_rho)
+    return np.negative(g, out=g)
+
+
 def _picard_checked(u0: SpectralField, config: SolverConfig,
                     times: np.ndarray, background=None,
-                    w_multiplier=None) -> MildSolution:
+                    rho: float | None = None) -> MildSolution:
     """The one solve path: x = e^{tL}u0 - B(x, x) - B(x, v) - B(v, x)
     around a divergence-free background v (none when None), the advected
-    factor of B(x, x) premultiplied by ``w_multiplier``.  The Picard step
+    factor of B(x, x) mollified by rho (none when None).  The Picard step
     and the doubled residual take their forcing from ``_step_forcing``;
     constant probing and the resolvent use L = -B(., v) - B(v, .) and B
     apart.  The trajectory is the solver's stack, made read-only."""
     grid = config.grid
     u0 = _prepare_data(u0, grid)
-    v_stack = _background_stack(grid, times, background)
-    pv = linear = None
-    if v_stack is not None:
-        if np.max(divergence_residuals(grid, v_stack, batch_axes=1)) > 1e-10:
-            raise GridError("background must be divergence-free")
-        pv = inverse_transform(grid, v_stack)
-        linear = _cross_linear(grid, times, pv)
+    v_stack, pv, m_rho = _forcing_factors(grid, times, background, rho)
+    linear = None if pv is None else _cross_linear(grid, times, pv)
 
     def norm(stack):
         return kato_stack_norm(grid, times, stack, KATO_P)
 
     def step(x):
-        return _minus_duhamel(grid, times,
-                              _step_forcing(grid, x, pv, w_multiplier))
+        return _minus_duhamel(grid, times, _step_forcing(grid, x, pv, m_rho))
 
     def forcing(fine_times, fine):
         pvf = None if v_stack is None else inverse_transform(
             grid, interpolate_stack(times, v_stack, fine_times))
-        return _step_forcing(grid, fine, pvf, w_multiplier)
+        return _step_forcing(grid, fine, pvf, m_rho)
 
     problem = PicardProblem(a=heat_stack(grid, u0.coeffs, times),
                             linear=linear,
-                            bilinear=_nse_bilinear(grid, times, w_multiplier),
+                            bilinear=_nse_bilinear(grid, times, m_rho),
                             norm=norm, probe=_make_probe(grid, times),
                             step=step)
     if config.measure_probes > 0:
-        _measure_constants(problem, config, times, w_multiplier)
+        _measure_constants(problem, config, times, rho)
     else:
         problem.gamma = 0.0
         problem.l_norm = 0.0
     report = solve_picard(problem, tol=PICARD_TOL,
                           max_iter=config.max_iter)
     stack = report.solution
-    rd = _doubled_residual(grid, times, stack, u0, forcing)
+    rd = _doubled_residual(grid, times, stack, problem.a, forcing)
     divs = divergence_residuals(grid, stack, batch_axes=1)
     stack.flags.writeable = False
     return MildSolution(Trajectory._from_stack(grid, times, "vector", stack),
@@ -225,37 +245,36 @@ def _picard_checked(u0: SpectralField, config: SolverConfig,
 
 def _minus_duhamel(grid: Grid, times: np.ndarray, g: np.ndarray) -> np.ndarray:
     """-Duhamel(g) on the schedule, written over the recursion's output."""
-    out = duhamel_stack(times, g, grid.xi_sq)
+    out = duhamel_stack(times, g, grid)
     return np.negative(out, out=out)
 
 
 def _nse_bilinear(grid: Grid, times: np.ndarray,
-                  w_multiplier: np.ndarray | None = None):
+                  m_rho: np.ndarray | None = None):
     """(x, y) -> B(x, y) = -Duhamel(P div dealias(x (x) (y)_rho))."""
-    m = 1.0 if w_multiplier is None else w_multiplier
-
     def bilinear(x, y):
         return _minus_duhamel(grid, times, _forcing_stack(
             grid, x, lambda part, px: dealiased_tensor(
-                grid, px, inverse_transform(grid, y[part] * m))))
+                grid, px, inverse_transform(grid, y[part] if m_rho is None
+                                            else y[part] * m_rho))))
 
     return bilinear
 
 
 def _step_forcing(grid: Grid, x: np.ndarray, pv: np.ndarray | None,
-                  w_multiplier: np.ndarray | None) -> np.ndarray:
+                  m_rho: np.ndarray | None) -> np.ndarray:
     """The nonlinearity of every solve, per sample: P div dealias(x (x)
-    (x)_rho), (x)_rho being x premultiplied by ``w_multiplier``, plus
+    (x)_rho), (x)_rho being x premultiplied by the symbol ``m_rho``, plus
     x (x) v + v (x) x around a background v given by its physical
     samples ``pv``.  Unmollified it is one symmetric tensor, of x alone
     or of x and x/2 + v; mollified, the two tensors are summed before
     the one P div."""
     def tensor(part, px):
-        if w_multiplier is None:
+        if m_rho is None:
             return symmetric_tensor(
                 grid, px, None if pv is None else 0.5 * px + pv[part])
         t = dealiased_tensor(
-            grid, px, inverse_transform(grid, x[part] * w_multiplier))
+            grid, px, inverse_transform(grid, x[part] * m_rho))
         if pv is not None:
             t += symmetric_tensor(grid, pv[part], px)
         return t
@@ -274,11 +293,11 @@ def _cross_linear(grid: Grid, times: np.ndarray, pv: np.ndarray):
 
 
 def _doubled_residual(grid: Grid, times: np.ndarray, stack: np.ndarray,
-                      u0: SpectralField, forcing) -> float:
+                      a: np.ndarray, forcing) -> float:
     """Integral-equation residual recomputed on a midpoint-refined
     schedule (independent doubled quadrature): the Kato norm, at the
-    original samples, of x - e^{tL}u0 + Duhamel(forcing(x)) with x
-    interpolated linearly onto the refined schedule.
+    original samples, of x - a + Duhamel(forcing(x)), a = e^{tL}u0 the
+    solve's seed, with x interpolated linearly onto the refined schedule.
 
     ``forcing(fine_times, fine)`` gives the forcing at refined samples.
     The refined schedule is streamed in chunks of ``FFT_WORKERS``
@@ -298,16 +317,16 @@ def _doubled_residual(grid: Grid, times: np.ndarray, stack: np.ndarray,
         fine = interpolate_stack(times, stack, ft)
         g = forcing(ft, fine)
         if s == 0:
-            duh = duhamel_stack(ft, g, grid.xi_sq)
+            duh = duhamel_stack(ft, g, grid)
         else:
             duh = duhamel_stack(fine_times[s - 1:s + chunk],
-                                np.concatenate([g_last, g]), grid.xi_sq,
+                                np.concatenate([g_last, g]), grid,
                                 start=duh[-1])[1:]
         g_last = g[-1:]
-        # the original samples are the even refined ones
+        # the original samples are the even refined ones, from (s + 1) // 2
         keep = slice(s % 2, None, 2)
         rhs = np.negative(duh[keep])
-        rhs += heat_stack(grid, u0.coeffs, ft[keep])
+        rhs += a[(s + 1) // 2:][:len(rhs)]
         resid = np.subtract(fine[keep], rhs, out=rhs)
         worst = max(worst, kato_stack_norm(grid, ft[keep], resid, KATO_P))
     return worst
@@ -353,8 +372,7 @@ def mollified_solve(u0: SpectralField, background, rho: float,
     U = e^{tL}U0 - B_rho(U, U) - B(U, V) - B(V, U), with the advected
     factor mollified, B_rho(v, w) = Duhamel(P div v (x) (w)_rho).
     """
-    m_rho = Mollifier(config.grid.dim, rho).symbol(config.grid)
-    return _picard_checked(u0, config, config.schedule(), background, m_rho)
+    return _picard_checked(u0, config, config.schedule(), background, rho)
 
 
 # ---------------------------------------------------------------------

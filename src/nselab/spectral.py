@@ -47,6 +47,7 @@ import secrets
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -123,6 +124,13 @@ class Grid:
         self.hermitian_weight[[0, -1]] = 1.0
         self.xi_min_nonzero = 2.0 * np.pi / self.box_length
         self.xi_max = float(np.max(self.xi_abs))
+
+    @cached_property
+    def xi_sq_shells(self):
+        """The distinct values of |xi|^2 and the index that gathers them
+        onto the grid (``np.take(values, index)`` is ``xi_sq``), once."""
+        values, index = np.unique(self.xi_sq, return_inverse=True)
+        return values, index.reshape(self.xi_sq.shape)
 
     @property
     def shape(self):
@@ -354,11 +362,22 @@ def magnitude(grid: Grid, values: np.ndarray,
               batch_axes: int = 0) -> np.ndarray:
     """Pointwise magnitude |f(x)| of physical samples.  The first
     ``batch_axes`` axes are kept; the remaining leading axes are
-    components, reduced by the Euclidean/Frobenius norm."""
+    components, reduced by the Euclidean/Frobenius norm.  Where the plain
+    sum of squares overflows, the components are scaled by their largest
+    magnitude first; elsewhere the plain sum is kept bit for bit."""
     comp_axes = tuple(range(batch_axes, values.ndim - grid.dim))
     if not comp_axes:
         return np.abs(values)
-    return np.sqrt(np.sum(values**2, axis=comp_axes))
+    with np.errstate(over="ignore"):
+        mag = np.sqrt(np.sum(values**2, axis=comp_axes))
+        lost = np.isinf(mag)
+        if np.any(lost):  # squares overflowed: scale by the largest entry
+            peak = np.max(np.abs(values), axis=comp_axes)
+            unit = np.where(lost & np.isfinite(peak), peak, 1.0)
+            scaled = values / np.expand_dims(unit, comp_axes)
+            mag = np.where(lost, unit * np.sqrt(
+                np.sum(scaled**2, axis=comp_axes)), mag)
+    return mag
 
 
 def power_sum_root(base: np.ndarray, e, p: float, axis,
@@ -384,18 +403,24 @@ def magnitude_lp_norms(grid: Grid, values: np.ndarray, p: float,
     """Grid-quadrature L^p norm of the pointwise magnitude of physical
     samples, one per entry of the first ``batch_axes`` axes, p >= 1.
     For even integer p the power is an integer power of the summed
-    squared components, with no square root."""
+    squared components, with no square root; entries where those squares
+    overflow take the route of odd p, through ``magnitude``."""
     if not p >= 1:
         raise ExponentError(f"an L^p norm needs p >= 1, got {p}")
     space = tuple(range(-grid.dim, 0))
-    if p % 2 == 0:
+    even = p % 2 == 0
+    if even:
         comp_axes = tuple(range(batch_axes, values.ndim - grid.dim))
-        sq = np.sum(values**2, axis=comp_axes)
-        return power_sum_root(sq, int(p) // 2, p, space, grid.cell_volume)
+        with np.errstate(over="ignore"):
+            sq = np.sum(values**2, axis=comp_axes)
+        norms = power_sum_root(sq, int(p) // 2, p, space, grid.cell_volume)
+        if np.all(np.isfinite(norms)):
+            return norms
     mag = magnitude(grid, values, batch_axes)
     if math.isinf(p):
         return np.max(mag, axis=space)
-    return power_sum_root(mag, p, p, space, grid.cell_volume)
+    out = power_sum_root(mag, p, p, space, grid.cell_volume)
+    return np.where(np.isfinite(norms), norms, out) if even else out
 
 
 def lp_norms(grid: Grid, coeffs: np.ndarray, p: float,

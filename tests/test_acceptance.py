@@ -182,12 +182,12 @@ def test_criterion_09_energy_ledgers():
     cfg = SolverConfig(grid=grid, horizon=0.5, n_geometric=10, n_uniform=10,
                        measure_probes=0)
     moll = mollified_solve(u0, None, 0.5, cfg)
-    ledgers = {m: energy_ledger(moll.trajectory, nonlinearity="mollified",
-                                rho=0.5, substeps=m) for m in (2, 4, 32)}
+    ledgers = {m: energy_ledger(moll.trajectory, rho=0.5, substeps=m)
+               for m in (2, 4, 32)}
     assert ledgers[32].max_abs_slack < 1e-6 * ledgers[32].scale
     assert ledgers[4].max_abs_slack < 0.5 * ledgers[2].max_abs_slack
     direct = mild_solve_nse(u0, cfg)
-    led = energy_ledger(direct.trajectory, nonlinearity="nse", substeps=32)
+    led = energy_ledger(direct.trajectory, substeps=32)
     assert led.min_slack > -1e-6 * led.scale
 
 

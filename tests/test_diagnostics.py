@@ -7,10 +7,10 @@ import pytest
 from nselab import (BesovIndex, ConfigError, DiagnosticsReport,
                     ExperimentConfig, GridError, QuadratureError,
                     SolverConfig, Trajectory, besov_norm, critical_exponent,
-                    default_partition, energy_ledger, heat_trajectory,
-                    leray_monitor, mild_solve_perturbed, rescale,
-                    rescale_trajectory, run_experiment, time_schedule,
-                    vanishing_test)
+                    default_partition, energy_ledger, gradient,
+                    heat_trajectory, leray_monitor, mild_solve_perturbed,
+                    rescale, rescale_trajectory, run_experiment,
+                    time_schedule, vanishing_test)
 from nselab.families import critical_random, random_power_law, taylor_green
 
 
@@ -98,12 +98,13 @@ def test_energy_ledger_heat_flow(grid16):
     u = random_power_law(grid16, alpha=1.5, seed=6)
     times = np.linspace(0.0, 0.5, 11)
     traj = heat_trajectory(u, times)
-    rep = energy_ledger(traj, nonlinearity="none", substeps=32)
+    zero = np.zeros_like(traj.coeffs)
+    rep = energy_ledger(traj, substeps=32, g_stack=zero)
     assert rep.max_abs_slack < 1e-6 * rep.scale
     assert rep.min_slack > -1e-6 * rep.scale
     # residuals shrink with substep refinement (Simpson, order 4)
-    coarse = energy_ledger(traj, nonlinearity="none", substeps=2)
-    mid = energy_ledger(traj, nonlinearity="none", substeps=4)
+    coarse = energy_ledger(traj, substeps=2, g_stack=zero)
+    mid = energy_ledger(traj, substeps=4, g_stack=zero)
     assert mid.max_abs_slack < 0.2 * coarse.max_abs_slack
     assert rep.max_abs_slack < 0.2 * mid.max_abs_slack
 
@@ -123,11 +124,7 @@ def test_energy_ledger_validation(grid16):
     u = random_power_law(grid16, alpha=1.5, seed=7)
     traj = heat_trajectory(u, np.linspace(0.0, 0.2, 5))
     with pytest.raises(ConfigError):
-        energy_ledger(traj, nonlinearity="none", substeps=3)
-    with pytest.raises(ConfigError):
-        energy_ledger(traj, nonlinearity="bogus")
-    with pytest.raises(ConfigError):
-        energy_ledger(traj, nonlinearity="mollified")  # rho missing
+        energy_ledger(traj, substeps=3, g_stack=np.zeros_like(traj.coeffs))
 
 
 def test_energy_ledger_checks_the_schedule_as_the_solver_does(grid16):
@@ -143,6 +140,17 @@ def test_energy_ledger_checks_the_schedule_as_the_solver_does(grid16):
     with pytest.raises(QuadratureError):
         mild_solve_perturbed(u, shifted, SolverConfig(
             grid=grid16, horizon=0.3, times=times, measure_probes=0))
+
+
+def test_energy_ledger_background_is_divergence_free_as_the_solvers(grid16):
+    # the solvers' own check (test_every_solver_background_is_divergence_free)
+    times = time_schedule(0.3, 4, 4)
+    traj = heat_trajectory(random_power_law(grid16, alpha=2.0, seed=7,
+                                            amplitude=0.1), times)
+    bad = gradient(random_power_law(grid16, alpha=1.0, seed=5, rank="scalar"))
+    for bg in (bad, Trajectory(grid16, times, [bad] * times.size)):
+        with pytest.raises(GridError, match="divergence-free"):
+            energy_ledger(traj, background=bg)
 
 
 def test_experiment_config_roundtrip():

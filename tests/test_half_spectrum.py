@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from nselab import (SolverConfig, Trajectory, energy_ledger, make_grid,
-                    mild_solve_nse, read_clf1, write_clf1)
+from nselab import (Mollifier, SolverConfig, Trajectory, energy_ledger,
+                    make_grid, mild_solve_nse, mollified_solve, read_clf1,
+                    write_clf1)
 from nselab.families import random_power_law
 from nselab.heat import _pl_weights, duhamel_stack, exponential_weights, \
     heat_stack
@@ -126,7 +127,9 @@ def test_cross_linear_matches_two_bilinear_calls(grid16):
 def test_exponential_weights_equal_direct_evaluation(grid16):
     xi_sq = grid16.xi_sq
     taus = np.array([0.0, 1e-9, 1e-4, 0.013, 0.3])
-    decay, alpha, beta, values, index = exponential_weights(xi_sq, taus)
+    decay, alpha, beta = exponential_weights(grid16, taus)
+    values, index = grid16.xi_sq_shells
+    assert grid16.xi_sq_shells is grid16.xi_sq_shells  # found once
     assert decay.shape[1] < xi_sq.size / 10
     assert np.array_equal(np.take(values, index), xi_sq)
     for r, tau in enumerate(taus):
@@ -146,16 +149,15 @@ def test_duhamel_stack_equals_direct_evaluation(grid16):
         alpha, beta = _pl_weights(xi_sq * dt)
         want[i] = np.exp(-xi_sq * dt) * want[i - 1] \
             + dt * (alpha * g[i - 1] + beta * g[i])
-    assert np.array_equal(duhamel_stack(times, g, xi_sq), want)
+    assert np.array_equal(duhamel_stack(times, g, grid16), want)
 
 
 def test_continued_duhamel_stack_equals_one_pass(grid16):
     times = np.array([0.0, 1e-4, 1e-3, 0.01, 0.03, 0.05, 0.1, 0.2, 0.3])
     g, _ = _stacks(grid16, times)
-    xi_sq = grid16.xi_sq
-    whole = duhamel_stack(times, g, xi_sq)
+    whole = duhamel_stack(times, g, grid16)
     for k in range(times.size):
-        rest = duhamel_stack(times[k:], g[k:], xi_sq, start=whole[k])
+        rest = duhamel_stack(times[k:], g[k:], grid16, start=whole[k])
         assert np.array_equal(rest, whole[k:])
 
 
@@ -204,6 +206,24 @@ def test_half_ledger_matches_full_reference(grid16):
     # an explicit forcing gives the ledger of the recomputed one
     explicit = energy_ledger(traj, substeps=8, g_stack=g_half)
     assert np.array_equal(explicit.slacks, led.slacks)
+
+
+def test_mollified_ledger_is_the_solvers_mollified_forcing(grid16):
+    u0 = random_power_law(grid16, alpha=2.0, seed=3, amplitude=0.3)
+    cfg = SolverConfig(grid=grid16, horizon=0.2, n_geometric=4, n_uniform=4,
+                       measure_probes=0)
+    traj = mollified_solve(u0, None, 0.5, cfg).trajectory
+    m_rho = Mollifier(3, 0.5).symbol(grid16)
+    want = energy_ledger(traj, substeps=8, g_stack=-_step_forcing(
+        grid16, traj.coeffs, None, m_rho))
+    led = energy_ledger(traj, rho=0.5, substeps=8)
+    assert np.max(np.abs(led.work)) > 0
+    for got, ref in ((led.energy, want.energy), (led.work, want.work),
+                     (led.dissipation, want.dissipation),
+                     (led.slacks, want.slacks)):
+        assert np.array_equal(got, ref)
+    # unmollified, the work differs
+    assert not np.array_equal(energy_ledger(traj, substeps=8).work, led.work)
 
 
 

@@ -1,4 +1,5 @@
 import ast
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -240,6 +241,26 @@ def test_one_forcing_job():
     assert not hasattr(solver, "cross_forcing_stack")
 
 
+def test_only_the_solver_builds_a_forcing():
+    # a run's background, mollifier symbol and nonlinearity are resolved
+    # in solver.py alone; the ledger asks it through nonlinear_forcing
+    src = os.path.dirname(solver.__file__)
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "solver.py":
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            ref = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else \
+                node.name if isinstance(node, ast.alias) else None
+            if ref in ("_background_stack", "_step_forcing") or (
+                    ref == "symbol" and name != "spectral.py"):
+                offenders.append(f"{name}:{getattr(node, 'lineno', 0)} {ref}")
+    assert offenders == []
+
+
 @pytest.fixture
 def probe_log(monkeypatch):
     """No remembered gamma, the (gamma, ||L||) of every constant
@@ -324,8 +345,7 @@ def test_fused_step_matches_linear_plus_bilinear(grid16):
     pv = inverse_transform(grid16, v)
     want = _cross_linear(grid16, times, pv)(x) \
         + _nse_bilinear(grid16, times)(x, x)
-    got = -duhamel_stack(times, _step_forcing(grid16, x, pv, None),
-                         grid16.xi_sq)
+    got = -duhamel_stack(times, _step_forcing(grid16, x, pv, None), grid16)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -334,8 +354,7 @@ def _one_pass_residual(grid, times, stack, u0, forcing):
     fine_times = np.sort(np.concatenate(
         [times, 0.5 * (times[:-1] + times[1:])]))
     fine = interpolate_stack(times, stack, fine_times)
-    rhs = -duhamel_stack(fine_times, forcing(fine_times, fine),
-                         grid.xi_sq)
+    rhs = -duhamel_stack(fine_times, forcing(fine_times, fine), grid)
     rhs += heat_stack(grid, u0.coeffs, fine_times)
     keep = np.isin(fine_times, times)
     return kato_stack_norm(grid, fine_times[keep], (fine - rhs)[keep], KATO_P)
@@ -386,7 +405,7 @@ def test_streamed_residual_memory_does_not_grow_with_the_schedule(
         stack = heat_stack(grid16, u0.coeffs, times)
         tracemalloc.start()
         try:
-            _doubled_residual(grid16, times, stack, u0, forcing)
+            _doubled_residual(grid16, times, stack, stack, forcing)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -426,6 +426,24 @@ def test_large_p_norms_are_overflow_safe(grid16, p):
         assert abs(got - want) <= 1e-12 * want
     assert magnitude_lp_norms(grid16, np.zeros((3,) + grid16.shape), p) == 0
 
+
+@pytest.mark.filterwarnings("error")
+def test_huge_components_do_not_overflow_their_squares():
+    # 1e200 squared overflows; the magnitude and the norms are finite
+    g = make_grid(2, 8, 2.0 * np.pi)
+    big = np.full((2,) + g.shape, 1e200)
+    mag = np.sqrt(2.0) * 1e200
+    assert np.all(magnitude(g, big) == mag)
+    for p in (3.0, 4.0, np.inf):
+        want = mag * g.volume ** (1.0 / p)
+        assert abs(magnitude_lp_norms(g, big, p) - want) <= 1e-14 * want
+    # a sample whose squares do not overflow keeps its plain bits
+    small = random_power_law(g, 1.0, seed=5).to_physical()
+    pair, plain = (magnitude_lp_norms(g, np.stack([first, small]), 4.0,
+                                      batch_axes=1) for first in (big, small))
+    assert pair[1] == plain[1]
+    assert abs(pair[0] - mag * g.volume ** 0.25) <= 1e-14 * pair[0]
+
 def test_only_spectral_calls_fft():
     # every transform goes through spectral.py, so the FFT backend is a
     # one-file decision (Grid's fftfreq lives there too)
