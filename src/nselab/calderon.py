@@ -15,9 +15,9 @@ import numpy as np
 from .besov import (BesovIndex, DyadicPartition, _block_samples,
                     _check_zero_mean, _dyadic_sum, besov_norm,
                     critical_exponent)
-from .errors import ConfigError, GridError
-from .spectral import (SpectralField, divergence_residual, leray_project,
-                       magnitude, magnitude_lp_norms)
+from .errors import ConfigError
+from .spectral import (SpectralField, check_flow, divergence_residual,
+                       leray_project, magnitude, magnitude_lp_norms)
 
 
 @dataclass
@@ -137,12 +137,9 @@ def split(u0: SpectralField, config: SplitConfig,
     divergence-free input.  The critical norm ||u0||_{B^{s_p}_{p,p}} is
     read from the same block samples.
     """
-    if u0.rank != "vector":
-        raise GridError("splitting is defined for vector data")
-    if divergence_residual(u0) > 1e-10:
-        raise GridError("input data is not divergence-free")
-    _check_zero_mean(u0)
     grid = u0.grid
+    check_flow(grid, u0, "input data")
+    _check_zero_mean(u0)
     raw_large, raw_small = np.zeros((2, grid.dim) + grid.shape)
     crit_blocks = []
     for j in partition.j_range:

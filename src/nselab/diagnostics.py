@@ -11,7 +11,6 @@ import os
 from dataclasses import dataclass, field as dc_field, asdict
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .besov import (BesovIndex, DyadicPartition, Trajectory, _dyadic_sum,
                     block_lp_norms, critical_exponent, default_partition)
@@ -200,7 +199,8 @@ def energy_ledger(traj: Trajectory, background=None,
     if g is None:
         g = nonlinear_forcing(traj, background, rho)
     fracs = np.linspace(0.0, 1.0, substeps + 1)
-    tau = np.multiply.outer(np.diff(times), fracs)  # (interval, node)
+    dt = np.diff(times)
+    tau = np.multiply.outer(dt, fracs)  # (interval, node)
     decay, alpha, beta = exponential_weights(grid, tau)
     values, shell = grid.xi_sq_shells
     weight = grid.volume * grid.hermitian_weight
@@ -228,10 +228,12 @@ def energy_ledger(traj: Trajectory, background=None,
                      tau[..., None] * (alpha + beta * (1.0 - fracs)[:, None]),
                      tau[..., None] * beta * fracs[:, None]])
     forcing = np.array([np.zeros_like(fracs), 1.0 - fracs, fracs])
-    diss = simpson(np.einsum("jirs,kirs,jkis,s->ir", coef, coef, moments,
-                             values), x=tau, axis=-1)
-    work = simpson(np.einsum("jr,kirs,jkis->ir", forcing, coef, moments),
-                   x=tau, axis=-1)
+    # composite Simpson weights of the uniform nodes on a unit interval
+    simpson = np.r_[1.0, np.tile([4.0, 2.0], substeps // 2)[:-1], 1.0] \
+        / (3.0 * substeps)
+    diss = np.einsum("jirs,kirs,jkis,s->ir", coef, coef, moments,
+                     values) @ simpson * dt
+    work = np.einsum("jr,kirs,jkis->ir", forcing, coef, moments) @ simpson * dt
     slacks = energy[:-1] - energy[1:] - diss + work
     scale = float(np.max(energy) + np.sum(diss))
     return LedgerReport(times=times, energy=energy, dissipation=diss,

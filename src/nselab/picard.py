@@ -1,6 +1,6 @@
 """Abstract Picard fixed-point engine for x = a + L(x) + B(x, x).
 
-Elements may be anything supporting +, scalar *, and the supplied norm
+Elements may be anything supporting +, -, scalar *, and the supplied norm
 (floats, numpy arrays, trajectory coefficient stacks).
 
 A problem may supply ``step(x) = L(x) + B(x, x)`` as one callable when
@@ -126,7 +126,7 @@ def _resolvent_apply(problem: PicardProblem, rhs, tol: float,
     y = rhs
     for _ in range(max_iter):
         y_next = problem.plus_linear(rhs, y)
-        if problem.norm(y_next + (-1.0) * y) < tol:
+        if problem.norm(y_next - y) < tol:
             return y_next
         y = y_next
     return y
@@ -172,7 +172,7 @@ def solve_picard(problem: PicardProblem, tol: float = 1e-10,
     it = 0
     for it in range(1, max_iter + 1):
         x_next = problem.picard_map(x)
-        diff = problem.norm(x_next + (-1.0) * x)
+        diff = problem.norm(x_next - x)
         nx = problem.norm(x_next)
         diffs.append(diff)
         norms.append(nx)
@@ -194,7 +194,7 @@ def solve_picard(problem: PicardProblem, tol: float = 1e-10,
             converged = True
             break
 
-    residual = problem.norm(x + (-1.0) * problem.picard_map(x))
+    residual = problem.norm(x - problem.picard_map(x))
     bound_holds = None
     if problem.gamma and problem.gamma > 0:
         bound_holds = norms[-1] < 1.0 / (2.0 * inv_bound * problem.gamma)

@@ -42,14 +42,14 @@ import numpy as np
 
 from .besov import (BesovIndex, DyadicPartition, Trajectory, besov_norm,
                     critical_exponent, weighted_sup)
-from .errors import ConfigError, GridError, PicardDivergenceError, QuadratureError
+from .errors import ConfigError, PicardDivergenceError, QuadratureError
 from .families import random_power_law
 from .heat import check_schedule, duhamel_stack, heat_stack, time_schedule
 from .picard import (FixedPointReport, PicardProblem, estimate_constants,
                      solve_picard)
 from . import spectral
-from .spectral import (Grid, Mollifier, SpectralField, dealiased_tensor,
-                       divergence_residual, divergence_residuals,
+from .spectral import (Grid, Mollifier, SpectralField, check_flow,
+                       dealiased_tensor, divergence_residuals,
                        interpolate_stack, inverse_transform, map_samples,
                        projected_divergence_coeffs, symmetric_tensor)
 
@@ -133,16 +133,10 @@ def kato_stack_norm(grid: Grid, times: np.ndarray, stack: np.ndarray,
 
 
 def _prepare_data(u0: SpectralField, grid: Grid) -> SpectralField:
-    if u0.grid != grid:
-        raise GridError("data grid does not match solver grid")
-    if u0.rank != "vector":
-        raise GridError("initial data must be a vector field")
-    if divergence_residual(u0) > 1e-10:
-        raise GridError("initial data is not divergence-free")
+    check_flow(grid, u0, "initial data")
     # keep solver states in the dealias band so product identities are exact
     c = u0.coeffs * grid.dealias_mask
-    f = SpectralField(grid, "vector", c, check_hermitian=False).zero_mean()
-    return f
+    return SpectralField(grid, "vector", c, check_hermitian=False).zero_mean()
 
 
 def _make_probe(grid: Grid, times: np.ndarray):
@@ -175,17 +169,26 @@ def _measure_constants(problem: PicardProblem, config: SolverConfig,
 
 def _forcing_factors(grid: Grid, times: np.ndarray, background,
                      rho: float | None):
-    """A run's background stack on the schedule and its physical samples,
-    after the one divergence-free check, and the mollifier symbol of rho;
-    each None for None."""
-    v_stack = _background_stack(grid, times, background)
-    pv = None
-    if v_stack is not None:
-        if np.max(divergence_residuals(grid, v_stack, batch_axes=1)) > 1e-10:
-            raise GridError("background must be divergence-free")
-        pv = inverse_transform(grid, v_stack)
+    """A run's background as physical samples on the schedule, after the
+    one input check, and the mollifier symbol of rho; each None for None.
+    A ``Trajectory`` on the schedule is transformed once; a
+    ``SpectralField`` is checked and transformed once and held constant in
+    time as a read-only view of that one sample."""
     m_rho = None if rho is None else Mollifier(grid.dim, rho).symbol(grid)
-    return v_stack, pv, m_rho
+    if background is None:
+        return None, m_rho
+    if not isinstance(background, (Trajectory, SpectralField)):
+        raise ConfigError("background must be a Trajectory, SpectralField, "
+                          "or None")
+    check_flow(grid, background, "background")
+    if isinstance(background, SpectralField):
+        one = background.to_physical()
+        return np.broadcast_to(one, (times.size,) + one.shape), m_rho
+    if len(background) != times.size or not np.allclose(
+            background.times, times, rtol=1e-12, atol=0):
+        raise QuadratureError("background trajectory must share the "
+                              "solver schedule")
+    return inverse_transform(grid, background.coeffs), m_rho
 
 
 def nonlinear_forcing(traj: Trajectory, background=None,
@@ -193,7 +196,7 @@ def nonlinear_forcing(traj: Trajectory, background=None,
     """The forcing g of u' = Lap u + g along ``traj``: minus the solvers'
     ``_step_forcing`` around a background taken as the perturbed solver
     takes it, mollified by rho (None: none of either)."""
-    _, pv, m_rho = _forcing_factors(traj.grid, traj.times, background, rho)
+    pv, m_rho = _forcing_factors(traj.grid, traj.times, background, rho)
     g = _step_forcing(traj.grid, traj.coeffs, pv, m_rho)
     return np.negative(g, out=g)
 
@@ -209,7 +212,7 @@ def _picard_checked(u0: SpectralField, config: SolverConfig,
     apart.  The trajectory is the solver's stack, made read-only."""
     grid = config.grid
     u0 = _prepare_data(u0, grid)
-    v_stack, pv, m_rho = _forcing_factors(grid, times, background, rho)
+    pv, m_rho = _forcing_factors(grid, times, background, rho)
     linear = None if pv is None else _cross_linear(grid, times, pv)
 
     def norm(stack):
@@ -219,8 +222,7 @@ def _picard_checked(u0: SpectralField, config: SolverConfig,
         return _minus_duhamel(grid, times, _step_forcing(grid, x, pv, m_rho))
 
     def forcing(fine_times, fine):
-        pvf = None if v_stack is None else inverse_transform(
-            grid, interpolate_stack(times, v_stack, fine_times))
+        pvf = None if pv is None else interpolate_stack(times, pv, fine_times)
         return _step_forcing(grid, fine, pvf, m_rho)
 
     problem = PicardProblem(a=heat_stack(grid, u0.coeffs, times),
@@ -343,26 +345,6 @@ def mild_solve_perturbed(u0_large: SpectralField, background,
     divergence-free background V, a ``Trajectory`` sampled on the solver
     schedule or a ``SpectralField`` held constant in time."""
     return _picard_checked(u0_large, config, config.schedule(), background)
-
-
-def _background_stack(grid: Grid, times: np.ndarray, bg) -> np.ndarray | None:
-    """The coefficient stack of a background on the schedule (None for
-    None): a trajectory's own stack, or a field at every sample as a
-    read-only view of its coefficients."""
-    if bg is None:
-        return None
-    if not isinstance(bg, (Trajectory, SpectralField)):
-        raise ConfigError("background must be a Trajectory, SpectralField, "
-                          "or None")
-    if bg.grid != grid or bg.rank != "vector":
-        raise GridError("background must be a vector field on the grid")
-    if isinstance(bg, SpectralField):
-        return np.broadcast_to(bg.coeffs, (times.size,) + bg.coeffs.shape)
-    if len(bg) != times.size or \
-            not np.allclose(bg.times, times, rtol=1e-12, atol=0):
-        raise QuadratureError("background trajectory must share the "
-                              "solver schedule")
-    return bg.coeffs
 
 
 def mollified_solve(u0: SpectralField, background, rho: float,

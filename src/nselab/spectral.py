@@ -680,6 +680,19 @@ def divergence_residual(field: SpectralField) -> float:
     return float(divergence_residuals(field.grid, field.coeffs))
 
 
+def check_flow(grid: Grid, f, what: str) -> None:
+    """The one rule for every flow a run reads: GridError unless ``f`` (a
+    field, or a trajectory checked sample by sample) is a vector field on
+    ``grid`` that is finite and divergence-free to 1e-10."""
+    if f.grid != grid or f.rank != _VECTOR:
+        raise GridError(f"{what} must be a vector field on the grid")
+    if not np.all(np.isfinite(f.coeffs)):
+        raise GridError(f"{what} must be finite")
+    batch_axes = f.coeffs.ndim - grid.dim - 1
+    if np.max(divergence_residuals(grid, f.coeffs, batch_axes)) > 1e-10:
+        raise GridError(f"{what} must be divergence-free")
+
+
 def dealias_product(u: SpectralField, v: SpectralField) -> SpectralField:
     """Pointwise product in physical space, 2/3-rule dealiased.
 

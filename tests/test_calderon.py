@@ -33,6 +33,15 @@ def test_split_rejects_non_divergence_free(grid16, part16):
         split(f, SplitConfig(4.0, 8.0, 1.0), part16)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_split_rejects_non_finite_data(grid16, part16, bad):
+    u0 = critical_random(grid16, 4.0, part16, seed=0)
+    c = u0.coeffs.copy()
+    c[0, 1, 2, 3] = bad
+    with pytest.raises(GridError, match="finite"):
+        split(u0.with_coeffs(c), SplitConfig(4.0, 8.0, 1.0), part16)
+
+
 def test_split_rejects_nonzero_mean(grid16, part16):
     u0 = critical_random(grid16, 4.0, part16, seed=0)
     c = u0.coeffs.copy()

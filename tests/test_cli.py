@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nselab
 from nselab import (NseLabError, SpectralField, default_partition, make_grid,
                     read_clf1, write_clf1)
 from nselab.cli import main
@@ -189,3 +192,16 @@ def test_split_rejects_a_non_finite_lambda(field_file, tmp_path, capsys, lam):
                  "--out", str(tmp_path)]) == 2
     assert "lambda" in capsys.readouterr().err
 
+
+def test_import_loads_only_the_scipy_modules_it_uses():
+    # the package reads scipy.fft and scipy.special; its ledger quadrature
+    # is its own, so scipy.integrate (and what it pulls in) stays unloaded
+    script = ("import sys, nselab, nselab.cli; "
+              "print(sorted(m for m in sys.modules if m in ("
+              "'scipy.integrate', 'scipy.optimize', 'scipy.linalg', "
+              "'scipy.sparse')))")
+    src = os.path.dirname(os.path.dirname(nselab.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], timeout=60,
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split() == ["[]"]

@@ -55,6 +55,7 @@ def test_unconverged_solve_is_a_numerical_failure(monkeypatch, solver):
     assert report.status == "numerical failure"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_slacks_are_a_numerical_failure():
     # converged solves, but the ledger's quadrature overflows at t = 1e300
     report = run_experiment(ExperimentConfig(
@@ -245,6 +246,19 @@ def _tg_2d(**kw):
     return config
 
 
+@pytest.mark.parametrize("solver", ["direct", "mollified",
+                                    "split-perturbed"])
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+def test_non_finite_data_exits_2(tmp_path, capsys, solver, amplitude):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_tg_2d(
+        recipe={"family": "random", "amplitude": amplitude}, solver=solver)))
+    code = cli.main(["solve", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def _csv_rows(path):
     with open(path, encoding="utf-8") as fh:
         return [[float(x) for x in line.split(",")]
@@ -261,6 +275,12 @@ def _csv_rows(path):
 @example(config=_tg_2d(recipe={"family": "random"}, horizon=1e-13))
 # an infinite threshold scale once ended in a ZeroDivisionError
 @example(config=_tg_2d(solver="split-perturbed", split_lambda=math.inf))
+# non-finite data once ran its solves and exited 4
+@example(config=_tg_2d(recipe={"family": "random", "amplitude": math.nan}))
+@example(config=_tg_2d(recipe={"family": "random", "amplitude": math.inf},
+                       solver="mollified"))
+@example(config=_tg_2d(recipe={"family": "random", "amplitude": math.nan},
+                       solver="split-perturbed"))
 def test_solve_config_exits_with_a_code(tmp_path, capsys, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

@@ -16,8 +16,8 @@ from nselab.families import (critical_random, random_power_law, taylor_green,
                              taylor_green_decay_rate)
 from nselab.besov import block_lp_norms
 from nselab.heat import duhamel_stack, heat_stack
-from nselab.solver import (KATO_P, _background_stack, _cross_linear,
-                           _doubled_residual, _forcing_stack, _nse_bilinear,
+from nselab.solver import (KATO_P, _cross_linear, _doubled_residual,
+                           _forcing_factors, _forcing_stack, _nse_bilinear,
                            _prepare_data, _step_forcing, kato_stack_norm)
 from nselab.spectral import (dealiased_tensor, gradient, interpolate_stack,
                              inverse_transform, symmetric_tensor)
@@ -255,7 +255,7 @@ def test_only_the_solver_builds_a_forcing():
             ref = node.id if isinstance(node, ast.Name) else \
                 node.attr if isinstance(node, ast.Attribute) else \
                 node.name if isinstance(node, ast.alias) else None
-            if ref in ("_background_stack", "_step_forcing") or (
+            if ref in ("_forcing_factors", "_step_forcing") or (
                     ref == "symbol" and name != "spectral.py"):
                 offenders.append(f"{name}:{getattr(node, 'lineno', 0)} {ref}")
     assert offenders == []
@@ -500,9 +500,18 @@ def test_field_background_is_a_view_of_the_field(grid16):
     cfg = small_config(grid16, horizon=0.2, n_geometric=2, n_uniform=2)
     times = cfg.schedule()
     v = random_power_law(grid16, alpha=2.0, seed=4, amplitude=0.1)
-    stack = _background_stack(grid16, times, v)
-    assert stack.shape == (times.size,) + v.coeffs.shape
-    assert np.shares_memory(stack, v.coeffs) and not stack.flags.writeable
+    # checked and transformed once, then spread over the schedule
+    tracemalloc.start()
+    try:
+        pv, m_rho = _forcing_factors(grid16, times, v, None)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert m_rho is None
+    assert pv.shape == (times.size, 3) + grid16.shape
+    assert pv.strides[0] == 0 and not pv.flags.writeable
+    assert held < 2 * pv[0].nbytes
+    assert np.array_equal(pv[-1], v.to_physical())
     # a field background solves as the trajectory that repeats it
     u0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.1)
     repeated = Trajectory(grid16, times, [v] * times.size)
@@ -526,6 +535,26 @@ def test_every_solver_background_is_divergence_free(grid16):
     other_grid = SpectralField.zero(make_grid(3, 8, 2.0 * np.pi), "vector")
     with pytest.raises(GridError, match="vector field on the grid"):
         mild_solve_perturbed(u0, other_grid, cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_every_solver_refuses_non_finite_flows(grid16, bad):
+    cfg = small_config(grid16, horizon=0.2, n_geometric=2, n_uniform=2)
+    times = cfg.schedule()
+    good = random_power_law(grid16, alpha=2.0, seed=4, amplitude=1e-2)
+    c = good.coeffs.copy()
+    c[0, 1, 2, 3] = bad
+    flow = good.with_coeffs(c)
+    for solve in (lambda u: mild_solve_nse(u, cfg),
+                  lambda u: mild_solve_perturbed(u, good, cfg),
+                  lambda u: mollified_solve(u, None, 0.5, cfg)):
+        with pytest.raises(GridError, match="finite"):
+            solve(flow)
+    for bg in (flow, Trajectory(grid16, times, [flow] * times.size)):
+        with pytest.raises(GridError, match="finite"):
+            mild_solve_perturbed(good, bg, cfg)
+        with pytest.raises(GridError, match="finite"):
+            mollified_solve(good, bg, 0.5, cfg)
 
 
 def test_continuation_covers_a_tiny_horizon(grid16):
