@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (ExponentError, GridError, PartitionError,
                      QuadratureError, RankError)
-from .spectral import (Grid, SpectralField, dealias_product,
+from .spectral import (Grid, SpectralField, dealias_product, finite_json,
                        inverse_transform, l2_norms, lp_norms,
                        magnitude_lp_norms, map_samples, power_sum_root)
 
@@ -233,13 +233,15 @@ class NormReport:
             "truncated": self.truncated,
         }
         if self.meta:
-            payload["meta"] = {k: v for k, v in self.meta.items()}
-        return json.dumps(payload)
+            payload["meta"] = self.meta
+        return json.dumps(finite_json(payload), allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "NormReport":
         d = json.loads(text)
-        idx = BesovIndex(**d["index"])
+        # strict JSON writes an infinite exponent as null
+        idx = BesovIndex(**{k: math.inf if v is None else v
+                            for k, v in d["index"].items()})
         blocks = [(b["j"], b["contrib"]) for b in d["blocks"]]
         return cls(value=d["value"], index=idx, blocks=blocks,
                    truncated=d.get("truncated", False),
@@ -250,7 +252,7 @@ def _lq_aggregate(contribs: np.ndarray, q: float) -> np.ndarray:
     """l^q norm of non-negative entries along the last axis (0 if empty)."""
     if math.isinf(q):
         return np.max(contribs, axis=-1, initial=0.0)
-    return power_sum_root(contribs, q, q, -1)
+    return power_sum_root(contribs, q, -1)
 
 
 def _dyadic_sum(norms: np.ndarray, partition: DyadicPartition, s: float,
@@ -400,7 +402,7 @@ def kato_norm(traj: Trajectory, index: BesovIndex) -> NormReport:
     else:
         if times.size < 2:
             raise QuadratureError("finite-q Kato norm needs >= 2 samples")
-        value = float(np.trapezoid(profile**index.q, np.log(times)) ** (1.0 / index.q))
+        value = float(_time_norm(profile, np.log(times), index.q))
         meta = {}
         # report per-sample contributions, aggregation happens in log-t
         blocks = []
@@ -415,7 +417,8 @@ def _time_norm(series: np.ndarray, times: np.ndarray, r: float) -> np.ndarray:
     else the trapezoid rule."""
     if math.isinf(r):
         return np.max(series, axis=0)
-    return np.trapezoid(series**r, times, axis=0) ** (1.0 / r)
+    return power_sum_root(series, r, 0,
+                          lambda x: np.trapezoid(x, times, axis=0))
 
 
 def timespace_besov_norm(traj: Trajectory, r: float, index: BesovIndex,

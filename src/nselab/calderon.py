@@ -17,7 +17,8 @@ from .besov import (BesovIndex, DyadicPartition, _block_samples,
                     critical_exponent)
 from .errors import ConfigError
 from .spectral import (SpectralField, check_flow, divergence_residual,
-                       leray_project, magnitude, magnitude_lp_norms)
+                       finite_json, leray_project, magnitude,
+                       magnitude_lp_norms)
 
 
 @dataclass
@@ -123,9 +124,6 @@ class SplitResult:
             "div_residual_small": divergence_residual(self.small),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.summary())
-
 
 def split(u0: SpectralField, config: SplitConfig,
           partition: DyadicPartition) -> SplitResult:
@@ -191,10 +189,10 @@ class SweepReport:
     fit_window: tuple | None = None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "lambdas": self.lambdas.tolist(),
-            "l2_large": self.l2_large.tolist(),
-            "besov_small": self.besov_small.tolist(),
+        return json.dumps(finite_json({
+            "lambdas": self.lambdas,
+            "l2_large": self.l2_large,
+            "besov_small": self.besov_small,
             "slope_large": self.slope_large,
             "slope_small": self.slope_small,
             "residual_large": self.residual_large,
@@ -202,7 +200,7 @@ class SweepReport:
             "expected_slope_large": self.expected_slope_large,
             "expected_slope_small": self.expected_slope_small,
             "degenerate": self.degenerate,
-        })
+        }), allow_nan=False)
 
 
 def _loglog_slope(lams, vals):

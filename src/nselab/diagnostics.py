@@ -8,7 +8,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field as dc_field, asdict
+import sys
+from dataclasses import dataclass, field as dc_field, asdict, fields
 
 import numpy as np
 
@@ -22,7 +23,8 @@ from .solver import (SolverConfig, mild_solve_nse, mild_solve_perturbed,
                      mollified_solve, nonlinear_forcing,
                      solve_with_continuation)
 from .spectral import (Grid, Mollifier, SpectralField, atomic_write_bytes,
-                       divergence_residuals, read_clf1, write_clf1)
+                       divergence_residuals, finite_json, read_clf1,
+                       write_clf1)
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -254,6 +256,44 @@ def critical_norm_series(traj: Trajectory, p: float,
 # Experiment runner
 # ---------------------------------------------------------------------
 
+def _is_number(v) -> bool:
+    """An int or a float that a float can hold; a bool is not a number."""
+    return type(v) is float or (type(v) is int
+                                and abs(v) <= sys.float_info.max)
+
+
+# JSON type rules by annotation
+_JSON_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number within the float range", _is_number),
+    "str": ("a string", lambda v: type(v) is str),
+    "str | None": ("a string or null", lambda v: v is None or type(v) is str),
+    "tuple": ("a list of numbers",
+              lambda v: type(v) is list and all(map(_is_number, v))),
+    "dict": ("an object with a string family",
+             lambda v: type(v) is dict and type(v.get("family")) is str),
+}
+# the parameters each data family takes, by JSON type
+_RECIPE_PARAMS = {
+    "taylor-green": {"amplitude": "float"},
+    "abc": {"a": "float", "b": "float", "c": "float", "amplitude": "float"},
+    "random": {"alpha": "float", "seed": "int", "amplitude": "float"},
+    "zero": {},
+    "file": {"path": "str"},
+}
+
+
+def _check_json_types(what: str, values: dict, types: dict) -> None:
+    """ConfigError unless every key of ``values`` is in ``types`` and its
+    value is of that key's JSON type."""
+    for key, value in values.items():
+        if key not in types:
+            raise ConfigError(f"{what} takes no {key!r}")
+        rule, ok = _JSON_TYPES[types[key]]
+        if not ok(value):
+            raise ConfigError(f"{what} {key!r} must be {rule}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """One archived run: data recipe, grid, horizon, solver, diagnostics.
@@ -290,8 +330,11 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         d = json.loads(text)
-        if d.pop("clab_config", None) != CONFIG_SCHEMA_VERSION:
+        if not isinstance(d, dict) or \
+                d.pop("clab_config", None) != CONFIG_SCHEMA_VERSION:
             raise ConfigError("missing or unsupported clab_config version")
+        _check_json_types("the config", d,
+                          {f.name: f.type for f in fields(cls)})
         d["monitor_ps"] = tuple(d.get("monitor_ps", (4.0,)))
         try:
             return cls(**d)
@@ -329,7 +372,10 @@ class DiagnosticsReport:
 
 def _resolve_recipe(grid: Grid, recipe: dict, seed: int) -> SpectralField:
     kind = recipe.get("family")
+    if kind not in _RECIPE_PARAMS:
+        raise ConfigError(f"unknown data family {kind!r}")
     params = {k: v for k, v in recipe.items() if k != "family"}
+    _check_json_types(f"the {kind} recipe", params, _RECIPE_PARAMS[kind])
     if kind == "taylor-green":
         return families.taylor_green(grid, **params)
     if kind == "abc":
@@ -341,31 +387,16 @@ def _resolve_recipe(grid: Grid, recipe: dict, seed: int) -> SpectralField:
         return families.random_power_law(grid, **params)
     if kind == "zero":
         return SpectralField.zero(grid, "vector")
-    if kind == "file":
-        f = read_clf1(params["path"])
-        if f.grid != grid:
-            raise ConfigError("field file grid does not match the config")
-        return f
-    raise ConfigError(f"unknown data family {kind!r}")
+    if "path" not in params:  # the file family
+        raise ConfigError("the file recipe needs a string 'path'")
+    f = read_clf1(params["path"])
+    if f.grid != grid:
+        raise ConfigError("field file grid does not match the config")
+    return f
 
 
 def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def finite_json(obj):
-    """``obj`` with numpy arrays and scalars as plain Python values and
-    every non-finite float as None, so that it serializes to strict
-    JSON (``allow_nan=False``)."""
-    if isinstance(obj, dict):
-        return {k: finite_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [finite_json(v) for v in obj]
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
 
 
 def _series_csv(times: np.ndarray, columns: dict) -> str:

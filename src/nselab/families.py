@@ -6,7 +6,7 @@ import numpy as np
 
 from .besov import (BesovIndex, DyadicPartition, besov_norm,
                     critical_exponent, lp_block)
-from .errors import GridError
+from .errors import ConfigError, GridError
 from .spectral import Grid, SpectralField, leray_project
 
 
@@ -73,6 +73,8 @@ def random_power_law(grid: Grid, alpha: float, seed: int,
     Band-limited to the 2/3 dealias band, Leray-projected for vector
     rank, and normalized to the requested L^2 norm.
     """
+    if not np.isfinite(amplitude):
+        raise ConfigError(f"amplitude must be finite, got {amplitude}")
     rng = np.random.default_rng(seed)
     lead = () if rank == "scalar" else (grid.dim,)
     noise = rng.standard_normal(lead + grid.shape)

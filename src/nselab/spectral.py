@@ -47,7 +47,7 @@ import secrets
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.fft
@@ -362,39 +362,29 @@ def magnitude(grid: Grid, values: np.ndarray,
               batch_axes: int = 0) -> np.ndarray:
     """Pointwise magnitude |f(x)| of physical samples.  The first
     ``batch_axes`` axes are kept; the remaining leading axes are
-    components, reduced by the Euclidean/Frobenius norm.  Where the plain
-    sum of squares overflows, the components are scaled by their largest
-    magnitude first; elsewhere the plain sum is kept bit for bit."""
+    components, reduced by the Euclidean/Frobenius norm."""
     comp_axes = tuple(range(batch_axes, values.ndim - grid.dim))
     if not comp_axes:
         return np.abs(values)
-    with np.errstate(over="ignore"):
-        mag = np.sqrt(np.sum(values**2, axis=comp_axes))
-        lost = np.isinf(mag)
-        if np.any(lost):  # squares overflowed: scale by the largest entry
-            peak = np.max(np.abs(values), axis=comp_axes)
-            unit = np.where(lost & np.isfinite(peak), peak, 1.0)
-            scaled = values / np.expand_dims(unit, comp_axes)
-            mag = np.where(lost, unit * np.sqrt(
-                np.sum(scaled**2, axis=comp_axes)), mag)
-    return mag
+    return power_sum_root(np.abs(values), 2, comp_axes)
 
 
-def power_sum_root(base: np.ndarray, e, p: float, axis,
-                   weight: float = 1.0) -> np.ndarray:
-    """(weight * sum of base**e over ``axis``)**(1/p), base >= 0.  Where
-    that power sum is not finite or below the smallest normal float, base
-    is scaled by its largest entry first (the overflow-safe norm of Blue,
-    ACM TOMS 4, 1978); elsewhere the plain sum is kept bit for bit."""
+def power_sum_root(base: np.ndarray, p: float, axis, total=None) -> np.ndarray:
+    """(total of base**p)**(1/p), base >= 0; ``total`` is a linear sum
+    over ``axis`` (default np.sum).  Where that power sum is not finite
+    or below the smallest normal float, base is scaled by its largest
+    entry first (the overflow-safe norm of Blue, ACM TOMS 4, 1978);
+    elsewhere the plain sum is kept bit for bit."""
+    if total is None:
+        total = partial(np.sum, axis=axis)
     with np.errstate(over="ignore"):
-        power = weight * np.sum(base ** e, axis=axis)
+        power = total(base ** p)
     lost = ~np.isfinite(power) | (power < np.finfo(float).tiny)
     if not np.any(lost):
         return power ** (1.0 / p)
     peak = np.max(base, axis=axis, keepdims=True, initial=0.0)
     unit = np.where((peak > 0) & np.isfinite(peak), peak, 1.0)
-    scaled = np.squeeze(unit, axis) ** (e / p) * (
-        weight * np.sum((base / unit) ** e, axis=axis)) ** (1.0 / p)
+    scaled = np.squeeze(unit, axis) * total((base / unit) ** p) ** (1.0 / p)
     return np.where(lost, scaled, power ** (1.0 / p))
 
 
@@ -403,24 +393,32 @@ def magnitude_lp_norms(grid: Grid, values: np.ndarray, p: float,
     """Grid-quadrature L^p norm of the pointwise magnitude of physical
     samples, one per entry of the first ``batch_axes`` axes, p >= 1.
     For even integer p the power is an integer power of the summed
-    squared components, with no square root; entries where those squares
-    overflow take the route of odd p, through ``magnitude``."""
+    squared components, with no square root; a nonzero sample whose power
+    over- or underflows takes the route of odd p, through ``magnitude``."""
     if not p >= 1:
         raise ExponentError(f"an L^p norm needs p >= 1, got {p}")
     space = tuple(range(-grid.dim, 0))
-    even = p % 2 == 0
-    if even:
-        comp_axes = tuple(range(batch_axes, values.ndim - grid.dim))
-        with np.errstate(over="ignore"):
-            sq = np.sum(values**2, axis=comp_axes)
-        norms = power_sum_root(sq, int(p) // 2, p, space, grid.cell_volume)
-        if np.all(np.isfinite(norms)):
-            return norms
-    mag = magnitude(grid, values, batch_axes)
-    if math.isinf(p):
-        return np.max(mag, axis=space)
-    out = power_sum_root(mag, p, p, space, grid.cell_volume)
-    return np.where(np.isfinite(norms), norms, out) if even else out
+
+    def from_magnitude(samples, batch):
+        mag = magnitude(grid, samples, batch)
+        if math.isinf(p):
+            return np.max(mag, axis=space)
+        return power_sum_root(mag, p, space, lambda x: grid.cell_volume
+                              * np.sum(x, axis=space))
+
+    if p % 2 != 0:
+        return from_magnitude(values, batch_axes)
+    comp_axes = tuple(range(batch_axes, values.ndim - grid.dim))
+    with np.errstate(over="ignore"):
+        power = grid.cell_volume * np.sum(np.sum(
+            values**2, axis=comp_axes) ** (int(p) // 2), axis=space)
+    lost = np.asarray(~np.isfinite(power) | (power < np.finfo(float).tiny))
+    lost[lost] = [np.any(v) for v in values[lost]]
+    if not np.any(lost):
+        return power ** (1.0 / p)
+    norms = np.array(power ** (1.0 / p))
+    norms[lost] = from_magnitude(values[lost], 1)
+    return norms
 
 
 def lp_norms(grid: Grid, coeffs: np.ndarray, p: float,
@@ -838,6 +836,21 @@ def atomic_write_bytes(path, payload: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def finite_json(obj):
+    """``obj`` with numpy arrays and scalars as plain Python values and
+    every non-finite float as None, so that it serializes to strict
+    JSON (``allow_nan=False``)."""
+    if isinstance(obj, dict):
+        return {k: finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [finite_json(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def write_clf1(path, field: SpectralField) -> None:

@@ -336,6 +336,37 @@ def test_large_q_aggregate_is_overflow_safe():
     assert _lq_aggregate(np.array([]), 1001) == 0.0
 
 
+def _peak_scaled_time_norm(series, times, r):
+    peak = np.max(series, axis=0)
+    unit = np.where(peak > 0, peak, 1.0)
+    return unit * np.trapezoid((series / unit) ** r, times, axis=0) ** (1 / r)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amplitude", [1e-3, 1.0, 1e3])
+def test_large_time_exponents_are_overflow_safe(grid16, part16, amplitude):
+    # the 1001st powers of the time samples underflow to 0 or overflow to
+    # inf; the time norms are then taken scaled by the largest sample
+    times = np.linspace(0.0, 1.0, 50)
+    traj = heat_trajectory(random_power_law(grid16, 1.0, seed=4) * amplitude,
+                           times)
+    s = critical_exponent(4.0)
+    rep = kato_norm(traj, BesovIndex(s, 4.0, 1001.0))
+    checks = [(rep.value, _peak_scaled_time_norm(
+        np.array(rep.meta["profile"]), np.log(times[1:]), 1001.0))]
+    rep = timespace_besov_norm(traj, 1001.0, BesovIndex(s, 4.0, 4.0), part16)
+    weights = np.array([2.0 ** (j * s) for j in part16.j_range])
+    blocks = weights * _peak_scaled_time_norm(
+        block_lp_norms(grid16, traj.coeffs, part16, 4.0, 1), times, 1001.0)
+    checks.append((rep.value, np.sum(blocks**4) ** 0.25))
+    n = 3.0 / (1.5 - 2.0 / 1001.0)  # 2/m + 3/n = 3/2 with m = 1001
+    checks.append((interpolation_check(traj, 1001.0, n), _peak_scaled_time_norm(
+        traj.lp_series(n), times, 1001.0) / math.sqrt(energy_norm(traj))))
+    for got, want in checks:
+        assert 0 < got < math.inf
+        assert abs(got - want) <= 1e-12 * want
+
+
 def test_large_p_series_are_not_zero():
     # a power sum that underflows is rescaled, so the large-p Besov and
     # L^p series read their sizes, not 0

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from nselab import NseLabError, SolverConfig, SpectralField, Trajectory, make_grid
+from nselab import (BesovIndex, NormReport, NseLabError, SolverConfig,
+                    SplitConfig, SpectralField, Trajectory, default_partition,
+                    exponent_sweep, make_grid)
 from nselab import besov, cli, diagnostics
 from nselab.diagnostics import (DiagnosticsReport, ExperimentConfig,
                                 LedgerReport, _archive, finite_json,
@@ -137,6 +139,19 @@ def test_manifest_is_strict_json(tmp_path):
     assert finite_json((1.0, np.nan)) == [1.0, None]
 
 
+def test_report_json_is_strict():
+    # a zero field has no slopes to fit (NaN); an infinite exponent is
+    # written as null and read back as infinity
+    grid = make_grid(3, 16, 2.0 * np.pi)
+    sweep = exponent_sweep(SpectralField.zero(grid), SplitConfig(4.0, 8.0, 1.0),
+                           np.geomspace(0.1, 10.0, 4), default_partition(grid))
+    assert _strict_loads(sweep.to_json())["slope_large"] is None
+    rep = NormReport(value=math.nan, index=BesovIndex(-1.0, math.inf, math.inf),
+                     blocks=[(0, math.inf)])
+    assert _strict_loads(rep.to_json())["value"] is None
+    assert NormReport.from_json(rep.to_json()).index == rep.index
+
+
 # (valid, invalid) choices per header token; ncomp is derived from the
 # rank when valid
 _TOKENS = [
@@ -214,14 +229,19 @@ def _count(draw, low, high):
         st.integers(low, high))
 
 
+# values of a JSON type no config field or recipe parameter takes
+_WRONG_TYPES = [None, True, "8", {"x": 1}]
+
+
 @st.composite
 def experiment_configs(draw):
-    """JSON configs of 2D 8^2 runs with every numeric field drawn."""
+    """JSON configs of 2D 8^2 runs with every numeric field drawn; one
+    time in ten a field or recipe parameter holds a wrong JSON type."""
     recipe = {"family": draw(st.sampled_from(["taylor-green", "random",
                                                "zero"]))}
     if recipe["family"] == "random":
         recipe["amplitude"] = draw(_number(0.01, 50.0))
-    return {"clab_config": 1, "dim": 2, "n": 8,
+    config = {"clab_config": 1, "dim": 2, "n": 8,
             "box_length": draw(_number(1.0, 20.0)),
             "horizon": draw(_number(1e-3, 1.0)), "recipe": recipe,
             "solver": draw(st.sampled_from(
@@ -236,6 +256,14 @@ def experiment_configs(draw):
             "n_geometric": draw(_count(0, 4)),
             "n_uniform": draw(_count(1, 4)),
             "measure_probes": draw(_count(0, 2))}
+    if draw(st.integers(0, 9)) == 0:
+        where = draw(st.sampled_from([config, recipe]))
+        key = draw(st.sampled_from(sorted(set(where) - {"clab_config"})))
+        # an integral float is not an integer
+        wrong = _WRONG_TYPES + ([float(where[key])]
+                                if type(where[key]) is int else [])
+        where[key] = draw(st.sampled_from(wrong))
+    return config
 
 
 def _tg_2d(**kw):
@@ -246,6 +274,7 @@ def _tg_2d(**kw):
     return config
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("solver", ["direct", "mollified",
                                     "split-perturbed"])
 @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
@@ -259,12 +288,39 @@ def test_non_finite_data_exits_2(tmp_path, capsys, solver, amplitude):
     assert "finite" in capsys.readouterr().err
 
 
+# config fields of a JSON type they do not take (each once exited 1
+# with a traceback, or ran: an integral float, a bool seed)
+_BADLY_TYPED = [
+    {"horizon": None}, {"horizon": 10**400}, {"box_length": [1]},
+    {"n": "8"}, {"dim": 2.0}, {"recipe": None}, {"monitor_ps": 4},
+    {"measure_probes": 1.5}, {"seed": True},
+    {"split_q": None, "solver": "split-perturbed"},
+    {"recipe": {"family": "random", "amplitude": None}},
+    {"recipe": {"family": "random", "alpha": "2"}},
+    {"recipe": {"family": "random", "seed": 1.0}},
+    {"recipe": {"family": "taylor-green", "bogus": 1}},
+    {"recipe": {"family": "file"}},
+]
+
+
+@pytest.mark.parametrize("fields", _BADLY_TYPED,
+                         ids=lambda f: json.dumps(f)[:60])
+def test_badly_typed_config_exits_2(tmp_path, capsys, fields):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_tg_2d(**fields)))
+    code = cli.main(["solve", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _csv_rows(path):
     with open(path, encoding="utf-8") as fh:
         return [[float(x) for x in line.split(",")]
                 for line in fh.read().splitlines()[1:]]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])

@@ -429,20 +429,28 @@ def test_large_p_norms_are_overflow_safe(grid16, p):
 
 @pytest.mark.filterwarnings("error")
 def test_huge_components_do_not_overflow_their_squares():
-    # 1e200 squared overflows; the magnitude and the norms are finite
+    # squares of 1e200 overflow, those of 1e-160 lose bits and those of
+    # 1e-170 and below underflow to 0; the magnitude and the norms are
+    # scale times those of the unscaled field
     g = make_grid(2, 8, 2.0 * np.pi)
-    big = np.full((2,) + g.shape, 1e200)
-    mag = np.sqrt(2.0) * 1e200
-    assert np.all(magnitude(g, big) == mag)
-    for p in (3.0, 4.0, np.inf):
-        want = mag * g.volume ** (1.0 / p)
-        assert abs(magnitude_lp_norms(g, big, p) - want) <= 1e-14 * want
-    # a sample whose squares do not overflow keeps its plain bits
-    small = random_power_law(g, 1.0, seed=5).to_physical()
-    pair, plain = (magnitude_lp_norms(g, np.stack([first, small]), 4.0,
-                                      batch_axes=1) for first in (big, small))
-    assert pair[1] == plain[1]
-    assert abs(pair[0] - mag * g.volume ** 0.25) <= 1e-14 * pair[0]
+    x, y = g.physical_mesh()
+    v = np.stack([2.0 + np.cos(x), 1.0 + np.sin(y) ** 2])
+    mag = magnitude(g, v)
+    norms = {p: magnitude_lp_norms(g, v, p) for p in (2.0, 3.0, 4.0, np.inf)}
+    for scale in (1e200, 1e-160, 1e-170, 1e-300):
+        got = magnitude(g, scale * v)
+        assert np.all(np.abs(got - scale * mag) <= 1e-14 * scale * mag)
+        for p, want in norms.items():
+            got = magnitude_lp_norms(g, scale * v, p)
+            assert abs(got - scale * want) <= 1e-14 * scale * want
+    # in a stack, the zero sample reads 0 and the plain one keeps its bits
+    stack = np.stack([0.0 * v, 1e-170 * v, v, 1e200 * v])
+    for p, want in norms.items():
+        got = magnitude_lp_norms(g, stack, p, batch_axes=1)
+        assert got[0] == 0.0 and got[2] == want
+        for k, scale in ((1, 1e-170), (3, 1e200)):
+            assert abs(got[k] - scale * want) <= 1e-14 * scale * want
+
 
 def test_only_spectral_calls_fft():
     # every transform goes through spectral.py, so the FFT backend is a
