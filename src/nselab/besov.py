@@ -378,7 +378,15 @@ def weighted_sup(grid: Grid, times: np.ndarray, stack: np.ndarray,
                  expo: float, p: float) -> float:
     """sup over the positive-time samples of t^expo ||u(t)||_p, for a
     coefficient stack (0 if there are none)."""
-    series = lp_norms(grid, stack, p, batch_axes=1)
+    return series_weighted_sup(times, lp_norms(grid, stack, p, batch_axes=1),
+                               expo)
+
+
+def series_weighted_sup(times: np.ndarray, series: np.ndarray,
+                        expo: float) -> float:
+    """sup over the positive-time samples of t^expo series(t), for one
+    value per sample, such as a stack's L^p norms (0 if there are no
+    positive times)."""
     pos = times > 0
     return float(np.max(times[pos] ** expo * series[pos], initial=0.0))
 

@@ -10,6 +10,13 @@ from .errors import ConfigError, GridError
 from .spectral import Grid, SpectralField, leray_project
 
 
+def _check_finite(**params) -> None:
+    """Refuse a non-finite family parameter before any arithmetic."""
+    for name, value in params.items():
+        if not np.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
 def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
     """2D Taylor-Green vortex (sin kx cos ky, -cos kx sin ky), k = 2pi/L.
 
@@ -18,6 +25,7 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
     """
     if grid.dim != 2:
         raise GridError("taylor_green is a 2D family")
+    _check_finite(amplitude=amplitude)
     k = 2.0 * np.pi / grid.box_length
     x, y = grid.physical_mesh()
     u = amplitude * np.stack([np.sin(k * x) * np.cos(k * y),
@@ -35,6 +43,7 @@ def abc_flow(grid: Grid, a: float = 1.0, b: float = 1.0, c: float = 1.0,
     """Divergence-free ABC-type 3D mode sum at the fundamental wavenumber."""
     if grid.dim != 3:
         raise GridError("abc_flow is a 3D family")
+    _check_finite(a=a, b=b, c=c, amplitude=amplitude)
     k = 2.0 * np.pi / grid.box_length
     x, y, z = grid.physical_mesh()
     u = amplitude * np.stack([
@@ -73,8 +82,7 @@ def random_power_law(grid: Grid, alpha: float, seed: int,
     Band-limited to the 2/3 dealias band, Leray-projected for vector
     rank, and normalized to the requested L^2 norm.
     """
-    if not np.isfinite(amplitude):
-        raise ConfigError(f"amplitude must be finite, got {amplitude}")
+    _check_finite(amplitude=amplitude)
     rng = np.random.default_rng(seed)
     lead = () if rank == "scalar" else (grid.dim,)
     noise = rng.standard_normal(lead + grid.shape)

@@ -3,15 +3,24 @@
 Elements may be anything supporting +, -, scalar *, and the supplied norm
 (floats, numpy arrays, trajectory coefficient stacks).
 
-A problem may supply ``step(x) = L(x) + B(x, x)`` as one callable when
-it can form both terms in one pass; it must agree with
-``linear(x) + bilinear(x, x)`` up to rounding.  The iteration and the
-final residual use it; constant probing, the resolvent and the
-propagation check keep L and B separate.
+Every norm of an iterate or a probe comes with an operator applied to
+it, so a problem that must transform an element to apply an operator
+can take the element's norm from that same transform:
+- ``step(x)`` gives (L(x) + B(x, x), ||x||); it must agree with
+  ``linear(x) + bilinear(x, x)`` up to rounding and with ``norm(x)``;
+- ``bilinear_with_norms(x, y)`` gives (B(x, y), ||x||, ||y||);
+- ``linear_with_norm(x)`` gives (L(x), ||x||).
+
+Each one a problem leaves out is composed from ``linear``, ``bilinear``
+and ``norm``, so a float problem needs none of them.  The iteration runs
+one step ahead: the step that makes x_{k+1} also gives ||x_k||, and the
+step of the last iterate gives the final residual.  Increments, the
+resolvent and the propagation check take ``norm`` directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -28,9 +37,10 @@ class PicardProblem:
 
     gamma and l_norm are the measured bilinear and linear-operator
     constants; ``probe`` (optional) builds a random element from an
-    integer seed for measuring them.  ``step`` (optional) is
-    x -> L(x) + B(x, x) in one call; without it the two parts are
-    composed.
+    integer seed for measuring them.  ``step``, ``bilinear_with_norms``
+    and ``linear_with_norm`` (optional) apply an operator and also give
+    the norms of its arguments (see the module docstring); without them
+    the parts and ``norm`` are composed.
     """
 
     a: object
@@ -40,7 +50,9 @@ class PicardProblem:
     gamma: float | None = None
     l_norm: float | None = None
     probe: object = None        # callable(seed) -> element
-    step: object = None         # callable x -> L(x) + B(x, x), or None
+    step: object = None         # x -> (L(x) + B(x, x), ||x||), or None
+    bilinear_with_norms: object = None  # (x, y) -> (B(x, y), ||x||, ||y||)
+    linear_with_norm: object = None     # x -> (L(x), ||x||)
 
     def plus_linear(self, base, x):
         """base + L(x); the zero map adds nothing and is not evaluated."""
@@ -49,11 +61,25 @@ class PicardProblem:
     def apply_bilinear(self, x, y):
         return self.bilinear(x, y) if self.bilinear is not None else 0.0 * x
 
-    def picard_map(self, x):
-        """a + L(x) + B(x, x), with ``step`` when supplied."""
+    def step_and_norm(self, x):
+        """(L(x) + B(x, x), ||x||), by ``step`` when supplied."""
         if self.step is not None:
-            return self.a + self.step(x)
-        return self.plus_linear(self.a, x) + self.apply_bilinear(x, x)
+            return self.step(x)
+        return self.plus_linear(self.apply_bilinear(x, x), x), self.norm(x)
+
+    def bilinear_and_norms(self, x, y):
+        """(B(x, y), ||x||, ||y||), by ``bilinear_with_norms`` when
+        supplied."""
+        if self.bilinear_with_norms is not None:
+            return self.bilinear_with_norms(x, y)
+        return self.apply_bilinear(x, y), self.norm(x), self.norm(y)
+
+    def linear_and_norm(self, x):
+        """(L(x), ||x||) of a non-zero L, by ``linear_with_norm`` when
+        supplied."""
+        if self.linear_with_norm is not None:
+            return self.linear_with_norm(x)
+        return self.linear(x), self.norm(x)
 
 
 def _probe_seed(rng) -> int:
@@ -61,16 +87,26 @@ def _probe_seed(rng) -> int:
     return int(rng.integers(0, 2**31 - 1))
 
 
+def _gain(problem: PicardProblem, value, *norms) -> float:
+    """||value|| / (product of ``norms``), or 0 unless every norm is
+    positive.  Taking ``value`` as an argument lets it be freed as soon
+    as its norm is known."""
+    if not all(n > 0 for n in norms):
+        return 0.0
+    return problem.norm(value) / math.prod(norms)
+
+
 def estimate_constants(problem: PicardProblem, n_probes: int = 20,
                        seed: int = 0,
                        gamma: float | None = None) -> PicardProblem:
     """Measure gamma and ||L|| by randomized probing and fill them in.
 
-    Each probe pair (x, y) draws two seeds from one stream.  A known
-    ``gamma`` (measured before with the same B, norm, probe, ``n_probes``
-    and ``seed``) is taken as is: no y is built and no B(x, y) runs, but
-    y's seed is still drawn, so ||L|| is measured on the same x as in a
-    full run.  With no linear part nothing is probed at all.
+    Each probe pair (x, y) draws two seeds from one stream; ||x|| and
+    ||y|| come with B(x, y).  A known ``gamma`` (measured before with the
+    same B, norm, probe, ``n_probes`` and ``seed``) is taken as is: no y
+    is built and no B(x, y) runs, but y's seed is still drawn, so ||L||
+    is measured on the same x as in a full run, and ||x|| comes with
+    L(x).  With no linear part nothing is probed at all.
     """
     if problem.probe is None:
         raise ConfigError("constant estimation needs a probe generator")
@@ -82,16 +118,16 @@ def estimate_constants(problem: PicardProblem, n_probes: int = 20,
         for _ in range(n_probes):
             x = problem.probe(_probe_seed(rng))
             y_seed = _probe_seed(rng)
-            nx = problem.norm(x)
             if measure_gamma:
-                y = problem.probe(y_seed)
-                ny = problem.norm(y)
-                if nx > 0 and ny > 0:
-                    gamma = max(gamma,
-                                problem.norm(problem.apply_bilinear(x, y))
-                                / (nx * ny))
-            if nx > 0 and problem.linear is not None:
-                l_norm = max(l_norm, problem.norm(problem.linear(x)) / nx)
+                bxy, nx, ny = problem.bilinear_and_norms(
+                    x, problem.probe(y_seed))
+                gamma = max(gamma, _gain(problem, bxy, nx, ny))
+                del bxy  # not held across the next probe's allocations
+                if problem.linear is not None:
+                    l_norm = max(l_norm, _gain(problem, problem.linear(x), nx))
+            else:
+                l_norm = max(l_norm,
+                             _gain(problem, *problem.linear_and_norm(x)))
     problem.gamma = gamma
     problem.l_norm = l_norm
     return problem
@@ -134,13 +170,15 @@ def _resolvent_apply(problem: PicardProblem, rhs, tol: float,
 
 def solve_picard(problem: PicardProblem, tol: float = 1e-10,
                  max_iter: int = 60, strict: bool = False) -> FixedPointReport:
-    """Iterate P_{k+1} = a + L(P_k) + B(P_k, P_k) from P_0 = a, through
-    ``problem.step`` when it is supplied.
+    """Iterate P_{k+1} = a + L(P_k) + B(P_k, P_k) from P_0 = a, one
+    ``problem.step_and_norm`` per iterate: the step of P_k gives P_{k+1}
+    and ||P_k||, and the step of the last iterate gives the residual.
 
     Divergence (a non-finite increment or norm, three consecutive
     increment increases, or norm above 1e6x the seed) raises
-    PicardDivergenceError carrying the history.  With
-    ``strict`` the smallness condition
+    PicardDivergenceError carrying the history.  An iterate that the
+    increment already shows to be diverging is not stepped; its norm is
+    taken with ``norm``.  With ``strict`` the smallness condition
     ||(I-L)^{-1} a|| < 1/(4 ||(I-L)^{-1}|| gamma) must hold up front.
     """
     if problem.gamma is None or problem.l_norm is None:
@@ -149,11 +187,13 @@ def solve_picard(problem: PicardProblem, tol: float = 1e-10,
         raise ConfigError(f"linear operator norm {problem.l_norm} >= 1; "
                           "the resolvent bound fails")
     inv_bound = 1.0 / (1.0 - problem.l_norm)
+    x = problem.a
+    f, seed_norm = problem.step_and_norm(x)
     margin = float("inf")
-    na = None
     if problem.gamma > 0:
-        resolved_a = _resolvent_apply(problem, problem.a, tol)
-        na = problem.norm(resolved_a)
+        # with L = 0 the resolved seed is a itself, whose norm is known
+        na = seed_norm if problem.linear is None else problem.norm(
+            _resolvent_apply(problem, problem.a, tol))
         cap = 1.0 / (4.0 * inv_bound * problem.gamma)
         margin = cap - na
         if strict and margin <= 0:
@@ -161,40 +201,41 @@ def solve_picard(problem: PicardProblem, tol: float = 1e-10,
                 f"smallness condition violated: ||(I-L)^{{-1}}a|| = {na} "
                 f">= {cap}")
 
-    x = problem.a
-    # with L = 0 the resolved seed is a itself, whose norm is known
-    seed_norm = na if na is not None and problem.linear is None \
-        else problem.norm(problem.a)
+    limit = DIVERGENCE_BLOWUP_FACTOR * seed_norm
     norms = [seed_norm]
     diffs = []
     increases = 0
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        x_next = problem.picard_map(x)
+        x_next = problem.a + f
+        del f  # the increment below is the next allocation
         diff = problem.norm(x_next - x)
-        nx = problem.norm(x_next)
+        x = x_next
         diffs.append(diff)
-        norms.append(nx)
         # growth of the contraction increments flags divergence; raw
         # iterate norms may rise monotonically toward the fixed point
         if len(diffs) >= 2 and diff > diffs[-2]:
             increases += 1
         else:
             increases = 0
-        # NaN compares false, so a non-finite iterate is caught here
-        blown = not (np.isfinite(diff) and np.isfinite(nx)) or (
-            seed_norm > 0 and nx > DIVERGENCE_BLOWUP_FACTOR * seed_norm)
-        if increases >= DIVERGENCE_GROWTH_RUN or blown:
+        # ||x|| >= diff - ||previous||: an x surely past the limit is
+        # not stepped
+        doomed = (increases >= DIVERGENCE_GROWTH_RUN or not np.isfinite(diff)
+                  or (seed_norm > 0 and diff - norms[-1] > limit))
+        f, nx = (None, problem.norm(x)) if doomed \
+            else problem.step_and_norm(x)
+        norms.append(nx)
+        if doomed or not np.isfinite(nx) or (seed_norm > 0 and nx > limit):
             raise PicardDivergenceError(
                 f"Picard iteration diverging after {it} steps "
                 f"(norm {nx}, seed {seed_norm})", norms=norms, diffs=diffs)
-        x = x_next
         if diff < tol:
             converged = True
             break
 
-    residual = problem.norm(x - problem.picard_map(x))
+    f = problem.a + f  # the map of x, its step no longer held
+    residual = problem.norm(x - f)
     bound_holds = None
     if problem.gamma and problem.gamma > 0:
         bound_holds = norms[-1] < 1.0 / (2.0 * inv_bound * problem.gamma)

@@ -28,6 +28,15 @@ all take it from there.  It, the probe B(x, y) and the resolvent's L(w)
 are each one ``_forcing_stack`` job: x is transformed once per sample
 and the caller builds the tensor from it.
 
+The Kato norm of every Picard iterate and probe comes from the forcing
+that transforms it: a job given a series writes the L^KATO_P norms of
+the physical samples it made, which ``_kato`` weights as
+``kato_stack_norm`` does, bit for bit.  The Picard step gives
+(L(x) + B(x, x), ||x||), the probe B(x, y) gives ||x|| and ||y|| (under
+a mollifier it transforms (y)_rho, so y is transformed once more), and
+L(w) gives ||w||.  Increments, B(x, y) itself and the residuals are
+normed by ``kato_stack_norm``.
+
 The doubled-schedule residual streams over its refined schedule in
 chunks of whole ``map_samples`` jobs, so its memory does not grow with
 the schedule, and continuation writes its segments into one stack.
@@ -41,7 +50,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .besov import (BesovIndex, DyadicPartition, Trajectory, besov_norm,
-                    critical_exponent, weighted_sup)
+                    critical_exponent, series_weighted_sup, weighted_sup)
 from .errors import ConfigError, PicardDivergenceError, QuadratureError
 from .families import random_power_law
 from .heat import check_schedule, duhamel_stack, heat_stack, time_schedule
@@ -50,7 +59,8 @@ from .picard import (FixedPointReport, PicardProblem, estimate_constants,
 from . import spectral
 from .spectral import (Grid, Mollifier, SpectralField, check_flow,
                        dealiased_tensor, divergence_residuals,
-                       interpolate_stack, inverse_transform, map_samples,
+                       interpolate_stack, inverse_transform,
+                       magnitude_lp_norms, map_samples,
                        projected_divergence_coeffs, symmetric_tensor)
 
 DEFAULT_KAPPA = 0.17  # existence-time smallness constant, calibrated empirically
@@ -114,22 +124,45 @@ class MildSolution:
 # Stack helpers
 # ---------------------------------------------------------------------
 
-def _forcing_stack(grid: Grid, x: np.ndarray, tensor) -> np.ndarray:
+def _forcing_stack(grid: Grid, x: np.ndarray, tensor,
+                   series: np.ndarray | None = None) -> np.ndarray:
     """P div T per sample, T = ``tensor(part, px)`` the dealiased tensor
     coefficients built from the physical samples ``px`` of ``x[part]``:
     the one forcing job of every solve, probe and resolvent.  Runs as
     ``map_samples`` jobs of 4 samples on ``FFT_WORKERS`` threads, each
     job's FFTs on one thread, so the tensor temporaries do not grow with
-    the schedule and the result is bit-identical to a serial run."""
-    return map_samples(lambda part: projected_divergence_coeffs(
-        grid, tensor(part, inverse_transform(grid, x[part]))),
-        np.empty_like(x))
+    the schedule and the result is bit-identical to a serial run.
+
+    With ``series`` (one entry per sample) each job also writes there the
+    ``_sample_norms`` of the ``px`` it made.  ``kato_stack_norm`` reads
+    the same transform, kernel and jobs, so ``_kato(times, series)`` is
+    the Kato norm of x bit for bit, and x is not transformed again."""
+    def job(part):
+        px = inverse_transform(grid, x[part])
+        if series is not None:
+            series[part] = _sample_norms(grid, px)
+        t = tensor(part, px)
+        del px  # not held through P div, where the job's memory peaks
+        return projected_divergence_coeffs(grid, t)
+
+    return map_samples(job, np.empty_like(x))
+
+
+def _sample_norms(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    """L^KATO_P norm of each physical sample of a stack (chunk)."""
+    return magnitude_lp_norms(grid, samples, KATO_P, 1)
 
 
 def kato_stack_norm(grid: Grid, times: np.ndarray, stack: np.ndarray,
                     p: float) -> float:
     """Kato K_p norm of a coefficient stack (t = 0 sample skipped)."""
     return weighted_sup(grid, times, stack, -critical_exponent(p) / 2.0, p)
+
+
+def _kato(times: np.ndarray, series: np.ndarray) -> float:
+    """The Kato K_p norm, p = KATO_P, of a stack given by its per-sample
+    L^p norms ``series``: the weighting of ``kato_stack_norm``."""
+    return series_weighted_sup(times, series, -critical_exponent(KATO_P) / 2.0)
 
 
 def _prepare_data(u0: SpectralField, grid: Grid) -> SpectralField:
@@ -209,27 +242,42 @@ def _picard_checked(u0: SpectralField, config: SolverConfig,
     factor of B(x, x) mollified by rho (none when None).  The Picard step
     and the doubled residual take their forcing from ``_step_forcing``;
     constant probing and the resolvent use L = -B(., v) - B(v, .) and B
-    apart.  The trajectory is the solver's stack, made read-only."""
+    apart.  The step, B and L also return the Kato norms of their
+    arguments from their own transforms.  The trajectory is the solver's
+    stack, made read-only."""
     grid = config.grid
     u0 = _prepare_data(u0, grid)
     pv, m_rho = _forcing_factors(grid, times, background, rho)
     linear = None if pv is None else _cross_linear(grid, times, pv)
+    bilinear = _nse_bilinear(grid, times, m_rho)
 
     def norm(stack):
         return kato_stack_norm(grid, times, stack, KATO_P)
 
     def step(x):
-        return _minus_duhamel(grid, times, _step_forcing(grid, x, pv, m_rho))
+        series = np.empty(times.size)
+        g = _step_forcing(grid, x, pv, m_rho, series)
+        return _minus_duhamel(grid, times, g), _kato(times, series)
+
+    def bilinear_with_norms(x, y):
+        series = np.empty((2, times.size))
+        bxy = bilinear(x, y, series)
+        return bxy, _kato(times, series[0]), _kato(times, series[1])
+
+    def linear_with_norm(w):
+        series = np.empty(times.size)
+        return linear(w, series), _kato(times, series)
 
     def forcing(fine_times, fine):
         pvf = None if pv is None else interpolate_stack(times, pv, fine_times)
         return _step_forcing(grid, fine, pvf, m_rho)
 
     problem = PicardProblem(a=heat_stack(grid, u0.coeffs, times),
-                            linear=linear,
-                            bilinear=_nse_bilinear(grid, times, m_rho),
-                            norm=norm, probe=_make_probe(grid, times),
-                            step=step)
+                            linear=linear, bilinear=bilinear, norm=norm,
+                            probe=_make_probe(grid, times), step=step,
+                            bilinear_with_norms=bilinear_with_norms,
+                            linear_with_norm=None if linear is None
+                            else linear_with_norm)
     if config.measure_probes > 0:
         _measure_constants(problem, config, times, rho)
     else:
@@ -253,24 +301,35 @@ def _minus_duhamel(grid: Grid, times: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _nse_bilinear(grid: Grid, times: np.ndarray,
                   m_rho: np.ndarray | None = None):
-    """(x, y) -> B(x, y) = -Duhamel(P div dealias(x (x) (y)_rho))."""
-    def bilinear(x, y):
+    """(x, y) -> B(x, y) = -Duhamel(P div dealias(x (x) (y)_rho)).
+
+    With ``series`` of shape (2, M) its rows get the ``_sample_norms`` of
+    x and of y from their transforms in the forcing; under a mollifier
+    the transform is of (y)_rho, so y is transformed once more."""
+    def bilinear(x, y, series=None):
+        def tensor(part, px):
+            py = inverse_transform(grid, y[part] if m_rho is None
+                                   else y[part] * m_rho)
+            if series is not None:
+                own = py if m_rho is None else inverse_transform(grid, y[part])
+                series[1, part] = _sample_norms(grid, own)
+            return dealiased_tensor(grid, px, py)
+
         return _minus_duhamel(grid, times, _forcing_stack(
-            grid, x, lambda part, px: dealiased_tensor(
-                grid, px, inverse_transform(grid, y[part] if m_rho is None
-                                            else y[part] * m_rho))))
+            grid, x, tensor, None if series is None else series[0]))
 
     return bilinear
 
 
 def _step_forcing(grid: Grid, x: np.ndarray, pv: np.ndarray | None,
-                  m_rho: np.ndarray | None) -> np.ndarray:
+                  m_rho: np.ndarray | None,
+                  series: np.ndarray | None = None) -> np.ndarray:
     """The nonlinearity of every solve, per sample: P div dealias(x (x)
     (x)_rho), (x)_rho being x premultiplied by the symbol ``m_rho``, plus
     x (x) v + v (x) x around a background v given by its physical
     samples ``pv``.  Unmollified it is one symmetric tensor, of x alone
     or of x and x/2 + v; mollified, the two tensors are summed before
-    the one P div."""
+    the one P div.  ``series`` is as in ``_forcing_stack``."""
     def tensor(part, px):
         if m_rho is None:
             return symmetric_tensor(
@@ -281,15 +340,17 @@ def _step_forcing(grid: Grid, x: np.ndarray, pv: np.ndarray | None,
             t += symmetric_tensor(grid, pv[part], px)
         return t
 
-    return _forcing_stack(grid, x, tensor)
+    return _forcing_stack(grid, x, tensor, series)
 
 
 def _cross_linear(grid: Grid, times: np.ndarray, pv: np.ndarray):
     """w -> B(w, v) + B(v, w) for a fixed v given by its physical samples
-    ``pv``: one forcing of the symmetric tensor of v and w."""
-    def linear(w):
+    ``pv``: one forcing of the symmetric tensor of v and w.  ``series``
+    is as in ``_forcing_stack``."""
+    def linear(w, series=None):
         return _minus_duhamel(grid, times, _forcing_stack(
-            grid, w, lambda part, pw: symmetric_tensor(grid, pv[part], pw)))
+            grid, w, lambda part, pw: symmetric_tensor(grid, pv[part], pw),
+            series))
 
     return linear
 

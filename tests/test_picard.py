@@ -39,9 +39,9 @@ def test_scalar_quadratic_oracle():
 
 
 def test_solve_reuses_the_last_iterate_norm():
-    # the margin's resolved seed (which is the seed, as L = 0), the
-    # increment and the iterate per step, then the residual: the bound
-    # reuses the last iterate norm
+    # the seed's, taken by its step and reused by the margin (L = 0), the
+    # increment and the iterate per step, then the residual from the
+    # last step: the bound reuses the last iterate norm
     calls = []
 
     def norm(x):

@@ -288,6 +288,22 @@ def test_non_finite_data_exits_2(tmp_path, capsys, solver, amplitude):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("recipe", [
+    {"family": "taylor-green", "amplitude": math.inf},
+    {"family": "abc", "amplitude": -math.inf},
+    {"family": "abc", "c": math.inf}], ids=lambda r: json.dumps(r))
+def test_non_finite_family_parameters_exit_2(tmp_path, capsys, recipe):
+    # refused by the family itself, before it multiplies by them
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_tg_2d(
+        recipe=recipe, dim=2 if recipe["family"] == "taylor-green" else 3)))
+    code = cli.main(["solve", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 # config fields of a JSON type they do not take (each once exited 1
 # with a traceback, or ran: an integral float, a bool seed)
 _BADLY_TYPED = [

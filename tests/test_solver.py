@@ -11,14 +11,16 @@ from nselab import (GridError, Mollifier, QuadratureError, SolverConfig,
                     make_grid, mild_solve_nse,
                     mild_solve_perturbed, mollified_solve, solver, spectral,
                     solve_with_continuation, subcritical_existence_time)
-from nselab.errors import ConfigError
+from nselab.errors import ConfigError, PicardDivergenceError
 from nselab.families import (critical_random, random_power_law, taylor_green,
                              taylor_green_decay_rate)
 from nselab.besov import block_lp_norms
 from nselab.heat import duhamel_stack, heat_stack
-from nselab.solver import (KATO_P, _cross_linear, _doubled_residual,
-                           _forcing_factors, _forcing_stack, _nse_bilinear,
-                           _prepare_data, _step_forcing, kato_stack_norm)
+from nselab.picard import PicardProblem, estimate_constants, solve_picard
+from nselab.solver import (KATO_P, PICARD_TOL, _cross_linear,
+                           _doubled_residual, _forcing_factors,
+                           _forcing_stack, _nse_bilinear, _prepare_data,
+                           _step_forcing, kato_stack_norm)
 from nselab.spectral import (dealiased_tensor, gradient, interpolate_stack,
                              inverse_transform, symmetric_tensor)
 
@@ -282,9 +284,9 @@ def probe_log(monkeypatch):
     def counted_bilinear(*args):
         bilinear = make_bilinear(*args)
 
-        def call(x, y):
+        def call(x, y, series=None):
             log["probe_calls"] += bool(measuring)
-            return bilinear(x, y)
+            return bilinear(x, y, series)
 
         return call
 
@@ -486,13 +488,13 @@ def test_mollified_solve_around_a_background(grid16, monkeypatch):
     problem, = problems
     x = sol.report.solution
     want = problem.linear(x) + problem.bilinear(x, x)
-    assert np.max(np.abs(problem.step(x) - want)) \
+    assert np.max(np.abs(problem.step(x)[0] - want)) \
         <= 1e-13 * np.max(np.abs(want))
     m_rho = Mollifier(3, 0.5).symbol(grid16)
     pv = inverse_transform(grid16, v.coeffs)
     want = _cross_linear(grid16, cfg.schedule(), pv)(x) \
         + _nse_bilinear(grid16, cfg.schedule(), m_rho)(x, x)
-    assert np.max(np.abs(problem.step(x) - want)) \
+    assert np.max(np.abs(problem.step(x)[0] - want)) \
         <= 1e-13 * np.max(np.abs(want))
 
 
@@ -564,3 +566,142 @@ def test_continuation_covers_a_tiny_horizon(grid16):
     assert res.status == "completed"
     assert res.segment_horizons == [1e-13]
     assert res.trajectory.times[-1] == 1e-13
+
+
+def _composed(problem, step=None):
+    """``problem`` given only its operators and norm (and ``step``): every
+    norm taken by ``norm``, none from an operator's transforms."""
+    return PicardProblem(a=problem.a, linear=problem.linear,
+                         bilinear=problem.bilinear, norm=problem.norm,
+                         probe=problem.probe, step=step)
+
+
+@pytest.mark.parametrize("case", ["direct", "perturbed", "perturbed_cold",
+                                  "mollified"])
+def test_forcing_norms_equal_the_composed_path(grid16, monkeypatch, case):
+    cfg = small_config(grid16, horizon=0.2, n_geometric=6, n_uniform=6,
+                       measure_probes=3)
+    u0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.3)
+    monkeypatch.setattr(solver, "_last_gamma", (None, None))
+    if case.startswith("perturbed"):
+        # the background's solve leaves its gamma for the warm case, whose
+        # ||x|| then comes from L(x); the cold case measures both
+        v = mild_solve_nse(random_power_law(grid16, alpha=2.0, seed=4,
+                                            amplitude=0.05), cfg).trajectory
+        if case == "perturbed_cold":
+            solver._last_gamma = (None, None)
+    problems = _captured_problems(monkeypatch)
+    report = {"direct": lambda: mild_solve_nse(u0, cfg),
+              "perturbed": lambda: mild_solve_perturbed(u0, v, cfg),
+              "perturbed_cold": lambda: mild_solve_perturbed(u0, v, cfg),
+              "mollified": lambda: mollified_solve(u0, None, 0.5, cfg),
+              }[case]().report
+    problem, = problems
+    # around a background the solver's fused forcing differs from
+    # L(x) + B(x, x) in the last bits, so there the reference keeps that
+    # forcing and takes only its norm apart
+    step = None if problem.linear is None else (
+        lambda x: (problem.step(x)[0], problem.norm(x)))
+    ref = estimate_constants(_composed(problem, step),
+                             n_probes=cfg.measure_probes, seed=cfg.probe_seed)
+    assert (ref.gamma, ref.l_norm) == (problem.gamma, problem.l_norm)
+    assert ref.gamma > 0 and (ref.l_norm > 0) == (problem.linear is not None)
+    want = solve_picard(ref, tol=PICARD_TOL, max_iter=cfg.max_iter)
+    assert report.converged and report.iterations == want.iterations
+    assert report.norms == want.norms and report.diffs == want.diffs
+    assert report.residual == want.residual
+    assert report.smallness_margin == want.smallness_margin
+    assert np.array_equal(report.solution, want.solution)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("amplitude", [300.0, 1e100])
+def test_diverging_solve_keeps_its_history(grid16, monkeypatch, amplitude):
+    # 300: three increment increases in a row.  1e100: the first iterate
+    # is past the blow-up limit, and stepping it would overflow
+    cfg = small_config(grid16, n_geometric=6, n_uniform=6, measure_probes=2)
+    problems = _captured_problems(monkeypatch)
+    u0 = random_power_law(grid16, alpha=2.0, seed=3, amplitude=amplitude)
+    with pytest.raises(PicardDivergenceError) as got:
+        mild_solve_nse(u0, cfg)
+    problem, = problems
+    ref = _composed(problem)
+    ref.gamma, ref.l_norm = problem.gamma, problem.l_norm
+    with pytest.raises(PicardDivergenceError) as want:
+        solve_picard(ref, tol=PICARD_TOL, max_iter=cfg.max_iter)
+    assert got.value.norms == want.value.norms
+    assert got.value.diffs == want.value.diffs
+    assert len(got.value.norms) == len(got.value.diffs) + 1 > 1
+
+
+def _per_stage(monkeypatch, solve, trace_memory=False):
+    """Inverse component transforms per sample made inside
+    ``estimate_constants`` and ``solve_picard`` during ``solve()``, on one
+    thread, and with ``trace_memory`` each stage's tracemalloc peak in
+    units of one coefficient stack; and the solve's result."""
+    monkeypatch.setattr(spectral, "FFT_WORKERS", 1)
+    stage = [None]
+    counts = {"estimate_constants": 0, "solve_picard": 0}
+    peaks = {}
+    inverse = spectral.inverse_transform
+
+    def counted(grid, coeffs):
+        if stage[0] is not None:
+            counts[stage[0]] += coeffs.size // grid.xi_sq.size
+        return inverse(grid, coeffs)
+
+    def staged(name):
+        run = getattr(solver, name)
+
+        def call(problem, **kw):
+            stage[0] = name
+            if trace_memory:
+                tracemalloc.start()
+            try:
+                return run(problem, **kw)
+            finally:
+                stage[0] = None
+                if trace_memory:
+                    peak = tracemalloc.get_traced_memory()[1]
+                    tracemalloc.stop()
+                    peaks[name] = peak / problem.a.nbytes
+                counts[name] /= len(problem.a)
+
+        return call
+
+    for module in (spectral, solver):
+        monkeypatch.setattr(module, "inverse_transform", counted)
+    for name in counts:
+        monkeypatch.setattr(solver, name, staged(name))
+    monkeypatch.setattr(solver, "_last_gamma", (None, None))
+    return counts, peaks, solve()
+
+
+def test_each_iterate_and_probe_is_transformed_once_per_use(grid16,
+                                                            monkeypatch):
+    # per sample: a probe pair transforms x and y once, in B(x, y), and
+    # B(x, y) for its norm; a solve transforms the seed and each iterate
+    # once in its step, which gives its norm, and each increment once
+    cfg = SolverConfig(grid=grid16, horizon=0.3, measure_probes=4)
+    u0 = random_power_law(grid16, alpha=2.0, seed=3, amplitude=0.3)
+    counts, _, sol = _per_stage(monkeypatch, lambda: mild_solve_nse(u0, cfg))
+    k = sol.report.iterations
+    assert k == 4
+    assert counts == {"estimate_constants": 4 * 9, "solve_picard": 6 + 6 * k}
+    # mollified, B transforms (y)_rho, so y is transformed once more for
+    # its own norm; a step transforms x and (x)_rho
+    counts, _, sol = _per_stage(monkeypatch,
+                                lambda: mollified_solve(u0, None, 0.5, cfg))
+    k = sol.report.iterations
+    assert counts == {"estimate_constants": 4 * 12, "solve_picard": 9 + 9 * k}
+
+
+def test_probing_and_iterating_hold_few_stacks(grid16, monkeypatch):
+    # holding a probe's B(x, y) or L(x), or the previous iterate, across
+    # the next allocation adds a whole stack to these peaks
+    cfg = SolverConfig(grid=grid16, horizon=0.3, measure_probes=4)
+    u0 = random_power_law(grid16, alpha=2.0, seed=3, amplitude=0.3)
+    _, peaks, _ = _per_stage(monkeypatch, lambda: mild_solve_nse(u0, cfg),
+                             trace_memory=True)
+    assert peaks["estimate_constants"] <= 4.5
+    assert peaks["solve_picard"] <= 3.5
