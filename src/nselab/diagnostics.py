@@ -185,7 +185,9 @@ def energy_ledger(traj: Trajectory, background=None,
     Unless ``g_stack`` is given, g is the solvers' own nonlinearity
     (``solver.nonlinear_forcing``): the NSE forcing, mollified by ``rho``
     and coupled to a divergence-free ``background`` on the schedule when
-    given.  A heat-flow ledger passes ``g_stack=np.zeros_like(u)``.
+    given.  A heat-flow ledger passes ``g_stack=np.zeros_like(u)``.  A
+    trajectory of one sample has no interval and only its energy is
+    taken, so its forcing is not formed (nor its background read).
 
     The reconstruction is u(t_i + tau) = c_a u_i + c_0 g_i + c_1 g_{i+1}
     with weights that depend on a mode only through |xi|^2, so the
@@ -199,7 +201,8 @@ def energy_ledger(traj: Trajectory, background=None,
     times = traj.times
     u, g = traj.coeffs, g_stack
     if g is None:
-        g = nonlinear_forcing(traj, background, rho)
+        g = nonlinear_forcing(traj, background, rho) if len(u) > 1 \
+            else np.zeros_like(u)
     fracs = np.linspace(0.0, 1.0, substeps + 1)
     dt = np.diff(times)
     tau = np.multiply.outer(dt, fracs)  # (interval, node)
@@ -320,6 +323,13 @@ class ExperimentConfig:
     n_geometric: int = 24
     n_uniform: int = 24
     measure_probes: int = 8
+
+    def __post_init__(self):
+        # the energy ledger integrates squared time steps, whatever the data
+        if not (self.horizon > 0
+                and math.isfinite(self.horizon * self.horizon)):
+            raise ConfigError(f"horizon must be positive with a finite "
+                              f"square, got {self.horizon}")
 
     def to_json(self) -> str:
         d = {"clab_config": CONFIG_SCHEMA_VERSION}

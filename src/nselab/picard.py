@@ -173,6 +173,9 @@ def solve_picard(problem: PicardProblem, tol: float = 1e-10,
     """Iterate P_{k+1} = a + L(P_k) + B(P_k, P_k) from P_0 = a, one
     ``problem.step_and_norm`` per iterate: the step of P_k gives P_{k+1}
     and ||P_k||, and the step of the last iterate gives the residual.
+    P_{k+1} and the residual are written over the step's output, and the
+    increment over P_k (never over a), so a step's output must be a new
+    element.
 
     Divergence (a non-finite increment or norm, three consecutive
     increment increases, or norm above 1e6x the seed) raises
@@ -208,10 +211,13 @@ def solve_picard(problem: PicardProblem, tol: float = 1e-10,
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        x_next = problem.a + f
-        del f  # the increment below is the next allocation
-        diff = problem.norm(x_next - x)
-        x = x_next
+        f += problem.a  # x_{k+1} = a + f over the step's output
+        if x is problem.a:
+            diff = problem.norm(f - x)
+        else:  # over x_k's buffer: ||x_k - x_{k+1}|| = ||x_{k+1} - x_k||
+            x -= f
+            diff = problem.norm(x)
+        x = f
         diffs.append(diff)
         # growth of the contraction increments flags divergence; raw
         # iterate norms may rise monotonically toward the fixed point
@@ -234,8 +240,9 @@ def solve_picard(problem: PicardProblem, tol: float = 1e-10,
             converged = True
             break
 
-    f = problem.a + f  # the map of x, its step no longer held
-    residual = problem.norm(x - f)
+    f += problem.a  # the map of x, over the step's own output
+    f -= x
+    residual = problem.norm(f)
     bound_holds = None
     if problem.gamma and problem.gamma > 0:
         bound_holds = norms[-1] < 1.0 / (2.0 * inv_bound * problem.gamma)

@@ -3,10 +3,13 @@ the direct solver u = e^{tL}u0 - B(u,u), the perturbed solver around a
 precomputed background, and the Leray-mollified energy solver.
 
 Solver state is the stack of Fourier coefficients at every sample
-time, shape (M, dim, N, ..., N//2+1); the bilinear operator forms the
-dealiased tensor product per sample and runs the exact-exponential
-Duhamel recursion over the schedule.  A solution's trajectory is that
-stack itself.
+time.  Every state, probe, forcing and Duhamel output of a solve lies in
+the 2/3 dealias band, so inside a solve each stack holds only the band
+block (``Grid.band``), shape (M, dim) + ``grid.band.xi_sq.shape``; the
+bilinear operator forms the dealiased tensor product per sample and runs
+the exact-exponential Duhamel recursion over the schedule.  A solution's
+trajectory and ``report.solution`` are the half spectrum, (M, dim, N,
+..., N//2+1), scattered from the band once per solve.
 
 The bilinear constant gamma depends only on the grid, the schedule,
 the Kato p, the mollifier and the probe count and seed, never on the
@@ -57,7 +60,7 @@ from .heat import check_schedule, duhamel_stack, heat_stack, time_schedule
 from .picard import (FixedPointReport, PicardProblem, estimate_constants,
                      solve_picard)
 from . import spectral
-from .spectral import (Grid, Mollifier, SpectralField, check_flow,
+from .spectral import (Band, Grid, Mollifier, SpectralField, check_flow,
                        dealiased_tensor, divergence_residuals,
                        interpolate_stack, inverse_transform,
                        magnitude_lp_norms, map_samples,
@@ -124,7 +127,7 @@ class MildSolution:
 # Stack helpers
 # ---------------------------------------------------------------------
 
-def _forcing_stack(grid: Grid, x: np.ndarray, tensor,
+def _forcing_stack(grid: Grid | Band, x: np.ndarray, tensor,
                    series: np.ndarray | None = None) -> np.ndarray:
     """P div T per sample, T = ``tensor(part, px)`` the dealiased tensor
     coefficients built from the physical samples ``px`` of ``x[part]``:
@@ -153,7 +156,7 @@ def _sample_norms(grid: Grid, samples: np.ndarray) -> np.ndarray:
     return magnitude_lp_norms(grid, samples, KATO_P, 1)
 
 
-def kato_stack_norm(grid: Grid, times: np.ndarray, stack: np.ndarray,
+def kato_stack_norm(grid: Grid | Band, times: np.ndarray, stack: np.ndarray,
                     p: float) -> float:
     """Kato K_p norm of a coefficient stack (t = 0 sample skipped)."""
     return weighted_sup(grid, times, stack, -critical_exponent(p) / 2.0, p)
@@ -173,11 +176,12 @@ def _prepare_data(u0: SpectralField, grid: Grid) -> SpectralField:
 
 
 def _make_probe(grid: Grid, times: np.ndarray):
-    """Heat flows of random divergence-free data as probe elements."""
+    """Heat flows of random divergence-free data as probe elements, in
+    the band (where the data lie)."""
 
     def probe(seed):
         w = random_power_law(grid, alpha=2.0, seed=seed, amplitude=1.0)
-        return heat_stack(grid, w.coeffs, times)
+        return heat_stack(grid.band, grid.band.gather(w.coeffs), times)
 
     return probe
 
@@ -203,11 +207,12 @@ def _measure_constants(problem: PicardProblem, config: SolverConfig,
 def _forcing_factors(grid: Grid, times: np.ndarray, background,
                      rho: float | None):
     """A run's background as physical samples on the schedule, after the
-    one input check, and the mollifier symbol of rho; each None for None.
-    A ``Trajectory`` on the schedule is transformed once; a
-    ``SpectralField`` is checked and transformed once and held constant in
-    time as a read-only view of that one sample."""
-    m_rho = None if rho is None else Mollifier(grid.dim, rho).symbol(grid)
+    one input check, and the mollifier symbol of rho on the band; each
+    None for None.  A ``Trajectory`` on the schedule is transformed once;
+    a ``SpectralField`` is checked and transformed once and held constant
+    in time as a read-only view of that one sample."""
+    m_rho = None if rho is None else grid.band.gather(
+        Mollifier(grid.dim, rho).symbol(grid))
     if background is None:
         return None, m_rho
     if not isinstance(background, (Trajectory, SpectralField)):
@@ -228,10 +233,13 @@ def nonlinear_forcing(traj: Trajectory, background=None,
                       rho: float | None = None) -> np.ndarray:
     """The forcing g of u' = Lap u + g along ``traj``: minus the solvers'
     ``_step_forcing`` around a background taken as the perturbed solver
-    takes it, mollified by rho (None: none of either)."""
+    takes it, mollified by rho (None: none of either).  It is the
+    forcing of the trajectory's dealias band, where solver states lie,
+    formed there and returned in the half spectrum."""
+    band = traj.grid.band
     pv, m_rho = _forcing_factors(traj.grid, traj.times, background, rho)
-    g = _step_forcing(traj.grid, traj.coeffs, pv, m_rho)
-    return np.negative(g, out=g)
+    g = _step_forcing(band, band.gather(traj.coeffs), pv, m_rho)
+    return band.scatter(np.negative(g, out=g))
 
 
 def _picard_checked(u0: SpectralField, config: SolverConfig,
@@ -243,21 +251,23 @@ def _picard_checked(u0: SpectralField, config: SolverConfig,
     and the doubled residual take their forcing from ``_step_forcing``;
     constant probing and the resolvent use L = -B(., v) - B(v, .) and B
     apart.  The step, B and L also return the Kato norms of their
-    arguments from their own transforms.  The trajectory is the solver's
-    stack, made read-only."""
+    arguments from their own transforms.  Every stack of the solve is a
+    band block; the solution is scattered to the half spectrum once, and
+    the trajectory is that stack, made read-only."""
     grid = config.grid
+    band = grid.band
     u0 = _prepare_data(u0, grid)
     pv, m_rho = _forcing_factors(grid, times, background, rho)
-    linear = None if pv is None else _cross_linear(grid, times, pv)
-    bilinear = _nse_bilinear(grid, times, m_rho)
+    linear = None if pv is None else _cross_linear(band, times, pv)
+    bilinear = _nse_bilinear(band, times, m_rho)
 
     def norm(stack):
-        return kato_stack_norm(grid, times, stack, KATO_P)
+        return kato_stack_norm(band, times, stack, KATO_P)
 
     def step(x):
         series = np.empty(times.size)
-        g = _step_forcing(grid, x, pv, m_rho, series)
-        return _minus_duhamel(grid, times, g), _kato(times, series)
+        g = _step_forcing(band, x, pv, m_rho, series)
+        return _minus_duhamel(band, times, g), _kato(times, series)
 
     def bilinear_with_norms(x, y):
         series = np.empty((2, times.size))
@@ -270,9 +280,9 @@ def _picard_checked(u0: SpectralField, config: SolverConfig,
 
     def forcing(fine_times, fine):
         pvf = None if pv is None else interpolate_stack(times, pv, fine_times)
-        return _step_forcing(grid, fine, pvf, m_rho)
+        return _step_forcing(band, fine, pvf, m_rho)
 
-    problem = PicardProblem(a=heat_stack(grid, u0.coeffs, times),
+    problem = PicardProblem(a=heat_stack(band, band.gather(u0.coeffs), times),
                             linear=linear, bilinear=bilinear, norm=norm,
                             probe=_make_probe(grid, times), step=step,
                             bilinear_with_norms=bilinear_with_norms,
@@ -285,21 +295,22 @@ def _picard_checked(u0: SpectralField, config: SolverConfig,
         problem.l_norm = 0.0
     report = solve_picard(problem, tol=PICARD_TOL,
                           max_iter=config.max_iter)
-    stack = report.solution
-    rd = _doubled_residual(grid, times, stack, problem.a, forcing)
-    divs = divergence_residuals(grid, stack, batch_axes=1)
+    rd = _doubled_residual(band, times, report.solution, problem.a, forcing)
+    divs = divergence_residuals(band, report.solution, batch_axes=1)
+    stack = report.solution = band.scatter(report.solution)
     stack.flags.writeable = False
     return MildSolution(Trajectory._from_stack(grid, times, "vector", stack),
                         report, rd, float(np.max(divs)), config)
 
 
-def _minus_duhamel(grid: Grid, times: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _minus_duhamel(grid: Grid | Band, times: np.ndarray,
+                   g: np.ndarray) -> np.ndarray:
     """-Duhamel(g) on the schedule, written over the recursion's output."""
     out = duhamel_stack(times, g, grid)
     return np.negative(out, out=out)
 
 
-def _nse_bilinear(grid: Grid, times: np.ndarray,
+def _nse_bilinear(grid: Grid | Band, times: np.ndarray,
                   m_rho: np.ndarray | None = None):
     """(x, y) -> B(x, y) = -Duhamel(P div dealias(x (x) (y)_rho)).
 
@@ -321,7 +332,7 @@ def _nse_bilinear(grid: Grid, times: np.ndarray,
     return bilinear
 
 
-def _step_forcing(grid: Grid, x: np.ndarray, pv: np.ndarray | None,
+def _step_forcing(grid: Grid | Band, x: np.ndarray, pv: np.ndarray | None,
                   m_rho: np.ndarray | None,
                   series: np.ndarray | None = None) -> np.ndarray:
     """The nonlinearity of every solve, per sample: P div dealias(x (x)
@@ -343,7 +354,7 @@ def _step_forcing(grid: Grid, x: np.ndarray, pv: np.ndarray | None,
     return _forcing_stack(grid, x, tensor, series)
 
 
-def _cross_linear(grid: Grid, times: np.ndarray, pv: np.ndarray):
+def _cross_linear(grid: Grid | Band, times: np.ndarray, pv: np.ndarray):
     """w -> B(w, v) + B(v, w) for a fixed v given by its physical samples
     ``pv``: one forcing of the symmetric tensor of v and w.  ``series``
     is as in ``_forcing_stack``."""
@@ -355,7 +366,7 @@ def _cross_linear(grid: Grid, times: np.ndarray, pv: np.ndarray):
     return linear
 
 
-def _doubled_residual(grid: Grid, times: np.ndarray, stack: np.ndarray,
+def _doubled_residual(grid: Grid | Band, times: np.ndarray, stack: np.ndarray,
                       a: np.ndarray, forcing) -> float:
     """Integral-equation residual recomputed on a midpoint-refined
     schedule (independent doubled quadrature): the Kato norm, at the

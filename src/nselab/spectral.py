@@ -129,8 +129,13 @@ class Grid:
     def xi_sq_shells(self):
         """The distinct values of |xi|^2 and the index that gathers them
         onto the grid (``np.take(values, index)`` is ``xi_sq``), once."""
-        values, index = np.unique(self.xi_sq, return_inverse=True)
-        return values, index.reshape(self.xi_sq.shape)
+        return _shells(self.xi_sq)
+
+    @cached_property
+    def band(self) -> "Band":
+        """The dealias band as a rectangular coefficient block, built on
+        first use."""
+        return Band(self)
 
     @property
     def shape(self):
@@ -162,6 +167,69 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(dim={self.dim}, n={self.n}, box_length={self.box_length})"
+
+
+def _shells(xi_sq: np.ndarray):
+    """The distinct values of ``xi_sq`` and the index that gathers them
+    back onto its shape."""
+    values, index = np.unique(xi_sq, return_inverse=True)
+    return values, index.reshape(xi_sq.shape)
+
+
+class Band:
+    """The 2/3 dealias band of a grid as a rectangular block of the half
+    spectrum, a view that the grid operators take in place of the grid.
+
+    ``Grid.dealias_mask`` is a product of one rule per axis, so the band
+    is the block ``index`` (an ``np.ix_`` index) of the modes the mask
+    keeps along each axis, in their ``fftfreq`` order.  A coefficient
+    array in band layout holds that block in its trailing ``dim`` axes:
+    ``gather`` takes it from the half spectrum and ``scatter`` puts it
+    back among zeros, so ``scatter(gather(c))`` is ``c * dealias_mask``.
+    The band carries its own ``deriv_wavevectors``, ``inverse_laplacian``,
+    ``xi_sq`` and ``xi_sq_shells`` and the grid's ``dim``, ``xi_max``,
+    ``shape`` and ``cell_volume``, so that P div, the Leray projection,
+    the heat and Duhamel stacks, the dealiased tensors and the L^p norms
+    run on it unchanged; ``inverse_transform`` and the tensors' forward
+    transforms are the only code that knows the layout.
+    """
+
+    def __init__(self, grid: Grid):
+        mask = grid.dealias_mask
+        axes = range(grid.dim)
+        self.index = np.ix_(*(np.flatnonzero(np.any(
+            mask, axis=tuple(b for b in axes if b != a))) for a in axes))
+        if not np.all(mask[self.index]):
+            raise GridError("the dealias mask is not a per-axis product")
+        self.grid = grid
+        self.dim = grid.dim
+        self.xi_max = grid.xi_max
+        self.shape = grid.shape
+        self.cell_volume = grid.cell_volume
+        self.deriv_wavevectors = grid.deriv_wavevectors[(slice(None),)
+                                                        + self.index]
+        self.xi_sq = grid.xi_sq[self.index]
+        self.inverse_laplacian = grid.inverse_laplacian[self.index]
+
+    @cached_property
+    def xi_sq_shells(self):
+        """``Grid.xi_sq_shells`` of the band's modes."""
+        return _shells(self.xi_sq)
+
+    def gather(self, half: np.ndarray) -> np.ndarray:
+        """The band block of half-spectrum coefficients (a copy)."""
+        return half[(Ellipsis,) + self.index]
+
+    def scatter(self, block: np.ndarray) -> np.ndarray:
+        """Half-spectrum coefficients that hold ``block`` in the band and
+        zero elsewhere."""
+        lead = block.shape[:block.ndim - self.dim]
+        out = np.zeros(lead + self.grid.xi_sq.shape, dtype=np.complex128)
+        out[(Ellipsis,) + self.index] = block
+        return out
+
+    def __repr__(self):
+        return f"{self.grid!r}.band"
 
 
 def make_grid(dim: int, n: int, box_length: float) -> Grid:
@@ -289,8 +357,11 @@ def forward_half(grid: Grid, values: np.ndarray) -> np.ndarray:
                            norm="forward", workers=_fft_workers())
 
 
-def inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Real physical samples of half-spectrum Fourier coefficients."""
+def inverse_transform(grid: Grid | Band, coeffs: np.ndarray) -> np.ndarray:
+    """Real physical samples of Fourier coefficients in the layout of
+    ``grid``: the half spectrum of a grid, or the block of a band."""
+    if isinstance(grid, Band):
+        coeffs = grid.scatter(coeffs)
     return scipy.fft.irfftn(coeffs, s=grid.shape,
                             axes=tuple(range(-grid.dim, 0)),
                             norm="forward", workers=_fft_workers())
@@ -327,35 +398,66 @@ def projected_divergence_coeffs(grid: Grid, tensor: np.ndarray) -> np.ndarray:
     return leray_coeffs(grid, g)
 
 
-def _dealiased(grid: Grid, products: np.ndarray) -> np.ndarray:
-    """2/3-rule dealiased coefficients of physical products."""
+def _dealiased(grid: Grid | Band, products: np.ndarray) -> np.ndarray:
+    """2/3-rule dealiased coefficients of physical products, in the
+    layout of ``grid``: a grid multiplies its half spectrum by the mask,
+    a band gathers its block."""
     out = forward_half(grid, products)
+    if isinstance(grid, Band):
+        return grid.gather(out)
     out *= grid.dealias_mask
     return out
 
 
-def symmetric_tensor(grid: Grid, pv: np.ndarray,
+def _dealiased_products(grid: Grid | Band, count: int,
+                        products) -> np.ndarray:
+    """``_dealiased`` of ``count`` physical products stacked on the axis
+    just before the grid axes, ``products(s)`` forming those of the slice
+    ``s`` of that axis.  They are formed and transformed ``grid.dim`` at
+    a time into one output, so the physical temporaries are never larger
+    than one vector field's."""
+    out = None
+    for start in range(0, count, grid.dim):
+        part = slice(start, start + grid.dim)
+        c = _dealiased(grid, products(part))
+        if out is None:
+            out = np.empty(c.shape[:-grid.dim - 1] + (count,)
+                           + c.shape[-grid.dim:], dtype=c.dtype)
+        out[(Ellipsis, part) + (slice(None),) * grid.dim] = c
+    return out
+
+
+def symmetric_tensor(grid: Grid | Band, pv: np.ndarray,
                      pw: np.ndarray | None) -> np.ndarray:
     """Dealiased coefficients of the symmetric tensor v_i v_j (``pw`` is
     None) or v_i w_j + w_i v_j from physical vector samples.  Only the
     d(d+1)/2 entries i <= j are formed and transformed."""
     axis = -grid.dim - 1
     i, j = np.triu_indices(grid.dim)
-    prod = np.take(pv, i, axis) * np.take(pv if pw is None else pw, j, axis)
-    if pw is not None:
-        prod += np.take(pw, i, axis) * np.take(pv, j, axis)
-    out = _dealiased(grid, prod)
+
+    def products(s):
+        prod = np.take(pv, i[s], axis) * np.take(pv if pw is None else pw,
+                                                 j[s], axis)
+        if pw is not None:
+            prod += np.take(pw, i[s], axis) * np.take(pv, j[s], axis)
+        return prod
+
+    out = _dealiased_products(grid, i.size, products)
     pair = np.empty((grid.dim, grid.dim), dtype=np.intp)
     pair[i, j] = pair[j, i] = np.arange(i.size)
     return np.take(out, pair, axis)
 
 
-def dealiased_tensor(grid: Grid, pv: np.ndarray, pw: np.ndarray) -> np.ndarray:
+def dealiased_tensor(grid: Grid | Band, pv: np.ndarray,
+                     pw: np.ndarray) -> np.ndarray:
     """2/3-rule dealiased coefficients of the tensor v_i w_j from physical
-    vector samples (all d^2 products formed and transformed)."""
+    vector samples (all d^2 products formed and transformed, one row
+    v_i w_. at a time)."""
     axis = -grid.dim - 1
-    return _dealiased(grid, np.expand_dims(pv, axis)
-                      * np.expand_dims(pw, axis - 1))
+    out = _dealiased_products(grid, grid.dim**2, lambda s: np.expand_dims(
+        np.take(pv, s.start // grid.dim, axis), axis) * pw)
+    return out.reshape(out.shape[:axis] + (grid.dim, grid.dim)
+                       + out.shape[axis + 1:])
 
 
 def magnitude(grid: Grid, values: np.ndarray,

@@ -6,6 +6,8 @@ import functools
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -58,14 +60,40 @@ def test_unconverged_solve_is_a_numerical_failure(monkeypatch, solver):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_non_finite_slacks_are_a_numerical_failure():
-    # converged solves, but the ledger's quadrature overflows at t = 1e300
+def test_non_finite_slacks_are_a_numerical_failure(monkeypatch):
+    # converged solves with a ledger slack that is not finite (a horizon
+    # whose quadrature overflowed once made one; such a horizon is now
+    # refused, see test_unusable_horizon_exits_2)
+    ledger = diagnostics.energy_ledger
+
+    def nan_slack(*args, **kwargs):
+        rep = ledger(*args, **kwargs)
+        rep.slacks[-1] = math.nan
+        return rep
+
+    monkeypatch.setattr(diagnostics, "energy_ledger", nan_slack)
     report = run_experiment(ExperimentConfig(
-        dim=2, n=8, box_length=2.0 * np.pi, horizon=1e300,
+        dim=2, n=8, box_length=2.0 * np.pi, horizon=0.3,
         recipe={"family": "taylor-green"}, n_geometric=4, n_uniform=4,
         measure_probes=2))
     assert not np.all(np.isfinite(report.energy_slacks))
     assert report.status == "numerical failure"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("horizon", [1e300, 1.4e154, -0.3])
+def test_unusable_horizon_exits_2(tmp_path, capsys, horizon):
+    # the ledger squares its time steps: at 1e300 its slacks were NaN and
+    # the run ended 'numerical failure' after solving
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_tg_2d(horizon=horizon)))
+    for args in (["--config", str(path)],
+                 ["--dim", "2", "--grid", "8", f"--T={horizon!r}"]):
+        code = cli.main(["solve", *args, "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: horizon must be positive")
+    assert not (tmp_path / "out").exists()
 
 
 def test_each_lp_series_is_computed_once(monkeypatch):
@@ -328,6 +356,25 @@ def test_badly_typed_config_exits_2(tmp_path, capsys, fields):
                      "--out", str(tmp_path / "out")])
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_huge_data_exit_cleanly_under_warnings_as_errors(tmp_path):
+    # continuation solves nothing, and the one-sample ledger once formed
+    # the overflowing forcing of the data (inf - inf in its Gram sums)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_tg_2d(
+        recipe={"family": "random", "amplitude": 1e140}, measure_probes=0)))
+    src = os.path.dirname(os.path.dirname(diagnostics.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "nselab.cli",
+         "solve", "--config", str(path), "--out", str(tmp_path / "out")],
+        timeout=120, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == ""
+    summary = _strict_loads(proc.stdout)
+    assert summary["status"] == "blow-up suspected"
+    assert summary["n_samples"] == 1
 
 
 def _csv_rows(path):

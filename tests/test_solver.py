@@ -486,14 +486,16 @@ def test_mollified_solve_around_a_background(grid16, monkeypatch):
     assert 0 < sol.residual_doubled < 1e-5
     # its step is L + B_rho, the coupling unmollified
     problem, = problems
-    x = sol.report.solution
+    full = sol.report.solution
+    x = grid16.band.gather(full)
     want = problem.linear(x) + problem.bilinear(x, x)
     assert np.max(np.abs(problem.step(x)[0] - want)) \
         <= 1e-13 * np.max(np.abs(want))
     m_rho = Mollifier(3, 0.5).symbol(grid16)
     pv = inverse_transform(grid16, v.coeffs)
-    want = _cross_linear(grid16, cfg.schedule(), pv)(x) \
-        + _nse_bilinear(grid16, cfg.schedule(), m_rho)(x, x)
+    want = grid16.band.gather(_cross_linear(grid16, cfg.schedule(), pv)(full)
+                              + _nse_bilinear(grid16, cfg.schedule(),
+                                              m_rho)(full, full))
     assert np.max(np.abs(problem.step(x)[0] - want)) \
         <= 1e-13 * np.max(np.abs(want))
 
@@ -611,7 +613,7 @@ def test_forcing_norms_equal_the_composed_path(grid16, monkeypatch, case):
     assert report.norms == want.norms and report.diffs == want.diffs
     assert report.residual == want.residual
     assert report.smallness_margin == want.smallness_margin
-    assert np.array_equal(report.solution, want.solution)
+    assert np.array_equal(grid16.band.gather(report.solution), want.solution)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -705,3 +707,68 @@ def test_probing_and_iterating_hold_few_stacks(grid16, monkeypatch):
                              trace_memory=True)
     assert peaks["estimate_constants"] <= 4.5
     assert peaks["solve_picard"] <= 3.5
+
+
+def test_solver_stacks_are_band_blocks(grid16, monkeypatch):
+    problems = _captured_problems(monkeypatch)
+    cfg = SolverConfig(grid=grid16, horizon=0.2, n_geometric=4, n_uniform=4,
+                       measure_probes=2)
+    sol = mild_solve_nse(random_power_law(grid16, alpha=2.0, seed=3,
+                                          amplitude=0.3), cfg)
+    problem, = problems
+    samples = cfg.schedule().size
+    assert problem.a.shape == (samples, 3) + grid16.band.xi_sq.shape
+    assert problem.probe(5).shape == problem.a.shape
+    stack = sol.report.solution
+    assert stack.shape == (samples, 3) + grid16.xi_sq.shape
+    assert not stack.flags.writeable
+    assert np.shares_memory(stack, sol.trajectory.coeffs)
+    assert not np.any(stack[..., ~grid16.dealias_mask])
+
+
+def _out_of_place(problem, tol, max_iter):
+    """``solve_picard``'s iteration with every sum and difference a new
+    element: (solution, norms, diffs, residual)."""
+    x = problem.a
+    f, norm = problem.step_and_norm(x)
+    norms, diffs = [norm], []
+    for _ in range(max_iter):
+        x_next = problem.a + f
+        diffs.append(problem.norm(x_next - x))
+        x = x_next
+        f, norm = problem.step_and_norm(x)
+        norms.append(norm)
+        if diffs[-1] < tol:
+            break
+    return x, norms, diffs, problem.norm(x - (problem.a + f))
+
+
+def _float_problem():
+    return PicardProblem(a=0.3, linear=lambda x: 0.1 * x,
+                         bilinear=lambda x, y: -0.5 * x * y, norm=abs,
+                         gamma=0.5, l_norm=0.1)
+
+
+def _stack_problem(grid16, monkeypatch):
+    problems = _captured_problems(monkeypatch)
+    cfg = SolverConfig(grid=grid16, horizon=0.2, n_geometric=6, n_uniform=6,
+                       measure_probes=2)
+    mild_solve_nse(random_power_law(grid16, alpha=2.0, seed=5,
+                                    amplitude=0.3), cfg)
+    return problems[0]
+
+
+@pytest.mark.parametrize("kind", ["float", "stack"])
+def test_in_place_iteration_equals_the_out_of_place_one(grid16, monkeypatch,
+                                                        kind):
+    problem = _float_problem() if kind == "float" \
+        else _stack_problem(grid16, monkeypatch)
+    seed = np.copy(problem.a)
+    report = solve_picard(problem, tol=PICARD_TOL, max_iter=60)
+    assert report.converged and report.iterations > 2
+    x, norms, diffs, residual = _out_of_place(problem, PICARD_TOL, 60)
+    assert report.norms == norms and report.diffs == diffs
+    assert report.residual == residual
+    assert np.array_equal(report.solution, x)
+    # the seed is never written over
+    assert np.array_equal(problem.a, seed)
