@@ -180,13 +180,13 @@ class Band:
     """The 2/3 dealias band of a grid as a rectangular block of the half
     spectrum, a view that the grid operators take in place of the grid.
 
-    ``Grid.dealias_mask`` is a product of one rule per axis, so the band
-    is the block ``index`` (an ``np.ix_`` index) of the modes the mask
-    keeps along each axis, in their ``fftfreq`` order.  A coefficient
-    array in band layout holds that block in its trailing ``dim`` axes:
-    ``gather`` takes it from the half spectrum and ``scatter`` puts it
-    back among zeros, so ``scatter(gather(c))`` is ``c * dealias_mask``.
-    The band carries its own ``deriv_wavevectors``, ``inverse_laplacian``,
+    ``Grid.dealias_mask`` is one rule per axis, so the band is the block
+    ``index`` (an ``np.ix_`` index) of the modes its line through k = 0
+    keeps on each axis, in ``fftfreq`` order.  A coefficient array in
+    band layout holds that block in its trailing ``dim`` axes: ``gather``
+    takes it from the half spectrum and ``scatter`` puts it back among
+    zeros, so ``scatter(gather(c))`` is ``c * dealias_mask``.  The band
+    carries its own ``deriv_wavevectors``, ``inverse_laplacian``,
     ``xi_sq`` and ``xi_sq_shells`` and the grid's ``dim``, ``xi_max``,
     ``shape`` and ``cell_volume``, so that P div, the Leray projection,
     the heat and Duhamel stacks, the dealiased tensors and the L^p norms
@@ -195,12 +195,9 @@ class Band:
     """
 
     def __init__(self, grid: Grid):
-        mask = grid.dealias_mask
-        axes = range(grid.dim)
-        self.index = np.ix_(*(np.flatnonzero(np.any(
-            mask, axis=tuple(b for b in axes if b != a))) for a in axes))
-        if not np.all(mask[self.index]):
-            raise GridError("the dealias mask is not a per-axis product")
+        mask, zeros = grid.dealias_mask, (0,) * (grid.dim - 1)
+        self.index = np.ix_(*(np.flatnonzero(np.moveaxis(mask, a, -1)[zeros])
+                              for a in range(grid.dim)))
         self.grid = grid
         self.dim = grid.dim
         self.xi_max = grid.xi_max
@@ -911,8 +908,8 @@ class Mollifier:
             raise GridError("mollifier dimension does not match the grid")
         if self.rho >= grid.box_length:
             raise GridError("mollifier radius exceeds the periodic box")
-        return self.hat(self.rho * grid.xi_abs.ravel()).reshape(
-            grid.xi_abs.shape)
+        values, index = grid.xi_sq_shells
+        return np.take(self.hat(self.rho * np.sqrt(values)), index)
 
 
 def mollify(field: SpectralField, mollifier: Mollifier) -> SpectralField:

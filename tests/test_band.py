@@ -39,6 +39,16 @@ def test_band_is_the_masked_block(dim, n):
         (grid.xi_max, grid.shape, grid.cell_volume)
 
 
+@pytest.mark.parametrize("dim, n", [(dim, n) for dim in (2, 3)
+                                    for n in range(8, 65, 2)])
+def test_band_holds_every_mode_of_the_mask(dim, n):
+    grid = _grid(dim, n)
+    band = grid.band
+    assert np.array_equal(band.scatter(np.ones(band.xi_sq.shape)),
+                          grid.dealias_mask)
+    assert band.xi_sq.size == grid.dealias_mask.sum()
+
+
 def test_band_is_built_on_first_use():
     grid = _grid(3, 16)
     assert "band" not in vars(grid)

@@ -172,7 +172,8 @@ def test_zero_linear_map_is_not_evaluated(grid16):
                        measure_probes=2)
     sol = mild_solve_nse(u0, cfg)
     times = cfg.schedule()
-    a = heat_stack(grid16, _prepare_data(u0, grid16).coeffs, times)
+    a = heat_stack(grid16, grid16.band.scatter(_prepare_data(u0, grid16)),
+                   times)
     reports, norm_calls = [], []
     for linear in (None, lambda x: 0.0 * x):
         calls = []

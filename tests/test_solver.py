@@ -351,13 +351,13 @@ def test_fused_step_matches_linear_plus_bilinear(grid16):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def _one_pass_residual(grid, times, stack, u0, forcing):
+def _one_pass_residual(grid, times, stack, c0, forcing):
     """The doubled-schedule residual over the whole refined stack at once."""
     fine_times = np.sort(np.concatenate(
         [times, 0.5 * (times[:-1] + times[1:])]))
     fine = interpolate_stack(times, stack, fine_times)
     rhs = -duhamel_stack(fine_times, forcing(fine_times, fine), grid)
-    rhs += heat_stack(grid, u0.coeffs, fine_times)
+    rhs += heat_stack(grid, c0, fine_times)
     keep = np.isin(fine_times, times)
     return kato_stack_norm(grid, fine_times[keep], (fine - rhs)[keep], KATO_P)
 
@@ -387,7 +387,8 @@ def test_streamed_residual_equals_one_pass(grid16, monkeypatch, kind):
                 times, v_stack, fine_times))
             return _step_forcing(grid16, fine, pv, None)
     want = _one_pass_residual(grid16, times, sol.report.solution,
-                              _prepare_data(u0, grid16), forcing)
+                              grid16.band.scatter(_prepare_data(u0, grid16)),
+                              forcing)
     assert 0 < want < 1e-4
     assert abs(sol.residual_doubled - want) <= 1e-13 * want
 
@@ -395,8 +396,8 @@ def test_streamed_residual_equals_one_pass(grid16, monkeypatch, kind):
 def test_streamed_residual_memory_does_not_grow_with_the_schedule(
         grid16, monkeypatch):
     monkeypatch.setattr(spectral, "FFT_WORKERS", 2)
-    u0 = _prepare_data(random_power_law(grid16, alpha=2.0, seed=4,
-                                        amplitude=0.5), grid16)
+    c0 = grid16.band.scatter(_prepare_data(
+        random_power_law(grid16, alpha=2.0, seed=4, amplitude=0.5), grid16))
 
     def forcing(fine_times, fine):
         return _step_forcing(grid16, fine, None, None)
@@ -404,7 +405,7 @@ def test_streamed_residual_memory_does_not_grow_with_the_schedule(
     peaks = []
     for n_samples in (25, 49):
         times = np.linspace(0.0, 0.2, n_samples)
-        stack = heat_stack(grid16, u0.coeffs, times)
+        stack = heat_stack(grid16, c0, times)
         tracemalloc.start()
         try:
             _doubled_residual(grid16, times, stack, stack, forcing)
@@ -425,7 +426,8 @@ def test_continuation_stitches_like_concatenation(amplitude, n_segments):
     assert res.status == "completed"
     assert len(res.segment_horizons) == n_segments
     # replay the converged segments and concatenate their trajectories
-    times, stacks = [np.array([0.0])], [_prepare_data(u0, grid).coeffs[None]]
+    times, stacks = [np.array([0.0])], [grid.band.scatter(
+        _prepare_data(u0, grid))[None]]
     residuals = []
     t0, current = 0.0, u0
     for step in res.segment_horizons:

@@ -151,6 +151,28 @@ def test_mollifier_unit_mass():
         assert np.all(m.profile(np.array([1.0, 2.0])) == 0.0)
 
 
+@pytest.mark.parametrize("dim, n", [(3, 16), (2, 32)])
+@pytest.mark.parametrize("rho", [0.5, 1.0])
+def test_mollifier_symbol_is_hat_of_each_mode(dim, n, rho):
+    # one hat per distinct |xi|^2, gathered onto the modes, is bit for bit
+    # the hat of every mode
+    grid = make_grid(dim, n, 2.0 * np.pi)
+    m = Mollifier(dim, rho)
+    want = m.hat(rho * grid.xi_abs.ravel()).reshape(grid.xi_abs.shape)
+    assert np.array_equal(m.symbol(grid), want)
+
+
+def test_mollifier_symbol_memory_is_that_of_the_grid():
+    grid = make_grid(3, 48, 2.0 * np.pi)
+    tracemalloc.start()
+    try:
+        Mollifier(3, 0.5).symbol(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_mollify_rejects_wraparound(grid16):
     f = random_power_law(grid16, alpha=1.0, seed=5)
     with pytest.raises(GridError):
