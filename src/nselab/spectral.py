@@ -113,8 +113,8 @@ class Grid:
         self.deriv_xi_sq = np.sum(self.deriv_wavevectors**2, axis=0)
         self.xi_sq = np.sum(self.wavevectors**2, axis=0)
         self.xi_abs = np.sqrt(self.xi_sq)
-        # 2/3-rule mask: True where a mode survives a dealiased product.
-        self.dealias_mask = np.all(np.abs(self.k_int) <= self.n / 3.0, axis=0)
+        # 2/3 rule, 3|k_i| < n: no product of kept modes aliases into them
+        self.dealias_mask = np.all(3 * np.abs(self.k_int) < self.n, axis=0)
         # 1/|xi|^2 on the derivative wavevectors, 0 where xi = 0
         self.inverse_laplacian = np.divide(
             1.0, self.deriv_xi_sq, out=np.zeros_like(self.deriv_xi_sq),
@@ -180,18 +180,18 @@ class Band:
     """The 2/3 dealias band of a grid as a rectangular block of the half
     spectrum, a view that the grid operators take in place of the grid.
 
-    ``Grid.dealias_mask`` is one rule per axis, so the band is the block
-    ``index`` (an ``np.ix_`` index) of the modes its line through k = 0
-    keeps on each axis, in ``fftfreq`` order.  A coefficient array in
-    band layout holds that block in its trailing ``dim`` axes: ``gather``
-    takes it from the half spectrum and ``scatter`` puts it back among
-    zeros, so ``scatter(gather(c))`` is ``c * dealias_mask``.  The band
-    carries its own ``deriv_wavevectors``, ``inverse_laplacian``,
-    ``xi_sq`` and ``xi_sq_shells`` and the grid's ``dim``, ``xi_max``,
-    ``shape`` and ``cell_volume``, so that P div, the Leray projection,
-    the heat and Duhamel stacks, the dealiased tensors and the L^p norms
-    run on it unchanged; ``inverse_transform`` and the tensors' forward
-    transforms are the only code that knows the layout.
+    ``Grid.dealias_mask`` keeps the modes with 3|k_i| < n on every axis i,
+    so the band is the block ``index`` (an ``np.ix_`` index) of the modes
+    its line through k = 0 keeps on each axis, in ``fftfreq`` order.  A
+    coefficient array in band layout holds that block in its trailing
+    ``dim`` axes: ``gather`` takes it from the half spectrum and ``scatter``
+    puts it back among zeros, so ``scatter(gather(c))`` is
+    ``c * dealias_mask``.  The band carries its own ``deriv_wavevectors``,
+    ``inverse_laplacian``, ``xi_sq`` and ``xi_sq_shells`` and the grid's
+    ``dim``, ``xi_max``, ``shape`` and ``cell_volume``, so that P div, the
+    Leray projection, the heat and Duhamel stacks, the dealiased tensors
+    and the L^p norms run on it unchanged; ``inverse_transform`` and the
+    tensors' forward transforms are the only code that knows the layout.
     """
 
     def __init__(self, grid: Grid):

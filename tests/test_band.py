@@ -1,27 +1,34 @@
-"""The dealias band as a coefficient block: its layout, and the operators
-run on it against the masked half spectrum."""
+"""The dealias band as a coefficient block: its layout, the operators
+run on it against the masked half spectrum, and the Galerkin identities
+that the strict 2/3 rule makes exact."""
 
 import numpy as np
 import pytest
 
-from nselab import make_grid
+from nselab import Mollifier, SolverConfig, make_grid, mild_solve_nse
 from nselab.families import random_power_law
 from nselab.heat import duhamel_stack, heat_stack
+from nselab.solver import nonlinear_forcing
 from nselab.spectral import (dealiased_tensor, inverse_transform,
                              leray_coeffs, lp_norms,
                              projected_divergence_coeffs, symmetric_tensor)
 
 GRIDS = [(dim, n) for dim in (2, 3) for n in (8, 12, 16, 18, 24)]
+GALERKIN_GRIDS = [(dim, n) for dim in (2, 3)
+                  for n in (8, 12, 16, 18, 24, 32)]
 
 
 def _grid(dim, n):
     return make_grid(dim, n, 2.0 * np.pi)
 
 
-@pytest.mark.parametrize("dim, n", GRIDS)
+@pytest.mark.parametrize("dim, n", [(dim, n) for dim in (2, 3)
+                                    for n in range(8, 65, 2)])
 def test_band_is_the_masked_block(dim, n):
     grid = _grid(dim, n)
     band = grid.band
+    assert np.array_equal(band.scatter(np.ones(band.xi_sq.shape)),
+                          grid.dealias_mask)
     assert band.xi_sq.size == grid.dealias_mask.sum()
     assert band.deriv_wavevectors.shape == (dim,) + band.xi_sq.shape
     rng = np.random.default_rng(n)
@@ -37,16 +44,6 @@ def test_band_is_the_masked_block(dim, n):
                           grid.inverse_laplacian * grid.dealias_mask)
     assert (band.xi_max, band.shape, band.cell_volume) == \
         (grid.xi_max, grid.shape, grid.cell_volume)
-
-
-@pytest.mark.parametrize("dim, n", [(dim, n) for dim in (2, 3)
-                                    for n in range(8, 65, 2)])
-def test_band_holds_every_mode_of_the_mask(dim, n):
-    grid = _grid(dim, n)
-    band = grid.band
-    assert np.array_equal(band.scatter(np.ones(band.xi_sq.shape)),
-                          grid.dealias_mask)
-    assert band.xi_sq.size == grid.dealias_mask.sum()
 
 
 def test_band_is_built_on_first_use():
@@ -84,3 +81,37 @@ def test_operators_on_the_band_equal_the_masked_grid(dim, n):
     w = np.roll(xb, 1, axis=1) * (1.0 + 2.0j)
     assert np.array_equal(band.gather(leray_coeffs(grid, band.scatter(w))),
                           leray_coeffs(band, w))
+
+
+def _relative_work(grid, u, g):
+    """|<u, g>| / (||u|| ||g||) of half-spectrum coefficients, per leading
+    index (a sample of a stack)."""
+    def dot(a, b):
+        return np.sum(grid.hermitian_weight * (np.conj(a) * b).real,
+                      axis=tuple(range(-grid.dim - 1, 0)))
+    return np.abs(dot(u, g)) / np.sqrt(dot(u, u) * dot(g, g))
+
+
+@pytest.mark.parametrize("dim, n", GALERKIN_GRIDS)
+@pytest.mark.parametrize("rho", [None, 0.5], ids=["plain", "mollified"])
+def test_dealiased_nonlinearity_does_no_work(dim, n, rho):
+    # <u, P div dealias(u (x) w)> = int w . grad |u|^2 / 2 = 0 for w = u or
+    # w = (u)_rho, both divergence-free and in the band, since no product
+    # of band modes aliases into the band
+    grid = _grid(dim, n)
+    u = random_power_law(grid, alpha=2.0, seed=1).coeffs
+    w = u if rho is None else u * Mollifier(dim, rho).symbol(grid)
+    g = projected_divergence_coeffs(grid, dealiased_tensor(
+        grid, inverse_transform(grid, u), inverse_transform(grid, w)))
+    assert _relative_work(grid, u, g) < 1e-14
+
+
+def test_solver_forcing_does_no_work_at_any_sample():
+    grid = _grid(3, 24)
+    u0 = random_power_law(grid, alpha=2.0, seed=1, amplitude=0.3)
+    cfg = SolverConfig(grid=grid, horizon=0.3, n_geometric=4, n_uniform=4,
+                       measure_probes=0)
+    traj = mild_solve_nse(u0, cfg).trajectory
+    work = _relative_work(grid, traj.coeffs, nonlinear_forcing(traj))
+    assert work.shape == (len(traj),)
+    assert np.all(work < 1e-14)

@@ -31,7 +31,7 @@ def _full_symbols(grid):
     k = np.stack(np.meshgrid(*([k1] * grid.dim), indexing="ij"))
     xi = (2.0 * np.pi / grid.box_length) * k
     deriv = np.where(k == -grid.n // 2, 0.0, xi)
-    mask = np.all(np.abs(k) <= grid.n / 3.0, axis=0)
+    mask = np.all(3 * np.abs(k) < grid.n, axis=0)
     return np.sum(xi**2, axis=0), deriv, mask
 
 
