@@ -18,8 +18,11 @@ live on the uniform grid ``x = (L/N)*m``.  All L^p norms are
 uniform-grid quadratures, ``||f||_p^p = (L/N)^d * sum |f(x)|^p``;
 Parseval then reads ``||f||_2^2 = L^d * sum |c_k|^2``.
 
-Transforms are ``scipy.fft`` real-to-complex/complex-to-real FFTs.
-Fields are real, so coefficients are Hermitian, ``c_{-k} = conj(c_k)``,
+Transforms are ``scipy.fft`` real-to-complex/complex-to-real FFTs.  A
+grid's transforms are whole ``rfftn``/``irfftn`` calls; a dealias band's
+(``Band.forward`` and ``Band.inverse``) are 1-D FFTs along one axis at a
+time that skip the lines the band cannot reach, and give the same bits
+as the whole transforms.  Fields are real, so coefficients are Hermitian, ``c_{-k} = conj(c_k)``,
 and only the real-FFT half spectrum is held: the last grid axis has
 N//2+1 entries, the first N//2+1 of the ``fftfreq`` order (k_last = 0
 .. N/2-1, then -N/2).  A sum over all modes is a sum over the half
@@ -190,14 +193,23 @@ class Band:
     ``inverse_laplacian``, ``xi_sq`` and ``xi_sq_shells`` and the grid's
     ``dim``, ``xi_max``, ``shape`` and ``cell_volume``, so that P div, the
     Leray projection, the heat and Duhamel stacks, the dealiased tensors
-    and the L^p norms run on it unchanged; ``inverse_transform`` and the
-    tensors' forward transforms are the only code that knows the layout.
+    and the L^p norms run on it unchanged.  Outside the band no code knows
+    the layout: its own transforms, ``inverse`` and ``forward``, run only
+    the FFT lines that the block can reach, bit for bit the whole
+    transforms of the masked half spectrum.
     """
 
     def __init__(self, grid: Grid):
         mask, zeros = grid.dealias_mask, (0,) * (grid.dim - 1)
         self.index = np.ix_(*(np.flatnonzero(np.moveaxis(mask, a, -1)[zeros])
                               for a in range(grid.dim)))
+        # k = 0 .. h-1 on the last axis; the other axes add -(h-1) .. -1
+        h = self.index[-1].size
+        self._halves = ((slice(None, h), slice(None, h)),
+                        (slice(grid.n - h + 1, None), slice(h, None)))
+        # the 1/N^d of norm="forward", rounded from long double as
+        # pocketfft rounds it
+        self._scale = float(1 / np.longdouble(grid.n) ** grid.dim)
         self.grid = grid
         self.dim = grid.dim
         self.xi_max = grid.xi_max
@@ -225,8 +237,64 @@ class Band:
         out[(Ellipsis,) + self.index] = block
         return out
 
+    def inverse(self, block: np.ndarray) -> np.ndarray:
+        """Real physical samples of band coefficients, bit for bit the
+        ``irfftn`` of ``scatter(block)``.  Each axis but the last is
+        widened into zeros and transformed in pocketfft's order, but only
+        on the lines the block reaches; the last axis is a full
+        ``irfft``."""
+        n, h = self.grid.n, self.index[-1].size
+        x = block
+        for a in range(-self.dim, -1):
+            shape = list(x.shape)
+            shape[a] = n
+            if a == -2:  # widen into the half spectrum
+                shape[-1] = n // 2 + 1
+            wide = np.zeros(shape, dtype=np.complex128)
+            lines = wide[..., :h]
+            for rows, part in self._halves:
+                lines[_on_axis(a, rows)] = x[_on_axis(a, part)]
+            _c2c_over(lines, a, forward=False)
+            x = wide
+        return scipy.fft.irfft(x, n=n, axis=-1, norm="forward",
+                               workers=_fft_workers())
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """The band block of real physical samples' Fourier coefficients,
+        bit for bit that of ``rfftn(values, norm="forward")``.  The last
+        axis is a full ``rfft``; each other axis is then transformed in
+        pocketfft's order on the lines that reach the band only."""
+        half = scipy.fft.rfft(values, axis=-1, workers=_fft_workers())
+        h = self.index[-1].size
+        # pocketfft applies the whole 1/N^d at the real-to-complex stage
+        scaled = half.view(np.float64)
+        scaled *= self._scale
+        lines = [half[..., :h]]
+        for a in range(-self.dim, -1):
+            for part in lines:
+                _c2c_over(part, a, forward=True)
+            lines = [part[_on_axis(a, rows)] for part in lines
+                     for rows, _ in self._halves]
+        return self.gather(half)
+
     def __repr__(self):
         return f"{self.grid!r}.band"
+
+
+def _on_axis(axis: int, part: slice) -> tuple:
+    """Index that takes ``part`` of the negative ``axis``."""
+    return (Ellipsis, part) + (slice(None),) * (-axis - 1)
+
+
+def _c2c_over(lines: np.ndarray, axis: int, forward: bool) -> None:
+    """Unscaled complex FFT of ``lines`` along ``axis``, written over
+    ``lines`` (a view into a larger array)."""
+    fft, norm = ((scipy.fft.fft, "backward") if forward
+                 else (scipy.fft.ifft, "forward"))
+    out = fft(lines, axis=axis, norm=norm, overwrite_x=True,
+              workers=_fft_workers())
+    if not np.may_share_memory(out, lines):
+        lines[...] = out
 
 
 def make_grid(dim: int, n: int, box_length: float) -> Grid:
@@ -356,9 +424,10 @@ def forward_half(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def inverse_transform(grid: Grid | Band, coeffs: np.ndarray) -> np.ndarray:
     """Real physical samples of Fourier coefficients in the layout of
-    ``grid``: the half spectrum of a grid, or the block of a band."""
+    ``grid``: the half spectrum of a grid (``irfftn``), or the block of a
+    band (``Band.inverse``)."""
     if isinstance(grid, Band):
-        coeffs = grid.scatter(coeffs)
+        return grid.inverse(coeffs)
     return scipy.fft.irfftn(coeffs, s=grid.shape,
                             axes=tuple(range(-grid.dim, 0)),
                             norm="forward", workers=_fft_workers())
@@ -398,10 +467,10 @@ def projected_divergence_coeffs(grid: Grid, tensor: np.ndarray) -> np.ndarray:
 def _dealiased(grid: Grid | Band, products: np.ndarray) -> np.ndarray:
     """2/3-rule dealiased coefficients of physical products, in the
     layout of ``grid``: a grid multiplies its half spectrum by the mask,
-    a band gathers its block."""
-    out = forward_half(grid, products)
+    a band transforms into its block (``Band.forward``)."""
     if isinstance(grid, Band):
-        return grid.gather(out)
+        return grid.forward(products)
+    out = forward_half(grid, products)
     out *= grid.dealias_mask
     return out
 

@@ -2,15 +2,18 @@
 run on it against the masked half spectrum, and the Galerkin identities
 that the strict 2/3 rule makes exact."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.fft
 
-from nselab import Mollifier, SolverConfig, make_grid, mild_solve_nse
+from nselab import Mollifier, SolverConfig, make_grid, mild_solve_nse, spectral
 from nselab.families import random_power_law
 from nselab.heat import duhamel_stack, heat_stack
 from nselab.solver import nonlinear_forcing
 from nselab.spectral import (dealiased_tensor, inverse_transform,
-                             leray_coeffs, lp_norms,
+                             leray_coeffs, lp_norms, map_samples,
                              projected_divergence_coeffs, symmetric_tensor)
 
 GRIDS = [(dim, n) for dim in (2, 3) for n in (8, 12, 16, 18, 24)]
@@ -44,6 +47,59 @@ def test_band_is_the_masked_block(dim, n):
                           grid.inverse_laplacian * grid.dealias_mask)
     assert (band.xi_max, band.shape, band.cell_volume) == \
         (grid.xi_max, grid.shape, grid.cell_volume)
+
+
+def _in_jobs(transform, like):
+    """``transform()`` made inside each of two ``map_samples`` jobs, whose
+    FFTs run on one thread; one result per sample of the jobs."""
+    out = np.empty((spectral.SAMPLE_CHUNK + 1,) + like.shape, like.dtype)
+    return map_samples(lambda part: transform(), out)
+
+
+@pytest.mark.parametrize("dim, n", [(3, n) for n in range(8, 65, 2)]
+                         + [(2, n) for n in range(8, 129, 2)])
+def test_band_transforms_are_the_whole_transforms(dim, n, monkeypatch):
+    # the pruned transforms skip only lines of zeros or of discarded
+    # values, and keep pocketfft's axis order and 1/N^d, so they are
+    # bit for bit irfftn of the scattered block and the gathered rfftn
+    monkeypatch.setattr(spectral, "FFT_WORKERS", 2)
+    grid = _grid(dim, n)
+    band, axes = grid.band, tuple(range(-dim, 0))
+    rng = np.random.default_rng(n)
+    for lead in ((1, 1), (1, 3), (4, 1), (4, 3)):
+        values = rng.standard_normal(lead + grid.shape)
+        block = band.gather(scipy.fft.rfftn(values, axes=axes,
+                                            norm="forward"))
+        samples = scipy.fft.irfftn(band.scatter(block), s=grid.shape,
+                                   axes=axes, norm="forward")
+        assert np.array_equal(band.forward(values), block)
+        assert np.array_equal(band.inverse(block), samples)
+        for out in _in_jobs(lambda: band.forward(values), block):
+            assert np.array_equal(out, block)
+        for out in _in_jobs(lambda: band.inverse(block), samples):
+            assert np.array_equal(out, samples)
+
+
+def test_band_transforms_hold_one_half_spectrum():
+    # beyond its input and output, a band transform of a 4-sample job
+    # holds at most the job's half spectrum (and under 64 KiB of numpy's
+    # own indexing buffers)
+    grid = _grid(3, 24)
+    band = grid.band
+    values = np.random.default_rng(1).standard_normal((4, 3) + grid.shape)
+    half_bytes = values.size // grid.n * (grid.n // 2 + 1) * 16
+    extra = []
+    tracemalloc.start()
+    try:
+        for transform in (band.forward, band.inverse):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            values = transform(values)
+            extra.append(tracemalloc.get_traced_memory()[1] - held
+                         - values.nbytes)
+    finally:
+        tracemalloc.stop()
+    assert max(extra) <= half_bytes + 2**16
 
 
 def test_band_is_built_on_first_use():
