@@ -22,14 +22,14 @@ Transforms are ``scipy.fft`` real-to-complex/complex-to-real FFTs.  A
 grid's transforms are whole ``rfftn``/``irfftn`` calls; a dealias band's
 (``Band.forward`` and ``Band.inverse``) are 1-D FFTs along one axis at a
 time that skip the lines the band cannot reach, and give the same bits
-as the whole transforms.  Fields are real, so coefficients are Hermitian, ``c_{-k} = conj(c_k)``,
-and only the real-FFT half spectrum is held: the last grid axis has
-N//2+1 entries, the first N//2+1 of the ``fftfreq`` order (k_last = 0
-.. N/2-1, then -N/2).  A sum over all modes is a sum over the half
-weighted by ``Grid.hermitian_weight`` (each mode off the k_last = 0 and
-N/2 planes stands for itself and its conjugate).  CLF1 files hold the
-full spectrum; ``write_clf1`` fills it in and ``read_clf1`` rejects
-files that are not Hermitian.
+as the whole transforms.  Fields are real, so coefficients are
+Hermitian, ``c_{-k} = conj(c_k)``, and only the real-FFT half spectrum
+is held: the last grid axis has N//2+1 entries, the first N//2+1 of the
+``fftfreq`` order (k_last = 0 .. N/2-1, then -N/2).  A sum over all
+modes is a sum over the half weighted by ``Grid.hermitian_weight`` (each
+mode off the k_last = 0 and N/2 planes stands for itself and its
+conjugate).  CLF1 files hold the full spectrum; ``write_clf1`` fills it
+in and ``read_clf1`` rejects files that are not Hermitian.
 
 Threads
 -------
