@@ -3,23 +3,20 @@
     python3 benchmarks/scale.py --label change --out BENCH_scale.json
     python3 benchmarks/scale.py --src ../other-checkout/src --label parent \\
         --out BENCH_scale.json
-    python3 benchmarks/scale.py --sizes 64 --label change \\
-        --out BENCH_scale.json
 
-For each grid size in ``--sizes`` (default ``SIZES``) a fresh
-interpreter runs one 3D ``run_experiment`` with the direct
-(continuation) solver: random alpha = 2 data of amplitude 0.3, seed 1,
-T = 0.3, the default 49-sample schedule and 8 probes, archived to a
-temporary directory that is deleted afterwards.  The child's address
-space is capped at ``MAX_GB`` GiB (``RLIMIT_AS``), so a run that would
-not fit fails instead of exhausting the host.  Each record holds the
-wall time of ``run_experiment``, the child's peak RSS (``ru_maxrss``),
-the archive size, the run status and the number of continuation
-segments.  Records are printed as JSON lines and, with ``--out``, added
-to that file under ``runs`` (an existing file keeps its other records).
+For each grid size in ``SIZES`` a fresh interpreter runs
+one 3D ``run_experiment`` with the direct (continuation) solver: random
+alpha = 2 data of amplitude 0.3, seed 1, T = 0.3, the default 49-sample
+schedule and 8 probes, archived to a temporary directory that is
+deleted afterwards.  The child's address space is capped at
+``MAX_GB`` GiB (``RLIMIT_AS``), so a run that would not fit fails
+instead of exhausting the host.  Each record holds the wall time of
+``run_experiment``, the child's peak RSS (``ru_maxrss``), the archive
+size, the run status and the number of continuation segments.  Records
+are printed as JSON lines and, with ``--out``, added to that file under
+``runs`` (an existing file keeps its other records).
 
-Unlike ``perfbench/``, this runs each size once per call and sets no
-bound; repeat a call (``--sizes`` picks the grids) to see the spread.
+Unlike ``perfbench/``, this runs each size once and sets no bound.
 """
 
 from __future__ import annotations
@@ -82,11 +79,9 @@ def main(argv=None) -> int:
     ap.add_argument("--label", default="change",
                     help="name stored with each record")
     ap.add_argument("--out", default=None, help="JSON file to add records to")
-    ap.add_argument("--sizes", type=int, nargs="+", default=SIZES,
-                    help="grid sizes to run, in order (default: %(default)s)")
     args = ap.parse_args(argv)
     records = []
-    for n in args.sizes:
+    for n in SIZES:
         rec = {"label": args.label, **measure(args.src, n)}
         print(json.dumps(rec), flush=True)
         records.append(rec)

@@ -204,9 +204,11 @@ class Band:
         self.index = np.ix_(*(np.flatnonzero(np.moveaxis(mask, a, -1)[zeros])
                               for a in range(grid.dim)))
         # k = 0 .. h-1 on the last axis; the other axes add -(h-1) .. -1
-        h = self.index[-1].size
+        h = self._h = self.index[-1].size
         self._halves = ((slice(None, h), slice(None, h)),
                         (slice(grid.n - h + 1, None), slice(h, None)))
+        rows = np.r_[:h, grid.n - h + 1:grid.n]
+        assert all(np.array_equal(i.ravel(), rows) for i in self.index[:-1])
         # the 1/N^d of norm="forward", rounded from long double as
         # pocketfft rounds it
         self._scale = float(1 / np.longdouble(grid.n) ** grid.dim)
@@ -243,7 +245,7 @@ class Band:
         widened into zeros and transformed in pocketfft's order, but only
         on the lines the block reaches; the last axis is a full
         ``irfft``."""
-        n, h = self.grid.n, self.index[-1].size
+        n, h = self.grid.n, self._h
         x = block
         for a in range(-self.dim, -1):
             shape = list(x.shape)
@@ -265,16 +267,16 @@ class Band:
         axis is a full ``rfft``; each other axis is then transformed in
         pocketfft's order on the lines that reach the band only."""
         half = scipy.fft.rfft(values, axis=-1, workers=_fft_workers())
-        h = self.index[-1].size
+        lines = [half[..., :self._h]]
         # pocketfft applies the whole 1/N^d at the real-to-complex stage
-        scaled = half.view(np.float64)
+        scaled = lines[0].view(np.float64)
         scaled *= self._scale
-        lines = [half[..., :h]]
         for a in range(-self.dim, -1):
+            if a > -self.dim:  # only the previous axis' band rows go on
+                lines = [part[_on_axis(a - 1, rows)] for part in lines
+                         for rows, _ in self._halves]
             for part in lines:
                 _c2c_over(part, a, forward=True)
-            lines = [part[_on_axis(a, rows)] for part in lines
-                     for rows, _ in self._halves]
         return self.gather(half)
 
     def __repr__(self):
