@@ -30,7 +30,7 @@ from .picard import (FixedPointReport, PicardProblem, estimate_constants,
                      propagation_check, solve_picard)
 from .solver import (ContinuationResult, MildSolution, SolverConfig,
                      mild_solve_nse, mild_solve_perturbed, mollified_solve,
-                     solve_with_continuation, subcritical_existence_time)
+                     solve_with_continuation)
 from .spectral import (Grid, Mollifier, SpectralField, apply_multiplier, curl,
                        dealias, dealias_product, divergence,
                        divergence_residual, gradient, leray_project,

@@ -455,6 +455,9 @@ def _run_solver(config: ExperimentConfig, grid: Grid,
                                       v.coeffs + w.coeffs)
         meta["l2_large"] = parts.l2_large
         meta["besov_small"] = parts.besov_small
+        # NaN-propagating, so that a failed residual is not hidden
+        meta["residual_doubled"] = float(np.maximum(v_sol.residual_doubled,
+                                                    w_sol.residual_doubled))
         return traj, _status(v_sol, w_sol), None, meta
     raise ConfigError(f"unknown solver {config.solver!r}")
 

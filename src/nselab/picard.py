@@ -102,11 +102,11 @@ def estimate_constants(problem: PicardProblem, n_probes: int = 20,
     """Measure gamma and ||L|| by randomized probing and fill them in.
 
     Each probe pair (x, y) draws two seeds from one stream; ||x|| and
-    ||y|| come with B(x, y).  A known ``gamma`` (measured before with the
-    same B, norm, probe, ``n_probes`` and ``seed``) is taken as is: no y
-    is built and no B(x, y) runs, but y's seed is still drawn, so ||L||
-    is measured on the same x as in a full run, and ||x|| comes with
-    L(x).  With no linear part nothing is probed at all.
+    ||y|| come with B(x, y), and ||x|| again with L(x).  A known
+    ``gamma`` (measured before with the same B, norm, probe, ``n_probes``
+    and ``seed``) is taken as is: no y is built and no B(x, y) runs, but
+    y's seed is still drawn, so ||L|| is measured on the same x as in a
+    full run.  With no linear part nothing is probed at all.
     """
     if problem.probe is None:
         raise ConfigError("constant estimation needs a probe generator")
@@ -123,9 +123,7 @@ def estimate_constants(problem: PicardProblem, n_probes: int = 20,
                     x, problem.probe(y_seed))
                 gamma = max(gamma, _gain(problem, bxy, nx, ny))
                 del bxy  # not held across the next probe's allocations
-                if problem.linear is not None:
-                    l_norm = max(l_norm, _gain(problem, problem.linear(x), nx))
-            else:
+            if problem.linear is not None:
                 l_norm = max(l_norm,
                              _gain(problem, *problem.linear_and_norm(x)))
     problem.gamma = gamma

@@ -52,8 +52,8 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .besov import (BesovIndex, DyadicPartition, Trajectory, besov_norm,
-                    critical_exponent, series_weighted_sup, weighted_sup)
+from .besov import (Trajectory, critical_exponent, series_weighted_sup,
+                    weighted_sup)
 from .errors import ConfigError, PicardDivergenceError, QuadratureError
 from .families import random_power_law
 from .heat import check_schedule, duhamel_stack, heat_stack, time_schedule
@@ -66,8 +66,6 @@ from .spectral import (Band, Grid, Mollifier, SpectralField, check_flow,
                        magnitude_lp_norms, map_samples,
                        projected_divergence_coeffs, symmetric_tensor)
 
-DEFAULT_KAPPA = 0.17  # existence-time smallness constant, uncalibrated
-HORIZON_CAP = 10.0  # existence time returned for zero data
 KATO_P = 4.0  # p of the Kato norm K_p that the Picard iteration contracts in
 PICARD_TOL = 1e-10  # Picard increment tolerance
 
@@ -431,27 +429,8 @@ def mollified_solve(u0: SpectralField, background, rho: float,
 
 
 # ---------------------------------------------------------------------
-# Subcritical existence time and continuation
+# Continuation
 # ---------------------------------------------------------------------
-
-def subcritical_existence_time(v0: SpectralField, q: float, eps: float,
-                               partition: DyadicPartition) -> float:
-    """Existence-time rule T = (kappa/M)^{2/eps} with
-    M = ||V0||_{B^{s_q+eps}_{q,q}}, capped at HORIZON_CAP (the value for
-    M = 0).
-
-    kappa = DEFAULT_KAPPA is uncalibrated and T a loose lower bound: at
-    16^3 (random alpha = 2 data, q = 8, eps = 0.25) one solve converges
-    at 1.6e5 T for amplitude 3 and at 1.8e20 T for amplitude 1000.
-    """
-    if not (eps > 0 and eps < -critical_exponent(q)):
-        raise ConfigError(f"need 0 < eps < -s_q, got eps={eps}")
-    s = critical_exponent(q) + eps
-    m = besov_norm(v0, BesovIndex(s, q, q), partition).value
-    if m == 0:
-        return HORIZON_CAP
-    return min(HORIZON_CAP, (DEFAULT_KAPPA / m) ** (2.0 / eps))
-
 
 @dataclass
 class ContinuationResult:

@@ -1024,18 +1024,15 @@ def finite_json(obj):
 
 
 def write_clf1(path, field: SpectralField) -> None:
-    """Write a field as CLF1: ASCII header then little-endian float64
-    (re, im) pairs of the full spectrum in row-major k-order per
-    component."""
+    """Write a field as CLF1: ASCII header then the full spectrum as
+    little-endian complex128 (float64 (re, im) pairs) in row-major
+    k-order per component."""
     g = field.grid
     coeffs = full_spectrum(g, field.coeffs)
     ncomp = coeffs.size // g.n**g.dim
     header = f"CLF1 {g.dim} {g.n} {g.box_length!r} {field.rank} {ncomp}\n"
-    flat = coeffs.reshape(ncomp, -1)
-    pairs = np.empty((ncomp, flat.shape[1], 2), dtype="<f8")
-    pairs[..., 0] = flat.real
-    pairs[..., 1] = flat.imag
-    atomic_write_bytes(path, header.encode("ascii") + pairs.tobytes())
+    atomic_write_bytes(path, header.encode("ascii")
+                       + coeffs.astype("<c16", copy=False).tobytes())
 
 
 def read_clf1(path) -> SpectralField:
@@ -1066,12 +1063,12 @@ def read_clf1(path) -> SpectralField:
                         f"rank {rank!r}")
     if len(payload) != 16 * math.prod(full):
         raise GridError("CLF1 payload size mismatch")
-    pairs = np.frombuffer(payload, dtype="<f8").reshape(full + (2,))
-    if not np.all(np.isfinite(pairs)):
+    coeffs = np.frombuffer(payload, dtype="<c16").reshape(full)
+    if not np.all(np.isfinite(coeffs)):
         raise GridError(f"CLF1 payload has non-finite coefficients: {path}")
     grid = Grid(dim, n, box)
-    coeffs = pairs[..., 0] + 1j * pairs[..., 1]
-    field = SpectralField(grid, rank, coeffs[..., :shape[-1]],
+    # a copy, so that the field does not keep the payload alive
+    field = SpectralField(grid, rank, coeffs[..., :shape[-1]].copy(),
                           check_hermitian=True)
     _require_hermitian(coeffs, full_spectrum(grid, field.coeffs),
                        np.max(np.abs(coeffs)))

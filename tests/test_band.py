@@ -80,6 +80,30 @@ def test_band_transforms_are_the_whole_transforms(dim, n, monkeypatch):
             assert np.array_equal(out, samples)
 
 
+def test_band_transforms_copy_back_a_fresh_fft_result(monkeypatch):
+    # scipy may return a new array rather than write over the lines it
+    # was given; the band transforms then copy the result back
+    grid = _grid(3, 12)
+    band, axes = grid.band, (-3, -2, -1)
+    values = np.random.default_rng(3).standard_normal((2, 3) + grid.shape)
+    block = band.gather(scipy.fft.rfftn(values, axes=axes, norm="forward"))
+    samples = scipy.fft.irfftn(band.scatter(block), s=grid.shape, axes=axes,
+                               norm="forward")
+    calls = []
+
+    def fresh(fft):
+        def transform(x, *args, **kwargs):
+            calls.append(fft)
+            return fft(x.copy(), *args, **kwargs)
+        return transform
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(scipy.fft, name, fresh(getattr(scipy.fft, name)))
+    assert np.array_equal(band.forward(values), block)
+    assert np.array_equal(band.inverse(block), samples)
+    assert len(set(calls)) == 2
+
+
 def test_band_transforms_hold_one_half_spectrum():
     # beyond its input and output, a band transform of a 4-sample job
     # holds at most the job's half spectrum (and under 64 KiB of numpy's

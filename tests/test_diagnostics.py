@@ -210,6 +210,32 @@ def test_run_experiment_zero_recipe(tmp_path):
     assert report.summary()["n_samples"] == report.times.size
 
 
+def test_split_perturbed_summary_holds_the_doubled_residual(monkeypatch):
+    from nselab import diagnostics
+
+    residuals = []
+
+    def recorded(solve):
+        def run(*args):
+            sol = solve(*args)
+            residuals.append(sol.residual_doubled)
+            return sol
+        return run
+
+    for name in ("mild_solve_nse", "mild_solve_perturbed"):
+        monkeypatch.setattr(diagnostics, name,
+                            recorded(getattr(diagnostics, name)))
+    report = run_experiment(ExperimentConfig(
+        dim=3, n=16, box_length=2 * np.pi, horizon=0.2,
+        recipe={"family": "random", "amplitude": 0.3},
+        solver="split-perturbed", split_lambda=0.01, n_geometric=4,
+        n_uniform=4, measure_probes=0))
+    assert report.status == "completed"
+    assert len(residuals) == 2  # the v solve and the w solve
+    assert report.summary()["residual_doubled"] == max(residuals)
+    assert np.isfinite(max(residuals))
+
+
 def test_run_experiment_rejects_unknown_family():
     cfg = ExperimentConfig(dim=2, n=16, box_length=2 * np.pi, horizon=0.1,
                            recipe={"family": "nonsense"})

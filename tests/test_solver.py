@@ -10,9 +10,9 @@ from nselab import (GridError, Mollifier, QuadratureError, SolverConfig,
                     SpectralField, Trajectory, default_partition, heat_evolve,
                     make_grid, mild_solve_nse,
                     mild_solve_perturbed, mollified_solve, solver, spectral,
-                    solve_with_continuation, subcritical_existence_time)
-from nselab.errors import ConfigError, PicardDivergenceError
-from nselab.families import (critical_random, random_power_law, taylor_green,
+                    solve_with_continuation)
+from nselab.errors import PicardDivergenceError
+from nselab.families import (random_power_law, taylor_green,
                              taylor_green_decay_rate)
 from nselab.besov import block_lp_norms
 from nselab.heat import duhamel_stack, heat_stack
@@ -111,21 +111,6 @@ def test_mollified_rejects_bad_background(grid16):
         mollified_solve(u0, gradient(s), 0.5, small_config(grid16))
     with pytest.raises(GridError):
         mollified_solve(u0, None, 10.0, small_config(grid16))
-
-
-def test_subcritical_existence_time_scaling(grid16, part16):
-    v0 = critical_random(grid16, 4.0, part16, seed=6) * 10.0
-    eps = 0.25
-    t1 = subcritical_existence_time(v0, 8.0, eps, part16)
-    t2 = subcritical_existence_time(v0 * 2.0, 8.0, eps, part16)
-    assert t1 < 10.0  # below the cap, so the power law is active
-    assert t2 / t1 == pytest.approx(2.0 ** (-2.0 / eps), rel=1e-10)
-    zero = SpectralField.zero(grid16, "vector")
-    assert subcritical_existence_time(zero, 8.0, eps, part16) == 10.0
-    with pytest.raises(ConfigError):
-        subcritical_existence_time(v0, 8.0, 0.0, part16)
-    with pytest.raises(ConfigError):
-        subcritical_existence_time(v0, 8.0, 0.7, part16)  # >= -s_q = 5/8
 
 
 def test_continuation_completes_on_small_data(grid16):
