@@ -32,9 +32,8 @@ from .solver import (ContinuationResult, MildSolution, SolverConfig,
                      mild_solve_nse, mild_solve_perturbed, mollified_solve,
                      solve_with_continuation)
 from .spectral import (Grid, Mollifier, SpectralField, apply_multiplier, curl,
-                       dealias, dealias_product, divergence,
-                       divergence_residual, gradient, leray_project,
-                       make_grid, mollify, pressure_from_velocity, read_clf1,
-                       write_clf1)
+                       dealias_product, divergence, divergence_residual,
+                       gradient, leray_project, make_grid, mollify,
+                       pressure_from_velocity, read_clf1, write_clf1)
 
 __version__ = "0.1.0"

@@ -80,23 +80,29 @@ def random_power_law(grid: Grid, alpha: float, seed: int,
     """Random zero-mean field with spectrum |u^(k)| ~ |k|^{-alpha}.
 
     Band-limited to the 2/3 dealias band, Leray-projected for vector
-    rank, and normalized to the requested L^2 norm.
+    rank, and normalized to the requested L^2 norm; ConfigError if that
+    rescale would overflow a coefficient.
     """
     _check_finite(amplitude=amplitude)
     rng = np.random.default_rng(seed)
     lead = () if rank == "scalar" else (grid.dim,)
     noise = rng.standard_normal(lead + grid.shape)
     f = SpectralField.from_physical(grid, noise)
+    # real, over the half spectrum: zeros outside the band keep their sign
+    xi = grid.xi_abs[grid.band.index]
     env = np.zeros_like(grid.xi_sq)
-    nz = grid.xi_sq > 0
-    env[nz] = grid.xi_abs[nz] ** (-alpha)
-    env *= grid.dealias_mask
+    env[grid.band.index] = np.power(xi, -alpha, out=np.zeros_like(xi),
+                                    where=xi > 0)
     f = f.with_coeffs(f.coeffs * env)
     if rank == "vector":
         f = leray_project(f)
     norm = f.l2_norm()
     if norm > 0:
-        f = f * (amplitude / norm)
+        scale = float(amplitude) / norm
+        if not np.isfinite(scale * f.max_abs_coeff()):
+            raise ConfigError(f"amplitude {amplitude} is too large for "
+                              f"{grid!r}: its coefficients would overflow")
+        f = f * scale
     return f
 
 

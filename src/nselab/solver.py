@@ -125,7 +125,7 @@ class MildSolution:
 # Stack helpers
 # ---------------------------------------------------------------------
 
-def _forcing_stack(grid: Grid | Band, x: np.ndarray, tensor,
+def _forcing_stack(band: Band, x: np.ndarray, tensor,
                    series: np.ndarray | None = None) -> np.ndarray:
     """P div T per sample, T = ``tensor(part, px)`` the dealiased tensor
     coefficients built from the physical samples ``px`` of ``x[part]``:
@@ -139,19 +139,19 @@ def _forcing_stack(grid: Grid | Band, x: np.ndarray, tensor,
     the same transform, kernel and jobs, so ``_kato(times, series)`` is
     the Kato norm of x bit for bit, and x is not transformed again."""
     def job(part):
-        px = inverse_transform(grid, x[part])
+        px = inverse_transform(band, x[part])
         if series is not None:
-            series[part] = _sample_norms(grid, px)
+            series[part] = _sample_norms(band, px)
         t = tensor(part, px)
         del px  # not held through P div, where the job's memory peaks
-        return projected_divergence_coeffs(grid, t)
+        return projected_divergence_coeffs(band, t)
 
     return map_samples(job, np.empty_like(x))
 
 
-def _sample_norms(grid: Grid, samples: np.ndarray) -> np.ndarray:
+def _sample_norms(band: Band, samples: np.ndarray) -> np.ndarray:
     """L^KATO_P norm of each physical sample of a stack (chunk)."""
-    return magnitude_lp_norms(grid, samples, KATO_P, 1)
+    return magnitude_lp_norms(band, samples, KATO_P, 1)
 
 
 def kato_stack_norm(grid: Grid | Band, times: np.ndarray, stack: np.ndarray,
@@ -302,14 +302,14 @@ def _picard_checked(u0: SpectralField, config: SolverConfig,
                         report, rd, float(np.max(divs)), config)
 
 
-def _minus_duhamel(grid: Grid | Band, times: np.ndarray,
+def _minus_duhamel(band: Band, times: np.ndarray,
                    g: np.ndarray) -> np.ndarray:
     """-Duhamel(g) on the schedule, written over the recursion's output."""
-    out = duhamel_stack(times, g, grid)
+    out = duhamel_stack(times, g, band)
     return np.negative(out, out=out)
 
 
-def _nse_bilinear(grid: Grid | Band, times: np.ndarray,
+def _nse_bilinear(band: Band, times: np.ndarray,
                   m_rho: np.ndarray | None = None):
     """(x, y) -> B(x, y) = -Duhamel(P div dealias(x (x) (y)_rho)).
 
@@ -318,20 +318,20 @@ def _nse_bilinear(grid: Grid | Band, times: np.ndarray,
     the transform is of (y)_rho, so y is transformed once more."""
     def bilinear(x, y, series=None):
         def tensor(part, px):
-            py = inverse_transform(grid, y[part] if m_rho is None
+            py = inverse_transform(band, y[part] if m_rho is None
                                    else y[part] * m_rho)
             if series is not None:
-                own = py if m_rho is None else inverse_transform(grid, y[part])
-                series[1, part] = _sample_norms(grid, own)
-            return dealiased_tensor(grid, px, py)
+                own = py if m_rho is None else inverse_transform(band, y[part])
+                series[1, part] = _sample_norms(band, own)
+            return dealiased_tensor(band, px, py)
 
-        return _minus_duhamel(grid, times, _forcing_stack(
-            grid, x, tensor, None if series is None else series[0]))
+        return _minus_duhamel(band, times, _forcing_stack(
+            band, x, tensor, None if series is None else series[0]))
 
     return bilinear
 
 
-def _step_forcing(grid: Grid | Band, x: np.ndarray, pv: np.ndarray | None,
+def _step_forcing(band: Band, x: np.ndarray, pv: np.ndarray | None,
                   m_rho: np.ndarray | None,
                   series: np.ndarray | None = None) -> np.ndarray:
     """The nonlinearity of every solve, per sample: P div dealias(x (x)
@@ -343,29 +343,29 @@ def _step_forcing(grid: Grid | Band, x: np.ndarray, pv: np.ndarray | None,
     def tensor(part, px):
         if m_rho is None:
             return symmetric_tensor(
-                grid, px, None if pv is None else 0.5 * px + pv[part])
+                band, px, None if pv is None else 0.5 * px + pv[part])
         t = dealiased_tensor(
-            grid, px, inverse_transform(grid, x[part] * m_rho))
+            band, px, inverse_transform(band, x[part] * m_rho))
         if pv is not None:
-            t += symmetric_tensor(grid, pv[part], px)
+            t += symmetric_tensor(band, pv[part], px)
         return t
 
-    return _forcing_stack(grid, x, tensor, series)
+    return _forcing_stack(band, x, tensor, series)
 
 
-def _cross_linear(grid: Grid | Band, times: np.ndarray, pv: np.ndarray):
+def _cross_linear(band: Band, times: np.ndarray, pv: np.ndarray):
     """w -> B(w, v) + B(v, w) for a fixed v given by its physical samples
     ``pv``: one forcing of the symmetric tensor of v and w.  ``series``
     is as in ``_forcing_stack``."""
     def linear(w, series=None):
-        return _minus_duhamel(grid, times, _forcing_stack(
-            grid, w, lambda part, pw: symmetric_tensor(grid, pv[part], pw),
+        return _minus_duhamel(band, times, _forcing_stack(
+            band, w, lambda part, pw: symmetric_tensor(band, pv[part], pw),
             series))
 
     return linear
 
 
-def _doubled_residual(grid: Grid | Band, times: np.ndarray, stack: np.ndarray,
+def _doubled_residual(band: Band, times: np.ndarray, stack: np.ndarray,
                       a: np.ndarray, forcing) -> float:
     """Integral-equation residual recomputed on a midpoint-refined
     schedule (independent doubled quadrature): the Kato norm, at the
@@ -390,10 +390,10 @@ def _doubled_residual(grid: Grid | Band, times: np.ndarray, stack: np.ndarray,
         fine = interpolate_stack(times, stack, ft)
         g = forcing(ft, fine)
         if s == 0:
-            duh = duhamel_stack(ft, g, grid)
+            duh = duhamel_stack(ft, g, band)
         else:
             duh = duhamel_stack(fine_times[s - 1:s + chunk],
-                                np.concatenate([g_last, g]), grid,
+                                np.concatenate([g_last, g]), band,
                                 start=duh[-1])[1:]
         g_last = g[-1:]
         # the original samples are the even refined ones, from (s + 1) // 2
@@ -401,7 +401,7 @@ def _doubled_residual(grid: Grid | Band, times: np.ndarray, stack: np.ndarray,
         rhs = np.negative(duh[keep])
         rhs += a[(s + 1) // 2:][:len(rhs)]
         resid = np.subtract(fine[keep], rhs, out=rhs)
-        worst = max(worst, kato_stack_norm(grid, ft[keep], resid, KATO_P))
+        worst = max(worst, kato_stack_norm(band, ft[keep], resid, KATO_P))
     return worst
 
 

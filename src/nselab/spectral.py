@@ -22,7 +22,8 @@ Transforms are ``scipy.fft`` real-to-complex/complex-to-real FFTs.  A
 grid's transforms are whole ``rfftn``/``irfftn`` calls; a dealias band's
 (``Band.forward`` and ``Band.inverse``) are 1-D FFTs along one axis at a
 time that skip the lines the band cannot reach, and give the same bits
-as the whole transforms.  Fields are real, so coefficients are
+as the whole transforms.  ``Band`` holds the 2/3 rule, and every product
+is dealiased by ``Band.forward``.  Fields are real, so coefficients are
 Hermitian, ``c_{-k} = conj(c_k)``, and only the real-FFT half spectrum
 is held: the last grid axis has N//2+1 entries, the first N//2+1 of the
 ``fftfreq`` order (k_last = 0 .. N/2-1, then -N/2).  A sum over all
@@ -116,8 +117,6 @@ class Grid:
         self.deriv_xi_sq = np.sum(self.deriv_wavevectors**2, axis=0)
         self.xi_sq = np.sum(self.wavevectors**2, axis=0)
         self.xi_abs = np.sqrt(self.xi_sq)
-        # 2/3 rule, 3|k_i| < n: no product of kept modes aliases into them
-        self.dealias_mask = np.all(3 * np.abs(self.k_int) < self.n, axis=0)
         # 1/|xi|^2 on the derivative wavevectors, 0 where xi = 0
         self.inverse_laplacian = np.divide(
             1.0, self.deriv_xi_sq, out=np.zeros_like(self.deriv_xi_sq),
@@ -181,38 +180,40 @@ def _shells(xi_sq: np.ndarray):
 
 class Band:
     """The 2/3 dealias band of a grid as a rectangular block of the half
-    spectrum, a view that the grid operators take in place of the grid.
+    spectrum, a view that the grid operators take in place of the grid,
+    and the package's one statement of the 2/3 rule.
 
-    ``Grid.dealias_mask`` keeps the modes with 3|k_i| < n on every axis i,
-    so the band is the block ``index`` (an ``np.ix_`` index) of the modes
-    its line through k = 0 keeps on each axis, in ``fftfreq`` order.  A
+    The rule keeps the modes with 3|k_i| < n on every axis i, so that no
+    product of kept modes aliases into them: the block ``index`` (an
+    ``np.ix_`` index) of k = 0 .. h-1, h = (n-1)//3 + 1, on the last axis
+    and of those and -(h-1) .. -1 on the others, in ``fftfreq`` order.  A
     coefficient array in band layout holds that block in its trailing
-    ``dim`` axes: ``gather`` takes it from the half spectrum and ``scatter``
-    puts it back among zeros, so ``scatter(gather(c))`` is
-    ``c * dealias_mask``.  The band carries its own ``deriv_wavevectors``,
+    ``dim`` axes: ``gather`` takes it from the half spectrum and
+    ``scatter`` puts it back among zeros, so ``scatter(gather(c))`` is c
+    truncated to the band.  The band carries its own ``deriv_wavevectors``,
     ``inverse_laplacian``, ``xi_sq`` and ``xi_sq_shells`` and the grid's
     ``dim``, ``xi_max``, ``shape`` and ``cell_volume``, so that P div, the
-    Leray projection, the heat and Duhamel stacks, the dealiased tensors
-    and the L^p norms run on it unchanged.  Outside the band no code knows
-    the layout: its own transforms, ``inverse`` and ``forward``, run only
-    the FFT lines that the block can reach, bit for bit the whole
-    transforms of the masked half spectrum.
+    Leray projection, the heat and Duhamel stacks and the L^p norms run on
+    it unchanged.  Outside the band no code knows the layout: its own
+    transforms, ``inverse`` and ``forward``, run only the FFT lines that
+    the block can reach, bit for bit the whole transforms of the truncated
+    half spectrum, and ``forward`` is the one way a product is dealiased.
     """
 
     def __init__(self, grid: Grid):
-        mask, zeros = grid.dealias_mask, (0,) * (grid.dim - 1)
-        self.index = np.ix_(*(np.flatnonzero(np.moveaxis(mask, a, -1)[zeros])
-                              for a in range(grid.dim)))
-        # k = 0 .. h-1 on the last axis; the other axes add -(h-1) .. -1
-        h = self._h = self.index[-1].size
+        n, h = grid.n, (grid.n - 1) // 3 + 1
+        rows = np.r_[:h, n - h + 1:n]
+        self.index = np.ix_(*[rows] * (grid.dim - 1), np.arange(h))
+        self._h = h
         self._halves = ((slice(None, h), slice(None, h)),
-                        (slice(grid.n - h + 1, None), slice(h, None)))
-        rows = np.r_[:h, grid.n - h + 1:grid.n]
-        assert all(np.array_equal(i.ravel(), rows) for i in self.index[:-1])
+                        (slice(n - h + 1, None), slice(h, None)))
         # the 1/N^d of norm="forward", rounded from long double as
         # pocketfft rounds it
         self._scale = float(1 / np.longdouble(grid.n) ** grid.dim)
-        self.grid = grid
+        # no reference to the grid, which holds the band: without that
+        # cycle a dropped grid is freed at once
+        self._half_shape = grid.xi_sq.shape
+        self._repr = f"{grid!r}.band"
         self.dim = grid.dim
         self.xi_max = grid.xi_max
         self.shape = grid.shape
@@ -235,7 +236,7 @@ class Band:
         """Half-spectrum coefficients that hold ``block`` in the band and
         zero elsewhere."""
         lead = block.shape[:block.ndim - self.dim]
-        out = np.zeros(lead + self.grid.xi_sq.shape, dtype=np.complex128)
+        out = np.zeros(lead + self._half_shape, dtype=np.complex128)
         out[(Ellipsis,) + self.index] = block
         return out
 
@@ -245,7 +246,7 @@ class Band:
         widened into zeros and transformed in pocketfft's order, but only
         on the lines the block reaches; the last axis is a full
         ``irfft``."""
-        n, h = self.grid.n, self._h
+        n, h = self.shape[-1], self._h
         x = block
         for a in range(-self.dim, -1):
             shape = list(x.shape)
@@ -280,7 +281,7 @@ class Band:
         return self.gather(half)
 
     def __repr__(self):
-        return f"{self.grid!r}.band"
+        return self._repr
 
 
 def _on_axis(axis: int, part: slice) -> tuple:
@@ -466,42 +467,30 @@ def projected_divergence_coeffs(grid: Grid, tensor: np.ndarray) -> np.ndarray:
     return leray_coeffs(grid, g)
 
 
-def _dealiased(grid: Grid | Band, products: np.ndarray) -> np.ndarray:
-    """2/3-rule dealiased coefficients of physical products, in the
-    layout of ``grid``: a grid multiplies its half spectrum by the mask,
-    a band transforms into its block (``Band.forward``)."""
-    if isinstance(grid, Band):
-        return grid.forward(products)
-    out = forward_half(grid, products)
-    out *= grid.dealias_mask
-    return out
-
-
-def _dealiased_products(grid: Grid | Band, count: int,
-                        products) -> np.ndarray:
-    """``_dealiased`` of ``count`` physical products stacked on the axis
-    just before the grid axes, ``products(s)`` forming those of the slice
-    ``s`` of that axis.  They are formed and transformed ``grid.dim`` at
-    a time into one output, so the physical temporaries are never larger
-    than one vector field's."""
+def _dealiased_products(band: Band, count: int, products) -> np.ndarray:
+    """Band coefficients (``Band.forward``) of ``count`` physical products
+    stacked on the axis just before the grid axes, ``products(s)``
+    forming those of the slice ``s`` of that axis.  They are formed and
+    transformed ``band.dim`` at a time into one output, so the physical
+    temporaries are never larger than one vector field's."""
     out = None
-    for start in range(0, count, grid.dim):
-        part = slice(start, start + grid.dim)
-        c = _dealiased(grid, products(part))
+    for start in range(0, count, band.dim):
+        part = slice(start, start + band.dim)
+        c = band.forward(products(part))
         if out is None:
-            out = np.empty(c.shape[:-grid.dim - 1] + (count,)
-                           + c.shape[-grid.dim:], dtype=c.dtype)
-        out[(Ellipsis, part) + (slice(None),) * grid.dim] = c
+            out = np.empty(c.shape[:-band.dim - 1] + (count,)
+                           + c.shape[-band.dim:], dtype=c.dtype)
+        out[(Ellipsis, part) + (slice(None),) * band.dim] = c
     return out
 
 
-def symmetric_tensor(grid: Grid | Band, pv: np.ndarray,
+def symmetric_tensor(band: Band, pv: np.ndarray,
                      pw: np.ndarray | None) -> np.ndarray:
-    """Dealiased coefficients of the symmetric tensor v_i v_j (``pw`` is
-    None) or v_i w_j + w_i v_j from physical vector samples.  Only the
+    """Dealiased band coefficients of the symmetric tensor v_i v_j (``pw``
+    is None) or v_i w_j + w_i v_j from physical vector samples.  Only the
     d(d+1)/2 entries i <= j are formed and transformed."""
-    axis = -grid.dim - 1
-    i, j = np.triu_indices(grid.dim)
+    axis = -band.dim - 1
+    i, j = np.triu_indices(band.dim)
 
     def products(s):
         prod = np.take(pv, i[s], axis) * np.take(pv if pw is None else pw,
@@ -510,21 +499,20 @@ def symmetric_tensor(grid: Grid | Band, pv: np.ndarray,
             prod += np.take(pw, i[s], axis) * np.take(pv, j[s], axis)
         return prod
 
-    out = _dealiased_products(grid, i.size, products)
-    pair = np.empty((grid.dim, grid.dim), dtype=np.intp)
+    out = _dealiased_products(band, i.size, products)
+    pair = np.empty((band.dim, band.dim), dtype=np.intp)
     pair[i, j] = pair[j, i] = np.arange(i.size)
     return np.take(out, pair, axis)
 
 
-def dealiased_tensor(grid: Grid | Band, pv: np.ndarray,
-                     pw: np.ndarray) -> np.ndarray:
-    """2/3-rule dealiased coefficients of the tensor v_i w_j from physical
+def dealiased_tensor(band: Band, pv: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    """Dealiased band coefficients of the tensor v_i w_j from physical
     vector samples (all d^2 products formed and transformed, one row
     v_i w_. at a time)."""
-    axis = -grid.dim - 1
-    out = _dealiased_products(grid, grid.dim**2, lambda s: np.expand_dims(
-        np.take(pv, s.start // grid.dim, axis), axis) * pw)
-    return out.reshape(out.shape[:axis] + (grid.dim, grid.dim)
+    axis = -band.dim - 1
+    out = _dealiased_products(band, band.dim**2, lambda s: np.expand_dims(
+        np.take(pv, s.start // band.dim, axis), axis) * pw)
+    return out.reshape(out.shape[:axis] + (band.dim, band.dim)
                        + out.shape[axis + 1:])
 
 
@@ -851,12 +839,20 @@ def divergence_residual(field: SpectralField) -> float:
 def check_flow(grid: Grid, f, what: str) -> None:
     """The one rule for every flow a run reads: GridError unless ``f`` (a
     field, or a trajectory checked sample by sample) is a vector field on
-    ``grid`` that is finite and divergence-free to 1e-10."""
+    ``grid`` that is finite, divergence-free to 1e-10, and small enough
+    that a transform's sum over n^d products of two such flows, each a
+    sum of two, cannot overflow: |f(x)| is at most the sum of |c_k|."""
     if f.grid != grid or f.rank != _VECTOR:
         raise GridError(f"{what} must be a vector field on the grid")
     if not np.all(np.isfinite(f.coeffs)):
         raise GridError(f"{what} must be finite")
     batch_axes = f.coeffs.ndim - grid.dim - 1
+    with np.errstate(over="ignore"):
+        size = np.abs(f.coeffs)
+        size *= grid.hermitian_weight
+        peak = float(np.max(np.sum(size, tuple(range(batch_axes, size.ndim)))))
+    if not math.isfinite(2.0 * grid.n**grid.dim * peak * peak):
+        raise GridError(f"{what} is too large: its products would overflow")
     if np.max(divergence_residuals(grid, f.coeffs, batch_axes)) > 1e-10:
         raise GridError(f"{what} must be divergence-free")
 
@@ -870,12 +866,13 @@ def dealias_product(u: SpectralField, v: SpectralField) -> SpectralField:
     """
     if u.grid != v.grid:
         raise GridError("fields on different grids")
-    g = u.grid
+    g, band = u.grid, u.grid.band
     if u.rank == _VECTOR and v.rank == _VECTOR:
         pu = u.to_physical()
-        c = symmetric_tensor(g, pu, None) if v is u else \
-            dealiased_tensor(g, pu, v.to_physical())
-        return SpectralField(g, _MATRIX, c, check_hermitian=False)
+        c = symmetric_tensor(band, pu, None) if v is u else \
+            dealiased_tensor(band, pu, v.to_physical())
+        return SpectralField(g, _MATRIX, band.scatter(c),
+                             check_hermitian=False)
     if v.rank == _SCALAR and u.rank != _SCALAR:
         return dealias_product(v, u)
     if u.rank != _SCALAR:
@@ -883,13 +880,8 @@ def dealias_product(u: SpectralField, v: SpectralField) -> SpectralField:
     pu = u.to_physical()
     pv = v.to_physical()
     prod = pu[(None,) * (pv.ndim - pu.ndim)] * pv
-    return SpectralField(g, v.rank, _dealiased(g, prod),
+    return SpectralField(g, v.rank, band.scatter(band.forward(prod)),
                          check_hermitian=False)
-
-
-def dealias(field: SpectralField) -> SpectralField:
-    """Truncate a field to the 2/3 dealias band."""
-    return field.with_coeffs(field.coeffs * field.grid.dealias_mask)
 
 
 def pressure_from_velocity(u: SpectralField, v: SpectralField) -> SpectralField:

@@ -142,6 +142,20 @@ def test_solve_rejects_a_bad_solver_setting(tmp_path, capsys, field, value,
     assert message in capsys.readouterr().err
 
 
+def test_solve_rejects_a_field_file_on_another_grid(field_file, tmp_path,
+                                                    capsys):
+    # the file holds a 16^3 field; the config asks for 8^3
+    config = {"clab_config": 1, "dim": 3, "n": 8,
+              "box_length": 2.0 * np.pi, "horizon": 0.1,
+              "recipe": {"family": "file", "path": field_file}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["solve", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "field file grid does not match the config" in \
+        capsys.readouterr().err
+
+
 def test_report_missing_archive(tmp_path):
     assert main(["report", "--archive", str(tmp_path / "empty")]) == 2
 

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from nselab import (BesovIndex, ConfigError, DiagnosticsReport,
                     SolverConfig, Trajectory, besov_norm, critical_exponent,
                     default_partition, energy_ledger, gradient,
                     heat_trajectory, leray_monitor, mild_solve_perturbed,
-                    rescale, rescale_trajectory, run_experiment,
-                    time_schedule, vanishing_test)
+                    make_grid, rescale, rescale_trajectory, run_experiment,
+                    time_schedule, vanishing_test, write_clf1)
 from nselab.families import critical_random, random_power_law, taylor_green
 
 
@@ -208,6 +209,27 @@ def test_run_experiment_zero_recipe(tmp_path):
     assert np.all(report.besov_series == 0.0)
     assert isinstance(report, DiagnosticsReport)
     assert report.summary()["n_samples"] == report.times.size
+
+
+def test_file_recipe_equals_the_random_recipe(tmp_path):
+    # the benchmark's input path: a CLF1 file of random data runs as the
+    # same data drawn in process
+    grid = make_grid(3, 16, 2 * np.pi)
+    path = str(tmp_path / "u0.clf1")
+    write_clf1(path, random_power_law(grid, alpha=2.0, seed=5,
+                                      amplitude=0.3))
+    archives = []
+    for recipe in ({"family": "file", "path": path},
+                   {"family": "random", "amplitude": 0.3}):
+        out = str(tmp_path / recipe["family"])
+        report = run_experiment(ExperimentConfig(
+            dim=3, n=16, box_length=2 * np.pi, horizon=0.1, recipe=recipe,
+            seed=5, n_geometric=6, n_uniform=6, measure_probes=2,
+            out_dir=out))
+        assert report.status == "completed"
+        archives.append([pathlib.Path(out, name).read_bytes()
+                         for name in ("series.csv", "ledger.csv")])
+    assert archives[0] == archives[1]
 
 
 def test_split_perturbed_summary_holds_the_doubled_residual(monkeypatch):

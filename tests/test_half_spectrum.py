@@ -121,8 +121,11 @@ def test_half_bilinear_matches_full_reference(dim):
     times = np.array([0.0, 0.01, 0.05, 0.2])
     x, y = _stacks(grid, times)
     assert x.shape[-1] == grid.n // 2 + 1
-    bilinear = _nse_bilinear(grid, times)
-    for got, a, b in ((bilinear(x, x), x, x), (bilinear(x, y), x, y)):
+    band = grid.band
+    bilinear = _nse_bilinear(band, times)
+    xb, yb = band.gather(x), band.gather(y)
+    for got, a, b in ((band.scatter(bilinear(xb, xb)), x, x),
+                      (band.scatter(bilinear(xb, yb)), x, y)):
         want = _full_bilinear_reference(grid, times, a, b)
         scale = np.max(np.abs(want))
         assert scale > 0
@@ -131,10 +134,11 @@ def test_half_bilinear_matches_full_reference(dim):
 
 def test_cross_linear_matches_two_bilinear_calls(grid16):
     times = np.array([0.0, 0.01, 0.05, 0.2])
-    w, v = _stacks(grid16, times)
-    bilinear = _nse_bilinear(grid16, times)
+    band = grid16.band
+    w, v = (band.gather(s) for s in _stacks(grid16, times))
+    bilinear = _nse_bilinear(band, times)
     want = bilinear(w, v) + bilinear(v, w)
-    got = _cross_linear(grid16, times, inverse_transform(grid16, v))(w)
+    got = _cross_linear(band, times, inverse_transform(band, v))(w)
     scale = np.max(np.abs(want))
     assert scale > 0
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
@@ -214,7 +218,9 @@ def test_half_ledger_matches_full_reference(grid16):
     assert np.shares_memory(traj.coeffs, sol.report.solution)
     assert np.array_equal(traj.coeffs, sol.report.solution)
     led = energy_ledger(traj, substeps=8)
-    g_half = -_step_forcing(grid16, sol.report.solution, None, None)
+    band = grid16.band
+    g_half = -band.scatter(_step_forcing(
+        band, band.gather(sol.report.solution), None, None))
     ref = _full_ledger_reference(traj, g_half, 8)
     for got, want in zip((led.energy, led.dissipation, led.work, led.slacks),
                          ref):
@@ -229,9 +235,10 @@ def test_mollified_ledger_is_the_solvers_mollified_forcing(grid16):
     cfg = SolverConfig(grid=grid16, horizon=0.2, n_geometric=4, n_uniform=4,
                        measure_probes=0)
     traj = mollified_solve(u0, None, 0.5, cfg).trajectory
-    m_rho = Mollifier(3, 0.5).symbol(grid16)
-    want = energy_ledger(traj, substeps=8, g_stack=-_step_forcing(
-        grid16, traj.coeffs, None, m_rho))
+    band = grid16.band
+    m_rho = band.gather(Mollifier(3, 0.5).symbol(grid16))
+    want = energy_ledger(traj, substeps=8, g_stack=-band.scatter(
+        _step_forcing(band, band.gather(traj.coeffs), None, m_rho)))
     led = energy_ledger(traj, rho=0.5, substeps=8)
     assert np.max(np.abs(led.work)) > 0
     for got, ref in ((led.energy, want.energy), (led.work, want.work),
@@ -250,7 +257,9 @@ def test_2d_ledger_matches_full_reference(grid2d, substeps):
                        measure_probes=0)
     sol = mild_solve_nse(u0, cfg)
     led = energy_ledger(sol.trajectory, substeps=substeps)
-    g_half = -_step_forcing(grid2d, sol.report.solution, None, None)
+    band = grid2d.band
+    g_half = -band.scatter(_step_forcing(
+        band, band.gather(sol.report.solution), None, None))
     assert np.max(np.abs(g_half)) > 0
     ref = _full_ledger_reference(sol.trajectory, g_half, substeps)
     for got, want in zip((led.energy, led.dissipation, led.work, led.slacks),
@@ -259,9 +268,12 @@ def test_2d_ledger_matches_full_reference(grid2d, substeps):
 
 
 def _pair_forcing(grid, x, y):
-    """P div dealias(x (x) y) per sample, by the general tensor."""
-    return _forcing_stack(grid, x, lambda part, px: dealiased_tensor(
-        grid, px, inverse_transform(grid, y[part])))
+    """P div dealias(x (x) y) per sample, by the general tensor, in the
+    half spectrum."""
+    band = grid.band
+    return band.scatter(_forcing_stack(
+        band, band.gather(x), lambda part, px: dealiased_tensor(
+            band, px, inverse_transform(band, band.gather(y[part])))))
 
 
 def test_ledger_background_coupling_is_one_symmetric_forcing(grid16):

@@ -14,16 +14,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from nselab import (BesovIndex, NormReport, NseLabError, SolverConfig,
-                    SplitConfig, SpectralField, Trajectory, default_partition,
-                    exponent_sweep, make_grid)
+from nselab import (BesovIndex, ConfigError, GridError, NormReport,
+                    NseLabError, SolverConfig, SplitConfig, SpectralField,
+                    Trajectory, default_partition, exponent_sweep, make_grid,
+                    split)
 from nselab import besov, cli, diagnostics
 from nselab.diagnostics import (DiagnosticsReport, ExperimentConfig,
                                 LedgerReport, _archive, finite_json,
                                 run_experiment)
-from nselab.families import random_power_law
+from nselab.families import random_power_law, taylor_green
 from nselab.solver import solve_with_continuation
-from nselab.spectral import read_clf1
+from nselab.spectral import check_flow, read_clf1
 
 
 def _strict_loads(text):
@@ -294,6 +295,10 @@ def experiment_configs(draw):
     return config
 
 
+# the unit box, horizon 1 and no probes
+_UNIT_RUN = {"box_length": 1.0, "horizon": 1.0, "measure_probes": 0}
+
+
 def _tg_2d(**kw):
     config = {"clab_config": 1, "dim": 2, "n": 8, "box_length": 2 * math.pi,
               "horizon": 0.3, "recipe": {"family": "taylor-green"},
@@ -314,6 +319,22 @@ def test_non_finite_data_exits_2(tmp_path, capsys, solver, amplitude):
                      "--out", str(tmp_path / "out")])
     assert code == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_data_whose_products_could_overflow_are_refused():
+    # sup |u| is bounded by the sum of |c_k|, with no transform
+    grid = make_grid(2, 8, 1.0)
+    for amplitude in (1e154, 1e300):
+        data = taylor_green(grid, amplitude)
+        with pytest.raises(GridError, match="too large"):
+            check_flow(grid, data, "data")
+        with pytest.raises(GridError, match="too large"):
+            split(data, SplitConfig(4.0, 8.0, 1.0), default_partition(grid))
+    check_flow(grid, taylor_green(grid, 1e140), "data")
+    # the rescale to the amplitude is refused before it overflows
+    with pytest.raises(ConfigError, match="too large"):
+        random_power_law(make_grid(2, 8, 1e-13), 2.0, 1, amplitude=1e300)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -400,6 +421,20 @@ def _csv_rows(path):
                        solver="mollified"))
 @example(config=_tg_2d(recipe={"family": "random", "amplitude": math.nan},
                        solver="split-perturbed"))
+# data whose products overflow once raised a RuntimeWarning in the solve
+@example(config=_tg_2d(recipe={"family": "random", "amplitude": 1e300},
+                       **_UNIT_RUN))
+@example(config=_tg_2d(recipe={"family": "random", "amplitude": 1e154},
+                       solver="mollified", **_UNIT_RUN))
+@example(config=_tg_2d(recipe={"family": "random", "amplitude": 1e300},
+                       solver="split-perturbed", **_UNIT_RUN))
+@example(config=_tg_2d(recipe={"family": "random", "amplitude": 1e154},
+                       solver="split-perturbed", **_UNIT_RUN))
+@example(config=_tg_2d(recipe={"family": "taylor-green", "amplitude": 1e300},
+                       **_UNIT_RUN))
+# and a rescale of random data that overflowed to inf * 0
+@example(config=_tg_2d(recipe={"family": "random", "amplitude": 1e300},
+                       **{**_UNIT_RUN, "box_length": 1e-13}))
 def test_solve_config_exits_with_a_code(tmp_path, capsys, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from nselab import (GridError, Mollifier, QuadratureError, SolverConfig,
-                    SpectralField, Trajectory, default_partition, heat_evolve,
-                    make_grid, mild_solve_nse,
-                    mild_solve_perturbed, mollified_solve, solver, spectral,
-                    solve_with_continuation)
+                    SpectralField, Trajectory, curl, default_partition,
+                    divergence_residual, heat_evolve, make_grid,
+                    mild_solve_nse, mild_solve_perturbed, mollified_solve,
+                    solver, spectral, solve_with_continuation)
 from nselab.errors import PicardDivergenceError
-from nselab.families import (random_power_law, taylor_green,
+from nselab.families import (abc_flow, random_power_law, taylor_green,
                              taylor_green_decay_rate)
 from nselab.besov import block_lp_norms
 from nselab.heat import duhamel_stack, heat_stack
@@ -45,6 +45,23 @@ def test_taylor_green_is_exact_heat_decay(grid2d):
     l2 = sol.trajectory.lp_series(2.0)
     t = sol.trajectory.times
     assert np.allclose(l2, l2[0] * np.exp(-rate * t), rtol=1e-10)
+
+
+@pytest.mark.parametrize("box_length", [2.0 * np.pi, 3.0])
+def test_abc_flow_is_beltrami_and_exact_heat_decay(box_length):
+    # curl u = k u, so u . grad u = grad |u|^2/2 - u x curl u is a gradient,
+    # which P removes: the mild solution is the heat flow of the data
+    grid = make_grid(3, 16, box_length)
+    k = 2.0 * np.pi / box_length
+    u0 = abc_flow(grid, 1.0, 0.7, 0.4, amplitude=2.0)
+    scale = u0.max_abs_coeff()
+    assert divergence_residual(u0) < 1e-15
+    assert np.max(np.abs(curl(u0).coeffs - k * u0.coeffs)) < 1e-14 * scale
+    sol = mild_solve_nse(u0, small_config(grid, horizon=0.3))
+    assert sol.report.converged and sol.report.iterations == 1
+    for t, f in sol.trajectory:
+        dev = np.max(np.abs(f.coeffs - np.exp(-k * k * t) * u0.coeffs))
+        assert dev < 1e-14 * scale
 
 
 def test_zero_data_stays_zero(grid16):
@@ -194,17 +211,19 @@ def test_sample_jobs_equal_a_serial_run(grid16, monkeypatch, case):
         grid16, alpha=2.0, seed=seed, amplitude=0.3).coeffs
         for seed in range(first, first + 13)]) for first in (0, 20))
     times = np.linspace(0.0, 0.3, 13)
-    m_rho = Mollifier(3, 0.5).symbol(grid16)
+    band = grid16.band
+    xb, yb = band.gather(x), band.gather(y)
+    m_rho = band.gather(Mollifier(3, 0.5).symbol(grid16))
     px = inverse_transform(grid16, x)
     call = {
-        "x_x": lambda: _step_forcing(grid16, x, None, None),
-        "x_y": lambda: _forcing_stack(grid16, x, lambda part, p: (
-            dealiased_tensor(grid16, p, inverse_transform(grid16, y[part])))),
-        "mollified": lambda: _step_forcing(grid16, x, None, m_rho),
-        "cross": lambda: _forcing_stack(grid16, y, lambda part, py: (
-            symmetric_tensor(grid16, px[part], py))),
-        "fused": lambda: _step_forcing(grid16, y, px, None),
-        "mollified_cross": lambda: _step_forcing(grid16, y, px, m_rho),
+        "x_x": lambda: _step_forcing(band, xb, None, None),
+        "x_y": lambda: _forcing_stack(band, xb, lambda part, p: (
+            dealiased_tensor(band, p, inverse_transform(band, yb[part])))),
+        "mollified": lambda: _step_forcing(band, xb, None, m_rho),
+        "cross": lambda: _forcing_stack(band, yb, lambda part, py: (
+            symmetric_tensor(band, px[part], py))),
+        "fused": lambda: _step_forcing(band, yb, px, None),
+        "mollified_cross": lambda: _step_forcing(band, yb, px, m_rho),
         "kato": lambda: kato_stack_norm(grid16, times, x, 4.0),
         "blocks": lambda: block_lp_norms(grid16, x, default_partition(grid16),
                                          4.0, 1),
@@ -325,14 +344,15 @@ def test_gamma_cache_key(grid16, probe_log):
 
 
 def test_fused_step_matches_linear_plus_bilinear(grid16):
-    v, x = (np.stack([random_power_law(
+    band = grid16.band
+    v, x = (band.gather(np.stack([random_power_law(
         grid16, alpha=2.0, seed=seed, amplitude=0.3).coeffs
-        for seed in range(first, first + 6)]) for first in (0, 10))
+        for seed in range(first, first + 6)])) for first in (0, 10))
     times = np.array([0.0, 0.01, 0.03, 0.07, 0.15, 0.3])
-    pv = inverse_transform(grid16, v)
-    want = _cross_linear(grid16, times, pv)(x) \
-        + _nse_bilinear(grid16, times)(x, x)
-    got = -duhamel_stack(times, _step_forcing(grid16, x, pv, None), grid16)
+    pv = inverse_transform(band, v)
+    want = _cross_linear(band, times, pv)(x) \
+        + _nse_bilinear(band, times)(x, x)
+    got = -duhamel_stack(times, _step_forcing(band, x, pv, None), band)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -357,11 +377,13 @@ def test_streamed_residual_equals_one_pass(grid16, monkeypatch, kind):
     assert (2 * times.size - 1) % (spectral.SAMPLE_CHUNK * 2) != 0
     v0 = random_power_law(grid16, alpha=2.0, seed=4, amplitude=0.5)
     sol = mild_solve_nse(v0, cfg)
+    band = grid16.band
     if kind == "direct":
         u0 = v0
 
         def forcing(fine_times, fine):
-            return _step_forcing(grid16, fine, None, None)
+            return band.scatter(_step_forcing(band, band.gather(fine), None,
+                                              None))
     else:
         u0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.5)
         v_stack = sol.trajectory.coeffs
@@ -370,7 +392,8 @@ def test_streamed_residual_equals_one_pass(grid16, monkeypatch, kind):
         def forcing(fine_times, fine):
             pv = inverse_transform(grid16, interpolate_stack(
                 times, v_stack, fine_times))
-            return _step_forcing(grid16, fine, pv, None)
+            return band.scatter(_step_forcing(band, band.gather(fine), pv,
+                                              None))
     want = _one_pass_residual(grid16, times, sol.report.solution,
                               grid16.band.scatter(_prepare_data(u0, grid16)),
                               forcing)
@@ -381,19 +404,20 @@ def test_streamed_residual_equals_one_pass(grid16, monkeypatch, kind):
 def test_streamed_residual_memory_does_not_grow_with_the_schedule(
         grid16, monkeypatch):
     monkeypatch.setattr(spectral, "FFT_WORKERS", 2)
-    c0 = grid16.band.scatter(_prepare_data(
-        random_power_law(grid16, alpha=2.0, seed=4, amplitude=0.5), grid16))
+    band = grid16.band
+    c0 = _prepare_data(
+        random_power_law(grid16, alpha=2.0, seed=4, amplitude=0.5), grid16)
 
     def forcing(fine_times, fine):
-        return _step_forcing(grid16, fine, None, None)
+        return _step_forcing(band, fine, None, None)
 
     peaks = []
     for n_samples in (25, 49):
         times = np.linspace(0.0, 0.2, n_samples)
-        stack = heat_stack(grid16, c0, times)
+        stack = heat_stack(band, c0, times)
         tracemalloc.start()
         try:
-            _doubled_residual(grid16, times, stack, stack, forcing)
+            _doubled_residual(band, times, stack, stack, forcing)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -478,11 +502,11 @@ def test_mollified_solve_around_a_background(grid16, monkeypatch):
     want = problem.linear(x) + problem.bilinear(x, x)
     assert np.max(np.abs(problem.step(x)[0] - want)) \
         <= 1e-13 * np.max(np.abs(want))
-    m_rho = Mollifier(3, 0.5).symbol(grid16)
+    band = grid16.band
+    m_rho = band.gather(Mollifier(3, 0.5).symbol(grid16))
     pv = inverse_transform(grid16, v.coeffs)
-    want = grid16.band.gather(_cross_linear(grid16, cfg.schedule(), pv)(full)
-                              + _nse_bilinear(grid16, cfg.schedule(),
-                                              m_rho)(full, full))
+    want = _cross_linear(band, cfg.schedule(), pv)(x) \
+        + _nse_bilinear(band, cfg.schedule(), m_rho)(x, x)
     assert np.max(np.abs(problem.step(x)[0] - want)) \
         <= 1e-13 * np.max(np.abs(want))
 
@@ -710,7 +734,8 @@ def test_solver_stacks_are_band_blocks(grid16, monkeypatch):
     assert stack.shape == (samples, 3) + grid16.xi_sq.shape
     assert not stack.flags.writeable
     assert np.shares_memory(stack, sol.trajectory.coeffs)
-    assert not np.any(stack[..., ~grid16.dealias_mask])
+    mask = np.all(3 * np.abs(grid16.k_int) < grid16.n, axis=0)
+    assert not np.any(stack[..., ~mask])
 
 
 def _out_of_place(problem, tol, max_iter):
