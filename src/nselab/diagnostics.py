@@ -22,9 +22,9 @@ from .heat import exponential_weights
 from .solver import (SolverConfig, mild_solve_nse, mild_solve_perturbed,
                      mollified_solve, nonlinear_forcing,
                      solve_with_continuation)
-from .spectral import (Grid, Mollifier, SpectralField, atomic_write_bytes,
-                       divergence_residuals, finite_json, read_clf1,
-                       write_clf1)
+from .spectral import (Band, Grid, Mollifier, SpectralField,
+                       atomic_write_bytes, divergence_residuals, finite_json,
+                       read_clf1, write_clf1)
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -172,6 +172,15 @@ class LedgerReport:
         return float(np.max(np.abs(self.slacks)))
 
 
+def _band_block(band: Band, stack: np.ndarray) -> np.ndarray | None:
+    """The band block of ``stack``, or None unless the stack is zero
+    outside the band: the block holds every nonzero of the stack exactly
+    when their counts agree."""
+    block = band.gather(stack)
+    return block if np.count_nonzero(block) == np.count_nonzero(stack) \
+        else None
+
+
 def energy_ledger(traj: Trajectory, background=None,
                   rho: float | None = None, substeps: int = 32,
                   g_stack: np.ndarray | None = None) -> LedgerReport:
@@ -194,23 +203,36 @@ def energy_ledger(traj: Trajectory, background=None,
     dissipation and work at every node are quadratic forms in the Gram
     matrices of (u_i, g_i, g_{i+1}) per |xi|^2 shell, summed with
     Hermitian weights (the full-spectrum sum for real fields).
+
+    The sums run over the grid's dealias band (``Grid.band``) when the
+    trajectory, and ``g_stack`` if given, are zero outside it, as every
+    solver trajectory is, and over the whole half spectrum otherwise.
+    The modes left out hold exact zeros, so the two layouts give the same
+    per-shell sums, and their sums over the shells agree to rounding.
     """
     if substeps < 2 or substeps % 2 != 0:
         raise ConfigError("substeps must be even and >= 2")
-    grid = traj.grid
-    times = traj.times
-    u, g = traj.coeffs, g_stack
-    if g is None:
-        g = nonlinear_forcing(traj, background, rho) if len(u) > 1 \
-            else np.zeros_like(u)
+    times, band = traj.times, traj.grid.band
+    if g_stack is None:
+        # the solvers' forcing is a band block, formed before u's block
+        # so that their peaks do not add
+        g = nonlinear_forcing(traj, background, rho) if len(traj) > 1 \
+            else np.zeros_like(band.gather(traj.coeffs))
+    else:
+        g = _band_block(band, g_stack)
+    u = None if g is None else _band_block(band, traj.coeffs)
+    layout = band
+    if u is None:
+        layout, u = traj.grid, traj.coeffs
+        g = band.scatter(g) if g_stack is None else g_stack
     fracs = np.linspace(0.0, 1.0, substeps + 1)
     dt = np.diff(times)
     tau = np.multiply.outer(dt, fracs)  # (interval, node)
-    decay, alpha, beta = exponential_weights(grid, tau)
-    values, shell = grid.xi_sq_shells
-    weight = grid.volume * grid.hermitian_weight
+    decay, alpha, beta = exponential_weights(layout, tau)
+    values, shell = layout.xi_sq_shells
+    weight = layout.volume * layout.hermitian_weight
     bins = shell.ravel() + values.size * np.arange(len(u))[:, None]
-    field_shape = (u[0].size // shell.size,) + grid.xi_sq.shape
+    field_shape = (u[0].size // shell.size,) + layout.xi_sq.shape
 
     def gram(x, y):
         """sum of volume * Hermitian weight * Re(x conj y) over the

@@ -137,14 +137,18 @@ def _forcing_stack(band: Band, x: np.ndarray, tensor,
     With ``series`` (one entry per sample) each job also writes there the
     ``_sample_norms`` of the ``px`` it made.  ``kato_stack_norm`` reads
     the same transform, kernel and jobs, so ``_kato(times, series)`` is
-    the Kato norm of x bit for bit, and x is not transformed again."""
+    the Kato norm of x bit for bit, and x is not transformed again.
+
+    Products that overflow are formed with no warning, as inf or NaN: the
+    Picard iteration's check for a norm that is not finite ends the run."""
     def job(part):
         px = inverse_transform(band, x[part])
         if series is not None:
             series[part] = _sample_norms(band, px)
-        t = tensor(part, px)
-        del px  # not held through P div, where the job's memory peaks
-        return projected_divergence_coeffs(band, t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = tensor(part, px)
+            del px  # not held through P div, where the job's memory peaks
+            return projected_divergence_coeffs(band, t)
 
     return map_samples(job, np.empty_like(x))
 
@@ -234,11 +238,11 @@ def nonlinear_forcing(traj: Trajectory, background=None,
     ``_step_forcing`` around a background taken as the perturbed solver
     takes it, mollified by rho (None: none of either).  It is the
     forcing of the trajectory's dealias band, where solver states lie,
-    formed there and returned in the half spectrum."""
+    formed and returned there, as a band block."""
     band = traj.grid.band
     pv, m_rho = _forcing_factors(traj.grid, traj.times, background, rho)
     g = _step_forcing(band, band.gather(traj.coeffs), pv, m_rho)
-    return band.scatter(np.negative(g, out=g))
+    return np.negative(g, out=g)
 
 
 def _picard_checked(u0: SpectralField, config: SolverConfig,

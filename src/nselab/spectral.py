@@ -191,13 +191,15 @@ class Band:
     ``dim`` axes: ``gather`` takes it from the half spectrum and
     ``scatter`` puts it back among zeros, so ``scatter(gather(c))`` is c
     truncated to the band.  The band carries its own ``deriv_wavevectors``,
-    ``inverse_laplacian``, ``xi_sq`` and ``xi_sq_shells`` and the grid's
-    ``dim``, ``xi_max``, ``shape`` and ``cell_volume``, so that P div, the
-    Leray projection, the heat and Duhamel stacks and the L^p norms run on
-    it unchanged.  Outside the band no code knows the layout: its own
-    transforms, ``inverse`` and ``forward``, run only the FFT lines that
-    the block can reach, bit for bit the whole transforms of the truncated
-    half spectrum, and ``forward`` is the one way a product is dealiased.
+    ``inverse_laplacian``, ``xi_sq``, ``xi_sq_shells`` and
+    ``hermitian_weight`` (the grid's first h entries) and the grid's
+    ``dim``, ``xi_max``, ``shape``, ``cell_volume`` and ``volume``, so that
+    P div, the Leray projection, the heat and Duhamel stacks, the L^p norms
+    and the energy ledger run on it unchanged.  Outside the band no code
+    knows the layout: its own transforms, ``inverse`` and ``forward``, run
+    only the FFT lines that the block can reach, bit for bit the whole
+    transforms of the truncated half spectrum, and ``forward`` is the one
+    way a product is dealiased.
     """
 
     def __init__(self, grid: Grid):
@@ -218,6 +220,8 @@ class Band:
         self.xi_max = grid.xi_max
         self.shape = grid.shape
         self.cell_volume = grid.cell_volume
+        self.volume = grid.volume
+        self.hermitian_weight = grid.hermitian_weight[:h]
         self.deriv_wavevectors = grid.deriv_wavevectors[(slice(None),)
                                                         + self.index]
         self.xi_sq = grid.xi_sq[self.index]
@@ -841,19 +845,24 @@ def check_flow(grid: Grid, f, what: str) -> None:
     field, or a trajectory checked sample by sample) is a vector field on
     ``grid`` that is finite, divergence-free to 1e-10, and small enough
     that a transform's sum over n^d products of two such flows, each a
-    sum of two, cannot overflow: |f(x)| is at most the sum of |c_k|."""
+    sum of two, cannot overflow (|f(x)| is at most the sum of |c_k|) and
+    that its energy L^d sum_k |c_k|^2 over the full spectrum is finite."""
     if f.grid != grid or f.rank != _VECTOR:
         raise GridError(f"{what} must be a vector field on the grid")
     if not np.all(np.isfinite(f.coeffs)):
         raise GridError(f"{what} must be finite")
-    batch_axes = f.coeffs.ndim - grid.dim - 1
+    axes = tuple(range(f.coeffs.ndim - grid.dim - 1, f.coeffs.ndim))
     with np.errstate(over="ignore"):
         size = np.abs(f.coeffs)
         size *= grid.hermitian_weight
-        peak = float(np.max(np.sum(size, tuple(range(batch_axes, size.ndim)))))
+        peak = float(np.max(np.sum(size, axes)))
+        size *= np.abs(f.coeffs)
+        energy = grid.volume * float(np.max(np.sum(size, axes)))
     if not math.isfinite(2.0 * grid.n**grid.dim * peak * peak):
         raise GridError(f"{what} is too large: its products would overflow")
-    if np.max(divergence_residuals(grid, f.coeffs, batch_axes)) > 1e-10:
+    if not math.isfinite(energy):
+        raise GridError(f"{what} is too large: its energy would overflow")
+    if np.max(divergence_residuals(grid, f.coeffs, axes[0])) > 1e-10:
         raise GridError(f"{what} must be divergence-free")
 
 

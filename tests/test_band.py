@@ -218,6 +218,7 @@ def test_solver_forcing_does_no_work_at_any_sample():
     cfg = SolverConfig(grid=grid, horizon=0.3, n_geometric=4, n_uniform=4,
                        measure_probes=0)
     traj = mild_solve_nse(u0, cfg).trajectory
-    work = _relative_work(grid, traj.coeffs, nonlinear_forcing(traj))
+    work = _relative_work(grid, traj.coeffs,
+                          grid.band.scatter(nonlinear_forcing(traj)))
     assert work.shape == (len(traj),)
     assert np.all(work < 1e-14)

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from nselab import (BesovIndex, ConfigError, DiagnosticsReport,
                     ExperimentConfig, GridError, QuadratureError,
                     SolverConfig, Trajectory, besov_norm, critical_exponent,
                     default_partition, energy_ledger, gradient,
-                    heat_trajectory, leray_monitor, mild_solve_perturbed,
-                    make_grid, rescale, rescale_trajectory, run_experiment,
-                    time_schedule, vanishing_test, write_clf1)
+                    heat_trajectory, leray_monitor, make_grid,
+                    mild_solve_nse, mild_solve_perturbed, rescale,
+                    rescale_trajectory, run_experiment, time_schedule,
+                    vanishing_test, write_clf1)
 from nselab.families import critical_random, random_power_law, taylor_green
 
 
@@ -120,6 +122,24 @@ def test_energy_ledger_single_sample(grid16):
     for series in (rep.dissipation, rep.work, rep.slacks):
         assert series.shape == (0,)
     assert rep.scale == rep.energy[0]
+
+
+def test_energy_ledger_peak_is_below_twice_the_trajectory(grid16):
+    # a solver trajectory is ledgered on the dealias band, a third of the
+    # half spectrum at 16^3, so the forcing and the per-shell temporaries
+    # stay below twice the trajectory (3.4 times on the half spectrum)
+    u0 = random_power_law(grid16, alpha=2.0, seed=1, amplitude=0.3)
+    traj = mild_solve_nse(u0, SolverConfig(grid=grid16, horizon=0.3,
+                                           measure_probes=0)).trajectory
+    assert len(traj) == 49
+    tracemalloc.start()
+    try:
+        energy_ledger(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * traj.coeffs.nbytes
+
 
 def test_energy_ledger_validation(grid16):
     u = random_power_law(grid16, alpha=1.5, seed=7)

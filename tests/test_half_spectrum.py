@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from nselab import (Mollifier, SolverConfig, Trajectory, energy_ledger,
-                    make_grid, mild_solve_nse, mollified_solve, read_clf1,
-                    write_clf1)
+from nselab import (Mollifier, SolverConfig, Trajectory, diagnostics,
+                    energy_ledger, heat_trajectory, make_grid, mild_solve_nse,
+                    mollified_solve, read_clf1, write_clf1)
 from nselab.families import random_power_law
 from nselab.heat import _pl_weights, duhamel_stack, exponential_weights, \
     heat_stack
@@ -265,6 +265,56 @@ def test_2d_ledger_matches_full_reference(grid2d, substeps):
     for got, want in zip((led.energy, led.dissipation, led.work, led.slacks),
                          ref):
         assert np.max(np.abs(got - want)) <= 1e-13 * led.scale
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_band_ledger_is_the_half_spectrum_ledger(grid16, grid2d, monkeypatch,
+                                                 dim):
+    # a solver trajectory lies in the band, so the ledger sums there; the
+    # same code on the half spectrum adds exact zeros to every shell sum,
+    # and only the energy's sum over more shells is rounded differently
+    grid = grid16 if dim == 3 else grid2d
+    u0 = random_power_law(grid, alpha=2.0, seed=4, amplitude=0.5)
+    cfg = SolverConfig(grid=grid, horizon=0.2, n_geometric=4, n_uniform=4,
+                       measure_probes=0)
+    traj = mild_solve_nse(u0, cfg).trajectory
+    assert diagnostics._band_block(grid.band, traj.coeffs) is not None
+    on_band = energy_ledger(traj, substeps=8)
+    band = grid.band
+    g_half = -band.scatter(_step_forcing(band, band.gather(traj.coeffs),
+                                         None, None))
+    ref = _full_ledger_reference(traj, g_half, 8)
+    monkeypatch.setattr(diagnostics, "_band_block", lambda band, stack: None)
+    on_half = energy_ledger(traj, substeps=8)
+    for name, want in zip(("energy", "dissipation", "work", "slacks"), ref):
+        got = getattr(on_band, name)
+        assert np.max(np.abs(got - want)) <= 1e-13 * on_band.scale
+        assert np.max(np.abs(got - getattr(on_half, name))) \
+            <= 1e-15 * on_half.scale
+
+
+def test_ledger_counts_a_mode_outside_the_band(grid16):
+    # heat flow of data with one mode beyond the band (k = (0, 0, 7), 3k >=
+    # 16, x component so divergence-free): the ledger sums the half
+    # spectrum and keeps that mode's energy
+    u = random_power_law(grid16, alpha=2.0, seed=3, amplitude=0.3)
+    coeffs = u.coeffs.copy()
+    coeffs[0, 0, 0, 7] = 0.05
+    traj = heat_trajectory(u.with_coeffs(coeffs), np.linspace(0.0, 0.1, 6))
+    assert diagnostics._band_block(grid16.band, traj.coeffs) is None
+    zero = np.zeros_like(traj.coeffs)
+    led = energy_ledger(traj, substeps=8, g_stack=zero)
+    for got, want in zip((led.energy, led.dissipation, led.work, led.slacks),
+                         _full_ledger_reference(traj, zero, 8)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * led.scale
+    band = grid16.band
+    inside = Trajectory._from_stack(grid16, traj.times, "vector",
+                                    band.scatter(band.gather(traj.coeffs)))
+    # the mode and its conjugate hold L^3 |c|^2 e^{-2 |xi|^2 t} / 2 each
+    extra = grid16.volume * 0.05**2 * np.exp(-2.0 * 49.0 * traj.times)
+    assert led.energy - energy_ledger(inside, substeps=8,
+                                      g_stack=zero).energy == \
+        pytest.approx(extra, rel=1e-9)
 
 
 def _pair_forcing(grid, x, y):

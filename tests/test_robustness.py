@@ -338,6 +338,19 @@ def test_data_whose_products_could_overflow_are_refused():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_data_whose_energy_would_overflow_are_refused():
+    # on a large box the coefficients scale as A / L^(d/2): their products
+    # are finite, but the L^d-weighted energy is not
+    grid = make_grid(2, 8, 1e6)
+    data = random_power_law(grid, 2.0, 1, amplitude=1e157)
+    with pytest.raises(GridError, match="energy would overflow"):
+        check_flow(grid, data, "data")
+    with pytest.raises(GridError, match="energy would overflow"):
+        split(data, SplitConfig(4.0, 8.0, 1.0), default_partition(grid))
+    check_flow(grid, random_power_law(grid, 2.0, 1, amplitude=1e150), "data")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("recipe", [
     {"family": "taylor-green", "amplitude": math.inf},
     {"family": "abc", "amplitude": -math.inf},
@@ -396,6 +409,33 @@ def test_huge_data_exit_cleanly_under_warnings_as_errors(tmp_path):
     summary = _strict_loads(proc.stdout)
     assert summary["status"] == "blow-up suspected"
     assert summary["n_samples"] == 1
+
+
+# the energy of data on a large box once overflowed in the ledger (exit 4)
+# and in the split's L^2 norms (exit 3); a Picard iterate's products once
+# overflowed in the forcing (exit 3) -- each with a RuntimeWarning
+@pytest.mark.parametrize("fields, code", [
+    ({"box_length": 1e6, "horizon": 1.0, "measure_probes": 0,
+      "recipe": {"family": "random", "amplitude": 1e157}}, 2),
+    ({"box_length": 1e6, "horizon": 1.0, "measure_probes": 0,
+      "recipe": {"family": "random", "amplitude": 1e157},
+      "solver": "split-perturbed"}, 2),
+    ({"box_length": 1e-13, "horizon": 1.0, "measure_probes": 1,
+      "n_geometric": 2, "n_uniform": 2,
+      "recipe": {"family": "taylor-green", "amplitude": 1e140}}, 3),
+], ids=["large-box", "large-box-split", "iterate-products"])
+def test_overflow_exits_with_a_code_under_warnings_as_errors(tmp_path, fields,
+                                                             code):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_tg_2d(**fields)))
+    src = os.path.dirname(os.path.dirname(diagnostics.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "nselab.cli",
+         "solve", "--config", str(path), "--out", str(tmp_path / "out")],
+        timeout=120, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def _csv_rows(path):
