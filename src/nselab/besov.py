@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import (ExponentError, GridError, PartitionError,
                      QuadratureError, RankError)
-from .spectral import (Grid, SpectralField, dealias_product, finite_json,
-                       inverse_transform, l2_norms, lp_norms,
+from .spectral import (Band, Grid, SpectralField, dealias_product,
+                       finite_json, inverse_transform, l2_norms, lp_norms,
                        magnitude_lp_norms, map_samples, power_sum_root)
 
 CRITICAL_DIM = 3  # s_p := -1 + 3/p throughout, following the 3D theory
@@ -92,16 +92,27 @@ class DyadicPartition:
                      for j in range(j_min, j_max + 1)}
         self._chi = {j: chi_profile(r / 2.0**j)
                      for j in range(j_min - 1, j_max + 2)}
+        self._band_phi = {}  # j -> phi_j gathered onto the grid's band
 
     @property
     def j_range(self):
         return range(self.j_min, self.j_max + 1)
 
-    def phi_symbol(self, j: int) -> np.ndarray:
+    def phi_symbol(self, j: int, layout: Grid | Band | None = None
+                   ) -> np.ndarray:
+        """phi(2^-j xi) on the partition's grid, or in ``layout``: that
+        grid or its dealias band (GridError for any other)."""
         if j not in self._phi:
             raise PartitionError(f"block index {j} outside "
                                  f"[{self.j_min}, {self.j_max}]")
-        return self._phi[j]
+        if layout is None or layout == self.grid:
+            return self._phi[j]
+        band = self.grid.band
+        if layout != band:
+            raise GridError("field and partition grids differ")
+        if j not in self._band_phi:
+            self._band_phi[j] = band.gather(self._phi[j])
+        return self._band_phi[j]
 
     def chi_symbol(self, j: int) -> np.ndarray:
         if j not in self._chi:
@@ -143,20 +154,22 @@ def lp_block(field: SpectralField, j: int,
     return field.with_coeffs(field.coeffs * partition.phi_symbol(j))
 
 
-def _block_samples(grid: Grid, coeffs: np.ndarray,
+def _block_samples(grid: Grid | Band, coeffs: np.ndarray,
                    partition: DyadicPartition, j: int) -> np.ndarray:
     """Physical samples of Delta_j f for coefficients with any leading
-    axes: one batched inverse transform."""
-    if grid != partition.grid:
-        raise GridError("field and partition grids differ")
-    return inverse_transform(grid, coeffs * partition.phi_symbol(j))
+    axes in the layout of ``grid`` (the partition's grid or its band):
+    one batched inverse transform."""
+    return inverse_transform(grid, coeffs * partition.phi_symbol(j, grid))
 
 
-def block_lp_norms(grid: Grid, coeffs: np.ndarray, partition: DyadicPartition,
-                   p: float, batch_axes: int) -> np.ndarray:
+def block_lp_norms(grid: Grid | Band, coeffs: np.ndarray,
+                   partition: DyadicPartition, p: float,
+                   batch_axes: int) -> np.ndarray:
     """||Delta_j f||_p for j in ``partition.j_range``, as a (..., J) array
-    with one row per entry of the first ``batch_axes`` axes.  With batch
-    axes the samples run as ``map_samples`` jobs along the first one."""
+    with one row per entry of the first ``batch_axes`` axes, for
+    coefficients in the layout of ``grid`` (the partition's grid or its
+    band).  With batch axes the samples run as ``map_samples`` jobs along
+    the first one."""
 
     def norms(c):
         return np.stack([
@@ -284,8 +297,13 @@ def check_times(times) -> np.ndarray:
 
 class Trajectory:
     """Time-stamped sequence of fields on a shared grid, held as one
-    read-only half-spectrum coefficient stack ``coeffs`` of shape (M,) +
-    the fields' coefficient shape; ``fields`` are views of it.
+    read-only coefficient stack ``coeffs`` of shape (M,) + the fields'
+    coefficient shape in the layout ``layout``: the grid's half spectrum
+    (a trajectory built from fields), or its dealias band ``grid.band``
+    (a solver trajectory, whose every sample lies in the band).  The
+    diagnostics read ``coeffs`` in that layout.  ``fields`` and iteration
+    give half-spectrum ``SpectralField`` samples: views of a half-spectrum
+    stack, or band samples scattered one at a time.
 
     Times are strictly increasing; a leading t = 0 sample is allowed
     (it carries the initial data and is skipped by singular-weight
@@ -303,34 +321,43 @@ class Trajectory:
             if f.rank != fields[0].rank:
                 raise RankError("trajectory fields must share the rank")
         self._adopt(grid, times, fields[0].rank,
-                    np.stack([f.coeffs for f in fields]))
+                    np.stack([f.coeffs for f in fields]), grid)
 
     @classmethod
-    def _from_stack(cls, grid: Grid, times, rank: str,
-                    coeffs: np.ndarray) -> "Trajectory":
-        """A trajectory over ``coeffs``, taken over without a copy."""
+    def _from_stack(cls, grid: Grid, times, rank: str, coeffs: np.ndarray,
+                    layout: Grid | Band | None = None) -> "Trajectory":
+        """A trajectory over ``coeffs`` in ``layout`` (None: the grid's
+        half spectrum), taken over without a copy."""
         traj = cls.__new__(cls)
-        traj._adopt(grid, times, rank, coeffs)
+        traj._adopt(grid, times, rank, coeffs, layout or grid)
         return traj
 
-    def _adopt(self, grid, times, rank, coeffs):
+    def _adopt(self, grid, times, rank, coeffs, layout):
         self.grid = grid
+        self.layout = layout
         self.times = check_times(times)
         self.rank = rank
         self.coeffs = coeffs.view()
         self.coeffs.flags.writeable = False
         self._lp = {}  # p -> lp_series(p); the stack cannot change
 
+    def _field(self, c: np.ndarray) -> SpectralField:
+        """The half-spectrum field of one sample's coefficients."""
+        if isinstance(self.layout, Band):
+            c = self.layout.scatter(c)
+            c.flags.writeable = False  # taken over by the field, not copied
+        return SpectralField(self.grid, self.rank, c, check_hermitian=False)
+
     @property
     def fields(self) -> list:
-        return [SpectralField(self.grid, self.rank, c, check_hermitian=False)
-                for c in self.coeffs]
+        return [self._field(c) for c in self.coeffs]
 
     def __len__(self):
         return self.times.size
 
     def __iter__(self):
-        return iter(zip(self.times, self.fields))
+        """(time, field) pairs, each field made when it is reached."""
+        return ((t, self._field(c)) for t, c in zip(self.times, self.coeffs))
 
     @property
     def horizon(self) -> float:
@@ -339,12 +366,12 @@ class Trajectory:
     def lp_series(self, p: float) -> np.ndarray:
         """||u(t)||_p per sample, read-only."""
         if p not in self._lp:
-            self._lp[p] = lp_norms(self.grid, self.coeffs, p, batch_axes=1)
+            self._lp[p] = lp_norms(self.layout, self.coeffs, p, batch_axes=1)
             self._lp[p].flags.writeable = False
         return self._lp[p]
 
     def l2_series(self) -> np.ndarray:
-        return l2_norms(self.grid, self.coeffs, batch_axes=1)
+        return l2_norms(self.layout, self.coeffs, batch_axes=1)
 
 
 # ---------------------------------------------------------------------
@@ -437,7 +464,7 @@ def timespace_besov_norm(traj: Trajectory, r: float, index: BesovIndex,
     agree within 1%, otherwise QuadratureError is raised.
     """
     idx = BesovIndex(index.s, index.p, index.q, r)
-    norms = block_lp_norms(traj.grid, traj.coeffs, partition, index.p, 1)
+    norms = block_lp_norms(traj.layout, traj.coeffs, partition, index.p, 1)
 
     def compute(rows):
         time_norm = _time_norm(norms[rows], traj.times[rows], r)
@@ -458,7 +485,8 @@ def timespace_besov_norm(traj: Trajectory, r: float, index: BesovIndex,
 def energy_norm(traj: Trajectory) -> float:
     """Squared energy norm: sup_t ||U||_2^2 + 2 int ||grad U||_2^2 dt."""
     sup = float(np.max(traj.l2_series()) ** 2)
-    grads = l2_norms(traj.grid, traj.coeffs, 1, weight=traj.grid.xi_sq) ** 2
+    grads = l2_norms(traj.layout, traj.coeffs, 1,
+                     weight=traj.layout.xi_sq) ** 2
     integral = float(np.trapezoid(grads, traj.times))
     return sup + 2.0 * integral
 

@@ -58,7 +58,8 @@ def rescale(field: SpectralField, lam: float,
 def rescale_trajectory(traj: Trajectory, lam: float, x0=None,
                        t0: float = 0.0) -> Trajectory:
     """Rescale a trajectory (see ``rescale``): samples with t >= t0 map
-    to (t - t0)/lam^2."""
+    to (t - t0)/lam^2.  The result keeps the trajectory's layout, on the
+    rescaled grid."""
     keep = traj.times >= t0 - 1e-15
     if not np.any(keep):
         raise ConfigError(f"no samples at or after t0 = {t0}")
@@ -75,10 +76,11 @@ def rescale_trajectory(traj: Trajectory, lam: float, x0=None,
         if np.max(np.abs(x0 / h - np.round(x0 / h))) > 1e-9:
             raise ConfigError("x0 must be a grid-point shift")
         phase = np.exp(1j * np.einsum("i...,i->...",
-                                      grid.wavevectors, x0))
+                                      traj.layout.wavevectors, x0))
     new_grid = Grid(grid.dim, grid.n, grid.box_length / lam)
+    layout = new_grid.band if isinstance(traj.layout, Band) else new_grid
     return Trajectory._from_stack(new_grid, times, traj.rank,
-                                  lam * traj.coeffs[keep] * phase)
+                                  lam * traj.coeffs[keep] * phase, layout)
 
 
 # ---------------------------------------------------------------------
@@ -172,15 +174,6 @@ class LedgerReport:
         return float(np.max(np.abs(self.slacks)))
 
 
-def _band_block(band: Band, stack: np.ndarray) -> np.ndarray | None:
-    """The band block of ``stack``, or None unless the stack is zero
-    outside the band: the block holds every nonzero of the stack exactly
-    when their counts agree."""
-    block = band.gather(stack)
-    return block if np.count_nonzero(block) == np.count_nonzero(stack) \
-        else None
-
-
 def energy_ledger(traj: Trajectory, background=None,
                   rho: float | None = None, substeps: int = 32,
                   g_stack: np.ndarray | None = None) -> LedgerReport:
@@ -194,9 +187,10 @@ def energy_ledger(traj: Trajectory, background=None,
     Unless ``g_stack`` is given, g is the solvers' own nonlinearity
     (``solver.nonlinear_forcing``): the NSE forcing, mollified by ``rho``
     and coupled to a divergence-free ``background`` on the schedule when
-    given.  A heat-flow ledger passes ``g_stack=np.zeros_like(u)``.  A
-    trajectory of one sample has no interval and only its energy is
-    taken, so its forcing is not formed (nor its background read).
+    given.  ``g_stack`` is in the trajectory's ``layout``; a heat-flow
+    ledger passes ``g_stack=np.zeros_like(traj.coeffs)``.  A trajectory
+    of one sample has no interval and only its energy is taken, so its
+    forcing is not formed (nor its background read).
 
     The reconstruction is u(t_i + tau) = c_a u_i + c_0 g_i + c_1 g_{i+1}
     with weights that depend on a mode only through |xi|^2, so the
@@ -204,27 +198,24 @@ def energy_ledger(traj: Trajectory, background=None,
     matrices of (u_i, g_i, g_{i+1}) per |xi|^2 shell, summed with
     Hermitian weights (the full-spectrum sum for real fields).
 
-    The sums run over the grid's dealias band (``Grid.band``) when the
-    trajectory, and ``g_stack`` if given, are zero outside it, as every
-    solver trajectory is, and over the whole half spectrum otherwise.
-    The modes left out hold exact zeros, so the two layouts give the same
-    per-shell sums, and their sums over the shells agree to rounding.
+    The sums run over the trajectory's ``layout``: the dealias band
+    (``Grid.band``) of a solver trajectory, the whole half spectrum
+    otherwise.  A half-spectrum trajectory that is zero outside the band
+    gives the same per-shell sums as its band block, and sums over the
+    shells that agree to rounding.
     """
     if substeps < 2 or substeps % 2 != 0:
         raise ConfigError("substeps must be even and >= 2")
-    times, band = traj.times, traj.grid.band
-    if g_stack is None:
-        # the solvers' forcing is a band block, formed before u's block
-        # so that their peaks do not add
-        g = nonlinear_forcing(traj, background, rho) if len(traj) > 1 \
-            else np.zeros_like(band.gather(traj.coeffs))
+    times, layout, u = traj.times, traj.layout, traj.coeffs
+    if g_stack is not None:
+        g = g_stack
+    elif len(traj) == 1:
+        g = np.zeros_like(u)
     else:
-        g = _band_block(band, g_stack)
-    u = None if g is None else _band_block(band, traj.coeffs)
-    layout = band
-    if u is None:
-        layout, u = traj.grid, traj.coeffs
-        g = band.scatter(g) if g_stack is None else g_stack
+        # the solvers' forcing, a band block
+        g = nonlinear_forcing(traj, background, rho)
+        if layout != traj.grid.band:
+            g = traj.grid.band.scatter(g)
     fracs = np.linspace(0.0, 1.0, substeps + 1)
     dt = np.diff(times)
     tau = np.multiply.outer(dt, fracs)  # (interval, node)
@@ -273,7 +264,7 @@ def critical_norm_series(traj: Trajectory, p: float,
     is not seen, since phi_j(0) = 0)."""
     partition = partition or default_partition(traj.grid)
     idx = BesovIndex(critical_exponent(p), p, p)
-    norms = block_lp_norms(traj.grid, traj.coeffs, partition, p, 1)
+    norms = block_lp_norms(traj.layout, traj.coeffs, partition, p, 1)
     return _dyadic_sum(norms, partition, idx.s, idx.q)[1]
 
 
@@ -474,7 +465,7 @@ def _run_solver(config: ExperimentConfig, grid: Grid,
         w_sol = mild_solve_perturbed(parts.large, v_sol.trajectory, sc)
         v, w = v_sol.trajectory, w_sol.trajectory
         traj = Trajectory._from_stack(grid, v.times, "vector",
-                                      v.coeffs + w.coeffs)
+                                      v.coeffs + w.coeffs, v.layout)
         meta["l2_large"] = parts.l2_large
         meta["besov_small"] = parts.besov_small
         # NaN-propagating, so that a failed residual is not hidden
@@ -505,7 +496,7 @@ def run_experiment(config: ExperimentConfig) -> DiagnosticsReport:
     report.leray_series = leray_monitor(traj, config.monitor_ps, t_end)
     ledger = energy_ledger(traj, rho=rho)
     report.energy_slacks = ledger.slacks
-    report.div_residuals = divergence_residuals(grid, traj.coeffs,
+    report.div_residuals = divergence_residuals(traj.layout, traj.coeffs,
                                                 batch_axes=1)
     # residual gates: a run is never silently wrong, and every archived
     # series must be finite

@@ -4,12 +4,16 @@ precomputed background, and the Leray-mollified energy solver.
 
 Solver state is the stack of Fourier coefficients at every sample
 time.  Every state, probe, forcing and Duhamel output of a solve lies in
-the 2/3 dealias band, so inside a solve each stack holds only the band
-block (``Grid.band``), shape (M, dim) + ``grid.band.xi_sq.shape``; the
+the 2/3 dealias band, so each stack holds only the band block
+(``Grid.band``), shape (M, dim) + ``grid.band.xi_sq.shape``; the
 bilinear operator forms the dealiased tensor product per sample and runs
 the exact-exponential Duhamel recursion over the schedule.  A solution's
-trajectory and ``report.solution`` are the half spectrum, (M, dim, N,
-..., N//2+1), scattered from the band once per solve.
+``report.solution`` and trajectory are that block too (the trajectory's
+``layout`` is the band), and so are a continuation's stitched stack and
+the split-perturbed sum v + w: the diagnostics and the archive read the
+band, and only a field handed out (``Trajectory.fields``, an archived
+CLF1 sample, a continuation's restart data) is scattered to the half
+spectrum, one sample at a time.
 
 The bilinear constant gamma depends only on the grid, the schedule,
 the Kato p, the mollifier and the probe count and seed, never on the
@@ -110,8 +114,9 @@ class SolverConfig:
 class MildSolution:
     """Trajectory plus the Picard iteration record and residual checks.
 
-    The trajectory is a view of ``report.solution``, the solver's
-    stack; both are read-only.
+    The trajectory is a view of ``report.solution``, the solver's stack
+    of dealias band blocks (its ``layout`` is ``grid.band``); both are
+    read-only.
     """
 
     trajectory: Trajectory
@@ -211,8 +216,9 @@ def _forcing_factors(grid: Grid, times: np.ndarray, background,
                      rho: float | None):
     """A run's background as physical samples on the schedule, after the
     one input check, and the mollifier symbol of rho on the band; each
-    None for None.  A ``Trajectory`` on the schedule is transformed once;
-    a ``SpectralField`` is checked and transformed once and held constant
+    None for None.  A ``Trajectory`` on the schedule is transformed once
+    from its own layout (the half spectrum or the band); a
+    ``SpectralField`` is checked and transformed once and held constant
     in time as a read-only view of that one sample."""
     m_rho = None if rho is None else grid.band.gather(
         Mollifier(grid.dim, rho).symbol(grid))
@@ -229,7 +235,7 @@ def _forcing_factors(grid: Grid, times: np.ndarray, background,
             background.times, times, rtol=1e-12, atol=0):
         raise QuadratureError("background trajectory must share the "
                               "solver schedule")
-    return inverse_transform(grid, background.coeffs), m_rho
+    return inverse_transform(background.layout, background.coeffs), m_rho
 
 
 def nonlinear_forcing(traj: Trajectory, background=None,
@@ -238,10 +244,12 @@ def nonlinear_forcing(traj: Trajectory, background=None,
     ``_step_forcing`` around a background taken as the perturbed solver
     takes it, mollified by rho (None: none of either).  It is the
     forcing of the trajectory's dealias band, where solver states lie,
-    formed and returned there, as a band block."""
+    formed and returned there, as a band block; a half-spectrum
+    trajectory is gathered onto the band first."""
     band = traj.grid.band
+    x = traj.coeffs if traj.layout == band else band.gather(traj.coeffs)
     pv, m_rho = _forcing_factors(traj.grid, traj.times, background, rho)
-    g = _step_forcing(band, band.gather(traj.coeffs), pv, m_rho)
+    g = _step_forcing(band, x, pv, m_rho)
     return np.negative(g, out=g)
 
 
@@ -255,8 +263,7 @@ def _picard_checked(u0: SpectralField, config: SolverConfig,
     constant probing and the resolvent use L = -B(., v) - B(v, .) and B
     apart.  The step, B and L also return the Kato norms of their
     arguments from their own transforms.  Every stack of the solve is a
-    band block; the solution is scattered to the half spectrum once, and
-    the trajectory is that stack, made read-only."""
+    band block, and the trajectory is the solution's, made read-only."""
     grid = config.grid
     band = grid.band
     c0 = _prepare_data(u0, grid)
@@ -300,9 +307,9 @@ def _picard_checked(u0: SpectralField, config: SolverConfig,
                           max_iter=config.max_iter)
     rd = _doubled_residual(band, times, report.solution, problem.a, forcing)
     divs = divergence_residuals(band, report.solution, batch_axes=1)
-    stack = report.solution = band.scatter(report.solution)
-    stack.flags.writeable = False
-    return MildSolution(Trajectory._from_stack(grid, times, "vector", stack),
+    report.solution.flags.writeable = False
+    return MildSolution(Trajectory._from_stack(grid, times, "vector",
+                                               report.solution, band),
                         report, rd, float(np.max(divs)), config)
 
 
@@ -453,15 +460,17 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
     step falls below the floor (an explicitly heuristic surrogate for
     T*).
 
-    The trajectory is one stack: the prepared data, then each segment's
-    samples after its first (one segment's stack is taken as it is);
-    each report's ``solution`` becomes a read-only view of its segment
-    there, from the previous segment's last sample on.  The largest
-    doubled-schedule residual of the accepted segments is
-    ``residual_doubled`` (NaN when none was accepted).
+    The trajectory is one stack of band blocks: the prepared data, then
+    each segment's samples after its first (one segment's stack is taken
+    as it is); each report's ``solution`` becomes a read-only view of its
+    segment there, from the previous segment's last sample on.  A
+    segment restarts from the previous one's last sample, scattered to a
+    half-spectrum field.  The largest doubled-schedule residual of the
+    accepted segments is ``residual_doubled`` (NaN when none was
+    accepted).
     """
     grid = config.grid
-    first = grid.band.scatter(_prepare_data(u0, grid))
+    first = _prepare_data(u0, grid)
     t0 = 0.0
     step = config.horizon
     current = u0
@@ -474,7 +483,7 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
         coeffs = reports[0].solution if len(reports) == 1 else np.concatenate(
             [first[None]] + [rep.solution[1:] for rep in reports])
         traj = Trajectory._from_stack(grid, np.concatenate(all_times),
-                                      "vector", coeffs)
+                                      "vector", coeffs, grid.band)
         start = 0
         for rep in reports:
             rep.solution = traj.coeffs[start:start + len(rep.solution)]
@@ -500,7 +509,8 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
         reports.append(sol.report)
         residuals.append(sol.residual_doubled)
         all_times.append(times[1:] + t0)
-        current = SpectralField(grid, "vector", sol.report.solution[-1],
+        current = SpectralField(grid, "vector",
+                                grid.band.scatter(sol.report.solution[-1]),
                                 check_hermitian=False)
         t0 += step
     return result("completed")

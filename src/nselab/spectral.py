@@ -190,12 +190,14 @@ class Band:
     coefficient array in band layout holds that block in its trailing
     ``dim`` axes: ``gather`` takes it from the half spectrum and
     ``scatter`` puts it back among zeros, so ``scatter(gather(c))`` is c
-    truncated to the band.  The band carries its own ``deriv_wavevectors``,
-    ``inverse_laplacian``, ``xi_sq``, ``xi_sq_shells`` and
-    ``hermitian_weight`` (the grid's first h entries) and the grid's
-    ``dim``, ``xi_max``, ``shape``, ``cell_volume`` and ``volume``, so that
-    P div, the Leray projection, the heat and Duhamel stacks, the L^p norms
-    and the energy ledger run on it unchanged.  Outside the band no code
+    truncated to the band.  The band carries its own ``wavevectors``,
+    ``deriv_wavevectors``, ``inverse_laplacian``, ``xi_sq``,
+    ``xi_sq_shells`` and ``hermitian_weight`` (the grid's first h entries)
+    and the grid's ``dim``, ``xi_max``, ``shape``, ``cell_volume`` and
+    ``volume``, so that P div, the Leray projection, the heat and Duhamel
+    stacks, the L^p, Besov and Parseval norms, the divergence residuals
+    and the energy ledger run on it unchanged; the bands of equal grids
+    are equal.  Outside the band no code
     knows the layout: its own transforms, ``inverse`` and ``forward``, run
     only the FFT lines that the block can reach, bit for bit the whole
     transforms of the truncated half spectrum, and ``forward`` is the one
@@ -215,6 +217,7 @@ class Band:
         # no reference to the grid, which holds the band: without that
         # cycle a dropped grid is freed at once
         self._half_shape = grid.xi_sq.shape
+        self._key = (grid.dim, grid.n, grid.box_length)
         self._repr = f"{grid!r}.band"
         self.dim = grid.dim
         self.xi_max = grid.xi_max
@@ -222,6 +225,7 @@ class Band:
         self.cell_volume = grid.cell_volume
         self.volume = grid.volume
         self.hermitian_weight = grid.hermitian_weight[:h]
+        self.wavevectors = grid.wavevectors[(slice(None),) + self.index]
         self.deriv_wavevectors = grid.deriv_wavevectors[(slice(None),)
                                                         + self.index]
         self.xi_sq = grid.xi_sq[self.index]
@@ -283,6 +287,13 @@ class Band:
             for part in lines:
                 _c2c_over(part, a, forward=True)
         return self.gather(half)
+
+    def __eq__(self, other):
+        """The bands of equal grids are equal."""
+        return isinstance(other, Band) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def __repr__(self):
         return self._repr
@@ -676,6 +687,12 @@ class SpectralField:
         self.rank = rank
         self.coeffs = coeffs
 
+    @property
+    def layout(self) -> Grid:
+        """The layout of ``coeffs``, always the grid's half spectrum (as
+        for ``Trajectory.layout``)."""
+        return self.grid
+
     # -- constructors -------------------------------------------------
     @classmethod
     def from_physical(cls, grid: Grid, values: np.ndarray) -> "SpectralField":
@@ -842,19 +859,21 @@ def divergence_residual(field: SpectralField) -> float:
 
 def check_flow(grid: Grid, f, what: str) -> None:
     """The one rule for every flow a run reads: GridError unless ``f`` (a
-    field, or a trajectory checked sample by sample) is a vector field on
-    ``grid`` that is finite, divergence-free to 1e-10, and small enough
-    that a transform's sum over n^d products of two such flows, each a
-    sum of two, cannot overflow (|f(x)| is at most the sum of |c_k|) and
-    that its energy L^d sum_k |c_k|^2 over the full spectrum is finite."""
+    field, or a trajectory checked sample by sample, in its ``layout``)
+    is a vector field on ``grid`` that is finite, divergence-free to
+    1e-10, and small enough that a transform's sum over n^d products of
+    two such flows, each a sum of two, cannot overflow (|f(x)| is at most
+    the sum of |c_k|) and that its energy L^d sum_k |c_k|^2 over the
+    full spectrum is finite."""
     if f.grid != grid or f.rank != _VECTOR:
         raise GridError(f"{what} must be a vector field on the grid")
     if not np.all(np.isfinite(f.coeffs)):
         raise GridError(f"{what} must be finite")
+    layout = f.layout
     axes = tuple(range(f.coeffs.ndim - grid.dim - 1, f.coeffs.ndim))
     with np.errstate(over="ignore"):
         size = np.abs(f.coeffs)
-        size *= grid.hermitian_weight
+        size *= layout.hermitian_weight
         peak = float(np.max(np.sum(size, axes)))
         size *= np.abs(f.coeffs)
         energy = grid.volume * float(np.max(np.sum(size, axes)))
@@ -862,7 +881,7 @@ def check_flow(grid: Grid, f, what: str) -> None:
         raise GridError(f"{what} is too large: its products would overflow")
     if not math.isfinite(energy):
         raise GridError(f"{what} is too large: its energy would overflow")
-    if np.max(divergence_residuals(grid, f.coeffs, axes[0])) > 1e-10:
+    if np.max(divergence_residuals(layout, f.coeffs, axes[0])) > 1e-10:
         raise GridError(f"{what} must be divergence-free")
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from nselab import (Mollifier, SolverConfig, Trajectory, diagnostics,
-                    energy_ledger, heat_trajectory, make_grid, mild_solve_nse,
+from nselab import (Mollifier, SolverConfig, Trajectory, energy_ledger,
+                    heat_trajectory, make_grid, mild_solve_nse,
                     mollified_solve, read_clf1, write_clf1)
 from nselab.families import random_power_law
 from nselab.heat import _pl_weights, duhamel_stack, exponential_weights, \
@@ -181,11 +181,17 @@ def test_continued_duhamel_stack_equals_one_pass(grid16):
         assert np.array_equal(rest, whole[k:])
 
 
+def _half(traj):
+    """A trajectory's samples as one half-spectrum stack, whatever its
+    layout."""
+    return np.stack([f.coeffs for f in traj.fields])
+
+
 def _full_ledger_reference(traj, g_stack, substeps):
-    """Energy ledger summed over numpy's full spectrum of the half-spectrum
-    solution and forcing stacks."""
+    """Energy ledger summed over numpy's full spectrum of the solution's
+    samples and the half-spectrum forcing stack."""
     grid, times = traj.grid, traj.times
-    u, g_stack = _full(grid, traj.coeffs), _full(grid, g_stack)
+    u, g_stack = _full(grid, _half(traj)), _full(grid, g_stack)
     vol, xi_sq = grid.volume, _full_symbols(grid)[0]
     energy = 0.5 * vol * np.sum(np.abs(u) ** 2, axis=tuple(range(1, u.ndim)))
     fracs = np.linspace(0.0, 1.0, substeps + 1)
@@ -213,20 +219,19 @@ def test_half_ledger_matches_full_reference(grid16):
                        measure_probes=0)
     sol = mild_solve_nse(u0, cfg)
     traj = sol.trajectory
-    assert traj.coeffs.shape[-1] == grid16.n // 2 + 1
+    assert traj.layout == grid16.band
     # the trajectory is the solver's stack, not a copy of it
     assert np.shares_memory(traj.coeffs, sol.report.solution)
     assert np.array_equal(traj.coeffs, sol.report.solution)
     led = energy_ledger(traj, substeps=8)
     band = grid16.band
-    g_half = -band.scatter(_step_forcing(
-        band, band.gather(sol.report.solution), None, None))
-    ref = _full_ledger_reference(traj, g_half, 8)
+    g_band = -_step_forcing(band, sol.report.solution, None, None)
+    ref = _full_ledger_reference(traj, band.scatter(g_band), 8)
     for got, want in zip((led.energy, led.dissipation, led.work, led.slacks),
                          ref):
         assert np.max(np.abs(got - want)) <= 1e-13 * led.scale
     # an explicit forcing gives the ledger of the recomputed one
-    explicit = energy_ledger(traj, substeps=8, g_stack=g_half)
+    explicit = energy_ledger(traj, substeps=8, g_stack=g_band)
     assert np.array_equal(explicit.slacks, led.slacks)
 
 
@@ -237,8 +242,8 @@ def test_mollified_ledger_is_the_solvers_mollified_forcing(grid16):
     traj = mollified_solve(u0, None, 0.5, cfg).trajectory
     band = grid16.band
     m_rho = band.gather(Mollifier(3, 0.5).symbol(grid16))
-    want = energy_ledger(traj, substeps=8, g_stack=-band.scatter(
-        _step_forcing(band, band.gather(traj.coeffs), None, m_rho)))
+    want = energy_ledger(traj, substeps=8, g_stack=-_step_forcing(
+        band, traj.coeffs, None, m_rho))
     led = energy_ledger(traj, rho=0.5, substeps=8)
     assert np.max(np.abs(led.work)) > 0
     for got, ref in ((led.energy, want.energy), (led.work, want.work),
@@ -259,7 +264,7 @@ def test_2d_ledger_matches_full_reference(grid2d, substeps):
     led = energy_ledger(sol.trajectory, substeps=substeps)
     band = grid2d.band
     g_half = -band.scatter(_step_forcing(
-        band, band.gather(sol.report.solution), None, None))
+        band, sol.report.solution, None, None))
     assert np.max(np.abs(g_half)) > 0
     ref = _full_ledger_reference(sol.trajectory, g_half, substeps)
     for got, want in zip((led.energy, led.dissipation, led.work, led.slacks),
@@ -268,8 +273,7 @@ def test_2d_ledger_matches_full_reference(grid2d, substeps):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_band_ledger_is_the_half_spectrum_ledger(grid16, grid2d, monkeypatch,
-                                                 dim):
+def test_band_ledger_is_the_half_spectrum_ledger(grid16, grid2d, dim):
     # a solver trajectory lies in the band, so the ledger sums there; the
     # same code on the half spectrum adds exact zeros to every shell sum,
     # and only the energy's sum over more shells is rounded differently
@@ -278,14 +282,13 @@ def test_band_ledger_is_the_half_spectrum_ledger(grid16, grid2d, monkeypatch,
     cfg = SolverConfig(grid=grid, horizon=0.2, n_geometric=4, n_uniform=4,
                        measure_probes=0)
     traj = mild_solve_nse(u0, cfg).trajectory
-    assert diagnostics._band_block(grid.band, traj.coeffs) is not None
+    assert traj.layout == grid.band
     on_band = energy_ledger(traj, substeps=8)
     band = grid.band
-    g_half = -band.scatter(_step_forcing(band, band.gather(traj.coeffs),
-                                         None, None))
+    g_half = -band.scatter(_step_forcing(band, traj.coeffs, None, None))
     ref = _full_ledger_reference(traj, g_half, 8)
-    monkeypatch.setattr(diagnostics, "_band_block", lambda band, stack: None)
-    on_half = energy_ledger(traj, substeps=8)
+    on_half = energy_ledger(Trajectory._from_stack(
+        grid, traj.times, "vector", _half(traj)), substeps=8)
     for name, want in zip(("energy", "dissipation", "work", "slacks"), ref):
         got = getattr(on_band, name)
         assert np.max(np.abs(got - want)) <= 1e-13 * on_band.scale
@@ -301,7 +304,7 @@ def test_ledger_counts_a_mode_outside_the_band(grid16):
     coeffs = u.coeffs.copy()
     coeffs[0, 0, 0, 7] = 0.05
     traj = heat_trajectory(u.with_coeffs(coeffs), np.linspace(0.0, 0.1, 6))
-    assert diagnostics._band_block(grid16.band, traj.coeffs) is None
+    assert traj.layout == grid16
     zero = np.zeros_like(traj.coeffs)
     led = energy_ledger(traj, substeps=8, g_stack=zero)
     for got, want in zip((led.energy, led.dissipation, led.work, led.slacks),

@@ -386,7 +386,7 @@ def test_streamed_residual_equals_one_pass(grid16, monkeypatch, kind):
                                               None))
     else:
         u0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.5)
-        v_stack = sol.trajectory.coeffs
+        v_stack = band.scatter(sol.trajectory.coeffs)
         sol = mild_solve_perturbed(u0, sol.trajectory, cfg)
 
         def forcing(fine_times, fine):
@@ -394,7 +394,8 @@ def test_streamed_residual_equals_one_pass(grid16, monkeypatch, kind):
                 times, v_stack, fine_times))
             return band.scatter(_step_forcing(band, band.gather(fine), pv,
                                               None))
-    want = _one_pass_residual(grid16, times, sol.report.solution,
+    want = _one_pass_residual(grid16, times,
+                              band.scatter(sol.report.solution),
                               grid16.band.scatter(_prepare_data(u0, grid16)),
                               forcing)
     assert 0 < want < 1e-4
@@ -435,8 +436,7 @@ def test_continuation_stitches_like_concatenation(amplitude, n_segments):
     assert res.status == "completed"
     assert len(res.segment_horizons) == n_segments
     # replay the converged segments and concatenate their trajectories
-    times, stacks = [np.array([0.0])], [grid.band.scatter(
-        _prepare_data(u0, grid))[None]]
+    times, stacks = [np.array([0.0])], [_prepare_data(u0, grid)[None]]
     residuals = []
     t0, current = 0.0, u0
     for step in res.segment_horizons:
@@ -497,14 +497,13 @@ def test_mollified_solve_around_a_background(grid16, monkeypatch):
     assert 0 < sol.residual_doubled < 1e-5
     # its step is L + B_rho, the coupling unmollified
     problem, = problems
-    full = sol.report.solution
-    x = grid16.band.gather(full)
+    x = sol.report.solution
     want = problem.linear(x) + problem.bilinear(x, x)
     assert np.max(np.abs(problem.step(x)[0] - want)) \
         <= 1e-13 * np.max(np.abs(want))
     band = grid16.band
     m_rho = band.gather(Mollifier(3, 0.5).symbol(grid16))
-    pv = inverse_transform(grid16, v.coeffs)
+    pv = inverse_transform(band, v.coeffs)
     want = _cross_linear(band, cfg.schedule(), pv)(x) \
         + _nse_bilinear(band, cfg.schedule(), m_rho)(x, x)
     assert np.max(np.abs(problem.step(x)[0] - want)) \
@@ -624,7 +623,7 @@ def test_forcing_norms_equal_the_composed_path(grid16, monkeypatch, case):
     assert report.norms == want.norms and report.diffs == want.diffs
     assert report.residual == want.residual
     assert report.smallness_margin == want.smallness_margin
-    assert np.array_equal(grid16.band.gather(report.solution), want.solution)
+    assert np.array_equal(report.solution, want.solution)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -731,11 +730,12 @@ def test_solver_stacks_are_band_blocks(grid16, monkeypatch):
     assert problem.a.shape == (samples, 3) + grid16.band.xi_sq.shape
     assert problem.probe(5).shape == problem.a.shape
     stack = sol.report.solution
-    assert stack.shape == (samples, 3) + grid16.xi_sq.shape
+    assert stack.shape == problem.a.shape
+    assert sol.trajectory.layout == grid16.band
     assert not stack.flags.writeable
     assert np.shares_memory(stack, sol.trajectory.coeffs)
     mask = np.all(3 * np.abs(grid16.k_int) < grid16.n, axis=0)
-    assert not np.any(stack[..., ~mask])
+    assert not np.any(grid16.band.scatter(stack)[..., ~mask])
 
 
 def _out_of_place(problem, tol, max_iter):
