@@ -301,9 +301,10 @@ class Trajectory:
     coefficient shape in the layout ``layout``: the grid's half spectrum
     (a trajectory built from fields), or its dealias band ``grid.band``
     (a solver trajectory, whose every sample lies in the band).  The
-    diagnostics read ``coeffs`` in that layout.  ``fields`` and iteration
-    give half-spectrum ``SpectralField`` samples: views of a half-spectrum
-    stack, or band samples scattered one at a time.
+    diagnostics read ``coeffs`` in that layout.  ``traj[i]``, ``fields``
+    and iteration give half-spectrum ``SpectralField`` samples: views of a
+    half-spectrum stack, or band samples scattered one at a time
+    (``traj[i]`` scatters sample i alone).
 
     Times are strictly increasing; a leading t = 0 sample is allowed
     (it carries the initial data and is skipped by singular-weight
@@ -354,6 +355,10 @@ class Trajectory:
 
     def __len__(self):
         return self.times.size
+
+    def __getitem__(self, i: int) -> SpectralField:
+        """Sample i as a half-spectrum field."""
+        return self._field(self.coeffs[i])
 
     def __iter__(self):
         """(time, field) pairs, each field made when it is reached."""

@@ -52,7 +52,7 @@ def rescale(field: SpectralField, lam: float,
     invariant; in 2D it scales by lam^{1/p} (the volume factor).
     """
     one = Trajectory(field.grid, [0.0], [field])
-    return rescale_trajectory(one, lam, x0).fields[0]
+    return rescale_trajectory(one, lam, x0)[0]
 
 
 def rescale_trajectory(traj: Trajectory, lam: float, x0=None,

@@ -88,11 +88,14 @@ def random_power_law(grid: Grid, alpha: float, seed: int,
     lead = () if rank == "scalar" else (grid.dim,)
     noise = rng.standard_normal(lead + grid.shape)
     f = SpectralField.from_physical(grid, noise)
-    # real, over the half spectrum: zeros outside the band keep their sign
-    xi = grid.xi_abs[grid.band.index]
+    # real, over the half spectrum: zeros outside the band keep their sign.
+    # |k|^-alpha of the integer wavenumbers: the rescale below makes the
+    # envelope scale-free, and |xi|^-alpha would overflow on a huge box
+    k = np.sqrt(np.sum(grid.k_int[(slice(None),) + grid.band.index]**2,
+                       axis=0))
     env = np.zeros_like(grid.xi_sq)
-    env[grid.band.index] = np.power(xi, -alpha, out=np.zeros_like(xi),
-                                    where=xi > 0)
+    env[grid.band.index] = np.power(k, -alpha, out=np.zeros_like(k),
+                                    where=k > 0)
     f = f.with_coeffs(f.coeffs * env)
     if rank == "vector":
         f = leray_project(f)

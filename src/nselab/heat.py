@@ -18,7 +18,7 @@ from .spectral import (Grid, SpectralField, gradient_coeffs,
 
 def heat_evolve(field: SpectralField, t: float) -> SpectralField:
     """e^{t Lap} by the multiplier exp(-|xi|^2 t); t = 0 is the identity."""
-    return heat_trajectory(field, [t]).fields[0]
+    return heat_trajectory(field, [t])[0]
 
 
 def heat_stack(grid: Grid, coeffs: np.ndarray, times) -> np.ndarray:

@@ -11,9 +11,9 @@ the exact-exponential Duhamel recursion over the schedule.  A solution's
 ``report.solution`` and trajectory are that block too (the trajectory's
 ``layout`` is the band), and so are a continuation's stitched stack and
 the split-perturbed sum v + w: the diagnostics and the archive read the
-band, and only a field handed out (``Trajectory.fields``, an archived
-CLF1 sample, a continuation's restart data) is scattered to the half
-spectrum, one sample at a time.
+band, and only a field handed out (``traj[i]``, ``Trajectory.fields``,
+an archived CLF1 sample) is scattered to the half spectrum, one sample
+at a time.
 
 The bilinear constant gamma depends only on the grid, the schedule,
 the Kato p, the mollifier and the probe count and seed, never on the
@@ -65,8 +65,7 @@ from .picard import (FixedPointReport, PicardProblem, estimate_constants,
                      solve_picard)
 from . import spectral
 from .spectral import (Band, Grid, Mollifier, SpectralField, check_flow,
-                       dealiased_tensor, divergence_residuals,
-                       interpolate_stack, inverse_transform,
+                       dealiased_tensor, interpolate_stack, inverse_transform,
                        magnitude_lp_norms, map_samples,
                        projected_divergence_coeffs, symmetric_tensor)
 
@@ -112,7 +111,7 @@ class SolverConfig:
 
 @dataclass
 class MildSolution:
-    """Trajectory plus the Picard iteration record and residual checks.
+    """Trajectory plus the Picard iteration record and its residual check.
 
     The trajectory is a view of ``report.solution``, the solver's stack
     of dealias band blocks (its ``layout`` is ``grid.band``); both are
@@ -122,8 +121,6 @@ class MildSolution:
     trajectory: Trajectory
     report: FixedPointReport
     residual_doubled: float = float("nan")
-    max_div_residual: float = 0.0
-    config: SolverConfig | None = None
 
 
 # ---------------------------------------------------------------------
@@ -253,20 +250,20 @@ def nonlinear_forcing(traj: Trajectory, background=None,
     return np.negative(g, out=g)
 
 
-def _picard_checked(u0: SpectralField, config: SolverConfig,
+def _picard_checked(c0: np.ndarray, config: SolverConfig,
                     times: np.ndarray, background=None,
                     rho: float | None = None) -> MildSolution:
     """The one solve path: x = e^{tL}u0 - B(x, x) - B(x, v) - B(v, x)
-    around a divergence-free background v (none when None), the advected
-    factor of B(x, x) mollified by rho (none when None).  The Picard step
-    and the doubled residual take their forcing from ``_step_forcing``;
-    constant probing and the resolvent use L = -B(., v) - B(v, .) and B
-    apart.  The step, B and L also return the Kato norms of their
-    arguments from their own transforms.  Every stack of the solve is a
-    band block, and the trajectory is the solution's, made read-only."""
+    from ``c0``, u0 as ``_prepare_data`` makes it, around a
+    divergence-free background v (none when None), the advected factor of
+    B(x, x) mollified by rho (none when None).  The Picard step and the
+    doubled residual take their forcing from ``_step_forcing``; constant
+    probing and the resolvent use L = -B(., v) - B(v, .) and B apart.  The
+    step, B and L also return the Kato norms of their arguments from their
+    own transforms.  Every stack of the solve is a band block, and the
+    trajectory is the solution's, made read-only."""
     grid = config.grid
     band = grid.band
-    c0 = _prepare_data(u0, grid)
     pv, m_rho = _forcing_factors(grid, times, background, rho)
     linear = None if pv is None else _cross_linear(band, times, pv)
     bilinear = _nse_bilinear(band, times, m_rho)
@@ -306,11 +303,10 @@ def _picard_checked(u0: SpectralField, config: SolverConfig,
     report = solve_picard(problem, tol=PICARD_TOL,
                           max_iter=config.max_iter)
     rd = _doubled_residual(band, times, report.solution, problem.a, forcing)
-    divs = divergence_residuals(band, report.solution, batch_axes=1)
     report.solution.flags.writeable = False
     return MildSolution(Trajectory._from_stack(grid, times, "vector",
                                                report.solution, band),
-                        report, rd, float(np.max(divs)), config)
+                        report, rd)
 
 
 def _minus_duhamel(band: Band, times: np.ndarray,
@@ -418,7 +414,8 @@ def _doubled_residual(band: Band, times: np.ndarray, stack: np.ndarray,
 
 def mild_solve_nse(u0: SpectralField, config: SolverConfig) -> MildSolution:
     """Picard solution of u(t) = e^{tL}u0 - B(u, u)(t) on the schedule."""
-    return _picard_checked(u0, config, config.schedule())
+    return _picard_checked(_prepare_data(u0, config.grid), config,
+                           config.schedule())
 
 
 def mild_solve_perturbed(u0_large: SpectralField, background,
@@ -426,7 +423,8 @@ def mild_solve_perturbed(u0_large: SpectralField, background,
     """Solve W = e^{tL}U0 - B(W,W) - B(W,V) - B(V,W) around a
     divergence-free background V, a ``Trajectory`` sampled on the solver
     schedule or a ``SpectralField`` held constant in time."""
-    return _picard_checked(u0_large, config, config.schedule(), background)
+    return _picard_checked(_prepare_data(u0_large, config.grid), config,
+                           config.schedule(), background)
 
 
 def mollified_solve(u0: SpectralField, background, rho: float,
@@ -436,7 +434,8 @@ def mollified_solve(u0: SpectralField, background, rho: float,
     U = e^{tL}U0 - B_rho(U, U) - B(U, V) - B(V, U), with the advected
     factor mollified, B_rho(v, w) = Duhamel(P div v (x) (w)_rho).
     """
-    return _picard_checked(u0, config, config.schedule(), background, rho)
+    return _picard_checked(_prepare_data(u0, config.grid), config,
+                           config.schedule(), background, rho)
 
 
 # ---------------------------------------------------------------------
@@ -458,22 +457,23 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
     converges; a segment that diverges or stops at ``max_iter`` without
     converging halves the step.  Declares 'blow-up suspected' when the
     step falls below the floor (an explicitly heuristic surrogate for
-    T*).
+    T*).  Each segment makes its own schedule, so ``config.times`` must
+    be None (``ConfigError``).
 
-    The trajectory is one stack of band blocks: the prepared data, then
-    each segment's samples after its first (one segment's stack is taken
-    as it is); each report's ``solution`` becomes a read-only view of its
-    segment there, from the previous segment's last sample on.  A
-    segment restarts from the previous one's last sample, scattered to a
-    half-spectrum field.  The largest doubled-schedule residual of the
-    accepted segments is ``residual_doubled`` (NaN when none was
-    accepted).
+    The trajectory is one stack of band blocks: the data, checked once,
+    then each segment's samples after its first (one segment's stack is
+    taken as it is); each report's ``solution`` becomes a read-only view
+    of its segment there, from the previous segment's last sample on,
+    the band block it restarted from.  The largest doubled-schedule
+    residual of the accepted segments is ``residual_doubled`` (NaN when
+    none was accepted).
     """
+    if config.times is not None:
+        raise ConfigError("continuation takes no explicit times")
     grid = config.grid
-    first = _prepare_data(u0, grid)
+    first = current = _prepare_data(u0, grid)
     t0 = 0.0
     step = config.horizon
-    current = u0
     all_times = [np.array([0.0])]
     segments = []
     reports = []
@@ -493,7 +493,7 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
 
     while t0 < config.horizon * (1.0 - 1e-12):
         step = min(step, config.horizon - t0)
-        sub = replace(config, horizon=step, times=None)
+        sub = replace(config, horizon=step)
         times = sub.schedule()
         try:
             sol = _picard_checked(current, sub, times)
@@ -509,8 +509,6 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
         reports.append(sol.report)
         residuals.append(sol.residual_doubled)
         all_times.append(times[1:] + t0)
-        current = SpectralField(grid, "vector",
-                                grid.band.scatter(sol.report.solution[-1]),
-                                check_hermitian=False)
+        current = sol.report.solution[-1]
         t0 += step
     return result("completed")

@@ -81,9 +81,10 @@ def _check_grid_args(dim: int, n: int, box_length: float) -> None:
         raise GridError(f"points_per_axis must be even and >= 8, got {n}")
     if int(n) ** dim > MAX_GRID_POINTS:  # int: a numpy n**dim may wrap
         raise GridError(f"a {n}^{dim} grid exceeds {MAX_GRID_POINTS} points")
-    if not 0 < box_length < np.finfo(float).max ** (1.0 / dim):
-        raise GridError(f"box_length must be positive with a finite "
-                        f"volume, got {box_length}")
+    # the energy ledger weighs sums by 2 L^dim (two modes per stored one)
+    if not 0 < box_length < (np.finfo(float).max / 2.0) ** (1.0 / dim):
+        raise GridError(f"box_length must be positive with 2 L^dim "
+                        f"finite, got {box_length}")
     xi_nyquist = math.pi * n / box_length
     if not math.isfinite(dim * xi_nyquist * xi_nyquist):
         raise GridError(f"box_length {box_length} is too small: |xi|^2 "

@@ -11,8 +11,8 @@ import pytest
 from nselab import (BesovIndex, ExperimentConfig, GridError, SolverConfig,
                     Trajectory, critical_norm_series, default_partition,
                     diagnostics, energy_ledger, energy_norm, leray_monitor,
-                    mild_solve_nse, mild_solve_perturbed, mollified_solve,
-                    rescale_trajectory, run_experiment,
+                    make_grid, mild_solve_nse, mild_solve_perturbed,
+                    mollified_solve, rescale_trajectory, run_experiment,
                     timespace_besov_norm, write_clf1)
 from nselab.families import random_power_law
 from nselab.spectral import divergence_residuals
@@ -46,6 +46,32 @@ def test_solver_trajectory_is_a_band_block(grid16, solved):
     for f, want in zip(traj.fields, half.coeffs):
         assert np.array_equal(f.coeffs, want)
         assert not f.coeffs.flags.writeable
+
+
+def test_indexing_scatters_one_sample(grid16, solved):
+    traj, half = solved
+    for i in (0, 3, -1):
+        for t in (traj, half):
+            f = t[i]
+            assert np.array_equal(f.coeffs, half.coeffs[i])
+            assert f.rank == "vector" and not f.coeffs.flags.writeable
+    with pytest.raises(IndexError):
+        traj[len(traj)]
+
+
+def test_indexing_a_band_trajectory_does_not_scatter_the_stack():
+    grid = make_grid(3, 24, 2.0 * np.pi)
+    u0 = random_power_law(grid, alpha=2.0, seed=1, amplitude=0.3)
+    traj = mild_solve_nse(u0, _config(grid)).trajectory
+    field_nbytes = 3 * grid.xi_sq.size * 16
+    tracemalloc.start()
+    try:
+        last = traj[-1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert last.coeffs.nbytes == field_nbytes
+    assert peak < 2 * field_nbytes < traj.coeffs.nbytes
 
 
 def test_band_diagnostics_equal_the_half_spectrum_ones(grid16, solved,

@@ -411,6 +411,36 @@ def test_huge_data_exit_cleanly_under_warnings_as_errors(tmp_path):
     assert summary["n_samples"] == 1
 
 
+# |xi|^-alpha overflowed on a huge box, so random data came back as zero
+# (2D from box 1e60, 3D from 1e45) or NaN, with a RuntimeWarning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim, box_length", [
+    (2, 1e60), (2, 1e100), (2, 1e150), (2, 9e153), (3, 1e45), (3, 1e100)])
+def test_random_data_on_a_large_box_keep_their_norm(dim, box_length):
+    f = random_power_law(make_grid(dim, 8, box_length), alpha=2.0, seed=0,
+                         amplitude=1.0)
+    assert f.l2_norm() == pytest.approx(1.0, rel=1e-14)
+
+
+# each once exited 1 under warnings as errors; at box 1.3e154 the ledger
+# weight 2 L^2 overflows, so the grid is refused
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("solver", ["direct", "mollified",
+                                    "split-perturbed"])
+@pytest.mark.parametrize("box_length, code", [
+    (1e100, 0), (1e150, 0), (9e153, 0), (1.3e154, 2)])
+def test_random_data_on_a_large_box_exit_with_a_code(tmp_path, capsys,
+                                                     solver, box_length,
+                                                     code):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_tg_2d(recipe={"family": "random"},
+                                      box_length=box_length, solver=solver)))
+    assert cli.main(["solve", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert ("2 L^dim finite" in err) == (code == 2)
+
+
 # the energy of data on a large box once overflowed in the ledger (exit 4)
 # and in the split's L^2 norms (exit 3); a Picard iterate's products once
 # overflowed in the forcing (exit 3) -- each with a RuntimeWarning
@@ -475,6 +505,12 @@ def _csv_rows(path):
 # and a rescale of random data that overflowed to inf * 0
 @example(config=_tg_2d(recipe={"family": "random", "amplitude": 1e300},
                        **{**_UNIT_RUN, "box_length": 1e-13}))
+# random data on a huge box once came back as zero or NaN
+@example(config=_tg_2d(recipe={"family": "random"}, box_length=1e100))
+@example(config=_tg_2d(recipe={"family": "random"}, box_length=9e153,
+                       solver="split-perturbed"))
+@example(config=_tg_2d(recipe={"family": "random"}, box_length=1.3e154,
+                       solver="mollified"))
 def test_solve_config_exits_with_a_code(tmp_path, capsys, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

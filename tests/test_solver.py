@@ -11,7 +11,7 @@ from nselab import (GridError, Mollifier, QuadratureError, SolverConfig,
                     divergence_residual, heat_evolve, make_grid,
                     mild_solve_nse, mild_solve_perturbed, mollified_solve,
                     solver, spectral, solve_with_continuation)
-from nselab.errors import PicardDivergenceError
+from nselab.errors import ConfigError, PicardDivergenceError
 from nselab.families import (abc_flow, random_power_law, taylor_green,
                              taylor_green_decay_rate)
 from nselab.besov import block_lp_norms
@@ -21,8 +21,9 @@ from nselab.solver import (KATO_P, PICARD_TOL, _cross_linear,
                            _doubled_residual, _forcing_factors,
                            _forcing_stack, _nse_bilinear, _prepare_data,
                            _step_forcing, kato_stack_norm)
-from nselab.spectral import (dealiased_tensor, gradient, interpolate_stack,
-                             inverse_transform, symmetric_tensor)
+from nselab.spectral import (dealiased_tensor, divergence_residuals,
+                             gradient, interpolate_stack, inverse_transform,
+                             symmetric_tensor)
 
 
 def small_config(grid, horizon=0.3, **kw):
@@ -77,7 +78,8 @@ def test_small_data_converges_fast(grid16):
     sol = mild_solve_nse(u0, small_config(grid16))
     assert sol.report.converged
     assert sol.report.iterations <= 5
-    assert sol.max_div_residual < 1e-10
+    assert np.max(divergence_residuals(sol.trajectory.layout,
+                                       sol.trajectory.coeffs, 1)) < 1e-10
     assert sol.residual_doubled < 1e-7
 
 
@@ -201,6 +203,38 @@ def test_continuation_reports_are_views_of_the_trajectory(grid16,
         assert not rep.solution.flags.writeable
         start += len(own) - 1
     assert start == len(coeffs) - 1
+
+
+def test_continuation_checks_data_once_and_restarts_on_the_band(
+        monkeypatch):
+    checked, scattered = [], []
+    check_flow, scatter = solver.check_flow, spectral.Band.scatter
+
+    def counting_check(grid, field, what):
+        checked.append(what)
+        return check_flow(grid, field, what)
+
+    def counting_scatter(band, block):
+        scattered.append(block.shape)
+        return scatter(band, block)
+
+    monkeypatch.setattr(solver, "check_flow", counting_check)
+    monkeypatch.setattr(spectral.Band, "scatter", counting_scatter)
+    grid = make_grid(2, 16, 2.0 * np.pi)
+    u0 = random_power_law(grid, alpha=2.0, seed=3, amplitude=60.0)
+    cfg = small_config(grid, horizon=0.2, n_geometric=6, n_uniform=6,
+                       measure_probes=2)
+    res = solve_with_continuation(u0, cfg, step_floor=1e-3)
+    assert res.status == "completed" and len(res.segment_horizons) == 4
+    assert checked == ["initial data"]
+    assert scattered == []
+
+
+def test_continuation_refuses_explicit_times(grid16):
+    u0 = random_power_law(grid16, alpha=2.0, seed=1, amplitude=1e-2)
+    cfg = small_config(grid16, horizon=0.2, times=np.linspace(0.0, 0.2, 9))
+    with pytest.raises(ConfigError, match="no explicit times"):
+        solve_with_continuation(u0, cfg)
 
 
 @pytest.mark.parametrize("case", ["x_x", "x_y", "mollified", "cross", "fused",
@@ -444,7 +478,7 @@ def test_continuation_stitches_like_concatenation(amplitude, n_segments):
         times.append(sol.trajectory.times[1:] + t0)
         stacks.append(sol.trajectory.coeffs[1:])
         residuals.append(sol.residual_doubled)
-        current = sol.trajectory.fields[-1]
+        current = sol.trajectory[-1]
         t0 += step
     assert np.array_equal(res.trajectory.times, np.concatenate(times))
     assert np.array_equal(res.trajectory.coeffs, np.concatenate(stacks))
