@@ -205,6 +205,8 @@ class BesovIndex:
     r: float | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.s):
+            raise ExponentError(f"regularity s must be finite, got {self.s}")
         for e in (self.p, self.q) + (() if self.r is None else (self.r,)):
             if not (e >= 1.0):
                 raise ExponentError(f"integrability exponents must be >= 1, got {e}")

@@ -21,15 +21,17 @@ from .besov import (BesovIndex, Trajectory, besov_norm, critical_exponent,
 from .calderon import SplitConfig, exponent_sweep, split
 from .diagnostics import (ExperimentConfig, atomic_write_text, finite_json,
                           rescale, run_experiment, vanishing_test)
-from .errors import NseLabError, PicardDivergenceError
+from .errors import ConfigError, NseLabError, PicardDivergenceError
 from .families import random_power_law
-from .heat import heat_trajectory, time_schedule, verify_kato_estimate
+from .heat import (check_kato_exponents, heat_trajectory, time_schedule,
+                   verify_kato_estimate)
 from .spectral import Grid, dealias_product, read_clf1, write_clf1
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
 EXIT_GATE = 4
+MAX_SWEEP_LAMBDAS = 1000  # each lambda of a sweep runs one full split
 
 
 def _common(sub):
@@ -100,16 +102,23 @@ def cmd_split(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    lo, hi, n = args.lambda_min, args.lambda_max, args.n_lambda
+    if not (0 < lo < math.inf and 0 < hi < math.inf
+            and n <= MAX_SWEEP_LAMBDAS):
+        raise ConfigError(f"a sweep takes a positive and finite lambda range "
+                          f"and at most {MAX_SWEEP_LAMBDAS} values, got {lo} "
+                          f"to {hi} in {n}")
     field = read_clf1(args.infile)
     part = default_partition(field.grid)
     cfg = SplitConfig(args.p, args.q, 1.0)
-    lams = np.geomspace(args.lambda_min, args.lambda_max, args.n_lambda)
+    lams = np.geomspace(lo, hi, n)
     rep = exponent_sweep(field, cfg, lams, part)
     _emit(args, json.loads(rep.to_json()), "sweep")
     return EXIT_OK
 
 
 def cmd_heat_verify(args) -> int:
+    check_kato_exponents(args.s1, args.p1, args.p2)
     grid = Grid(args.dim, args.grid, args.box)
     u = random_power_law(grid, alpha=2.0, seed=args.seed)
     times = time_schedule(args.horizon, 16, 16)
@@ -166,8 +175,11 @@ def cmd_report(args) -> int:
     path = os.path.join(args.archive, "manifest.json")
     with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    _emit(args, manifest["summary"], "report")
-    status = manifest["summary"].get("status")
+    summary = manifest.get("summary") if isinstance(manifest, dict) else None
+    if not isinstance(summary, dict):
+        raise ConfigError(f"{path} holds no summary object")
+    _emit(args, summary, "report")
+    status = summary.get("status")
     return EXIT_OK if status == "completed" else EXIT_GATE
 
 

@@ -34,6 +34,9 @@ CONFIG_SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------
 
 def _power_of_two_exponent(lam: float) -> int:
+    if not 0 < lam < 2.0**1023:  # the range of log2 and 2.0**m
+        raise ConfigError(f"scaling factor must be a power of 2 below "
+                          f"2^1023, got {lam}")
     m = round(math.log2(lam))
     if abs(lam - 2.0**m) > 1e-12 * lam:
         raise ConfigError(f"scaling factor must be a power of 2, got {lam}")
@@ -59,14 +62,14 @@ def rescale_trajectory(traj: Trajectory, lam: float, x0=None,
                        t0: float = 0.0) -> Trajectory:
     """Rescale a trajectory (see ``rescale``): samples with t >= t0 map
     to (t - t0)/lam^2.  The result keeps the trajectory's layout, on the
-    rescaled grid."""
+    rescaled grid, which must pass ``Grid``'s checks; a scale whose
+    times or coefficients overflow is refused (``ConfigError``)."""
+    _power_of_two_exponent(lam)
     keep = traj.times >= t0 - 1e-15
     if not np.any(keep):
         raise ConfigError(f"no samples at or after t0 = {t0}")
-    times = (traj.times[keep] - t0) / lam**2
-    times = np.maximum(times, 0.0)
     grid = traj.grid
-    _power_of_two_exponent(lam)
+    new_grid = Grid(grid.dim, grid.n, grid.box_length / lam)
     phase = 1.0
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
@@ -77,10 +80,13 @@ def rescale_trajectory(traj: Trajectory, lam: float, x0=None,
             raise ConfigError("x0 must be a grid-point shift")
         phase = np.exp(1j * np.einsum("i...,i->...",
                                       traj.layout.wavevectors, x0))
-    new_grid = Grid(grid.dim, grid.n, grid.box_length / lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        times = np.maximum((traj.times[keep] - t0) / lam**2, 0.0)
+        coeffs = lam * traj.coeffs[keep] * phase
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(coeffs))):
+        raise ConfigError(f"rescaling by {lam} overflows the trajectory")
     layout = new_grid.band if isinstance(traj.layout, Band) else new_grid
-    return Trajectory._from_stack(new_grid, times, traj.rank,
-                                  lam * traj.coeffs[keep] * phase, layout)
+    return Trajectory._from_stack(new_grid, times, traj.rank, coeffs, layout)
 
 
 # ---------------------------------------------------------------------
@@ -343,6 +349,9 @@ class ExperimentConfig:
                 and math.isfinite(self.horizon * self.horizon)):
             raise ConfigError(f"horizon must be positive with a finite "
                               f"square, got {self.horizon}")
+        if not (all(p > 3.0 for p in self.monitor_ps) and self.besov_p >= 1):
+            raise ConfigError(f"need monitor_ps entries > 3 and besov_p >= 1, "
+                              f"got {self.monitor_ps} and {self.besov_p}")
 
     def to_json(self) -> str:
         d = {"clab_config": CONFIG_SCHEMA_VERSION}

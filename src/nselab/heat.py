@@ -15,6 +15,8 @@ from .errors import ExponentError, QuadratureError, RankError
 from .spectral import (Grid, SpectralField, gradient_coeffs,
                        interpolate_stack, projected_divergence_coeffs)
 
+FIRST_EXPONENT = 20  # J of a schedule's first geometric sample, T*2^{-J}
+
 
 def heat_evolve(field: SpectralField, t: float) -> SpectralField:
     """e^{t Lap} by the multiplier exp(-|xi|^2 t); t = 0 is the identity."""
@@ -165,9 +167,11 @@ def duhamel_trajectory(f_traj: Trajectory) -> Trajectory:
 # ---------------------------------------------------------------------
 
 def check_kato_exponents(s1: float, p1: float, p2: float) -> float:
-    """Validate s1 > -2 and 3/p1 - 3/p2 < 1 (both strict); return s2."""
-    if not s1 > -2.0:
-        raise ExponentError(f"need s1 > -2, got {s1}")
+    """Validate a finite s1 > -2, p1, p2 >= 1 and 3/p1 - 3/p2 < 1 (both
+    strict); return s2."""
+    if not (-2.0 < s1 < np.inf and p1 >= 1 and p2 >= 1):
+        raise ExponentError(f"need a finite s1 > -2 and p1, p2 >= 1, got "
+                            f"s1={s1}, p1={p1}, p2={p2}")
     gap = 3.0 / p1 - 3.0 / p2
     if not gap < 1.0 - 1e-14:
         raise ExponentError(f"need 3/p1 - 3/p2 < 1 strictly, got {gap}")
@@ -244,10 +248,9 @@ def verify_smoothing_derivatives(f_traj: Trajectory, k: int, l: int,
 # Time schedules
 # ---------------------------------------------------------------------
 
-def time_schedule(horizon: float, n_geometric: int = 24, n_uniform: int = 24,
-                  first_exponent: int = 20):
-    """t = 0, geometric samples from T*2^{-J} to T/8, then uniform up to
-    T.
+def time_schedule(horizon: float, n_geometric: int = 24, n_uniform: int = 24):
+    """t = 0, geometric samples from T*2^{-J}, J = ``FIRST_EXPONENT``, to
+    T/8, then uniform up to T.
 
     Resolves the singular t^{-s/2} Kato weights near t = 0.  At least
     one uniform sample is needed, so that the schedule ends at T.
@@ -258,7 +261,7 @@ def time_schedule(horizon: float, n_geometric: int = 24, n_uniform: int = 24,
     if n_geometric < 0 or n_uniform < 1:
         raise QuadratureError(f"need n_geometric >= 0 and n_uniform >= 1, "
                               f"got {n_geometric} and {n_uniform}")
-    t1 = horizon * 2.0 ** (-first_exponent)
+    t1 = horizon * 2.0 ** (-FIRST_EXPONENT)
     geo = np.geomspace(t1, horizon / 8.0, n_geometric)
     uni = np.linspace(horizon / 8.0, horizon, n_uniform + 1)[1:]
     return np.concatenate([[0.0], geo, uni])

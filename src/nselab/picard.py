@@ -82,7 +82,7 @@ class PicardProblem:
         return self.linear(x), self.norm(x)
 
 
-def _probe_seed(rng) -> int:
+def _next_seed(rng) -> int:
     """The seed of the next probe drawn from ``rng``."""
     return int(rng.integers(0, 2**31 - 1))
 
@@ -116,8 +116,8 @@ def estimate_constants(problem: PicardProblem, n_probes: int = 20,
     l_norm = 0.0
     if measure_gamma or problem.linear is not None:
         for _ in range(n_probes):
-            x = problem.probe(_probe_seed(rng))
-            y_seed = _probe_seed(rng)
+            x = problem.probe(_next_seed(rng))
+            y_seed = _next_seed(rng)
             if measure_gamma:
                 bxy, nx, ny = problem.bilinear_and_norms(
                     x, problem.probe(y_seed))
@@ -274,12 +274,12 @@ def propagation_check(problem: PicardProblem, report: FixedPointReport,
     eta = 0.0
     if problem.probe is not None:
         for _ in range(n_probes):
-            y = problem.probe(_probe_seed(rng))
+            y = problem.probe(_next_seed(rng))
             ney = e_norm(y)
             if ney > 0:
                 resolved = _resolvent_apply(problem, y, 1e-12 * ney)
                 inv_e = max(inv_e, e_norm(resolved) / ney)
-            z = problem.probe(_probe_seed(rng))
+            z = problem.probe(_next_seed(rng))
             nz = problem.norm(z)
             if ney > 0 and nz > 0:
                 eta = max(eta,

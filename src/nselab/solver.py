@@ -17,23 +17,24 @@ at a time.
 
 The bilinear constant gamma depends only on the grid, the schedule,
 the Kato p, the mollifier and the probe count and seed, never on the
-data.  It is measured once per key (grid, schedule bytes, ``KATO_P``,
-the mollifier's rho or None, ``measure_probes``, ``probe_seed``)
-and the last (key, gamma) pair is kept in process, so a perturbed solve
-after a direct solve on the same configuration runs no B(x, y) probe;
-||L|| depends on the background and is always measured.  One pair is
-enough: every caller meets its keys in order and never returns to an
-older one (continuation only shrinks its step).
+data.  It is measured once per key (grid, schedule bytes, the
+mollifier's rho or None, ``measure_probes``; p and the seed are the
+constants ``KATO_P`` and ``PROBE_SEED``), and the last (key, gamma)
+pair is kept in process, so a perturbed solve after a direct solve on
+the same configuration runs no B(x, y) probe; ||L|| depends on the
+background and is always measured.  One pair is enough: every caller
+meets its keys in order and never returns to an older one
+(continuation only shrinks its step).
 
-Every solve is one call of ``_picard_checked`` with an optional
-divergence-free background v and mollifier radius rho, which
-``_forcing_factors`` alone turns into physical samples and a symbol.
-One forcing, ``_step_forcing``, defines its nonlinearity, P div
-dealias(w (x) (w)_rho + w (x) v + v (x) w): the Picard step, the
-doubled-schedule residual and the energy ledger (``nonlinear_forcing``)
-all take it from there.  It, the probe B(x, y) and the resolvent's L(w)
-are each one ``_forcing_stack`` job: x is transformed once per sample
-and the caller builds the tensor from it.
+Every solve is one call of ``_picard_checked`` on its config's
+schedule, with an optional divergence-free background v and mollifier
+radius rho, which ``_forcing_factors`` alone turns into physical
+samples and a symbol.  One forcing, ``_step_forcing``, defines its
+nonlinearity, P div dealias(w (x) (w)_rho + w (x) v + v (x) w): the
+Picard step, the doubled-schedule residual and the energy ledger
+(``nonlinear_forcing``) all take it from there.  It, the probe B(x, y)
+and the resolvent's L(w) are each one ``_forcing_stack`` job: x is
+transformed once per sample and the caller builds the tensor from it.
 
 The Kato norm of every Picard iterate and probe comes from the forcing
 that transforms it: a job given a series writes the L^KATO_P norms of
@@ -71,6 +72,9 @@ from .spectral import (Band, Grid, Mollifier, SpectralField, check_flow,
 
 KATO_P = 4.0  # p of the Kato norm K_p that the Picard iteration contracts in
 PICARD_TOL = 1e-10  # Picard increment tolerance
+MAX_ITER = 60  # Picard iterations before a solve stops unconverged
+PROBE_SEED = 0  # seed of the constant-probing random stream
+STEP_FLOOR = 1e-4  # continuation step below which blow-up is suspected
 
 _last_gamma: tuple = (None, None)  # (key, gamma) of the last measurement
 
@@ -88,11 +92,8 @@ class SolverConfig:
     horizon: float
     n_geometric: int = 24
     n_uniform: int = 24
-    first_exponent: int = 20
     times: np.ndarray | None = None
-    max_iter: int = 60
     measure_probes: int = 20
-    probe_seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.horizon < math.inf:
@@ -105,16 +106,17 @@ class SolverConfig:
     def schedule(self) -> np.ndarray:
         return check_schedule(self.times if self.times is not None else
                               time_schedule(self.horizon, self.n_geometric,
-                                            self.n_uniform,
-                                            self.first_exponent))
+                                            self.n_uniform))
 
 
 @dataclass
 class MildSolution:
     """Trajectory plus the Picard iteration record and its residual check.
 
-    The trajectory is a view of ``report.solution``, the solver's stack
-    of dealias band blocks (its ``layout`` is ``grid.band``); both are
+    ``report.converged`` is False when the iteration stopped at
+    ``MAX_ITER`` iterations without meeting ``PICARD_TOL``.  The
+    trajectory is a view of ``report.solution``, the solver's stack of
+    dealias band blocks (its ``layout`` is ``grid.band``); both are
     read-only.
     """
 
@@ -198,14 +200,15 @@ def _make_probe(grid: Grid, times: np.ndarray):
 def _measure_constants(problem: PicardProblem, config: SolverConfig,
                        times: np.ndarray, rho: float | None) -> None:
     """``estimate_constants`` with gamma reused when the last measurement
-    had the same key; the measured gamma is remembered."""
+    had the same key; the measured gamma is remembered.  With no probes
+    both constants are 0."""
     global _last_gamma
     grid = config.grid
-    key = ((grid.dim, grid.n, grid.box_length), times.tobytes(), KATO_P,
-           rho, config.measure_probes, config.probe_seed)
+    key = ((grid.dim, grid.n, grid.box_length), times.tobytes(), rho,
+           config.measure_probes)
     known = _last_gamma[1] if _last_gamma[0] == key else None
     estimate_constants(problem, n_probes=config.measure_probes,
-                       seed=config.probe_seed, gamma=known)
+                       seed=PROBE_SEED, gamma=known)
     _last_gamma = (key, problem.gamma)
 
 
@@ -250,20 +253,21 @@ def nonlinear_forcing(traj: Trajectory, background=None,
     return np.negative(g, out=g)
 
 
-def _picard_checked(c0: np.ndarray, config: SolverConfig,
-                    times: np.ndarray, background=None,
+def _picard_checked(c0: np.ndarray, config: SolverConfig, background=None,
                     rho: float | None = None) -> MildSolution:
     """The one solve path: x = e^{tL}u0 - B(x, x) - B(x, v) - B(v, x)
-    from ``c0``, u0 as ``_prepare_data`` makes it, around a
-    divergence-free background v (none when None), the advected factor of
-    B(x, x) mollified by rho (none when None).  The Picard step and the
-    doubled residual take their forcing from ``_step_forcing``; constant
-    probing and the resolvent use L = -B(., v) - B(v, .) and B apart.  The
-    step, B and L also return the Kato norms of their arguments from their
-    own transforms.  Every stack of the solve is a band block, and the
-    trajectory is the solution's, made read-only."""
+    on ``config.schedule()`` from ``c0``, u0 as ``_prepare_data`` makes
+    it, around a divergence-free background v (none when None), the
+    advected factor of B(x, x) mollified by rho (none when None).  The
+    Picard step and the doubled residual take their forcing from
+    ``_step_forcing``; constant probing and the resolvent use L = -B(., v)
+    - B(v, .) and B apart.  The step, B and L also return the Kato norms
+    of their arguments from their own transforms.  Every stack of the
+    solve is a band block, and the trajectory is the solution's, made
+    read-only."""
     grid = config.grid
     band = grid.band
+    times = config.schedule()
     pv, m_rho = _forcing_factors(grid, times, background, rho)
     linear = None if pv is None else _cross_linear(band, times, pv)
     bilinear = _nse_bilinear(band, times, m_rho)
@@ -295,13 +299,8 @@ def _picard_checked(c0: np.ndarray, config: SolverConfig,
                             bilinear_with_norms=bilinear_with_norms,
                             linear_with_norm=None if linear is None
                             else linear_with_norm)
-    if config.measure_probes > 0:
-        _measure_constants(problem, config, times, rho)
-    else:
-        problem.gamma = 0.0
-        problem.l_norm = 0.0
-    report = solve_picard(problem, tol=PICARD_TOL,
-                          max_iter=config.max_iter)
+    _measure_constants(problem, config, times, rho)
+    report = solve_picard(problem, tol=PICARD_TOL, max_iter=MAX_ITER)
     rd = _doubled_residual(band, times, report.solution, problem.a, forcing)
     report.solution.flags.writeable = False
     return MildSolution(Trajectory._from_stack(grid, times, "vector",
@@ -414,8 +413,7 @@ def _doubled_residual(band: Band, times: np.ndarray, stack: np.ndarray,
 
 def mild_solve_nse(u0: SpectralField, config: SolverConfig) -> MildSolution:
     """Picard solution of u(t) = e^{tL}u0 - B(u, u)(t) on the schedule."""
-    return _picard_checked(_prepare_data(u0, config.grid), config,
-                           config.schedule())
+    return _picard_checked(_prepare_data(u0, config.grid), config)
 
 
 def mild_solve_perturbed(u0_large: SpectralField, background,
@@ -424,7 +422,7 @@ def mild_solve_perturbed(u0_large: SpectralField, background,
     divergence-free background V, a ``Trajectory`` sampled on the solver
     schedule or a ``SpectralField`` held constant in time."""
     return _picard_checked(_prepare_data(u0_large, config.grid), config,
-                           config.schedule(), background)
+                           background)
 
 
 def mollified_solve(u0: SpectralField, background, rho: float,
@@ -435,7 +433,7 @@ def mollified_solve(u0: SpectralField, background, rho: float,
     factor mollified, B_rho(v, w) = Duhamel(P div v (x) (w)_rho).
     """
     return _picard_checked(_prepare_data(u0, config.grid), config,
-                           config.schedule(), background, rho)
+                           background, rho)
 
 
 # ---------------------------------------------------------------------
@@ -451,14 +449,14 @@ class ContinuationResult:
     residual_doubled: float = float("nan")  # largest over the segments
 
 
-def solve_with_continuation(u0: SpectralField, config: SolverConfig,
-                            step_floor: float = 1e-4) -> ContinuationResult:
+def solve_with_continuation(u0: SpectralField,
+                            config: SolverConfig) -> ContinuationResult:
     """Re-seeded continuation: solve on shrinking steps while Picard
-    converges; a segment that diverges or stops at ``max_iter`` without
+    converges; a segment that diverges or stops at ``MAX_ITER`` without
     converging halves the step.  Declares 'blow-up suspected' when the
-    step falls below the floor (an explicitly heuristic surrogate for
-    T*).  Each segment makes its own schedule, so ``config.times`` must
-    be None (``ConfigError``).
+    step falls below ``STEP_FLOOR`` (an explicitly heuristic surrogate
+    for T*).  Each segment makes its own schedule, so ``config.times``
+    must be None (``ConfigError``).
 
     The trajectory is one stack of band blocks: the data, checked once,
     then each segment's samples after its first (one segment's stack is
@@ -493,22 +491,20 @@ def solve_with_continuation(u0: SpectralField, config: SolverConfig,
 
     while t0 < config.horizon * (1.0 - 1e-12):
         step = min(step, config.horizon - t0)
-        sub = replace(config, horizon=step)
-        times = sub.schedule()
         try:
-            sol = _picard_checked(current, sub, times)
+            sol = _picard_checked(current, replace(config, horizon=step))
             converged = sol.report.converged
         except PicardDivergenceError:
             converged = False
         if not converged:
             step *= 0.5
-            if step < step_floor:
+            if step < STEP_FLOOR:
                 return result("blow-up suspected")
             continue
         segments.append(step)
         reports.append(sol.report)
         residuals.append(sol.residual_doubled)
-        all_times.append(times[1:] + t0)
+        all_times.append(sol.trajectory.times[1:] + t0)
         current = sol.report.solution[-1]
         t0 += step
     return result("completed")

@@ -8,9 +8,10 @@ import pytest
 
 import nselab
 from nselab import (NseLabError, SpectralField, default_partition, make_grid,
-                    read_clf1, write_clf1)
+                    read_clf1, solver, write_clf1)
+from nselab import cli
 from nselab.cli import main
-from nselab.families import critical_random
+from nselab.families import critical_random, random_power_law
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +161,40 @@ def test_report_missing_archive(tmp_path):
     assert main(["report", "--archive", str(tmp_path / "empty")]) == 2
 
 
+@pytest.mark.parametrize("manifest", ["{}", "[1, 2]", '{"summary": 1}'])
+def test_report_refuses_a_manifest_without_a_summary(tmp_path, capsys,
+                                                     manifest):
+    # {} once raised KeyError and [1, 2] a TypeError, each a traceback
+    (tmp_path / "manifest.json").write_text(manifest)
+    assert main(["report", "--archive", str(tmp_path)]) == 2
+    assert "no summary object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("monitor_ps", [3.0]), ("monitor_ps", [4.0, float("nan")]),
+    ("besov_p", 0.5), ("besov_p", float("nan"))])
+def test_solve_refuses_bad_diagnostic_exponents_before_any_solve(
+        tmp_path, capsys, monkeypatch, field, value):
+    # 2D 16^2: these configs once ran a whole solve before the monitor
+    # or the critical Besov series refused the exponent
+    solves = []
+    picard_checked = solver._picard_checked
+
+    def spy(*args, **kwargs):
+        solves.append(1)
+        return picard_checked(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_picard_checked", spy)
+    config = {"clab_config": 1, "dim": 2, "n": 16,
+              "box_length": 2.0 * np.pi, "horizon": 0.1,
+              "recipe": {"family": "taylor-green"}, field: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["solve", "--config", str(path)]) == 2
+    assert field.split("_")[0] in capsys.readouterr().err
+    assert solves == []
+
+
 @pytest.mark.parametrize("header, n_payload", [
     (b"CLF1 3 16 6.283185307179586 tensor 9\n", 9 * 16**3),
     (b"CLF1 3 100000 6.283185307179586 vector 3\n", 3 * 16**3),
@@ -205,6 +240,124 @@ def test_split_rejects_a_non_finite_lambda(field_file, tmp_path, capsys, lam):
     assert main(["split", "--in", field_file, "--lambda", lam,
                  "--out", str(tmp_path)]) == 2
     assert "lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", ["inf", "1e400", "0", "-1", "nan", "3"])
+def test_rescale_refuses_a_scale_that_is_not_a_power_of_2(field_file,
+                                                          tmp_path, capsys,
+                                                          lam):
+    # inf and 1e400 once overflowed in log2 (a traceback), 0 divided by
+    # lam**2 with a warning before the check
+    assert main(["rescale", "--in", field_file, "--lambda", lam,
+                 "--outfile", str(tmp_path / "r.clf1")]) == 2
+    assert "power of 2" in capsys.readouterr().err
+    assert not (tmp_path / "r.clf1").exists()
+
+
+@pytest.mark.parametrize("amplitude, lam", [(1.0, 2.0**600),
+                                            (1e200, 2.0**400)])
+def test_rescale_refuses_a_scale_that_overflows(tmp_path, capsys, amplitude,
+                                                lam):
+    # 2^600 once overflowed lam**2 (a traceback); 2^400 overflowed the
+    # coefficients of the 1e200 field with a warning
+    grid = make_grid(2, 8, 2.0 * np.pi)
+    path = tmp_path / "u.clf1"
+    write_clf1(path, random_power_law(grid, alpha=2.0, seed=0,
+                                      amplitude=amplitude))
+    assert main(["rescale", "--in", str(path), "--lambda", repr(lam),
+                 "--outfile", str(tmp_path / "r.clf1")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "r.clf1").exists()
+
+
+@pytest.mark.parametrize("lams", ["inf", "2.0,1e400", "nan"])
+def test_vanish_refuses_a_scale_that_is_not_a_power_of_2(field_file, capsys,
+                                                         lams):
+    assert main(["vanish", "--in", field_file, "--lambdas", lams]) == 2
+    assert "power of 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p1", "0"], ["--p2", "0"], ["--p1=-1"], ["--p2=-1"], ["--p1", "nan"],
+    ["--s1", "inf"], ["--s1", "1e400"], ["--s1", "nan"]])
+def test_heat_verify_refuses_exponents_before_any_work(monkeypatch, capsys,
+                                                       argv):
+    # p = 0 once divided by zero; p1 = -1 built the heat and tensor
+    # trajectories before refusing; s1 = inf exited 0 with a null constant
+    def no_work(*args, **kwargs):
+        raise AssertionError("a trajectory was built")
+
+    monkeypatch.setattr(cli, "heat_trajectory", no_work)
+    assert main(["heat-verify", "--grid", "8", "--dim", "2"] + argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s", ["inf", "-inf", "nan", "1e400"])
+def test_norm_refuses_a_non_finite_regularity(field_file, capsys, s):
+    # inf once warned in the dyadic sum; nan exited 0 with a null value
+    assert main(["norm", "--in", field_file, f"--s={s}"]) == 2
+    assert "regularity s must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--lambda-min=-1"], "positive and finite"),
+    (["--lambda-min", "0"], "positive and finite"),
+    (["--lambda-max", "inf"], "positive and finite"),
+    (["--lambda-max", "1e400"], "positive and finite"),
+    (["--lambda-min", "nan"], "positive and finite"),
+    (["--n-lambda", "1000000000"], "at most")])
+def test_sweep_checks_its_range_before_allocating(field_file, monkeypatch,
+                                                  capsys, argv, message):
+    # --n-lambda 1000000000 once asked numpy for 7.45 GiB
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the lambda grid was allocated")
+
+    monkeypatch.setattr(np, "geomspace", no_allocation)
+    assert main(["sweep", "--in", field_file] + argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def field_2d(tmp_path_factory):
+    grid = make_grid(2, 8, 2.0 * np.pi)
+    u = critical_random(grid, 4.0, default_partition(grid), seed=0)
+    path = tmp_path_factory.mktemp("fields") / "u8.clf1"
+    write_clf1(path, u)
+    return str(path)
+
+
+# each command on a 2D 8^2 grid (or field) and its numeric options
+_MATRIX_COMMANDS = {
+    "partition-check": (["--grid", "8", "--dim", "2"],
+                        ["--grid", "--box", "--dim"]),
+    "norm": (["--in", "{field}"], ["--s", "--p", "--q"]),
+    "split": (["--in", "{field}"], ["--p", "--q", "--lambda"]),
+    "sweep": (["--in", "{field}"], ["--p", "--q", "--lambda-min",
+                                    "--lambda-max", "--n-lambda"]),
+    "heat-verify": (["--grid", "8", "--dim", "2", "--horizon", "0.2"],
+                    ["--grid", "--box", "--dim", "--s1", "--p1", "--p2",
+                     "--horizon", "--seed"]),
+    "rescale": (["--in", "{field}", "--lambda", "2",
+                 "--outfile", "{out}"], ["--lambda"]),
+    "vanish": (["--in", "{field}", "--lambdas", "2"], ["--lambdas"]),
+}
+_MATRIX_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e400"]
+
+
+@pytest.mark.parametrize("command, option, value", [
+    (command, option, value)
+    for command, (_, options) in _MATRIX_COMMANDS.items()
+    for option in options for value in _MATRIX_VALUES])
+def test_cli_input_matrix(field_2d, tmp_path, capsys, command, option,
+                          value):
+    # runs under the suite's warnings-as-errors: a warning is a failure
+    base, _ = _MATRIX_COMMANDS[command]
+    argv = [command] + [a.format(field=field_2d, out=tmp_path / "r.clf1")
+                        for a in base] + [f"{option}={value}"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4)
+    assert (code == 2) == ("error:" in err)
 
 
 def test_import_loads_only_the_scipy_modules_it_uses():

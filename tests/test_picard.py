@@ -9,7 +9,7 @@ from nselab.families import random_power_law
 from nselab.heat import heat_stack
 from nselab.picard import (PicardProblem, estimate_constants,
                            propagation_check, solve_picard)
-from nselab.solver import (KATO_P, PICARD_TOL, _nse_bilinear,
+from nselab.solver import (KATO_P, MAX_ITER, PICARD_TOL, _nse_bilinear,
                            _prepare_data, kato_stack_norm)
 
 
@@ -186,7 +186,7 @@ def test_zero_linear_map_is_not_evaluated(grid16):
                                 bilinear=_nse_bilinear(band, times),
                                 norm=norm, gamma=sol.report.gamma, l_norm=0.0)
         reports.append(solve_picard(problem, tol=PICARD_TOL,
-                                    max_iter=cfg.max_iter))
+                                    max_iter=MAX_ITER))
         norm_calls.append(len(calls))
     skipped, zero_map = reports
     assert np.array_equal(skipped.solution, sol.report.solution)

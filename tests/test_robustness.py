@@ -2,7 +2,6 @@
 segments, CLI exit codes, strict JSON, and arbitrary CLF1 bytes."""
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -18,7 +17,7 @@ from nselab import (BesovIndex, ConfigError, GridError, NormReport,
                     NseLabError, SolverConfig, SplitConfig, SpectralField,
                     Trajectory, default_partition, exponent_sweep, make_grid,
                     split)
-from nselab import besov, cli, diagnostics
+from nselab import besov, cli, diagnostics, solver
 from nselab.diagnostics import (DiagnosticsReport, ExperimentConfig,
                                 LedgerReport, _archive, finite_json,
                                 run_experiment)
@@ -34,11 +33,13 @@ def _strict_loads(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_continuation_rejects_unconverged_segments(grid16):
+def test_continuation_rejects_unconverged_segments(grid16, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITER", 2)
+    monkeypatch.setattr(solver, "STEP_FLOOR", 0.03)
     u0 = random_power_law(grid16, alpha=2.0, seed=7, amplitude=5e-2)
     cfg = SolverConfig(grid=grid16, horizon=0.2, n_geometric=6, n_uniform=6,
-                       measure_probes=0, max_iter=2)
-    res = solve_with_continuation(u0, cfg, step_floor=0.03)
+                       measure_probes=0)
+    res = solve_with_continuation(u0, cfg)
     assert res.status == "blow-up suspected"
     assert res.segment_horizons == []
     assert math.isnan(res.residual_doubled)
@@ -54,8 +55,7 @@ def _small_experiment(solver, **kwargs):
 @pytest.mark.parametrize("solver", ["split-perturbed", "mollified"])
 def test_unconverged_solve_is_a_numerical_failure(monkeypatch, solver):
     # the direct solver's continuation halves the step instead (above)
-    monkeypatch.setattr(diagnostics, "SolverConfig",
-                        functools.partial(SolverConfig, max_iter=2))
+    monkeypatch.setattr("nselab.solver.MAX_ITER", 2)
     report = run_experiment(_small_experiment(solver))
     assert report.status == "numerical failure"
 

@@ -15,9 +15,11 @@ from nselab.errors import ConfigError, PicardDivergenceError
 from nselab.families import (abc_flow, random_power_law, taylor_green,
                              taylor_green_decay_rate)
 from nselab.besov import block_lp_norms
+from nselab import heat
 from nselab.heat import duhamel_stack, heat_stack
 from nselab.picard import PicardProblem, estimate_constants, solve_picard
-from nselab.solver import (KATO_P, PICARD_TOL, _cross_linear,
+from nselab.solver import (KATO_P, MAX_ITER, PICARD_TOL, PROBE_SEED,
+                           _cross_linear,
                            _doubled_residual, _forcing_factors,
                            _forcing_stack, _nse_bilinear, _prepare_data,
                            _step_forcing, kato_stack_norm)
@@ -141,18 +143,20 @@ def test_continuation_completes_on_small_data(grid16):
     assert sum(res.segment_horizons) == pytest.approx(0.2)
 
 
-def test_continuation_flags_violent_data(grid16):
+def test_continuation_flags_violent_data(grid16, monkeypatch):
+    monkeypatch.setattr(heat, "FIRST_EXPONENT", 10)
+    monkeypatch.setattr(solver, "MAX_ITER", 30)
+    monkeypatch.setattr(solver, "STEP_FLOOR", 0.2)
     u0 = random_power_law(grid16, alpha=1.0, seed=8, amplitude=500.0)
-    cfg = small_config(grid16, horizon=0.5, n_geometric=6, n_uniform=6,
-                       first_exponent=10, max_iter=30)
-    res = solve_with_continuation(u0, cfg, step_floor=0.2)
+    cfg = small_config(grid16, horizon=0.5, n_geometric=6, n_uniform=6)
+    res = solve_with_continuation(u0, cfg)
     assert res.status == "blow-up suspected"
 
 
 def test_continuation_keeps_probe_seed(grid16):
     u0 = random_power_law(grid16, alpha=2.0, seed=7, amplitude=5e-2)
     cfg = small_config(grid16, horizon=0.2, n_geometric=6, n_uniform=6,
-                       measure_probes=3, probe_seed=1)
+                       measure_probes=3)
     res = solve_with_continuation(u0, cfg)
     assert res.segment_horizons == [0.2]
     assert res.reports[0].gamma == mild_solve_nse(u0, cfg).report.gamma
@@ -188,9 +192,10 @@ def test_continuation_reports_are_views_of_the_trajectory(grid16,
 
     monkeypatch.setattr(solver, "_picard_checked", recording)
     u0 = random_power_law(grid16, alpha=2.0, seed=7, amplitude=5.0)
-    cfg = small_config(grid16, horizon=0.2, n_geometric=4, n_uniform=4,
-                       max_iter=6)
-    res = solve_with_continuation(u0, cfg, step_floor=0.01)
+    monkeypatch.setattr(solver, "MAX_ITER", 6)
+    monkeypatch.setattr(solver, "STEP_FLOOR", 0.01)
+    cfg = small_config(grid16, horizon=0.2, n_geometric=4, n_uniform=4)
+    res = solve_with_continuation(u0, cfg)
     assert res.status == "completed" and len(res.segment_horizons) > 1
     coeffs = res.trajectory.coeffs
     start = 0
@@ -222,9 +227,10 @@ def test_continuation_checks_data_once_and_restarts_on_the_band(
     monkeypatch.setattr(spectral.Band, "scatter", counting_scatter)
     grid = make_grid(2, 16, 2.0 * np.pi)
     u0 = random_power_law(grid, alpha=2.0, seed=3, amplitude=60.0)
+    monkeypatch.setattr(solver, "STEP_FLOOR", 1e-3)
     cfg = small_config(grid, horizon=0.2, n_geometric=6, n_uniform=6,
                        measure_probes=2)
-    res = solve_with_continuation(u0, cfg, step_floor=1e-3)
+    res = solve_with_continuation(u0, cfg)
     assert res.status == "completed" and len(res.segment_horizons) == 4
     assert checked == ["initial data"]
     assert scattered == []
@@ -360,7 +366,7 @@ def test_gamma_cache_key(grid16, probe_log):
     assert probe_log["probe_calls"] == 2
     moved = small_config(grid16, **base).schedule()
     moved[1:] = np.nextafter(moved[1:], 1.0)  # a schedule starts at 0
-    variants = [dict(base, probe_seed=1), dict(base, measure_probes=3),
+    variants = [dict(base, measure_probes=3),
                 dict(base, n_uniform=3), dict(base, times=moved)]
     for kw in variants:
         # each variant right after the base key, so only kw differs
@@ -461,12 +467,14 @@ def test_streamed_residual_memory_does_not_grow_with_the_schedule(
 
 @pytest.mark.parametrize("amplitude, n_segments", [(5.0, 1), (60.0, 4)],
                          ids=["one-segment", "several"])
-def test_continuation_stitches_like_concatenation(amplitude, n_segments):
+def test_continuation_stitches_like_concatenation(amplitude, n_segments,
+                                                  monkeypatch):
+    monkeypatch.setattr(solver, "STEP_FLOOR", 1e-3)
     grid = make_grid(2, 16, 2.0 * np.pi)
     u0 = random_power_law(grid, alpha=2.0, seed=3, amplitude=amplitude)
     cfg = small_config(grid, horizon=0.2, n_geometric=6, n_uniform=6,
                        measure_probes=2)
-    res = solve_with_continuation(u0, cfg, step_floor=1e-3)
+    res = solve_with_continuation(u0, cfg)
     assert res.status == "completed"
     assert len(res.segment_horizons) == n_segments
     # replay the converged segments and concatenate their trajectories
@@ -649,10 +657,10 @@ def test_forcing_norms_equal_the_composed_path(grid16, monkeypatch, case):
     step = None if problem.linear is None else (
         lambda x: (problem.step(x)[0], problem.norm(x)))
     ref = estimate_constants(_composed(problem, step),
-                             n_probes=cfg.measure_probes, seed=cfg.probe_seed)
+                             n_probes=cfg.measure_probes, seed=PROBE_SEED)
     assert (ref.gamma, ref.l_norm) == (problem.gamma, problem.l_norm)
     assert ref.gamma > 0 and (ref.l_norm > 0) == (problem.linear is not None)
-    want = solve_picard(ref, tol=PICARD_TOL, max_iter=cfg.max_iter)
+    want = solve_picard(ref, tol=PICARD_TOL, max_iter=MAX_ITER)
     assert report.converged and report.iterations == want.iterations
     assert report.norms == want.norms and report.diffs == want.diffs
     assert report.residual == want.residual
@@ -674,7 +682,7 @@ def test_diverging_solve_keeps_its_history(grid16, monkeypatch, amplitude):
     ref = _composed(problem)
     ref.gamma, ref.l_norm = problem.gamma, problem.l_norm
     with pytest.raises(PicardDivergenceError) as want:
-        solve_picard(ref, tol=PICARD_TOL, max_iter=cfg.max_iter)
+        solve_picard(ref, tol=PICARD_TOL, max_iter=MAX_ITER)
     assert got.value.norms == want.value.norms
     assert got.value.diffs == want.value.diffs
     assert len(got.value.norms) == len(got.value.diffs) + 1 > 1
