@@ -32,6 +32,10 @@ EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
 EXIT_GATE = 4
 MAX_SWEEP_LAMBDAS = 1000  # each lambda of a sweep runs one full split
+# the solve flags that a --config file replaces, by destination
+_CONFIG_FLAGS = {"dim": "--dim", "grid": "--grid", "box": "--box",
+                 "family": "--family", "solver": "--solver", "horizon": "--T",
+                 "amplitude": "--amplitude", "seed": "--seed"}
 
 
 def _common(sub):
@@ -119,9 +123,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_heat_verify(args) -> int:
     check_kato_exponents(args.s1, args.p1, args.p2)
+    times = time_schedule(args.horizon, 16, 16)
     grid = Grid(args.dim, args.grid, args.box)
     u = random_power_law(grid, alpha=2.0, seed=args.seed)
-    times = time_schedule(args.horizon, 16, 16)
     flows = heat_trajectory(u, times)
     tensors = Trajectory(grid, times,
                          [dealias_product(f, f) for f in flows.fields])
@@ -131,18 +135,29 @@ def cmd_heat_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    recipe = {"family": args.family}
-    if args.family == "random":
-        recipe["amplitude"] = args.amplitude
-    cfg = ExperimentConfig(dim=args.dim, n=args.grid, box_length=args.box,
-                           horizon=args.horizon, recipe=recipe,
-                           solver=args.solver, out_dir=args.out,
-                           seed=args.seed)
+    values = {dest: getattr(args, dest) for dest in _CONFIG_FLAGS}
+    given = [_CONFIG_FLAGS[dest] for dest, v in values.items()
+             if v is not None]
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg = ExperimentConfig.from_json(fh.read())
+        if given:
+            raise ConfigError(f"solve --config takes no {', '.join(given)}: "
+                              f"the file sets the run (only --out and "
+                              f"--format go beside it)")
         if args.out:
             cfg.out_dir = args.out
+    else:
+        flags = {dest: args.solve_defaults[dest] if v is None else v
+                 for dest, v in values.items()}
+        recipe = {"family": flags["family"]}
+        if flags["family"] == "random":
+            recipe["amplitude"] = flags["amplitude"]
+        cfg = ExperimentConfig(dim=flags["dim"], n=flags["grid"],
+                               box_length=flags["box"],
+                               horizon=flags["horizon"], recipe=recipe,
+                               solver=flags["solver"], out_dir=args.out,
+                               seed=flags["seed"])
     report = run_experiment(cfg)
     _emit(args, report.summary(), "solve")
     if report.status == "completed":
@@ -241,8 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", dest="horizon", type=float, default=1.0)
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None, help="JSON experiment config")
-    p.set_defaults(fn=cmd_solve)
+    p.add_argument("--config", default=None,
+                   help="JSON experiment config (beside it, only --out "
+                        "and --format)")
+    # a flag left out reads None, so that one given beside --config is
+    # seen; its default is filled in when there is no config
+    p.set_defaults(fn=cmd_solve, solve_defaults={
+        dest: p.get_default(dest) for dest in _CONFIG_FLAGS},
+        **dict.fromkeys(_CONFIG_FLAGS))
 
     p = subs.add_parser("rescale", help="apply the scaling symmetry")
     _common(p)

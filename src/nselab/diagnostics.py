@@ -450,7 +450,10 @@ def _status(*solutions) -> str:
 
 def _run_solver(config: ExperimentConfig, grid: Grid,
                 u0: SpectralField):
-    """Returns (trajectory, status, the ledger's rho or None, meta)."""
+    """Returns (trajectory, status, the ledger's rho or None, meta, the
+    trajectory's forcing or None).  The direct and mollified solvers
+    give the forcing that their last Picard step formed; the ledger
+    forms that of split-perturbed's v + w."""
     sc = SolverConfig(grid=grid, horizon=config.horizon,
                       n_geometric=config.n_geometric,
                       n_uniform=config.n_uniform,
@@ -460,12 +463,13 @@ def _run_solver(config: ExperimentConfig, grid: Grid,
         res = solve_with_continuation(u0, sc)
         meta["segments"] = [float(s) for s in res.segment_horizons]
         meta["residual_doubled"] = res.residual_doubled
-        return res.trajectory, res.status, None, meta
+        return res.trajectory, res.status, None, meta, res.forcing
     if config.solver == "mollified":
         sol = mollified_solve(u0, None, config.rho, sc)
         meta["picard_iterations"] = sol.report.iterations
         meta["residual_doubled"] = sol.residual_doubled
-        return sol.trajectory, _status(sol), config.rho, meta
+        return (sol.trajectory, _status(sol), config.rho, meta,
+                sol.forcing)
     if config.solver == "split-perturbed":
         partition = default_partition(grid)
         scfg = SplitConfig(config.split_p, config.split_q, config.split_lambda)
@@ -480,7 +484,7 @@ def _run_solver(config: ExperimentConfig, grid: Grid,
         # NaN-propagating, so that a failed residual is not hidden
         meta["residual_doubled"] = float(np.maximum(v_sol.residual_doubled,
                                                     w_sol.residual_doubled))
-        return traj, _status(v_sol, w_sol), None, meta
+        return traj, _status(v_sol, w_sol), None, meta, None
     raise ConfigError(f"unknown solver {config.solver!r}")
 
 
@@ -494,7 +498,7 @@ def run_experiment(config: ExperimentConfig) -> DiagnosticsReport:
     """
     grid = Grid(config.dim, config.n, config.box_length)
     u0 = _resolve_recipe(grid, config.recipe, config.seed)
-    traj, status, rho, meta = _run_solver(config, grid, u0)
+    traj, status, rho, meta, forcing = _run_solver(config, grid, u0)
 
     t_end = float(traj.times[-1]) if status != "completed" else config.horizon
     report = DiagnosticsReport(times=traj.times, status=status, t_end=t_end,
@@ -503,7 +507,7 @@ def run_experiment(config: ExperimentConfig) -> DiagnosticsReport:
         report.lp_series[p] = traj.lp_series(p)
     report.besov_series = critical_norm_series(traj, config.besov_p)
     report.leray_series = leray_monitor(traj, config.monitor_ps, t_end)
-    ledger = energy_ledger(traj, rho=rho)
+    ledger = energy_ledger(traj, rho=rho, g_stack=forcing)
     report.energy_slacks = ledger.slacks
     report.div_residuals = divergence_residuals(traj.layout, traj.coeffs,
                                                 batch_axes=1)

@@ -253,7 +253,9 @@ def time_schedule(horizon: float, n_geometric: int = 24, n_uniform: int = 24):
     T/8, then uniform up to T.
 
     Resolves the singular t^{-s/2} Kato weights near t = 0.  At least
-    one uniform sample is needed, so that the schedule ends at T.
+    one uniform sample is needed, so that the schedule ends at T.  A
+    horizon so small that T*2^{-J} or a step is zero or subnormal is
+    refused: rates over such a step overflow.
     """
     if not 0 < horizon < np.inf:
         raise QuadratureError(f"horizon must be positive and finite, got "
@@ -261,10 +263,16 @@ def time_schedule(horizon: float, n_geometric: int = 24, n_uniform: int = 24):
     if n_geometric < 0 or n_uniform < 1:
         raise QuadratureError(f"need n_geometric >= 0 and n_uniform >= 1, "
                               f"got {n_geometric} and {n_uniform}")
+    tiny = np.finfo(float).tiny
     t1 = horizon * 2.0 ** (-FIRST_EXPONENT)
-    geo = np.geomspace(t1, horizon / 8.0, n_geometric)
-    uni = np.linspace(horizon / 8.0, horizon, n_uniform + 1)[1:]
-    return np.concatenate([[0.0], geo, uni])
+    if t1 >= tiny:  # np.geomspace refuses a first sample of 0
+        geo = np.geomspace(t1, horizon / 8.0, n_geometric)
+        uni = np.linspace(horizon / 8.0, horizon, n_uniform + 1)[1:]
+        times = np.concatenate([[0.0], geo, uni])
+        if np.min(np.diff(times)) >= tiny:
+            return times
+    raise QuadratureError(f"horizon {horizon} is too small: its schedule "
+                          f"has a zero or subnormal step")
 
 
 def check_schedule(times) -> np.ndarray:

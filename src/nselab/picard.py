@@ -29,6 +29,8 @@ from .errors import ConfigError, PicardDivergenceError
 
 DIVERGENCE_BLOWUP_FACTOR = 1e6
 DIVERGENCE_GROWTH_RUN = 3
+PICARD_TOL = 1e-10  # Picard increment tolerance
+MAX_ITER = 60  # Picard iterations before a solve stops unconverged
 
 
 @dataclass
@@ -166,8 +168,9 @@ def _resolvent_apply(problem: PicardProblem, rhs, tol: float,
     return y
 
 
-def solve_picard(problem: PicardProblem, tol: float = 1e-10,
-                 max_iter: int = 60, strict: bool = False) -> FixedPointReport:
+def solve_picard(problem: PicardProblem, tol: float = PICARD_TOL,
+                 max_iter: int = MAX_ITER,
+                 strict: bool = False) -> FixedPointReport:
     """Iterate P_{k+1} = a + L(P_k) + B(P_k, P_k) from P_0 = a, one
     ``problem.step_and_norm`` per iterate: the step of P_k gives P_{k+1}
     and ||P_k||, and the step of the last iterate gives the residual.

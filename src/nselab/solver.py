@@ -62,8 +62,8 @@ from .besov import (Trajectory, critical_exponent, series_weighted_sup,
 from .errors import ConfigError, PicardDivergenceError, QuadratureError
 from .families import random_power_law
 from .heat import check_schedule, duhamel_stack, heat_stack, time_schedule
-from .picard import (FixedPointReport, PicardProblem, estimate_constants,
-                     solve_picard)
+from .picard import (MAX_ITER, PICARD_TOL, FixedPointReport, PicardProblem,
+                     estimate_constants, solve_picard)
 from . import spectral
 from .spectral import (Band, Grid, Mollifier, SpectralField, check_flow,
                        dealiased_tensor, interpolate_stack, inverse_transform,
@@ -71,8 +71,6 @@ from .spectral import (Band, Grid, Mollifier, SpectralField, check_flow,
                        projected_divergence_coeffs, symmetric_tensor)
 
 KATO_P = 4.0  # p of the Kato norm K_p that the Picard iteration contracts in
-PICARD_TOL = 1e-10  # Picard increment tolerance
-MAX_ITER = 60  # Picard iterations before a solve stops unconverged
 PROBE_SEED = 0  # seed of the constant-probing random stream
 STEP_FLOOR = 1e-4  # continuation step below which blow-up is suspected
 
@@ -117,12 +115,16 @@ class MildSolution:
     ``MAX_ITER`` iterations without meeting ``PICARD_TOL``.  The
     trajectory is a view of ``report.solution``, the solver's stack of
     dealias band blocks (its ``layout`` is ``grid.band``); both are
-    read-only.
+    read-only.  ``forcing`` is the trajectory's forcing g of u' = Lap u
+    + g, bit for bit ``nonlinear_forcing`` of it (with the solve's
+    background and rho), a read-only band stack that the last Picard
+    step formed.
     """
 
     trajectory: Trajectory
     report: FixedPointReport
     residual_doubled: float = float("nan")
+    forcing: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------
@@ -163,7 +165,7 @@ def _sample_norms(band: Band, samples: np.ndarray) -> np.ndarray:
 
 
 def kato_stack_norm(grid: Grid | Band, times: np.ndarray, stack: np.ndarray,
-                    p: float) -> float:
+                    p: float = KATO_P) -> float:
     """Kato K_p norm of a coefficient stack (t = 0 sample skipped)."""
     return weighted_sup(grid, times, stack, -critical_exponent(p) / 2.0, p)
 
@@ -262,9 +264,10 @@ def _picard_checked(c0: np.ndarray, config: SolverConfig, background=None,
     Picard step and the doubled residual take their forcing from
     ``_step_forcing``; constant probing and the resolvent use L = -B(., v)
     - B(v, .) and B apart.  The step, B and L also return the Kato norms
-    of their arguments from their own transforms.  Every stack of the
-    solve is a band block, and the trajectory is the solution's, made
-    read-only."""
+    of their arguments from their own transforms.  The last step is that
+    of the solution, so its forcing is kept for the doubled residual and
+    the solution's ``forcing``.  Every stack of the solve is a band
+    block, and the trajectory is the solution's, made read-only."""
     grid = config.grid
     band = grid.band
     times = config.schedule()
@@ -273,11 +276,14 @@ def _picard_checked(c0: np.ndarray, config: SolverConfig, background=None,
     bilinear = _nse_bilinear(band, times, m_rho)
 
     def norm(stack):
-        return kato_stack_norm(band, times, stack, KATO_P)
+        return kato_stack_norm(band, times, stack)
+
+    last_forcing = [None]  # that of the last step
 
     def step(x):
+        last_forcing[0] = None  # not held through this step's own
         series = np.empty(times.size)
-        g = _step_forcing(band, x, pv, m_rho, series)
+        g = last_forcing[0] = _step_forcing(band, x, pv, m_rho, series)
         return _minus_duhamel(band, times, g), _kato(times, series)
 
     def bilinear_with_norms(x, y):
@@ -301,11 +307,15 @@ def _picard_checked(c0: np.ndarray, config: SolverConfig, background=None,
                             else linear_with_norm)
     _measure_constants(problem, config, times, rho)
     report = solve_picard(problem, tol=PICARD_TOL, max_iter=MAX_ITER)
-    rd = _doubled_residual(band, times, report.solution, problem.a, forcing)
+    g = last_forcing[0]  # solve_picard's last step is the solution's
+    rd = _doubled_residual(band, times, report.solution, problem.a, g,
+                           forcing)
     report.solution.flags.writeable = False
+    g = np.negative(g, out=g)
+    g.flags.writeable = False
     return MildSolution(Trajectory._from_stack(grid, times, "vector",
                                                report.solution, band),
-                        report, rd)
+                        report, rd, g)
 
 
 def _minus_duhamel(band: Band, times: np.ndarray,
@@ -372,42 +382,47 @@ def _cross_linear(band: Band, times: np.ndarray, pv: np.ndarray):
 
 
 def _doubled_residual(band: Band, times: np.ndarray, stack: np.ndarray,
-                      a: np.ndarray, forcing) -> float:
+                      a: np.ndarray, g: np.ndarray, forcing) -> float:
     """Integral-equation residual recomputed on a midpoint-refined
     schedule (independent doubled quadrature): the Kato norm, at the
     original samples, of x - a + Duhamel(forcing(x)), a = e^{tL}u0 the
     solve's seed, with x interpolated linearly onto the refined schedule.
 
-    ``forcing(fine_times, fine)`` gives the forcing at refined samples.
-    The refined schedule is streamed in chunks of ``FFT_WORKERS``
-    ``map_samples`` jobs: each chunk is interpolated, forced, carried on
-    through the Duhamel recursion from the previous chunk's last sample
-    and forcing, and reduced to its largest weighted norm.  So memory
-    does not grow with the schedule, and the value equals that of one
-    pass over the whole refined stack.  The schedule must start at 0.
+    At the original samples, the even refined ones, the interpolation
+    gives x back (up to the sign of zeros), so its forcing there is
+    ``g``, that of the whole stack; ``forcing(fine_times, fine)`` gives
+    it at the refined midpoints.  The refined schedule is streamed in
+    chunks whose midpoints fill ``FFT_WORKERS`` ``map_samples`` jobs:
+    each chunk is interpolated, forced, carried on through the Duhamel
+    recursion from the previous chunk's last sample and forcing, and
+    reduced to its largest weighted norm.  So memory does not grow with
+    the schedule, and the value equals that of one pass over the whole
+    refined stack.  The schedule must start at 0.
     """
     fine_times = np.empty(2 * times.size - 1)
     fine_times[0::2] = times
     fine_times[1::2] = 0.5 * (times[:-1] + times[1:])
-    chunk = spectral.SAMPLE_CHUNK * spectral.FFT_WORKERS
+    chunk = 2 * spectral.SAMPLE_CHUNK * spectral.FFT_WORKERS  # even
     worst = 0.0
     for s in range(0, fine_times.size, chunk):
         ft = fine_times[s:s + chunk]
         fine = interpolate_stack(times, stack, ft)
-        g = forcing(ft, fine)
+        # the even refined samples are the original ones from s // 2 on
+        nodes = slice(s // 2, s // 2 + len(fine[0::2]))
+        gf = np.empty_like(fine)
+        gf[0::2] = g[nodes]
+        gf[1::2] = forcing(ft[1::2], fine[1::2])
         if s == 0:
-            duh = duhamel_stack(ft, g, band)
+            duh = duhamel_stack(ft, gf, band)
         else:
             duh = duhamel_stack(fine_times[s - 1:s + chunk],
-                                np.concatenate([g_last, g]), band,
+                                np.concatenate([g_last, gf]), band,
                                 start=duh[-1])[1:]
-        g_last = g[-1:]
-        # the original samples are the even refined ones, from (s + 1) // 2
-        keep = slice(s % 2, None, 2)
-        rhs = np.negative(duh[keep])
-        rhs += a[(s + 1) // 2:][:len(rhs)]
-        resid = np.subtract(fine[keep], rhs, out=rhs)
-        worst = max(worst, kato_stack_norm(band, ft[keep], resid, KATO_P))
+        g_last = gf[-1:]
+        rhs = np.negative(duh[0::2])
+        rhs += a[nodes]
+        resid = np.subtract(fine[0::2], rhs, out=rhs)
+        worst = max(worst, kato_stack_norm(band, ft[0::2], resid))
     return worst
 
 
@@ -447,6 +462,7 @@ class ContinuationResult:
     segment_horizons: list = dc_field(default_factory=list)
     reports: list = dc_field(default_factory=list)
     residual_doubled: float = float("nan")  # largest over the segments
+    forcing: np.ndarray | None = None  # the trajectory's, if one segment
 
 
 def solve_with_continuation(u0: SpectralField,
@@ -462,9 +478,12 @@ def solve_with_continuation(u0: SpectralField,
     then each segment's samples after its first (one segment's stack is
     taken as it is); each report's ``solution`` becomes a read-only view
     of its segment there, from the previous segment's last sample on,
-    the band block it restarted from.  The largest doubled-schedule
-    residual of the accepted segments is ``residual_doubled`` (NaN when
-    none was accepted).
+    the band block it restarted from.  A one-segment trajectory keeps
+    that segment's ``forcing``; with several, ``forcing`` is None (as
+    with none), since holding every segment's forcing would add a stack
+    the size of the trajectory to the run's peak.  The largest
+    doubled-schedule residual of the accepted segments is
+    ``residual_doubled`` (NaN when none was accepted).
     """
     if config.times is not None:
         raise ConfigError("continuation takes no explicit times")
@@ -476,6 +495,7 @@ def solve_with_continuation(u0: SpectralField,
     segments = []
     reports = []
     residuals = []
+    forcing = None  # the first segment's, while it is the only one
 
     def result(status):
         coeffs = reports[0].solution if len(reports) == 1 else np.concatenate(
@@ -487,7 +507,8 @@ def solve_with_continuation(u0: SpectralField,
             rep.solution = traj.coeffs[start:start + len(rep.solution)]
             start += len(rep.solution) - 1
         return ContinuationResult(traj, status, segments, reports,
-                                  max(residuals, default=float("nan")))
+                                  max(residuals, default=float("nan")),
+                                  forcing)
 
     while t0 < config.horizon * (1.0 - 1e-12):
         step = min(step, config.horizon - t0)
@@ -504,6 +525,7 @@ def solve_with_continuation(u0: SpectralField,
         segments.append(step)
         reports.append(sol.report)
         residuals.append(sol.residual_doubled)
+        forcing = sol.forcing if len(reports) == 1 else None
         all_times.append(sol.trajectory.times[1:] + t0)
         current = sol.report.solution[-1]
         t0 += step

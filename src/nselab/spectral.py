@@ -18,14 +18,19 @@ live on the uniform grid ``x = (L/N)*m``.  All L^p norms are
 uniform-grid quadratures, ``||f||_p^p = (L/N)^d * sum |f(x)|^p``;
 Parseval then reads ``||f||_2^2 = L^d * sum |c_k|^2``.
 
-Transforms are ``scipy.fft`` real-to-complex/complex-to-real FFTs.  A
-grid's transforms are whole ``rfftn``/``irfftn`` calls; a dealias band's
-(``Band.forward`` and ``Band.inverse``) are 1-D FFTs along one axis at a
-time that skip the lines the band cannot reach, and give the same bits
-as the whole transforms.  ``Band`` holds the 2/3 rule, and every product
-is dealiased by ``Band.forward``.  Fields are real, so coefficients are
-Hermitian, ``c_{-k} = conj(c_k)``, and only the real-FFT half spectrum
-is held: the last grid axis has N//2+1 entries, the first N//2+1 of the
+Transforms are ``numpy.fft`` real-to-complex/complex-to-real FFTs, run
+as 1-D calls in pocketfft's axis order (the real axis first going
+forward and last going back, the others first to last) with the whole
+``1/N^d`` applied at the real-to-complex stage, so that they give the
+bits of ``scipy.fft.rfftn``/``irfftn``.  A grid's transforms run over
+the whole half spectrum; a dealias band's (``Band.forward`` and
+``Band.inverse``) skip the lines the band cannot reach and lay out the
+lines they run on along a contiguous last axis.  Floating-point
+overflow inside a transform gives inf or NaN without a warning.
+``Band`` holds the 2/3 rule, and every product is dealiased by
+``Band.forward``.  Fields are real, so coefficients are Hermitian,
+``c_{-k} = conj(c_k)``, and only the real-FFT half spectrum is held:
+the last grid axis has N//2+1 entries, the first N//2+1 of the
 ``fftfreq`` order (k_last = 0 .. N/2-1, then -N/2).  A sum over all
 modes is a sum over the half weighted by ``Grid.hermitian_weight`` (each
 mode off the k_last = 0 and N/2 planes stands for itself and its
@@ -34,13 +39,13 @@ in and ``read_clf1`` rejects files that are not Hermitian.
 
 Threads
 -------
-This is also the only module that creates threads.  A single transform
-runs on ``FFT_WORKERS`` threads (every CPU this process may use).  The
-stack kernels (forcing, L^p series, Besov blocks) instead run as
-``map_samples`` jobs of ``SAMPLE_CHUNK`` (4) consecutive time samples
-on ``FFT_WORKERS`` threads, the caller among them, and each job's FFTs
-run on one thread.  A job computes exactly what a serial pass over its
-samples would, so results are bit-identical to a serial run.
+This is also the only module that creates threads.  Each transform runs
+on the thread that calls it.  The stack kernels (forcing, L^p series,
+Besov blocks) run as ``map_samples`` jobs of ``SAMPLE_CHUNK`` (4)
+consecutive time samples on ``FFT_WORKERS`` threads (every CPU this
+process may use), the caller among them.  A job computes exactly what a
+serial pass over its samples would, so results are bit-identical to a
+serial run.
 """
 
 from __future__ import annotations
@@ -54,16 +59,14 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
 
 import numpy as np
-import scipy.fft
 from numpy.polynomial.legendre import leggauss
-from scipy.special import j0
 
 from .errors import (ExponentError, GridError, QuadratureError, RankError,
                      SymbolError)
 
 HERMITIAN_RTOL = 1e-12
 
-# FFT threads: every CPU the process may run on
+# sample-job threads: every CPU the process may run on
 FFT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 SAMPLE_CHUNK = 4  # time samples per map_samples job
@@ -127,6 +130,9 @@ class Grid:
         self.hermitian_weight[[0, -1]] = 1.0
         self.xi_min_nonzero = 2.0 * np.pi / self.box_length
         self.xi_max = float(np.max(self.xi_abs))
+        # the 1/N^d of norm="forward", rounded from long double as
+        # pocketfft rounds it
+        self._scale = float(1 / np.longdouble(self.n) ** dim)
 
     @cached_property
     def xi_sq_shells(self):
@@ -210,11 +216,10 @@ class Band:
         rows = np.r_[:h, n - h + 1:n]
         self.index = np.ix_(*[rows] * (grid.dim - 1), np.arange(h))
         self._h = h
+        # (half-spectrum lines, block lines) of each half of a band axis
         self._halves = ((slice(None, h), slice(None, h)),
                         (slice(n - h + 1, None), slice(h, None)))
-        # the 1/N^d of norm="forward", rounded from long double as
-        # pocketfft rounds it
-        self._scale = float(1 / np.longdouble(grid.n) ** grid.dim)
+        self._scale = grid._scale
         # no reference to the grid, which holds the band: without that
         # cycle a dropped grid is freed at once
         self._half_shape = grid.xi_sq.shape
@@ -252,42 +257,65 @@ class Band:
     def inverse(self, block: np.ndarray) -> np.ndarray:
         """Real physical samples of band coefficients, bit for bit the
         ``irfftn`` of ``scatter(block)``.  Each axis but the last is
-        widened into zeros and transformed in pocketfft's order, but only
-        on the lines the block reaches; the last axis is a full
-        ``irfft``."""
-        n, h = self.shape[-1], self._h
+        transformed in pocketfft's order, on the lines the block reaches
+        only: the block is rolled so that the axis lies last, widened
+        there into zeros and transformed along that contiguous axis.
+        The last axis is a full ``irfft`` of lines that it pads with
+        zeros."""
         x = block
-        for a in range(-self.dim, -1):
-            shape = list(x.shape)
-            shape[a] = n
-            if a == -2:  # widen into the half spectrum
-                shape[-1] = n // 2 + 1
-            wide = np.zeros(shape, dtype=np.complex128)
-            lines = wide[..., :h]
-            for rows, part in self._halves:
-                lines[_on_axis(a, rows)] = x[_on_axis(a, part)]
-            _c2c_over(lines, a, forward=False)
-            x = wide
-        return scipy.fft.irfft(x, n=n, axis=-1, norm="forward",
-                               workers=_fft_workers())
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(self.dim - 1):
+                x = self._widened(_roll(x, self.dim))
+                np.fft.ifft(x, axis=-1, norm="forward", out=x)
+            lines = np.ascontiguousarray(_roll(x, self.dim))
+            del x  # not held through the last transform
+            return np.fft.irfft(lines, n=self.shape[-1], axis=-1,
+                                norm="forward")
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """The band block of real physical samples' Fourier coefficients,
         bit for bit that of ``rfftn(values, norm="forward")``.  The last
-        axis is a full ``rfft``; each other axis is then transformed in
-        pocketfft's order on the lines that reach the band only."""
-        half = scipy.fft.rfft(values, axis=-1, workers=_fft_workers())
-        lines = [half[..., :self._h]]
-        # pocketfft applies the whole 1/N^d at the real-to-complex stage
-        scaled = lines[0].view(np.float64)
-        scaled *= self._scale
-        for a in range(-self.dim, -1):
-            if a > -self.dim:  # only the previous axis' band rows go on
-                lines = [part[_on_axis(a - 1, rows)] for part in lines
-                         for rows, _ in self._halves]
-            for part in lines:
-                _c2c_over(part, a, forward=True)
-        return self.gather(half)
+        axis is a full ``rfft``, made in two halves of the first axis so
+        that the whole half spectrum is never held; each other axis is
+        then rolled to lie last, transformed in pocketfft's order along
+        that contiguous axis, and cut to the band's lines."""
+        n, h, d = self.shape[-1], self._h, self.dim
+        lead = values.shape[:values.ndim - d]
+        x = np.empty(lead + self.shape[1:-1] + (h, n), dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in (slice(None, n // 2), slice(n // 2, None)):
+                x[..., rows] = _roll(np.fft.rfft(
+                    values[(Ellipsis, rows) + (slice(None),) * (d - 1)],
+                    axis=-1)[..., :h], d)
+            # pocketfft applies the whole 1/N^d at the real-to-complex stage
+            scaled = x.view(np.float64)
+            scaled *= self._scale
+            for _ in range(d - 1):
+                np.fft.fft(x, axis=-1, out=x)
+                x = self._cut_and_rolled(x)
+        return x
+
+    def _widened(self, narrow: np.ndarray) -> np.ndarray:
+        """``narrow`` with its last axis, a band axis, widened into zeros
+        to the grid's n lines: a new contiguous array."""
+        n, h = self.shape[-1], self._h
+        wide = np.empty(narrow.shape[:-1] + (n,), dtype=np.complex128)
+        wide[..., h:n - h + 1] = 0.0
+        for rows, part in self._halves:
+            wide[..., rows] = narrow[..., part]
+        return wide
+
+    def _cut_and_rolled(self, wide: np.ndarray) -> np.ndarray:
+        """``_roll`` of ``wide`` with its last axis cut to the band's lines:
+        a new contiguous array."""
+        d = self.dim
+        out = np.empty(wide.shape[:-d] + wide.shape[1 - d:-1]
+                       + (2 * self._h - 1, wide.shape[-d]),
+                       dtype=np.complex128)
+        unrolled = np.moveaxis(out, -1, -d)  # laid out as wide
+        for rows, part in self._halves:
+            unrolled[..., part] = wide[..., rows]
+        return out
 
     def __eq__(self, other):
         """The bands of equal grids are equal."""
@@ -300,20 +328,12 @@ class Band:
         return self._repr
 
 
-def _on_axis(axis: int, part: slice) -> tuple:
-    """Index that takes ``part`` of the negative ``axis``."""
-    return (Ellipsis, part) + (slice(None),) * (-axis - 1)
-
-
-def _c2c_over(lines: np.ndarray, axis: int, forward: bool) -> None:
-    """Unscaled complex FFT of ``lines`` along ``axis``, written over
-    ``lines`` (a view into a larger array)."""
-    fft, norm = ((scipy.fft.fft, "backward") if forward
-                 else (scipy.fft.ifft, "forward"))
-    out = fft(lines, axis=axis, norm=norm, overwrite_x=True,
-              workers=_fft_workers())
-    if not np.may_share_memory(out, lines):
-        lines[...] = out
+def _roll(x: np.ndarray, dim: int) -> np.ndarray:
+    """View of ``x`` with the first of its trailing ``dim`` axes moved
+    last; ``dim`` rolls give ``x`` back."""
+    axes = list(range(x.ndim))
+    axes.append(axes.pop(-dim))
+    return x.transpose(axes)
 
 
 def make_grid(dim: int, n: int, box_length: float) -> Grid:
@@ -338,12 +358,6 @@ _job = threading.local()  # .active: this thread is running a job
 _pool: ThreadPoolExecutor | None = None
 _pool_pid = 0  # the process that started _pool's threads
 _pool_lock = threading.Lock()
-
-
-def _fft_workers() -> int:
-    """FFT threads of a transform made on this thread: one inside a
-    ``map_samples`` job, ``FFT_WORKERS`` elsewhere."""
-    return 1 if getattr(_job, "active", False) else FFT_WORKERS
 
 
 def _helper_pool() -> ThreadPoolExecutor:
@@ -436,20 +450,28 @@ def full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
 
 
 def forward_half(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Half-spectrum Fourier coefficients of real physical samples."""
-    return scipy.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)),
-                           norm="forward", workers=_fft_workers())
+    """Half-spectrum Fourier coefficients of real physical samples, bit
+    for bit ``rfftn(values, norm="forward")``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.fft.rfft(values, axis=-1)
+        scaled = half.view(np.float64)
+        scaled *= grid._scale
+        for a in range(-grid.dim, -1):
+            np.fft.fft(half, axis=a, out=half)
+    return half
 
 
 def inverse_transform(grid: Grid | Band, coeffs: np.ndarray) -> np.ndarray:
     """Real physical samples of Fourier coefficients in the layout of
-    ``grid``: the half spectrum of a grid (``irfftn``), or the block of a
-    band (``Band.inverse``)."""
+    ``grid``: the half spectrum of a grid (bit for bit ``irfftn``), or
+    the block of a band (``Band.inverse``)."""
     if isinstance(grid, Band):
         return grid.inverse(coeffs)
-    return scipy.fft.irfftn(coeffs, s=grid.shape,
-                            axes=tuple(range(-grid.dim, 0)),
-                            norm="forward", workers=_fft_workers())
+    x = np.array(coeffs, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(-grid.dim, -1):
+            np.fft.ifft(x, axis=a, norm="forward", out=x)
+        return np.fft.irfft(x, n=grid.n, axis=-1, norm="forward")
 
 
 def xi_dot(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -582,10 +604,9 @@ def magnitude_lp_norms(grid: Grid, values: np.ndarray, p: float,
 
     if p % 2 != 0:
         return from_magnitude(values, batch_axes)
-    comp_axes = tuple(range(batch_axes, values.ndim - grid.dim))
     with np.errstate(over="ignore"):
-        power = grid.cell_volume * np.sum(np.sum(
-            values**2, axis=comp_axes) ** (int(p) // 2), axis=space)
+        power = grid.cell_volume * np.sum(_square_sum(
+            values, batch_axes, grid.dim) ** (int(p) // 2), axis=space)
     lost = np.asarray(~np.isfinite(power) | (power < np.finfo(float).tiny))
     lost[lost] = [np.any(v) for v in values[lost]]
     if not np.any(lost):
@@ -593,6 +614,21 @@ def magnitude_lp_norms(grid: Grid, values: np.ndarray, p: float,
     norms = np.array(power ** (1.0 / p))
     norms[lost] = from_magnitude(values[lost], 1)
     return norms
+
+
+def _square_sum(values: np.ndarray, batch_axes: int,
+                dim: int) -> np.ndarray:
+    """The sum of ``values**2`` over the component axes (those between
+    the first ``batch_axes`` and the trailing ``dim``), added one
+    component at a time in index order, as numpy adds over axes that
+    are not the innermost: bit for bit ``np.sum(values**2, axis=...)``
+    of a contiguous array, with no squared copy of the whole."""
+    lead = (slice(None),) * batch_axes
+    comps = np.ndindex(values.shape[batch_axes:values.ndim - dim])
+    total = np.square(values[lead + next(comps)])
+    for comp in comps:
+        total += np.square(values[lead + comp])
+    return total
 
 
 def lp_norms(grid: Grid, coeffs: np.ndarray, p: float,
@@ -988,6 +1024,9 @@ class Mollifier:
             kern = np.sinc(sr / np.pi)  # sin(sr)/(sr)
             vals = 4.0 * np.pi * np.sum(g * kern, axis=-1)
         else:
+            # scipy serves this branch alone, so only a 2D mollifier loads it
+            from scipy.special import j0
+
             vals = 2.0 * np.pi * np.sum(g * j0(sr), axis=-1)
         return vals / self._mass
 

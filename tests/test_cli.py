@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -292,6 +293,57 @@ def test_heat_verify_refuses_exponents_before_any_work(monkeypatch, capsys,
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", ["1e-310", "1e-303"])
+def test_heat_verify_refuses_a_subnormal_step_before_any_work(
+        monkeypatch, capsys, horizon):
+    # 1e-310 once printed overflow warnings and exited 0 with a constant
+    # of 0.0
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was done")
+
+    for name in ("random_power_law", "heat_trajectory"):
+        monkeypatch.setattr(cli, name, no_work)
+    assert main(["heat-verify", "--grid", "8", "--dim", "2",
+                 "--horizon", horizon]) == 2
+    assert "too small" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--T", "nan"], ["--T", "0.5"],
+                                  ["--grid", "3"], ["--grid", "32"],
+                                  ["--dim", "2"], ["--box", "1"],
+                                  ["--family", "abc"], ["--solver", "direct"],
+                                  ["--amplitude", "2"], ["--seed", "1"]])
+def test_solve_refuses_flags_beside_a_config(tmp_path, capsys, monkeypatch,
+                                             flag):
+    # --T nan was refused over a horizon that the file sets validly, and
+    # --grid 3 was ignored; each is refused by name, before any solve
+    solves = []
+    monkeypatch.setattr(solver, "_picard_checked",
+                        lambda *args, **kwargs: solves.append(1))
+    config = {"clab_config": 1, "dim": 2, "n": 8,
+              "box_length": 2.0 * np.pi, "horizon": 0.1,
+              "recipe": {"family": "taylor-green"}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["solve", "--config", str(path)] + flag) == 2
+    err = capsys.readouterr().err
+    assert flag[0] in err and "horizon" not in err
+    assert solves == []
+
+
+def test_solve_takes_out_and_format_beside_a_config(tmp_path, capsys):
+    config = {"clab_config": 1, "dim": 2, "n": 8,
+              "box_length": 2.0 * np.pi, "horizon": 0.1,
+              "recipe": {"family": "taylor-green"}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(path), "--out", str(out),
+                 "--format", "csv"]) == 0
+    assert (out / "manifest.json").exists() and (out / "solve.csv").exists()
+    assert capsys.readouterr().out.startswith("energy_scale,")
+
+
 @pytest.mark.parametrize("s", ["inf", "-inf", "nan", "1e400"])
 def test_norm_refuses_a_non_finite_regularity(field_file, capsys, s):
     # inf once warned in the dyadic sum; nan exited 0 with a null value
@@ -361,14 +413,22 @@ def test_cli_input_matrix(field_2d, tmp_path, capsys, command, option,
 
 
 def test_import_loads_only_the_scipy_modules_it_uses():
-    # the package reads scipy.fft and scipy.special; its ledger quadrature
-    # is its own, so scipy.integrate (and what it pulls in) stays unloaded
-    script = ("import sys, nselab, nselab.cli; "
-              "print(sorted(m for m in sys.modules if m in ("
-              "'scipy.integrate', 'scipy.optimize', 'scipy.linalg', "
-              "'scipy.sparse')))")
+    # FFTs are numpy's, so importing the package loads no scipy module;
+    # the 2D mollifier's Bessel function j0 loads scipy.special when a
+    # 2D mollified solve first needs it
+    script = textwrap.dedent("""
+        import sys, nselab, nselab.cli
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        from nselab.families import random_power_law
+        grid = nselab.make_grid(2, 8, 6.283185307179586)
+        u0 = random_power_law(grid, alpha=2.0, seed=1, amplitude=0.3)
+        config = nselab.SolverConfig(grid=grid, horizon=0.1, n_geometric=2,
+                                     n_uniform=2, measure_probes=0)
+        sol = nselab.mollified_solve(u0, None, 0.5, config)
+        print(sol.report.converged, "scipy.special" in sys.modules)
+        """)
     src = os.path.dirname(os.path.dirname(nselab.__file__))
     proc = subprocess.run([sys.executable, "-c", script], timeout=60,
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.split() == ["[]"]
+    assert proc.stdout.split("\n")[:2] == ["[]", "True True"]

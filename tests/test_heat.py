@@ -183,6 +183,16 @@ def test_smoothing_derivatives_reduction_and_finiteness(grid16):
         verify_smoothing_derivatives(F, 3, 0, -0.5, 2.0, 4.0)
 
 
+@pytest.mark.parametrize("horizon", [5e-324, 1e-310, 1e-303])
+def test_time_schedule_refuses_a_subnormal_step(horizon):
+    # a step below the smallest normal float makes rates over it
+    # overflow; heat-verify once reported a constant of 0 from one
+    with pytest.raises(QuadratureError, match="too small"):
+        time_schedule(horizon, 16, 16)
+    assert np.min(np.diff(time_schedule(1e-300, 16, 16))) \
+        >= np.finfo(float).tiny
+
+
 def test_time_schedule_shape():
     times = time_schedule(2.0, 10, 10)
     assert times[0] == 0.0

@@ -19,7 +19,7 @@ from nselab import heat
 from nselab.heat import duhamel_stack, heat_stack
 from nselab.picard import PicardProblem, estimate_constants, solve_picard
 from nselab.solver import (KATO_P, MAX_ITER, PICARD_TOL, PROBE_SEED,
-                           _cross_linear,
+                           _cross_linear, nonlinear_forcing,
                            _doubled_residual, _forcing_factors,
                            _forcing_stack, _nse_bilinear, _prepare_data,
                            _step_forcing, kato_stack_norm)
@@ -177,7 +177,10 @@ def test_one_segment_continuation_holds_its_samples_once(grid16):
     assert np.shares_memory(solution, coeffs)
     assert not solution.flags.writeable
     assert np.array_equal(solution, coeffs)
-    assert coeffs.nbytes < held < 1.5 * coeffs.nbytes
+    # beside the samples, the result holds their forcing, once too
+    assert res.forcing.shape == coeffs.shape
+    assert coeffs.nbytes + res.forcing.nbytes < held \
+        < 1.5 * coeffs.nbytes + res.forcing.nbytes
 
 
 def test_continuation_reports_are_views_of_the_trajectory(grid16,
@@ -456,13 +459,52 @@ def test_streamed_residual_memory_does_not_grow_with_the_schedule(
     for n_samples in (25, 49):
         times = np.linspace(0.0, 0.2, n_samples)
         stack = heat_stack(band, c0, times)
+        g = forcing(times, stack)
         tracemalloc.start()
         try:
-            _doubled_residual(band, times, stack, stack, forcing)
+            _doubled_residual(band, times, stack, stack, g, forcing)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.3 * peaks[0]
+
+
+@pytest.mark.parametrize("kind", ["direct", "perturbed", "mollified"])
+def test_solution_forcing_is_that_of_its_trajectory(grid16, kind):
+    # the last Picard step's forcing is kept, bit for bit the one that
+    # the ledger would form from the trajectory
+    cfg = small_config(grid16, horizon=0.2, n_geometric=4, n_uniform=4)
+    u0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.3)
+    v = None if kind == "direct" else mild_solve_nse(random_power_law(
+        grid16, alpha=2.0, seed=4, amplitude=0.3), cfg).trajectory
+    rho = 0.5 if kind == "mollified" else None
+    sol = mild_solve_nse(u0, cfg) if kind == "direct" else \
+        mollified_solve(u0, v, rho, cfg) if rho else \
+        mild_solve_perturbed(u0, v, cfg)
+    assert sol.report.converged
+    assert not sol.forcing.flags.writeable
+    assert np.array_equal(sol.forcing,
+                          nonlinear_forcing(sol.trajectory, v, rho))
+
+
+@pytest.mark.parametrize("amplitude, n_segments", [(5.0, 1), (60.0, 4)],
+                         ids=["one-segment", "several"])
+def test_continuation_keeps_the_forcing_of_one_segment(amplitude, n_segments,
+                                                       monkeypatch):
+    # several segments' forcings are not held: the ledger forms theirs
+    monkeypatch.setattr(solver, "STEP_FLOOR", 1e-3)
+    grid = make_grid(2, 16, 2.0 * np.pi)
+    u0 = random_power_law(grid, alpha=2.0, seed=3, amplitude=amplitude)
+    cfg = small_config(grid, horizon=0.2, n_geometric=6, n_uniform=6,
+                       measure_probes=2)
+    res = solve_with_continuation(u0, cfg)
+    assert len(res.segment_horizons) == n_segments
+    if n_segments > 1:
+        assert res.forcing is None
+    else:
+        assert not res.forcing.flags.writeable
+        assert np.array_equal(res.forcing,
+                              nonlinear_forcing(res.trajectory))
 
 
 @pytest.mark.parametrize("amplitude, n_segments", [(5.0, 1), (60.0, 4)],

@@ -476,6 +476,16 @@ def test_huge_components_do_not_overflow_their_squares():
             assert abs(got[k] - scale * want) <= 1e-14 * scale * want
 
 
+@pytest.mark.parametrize("lead, batch", [((), 0), ((3,), 0), ((2, 3), 1),
+                                         ((2, 3, 3), 1)])
+def test_square_sum_is_the_sum_of_squares(lead, batch):
+    # added a component at a time, as numpy adds over an outer axis
+    values = np.random.default_rng(len(lead)).standard_normal(
+        lead + (12, 12, 12)) * 1e3 ** np.arange(-3, 3).repeat(2)
+    want = np.sum(values**2, axis=tuple(range(batch, len(lead))))
+    assert np.array_equal(spectral._square_sum(values, batch, 3), want)
+
+
 def test_only_spectral_calls_fft():
     # every transform goes through spectral.py, so the FFT backend is a
     # one-file decision (Grid's fftfreq lives there too)
@@ -679,11 +689,10 @@ def test_jobs_fill_their_slices_under_contention(monkeypatch):
 def test_nested_call_runs_inline(monkeypatch):
     monkeypatch.setattr(spectral, "FFT_WORKERS", 2)
     seen = np.zeros((13, 13), dtype=int)
-    inline, fft_workers = [], []
+    inline = []
 
     def outer(part):
         ident = threading.get_ident()
-        fft_workers.append(spectral._fft_workers())
         for i in range(part.start, min(part.stop, 13)):
             def inner(q, i=i):
                 seen[i, q] += 1
@@ -697,8 +706,6 @@ def test_nested_call_runs_inline(monkeypatch):
     assert not t.is_alive()
     assert np.all(seen == 1)
     assert inline and all(inline)
-    # a job's FFTs run on its own thread only
-    assert fft_workers == [1] * 4 and spectral._fft_workers() == 2
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
