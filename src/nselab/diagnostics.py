@@ -475,6 +475,9 @@ def _run_solver(config: ExperimentConfig, grid: Grid,
         scfg = SplitConfig(config.split_p, config.split_q, config.split_lambda)
         parts = split(u0, scfg, partition)
         v_sol = mild_solve_nse(parts.small, sc)
+        # nothing reads v's forcing (the ledger forms that of v + w), so
+        # it is not held through the w solve; a ledger of w may use it
+        v_sol.forcing = None
         w_sol = mild_solve_perturbed(parts.large, v_sol.trajectory, sc)
         v, w = v_sol.trajectory, w_sol.trajectory
         traj = Trajectory._from_stack(grid, v.times, "vector",

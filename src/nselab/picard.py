@@ -21,6 +21,7 @@ resolvent and the propagation check take ``norm`` directly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -38,11 +39,11 @@ class PicardProblem:
     """Fixed-point data: seed a, linear part L, bilinear part B, norm.
 
     gamma and l_norm are the measured bilinear and linear-operator
-    constants; ``probe`` (optional) builds a random element from an
-    integer seed for measuring them.  ``step``, ``bilinear_with_norms``
-    and ``linear_with_norm`` (optional) apply an operator and also give
-    the norms of its arguments (see the module docstring); without them
-    the parts and ``norm`` are composed.
+    constants (gamma None: not measured); ``probe`` (optional) builds a
+    random element from an integer seed for measuring them.  ``step``,
+    ``bilinear_with_norms`` and ``linear_with_norm`` (optional) apply an
+    operator and also give the norms of its arguments (see the module
+    docstring); without them the parts and ``norm`` are composed.
     """
 
     a: object
@@ -91,29 +92,40 @@ def _next_seed(rng) -> int:
 
 def _gain(problem: PicardProblem, value, *norms) -> float:
     """||value|| / (product of ``norms``), or 0 unless every norm is
-    positive.  Taking ``value`` as an argument lets it be freed as soon
-    as its norm is known."""
+    positive.  Where the product is not a normal float (it underflows or
+    overflows although each norm is positive) the norms divide one at a
+    time.  Taking ``value`` as an argument lets it be freed as soon as
+    its norm is known."""
     if not all(n > 0 for n in norms):
         return 0.0
-    return problem.norm(value) / math.prod(norms)
+    gain = problem.norm(value)
+    denominator = math.prod(norms)
+    if sys.float_info.min <= denominator < math.inf:
+        return gain / denominator
+    for n in norms:
+        gain /= n
+    return gain
 
 
 def estimate_constants(problem: PicardProblem, n_probes: int = 20,
-                       seed: int = 0,
-                       gamma: float | None = None) -> PicardProblem:
+                       seed: int = 0, gamma: float | None = None,
+                       measure_gamma: bool = True) -> PicardProblem:
     """Measure gamma and ||L|| by randomized probing and fill them in.
 
     Each probe pair (x, y) draws two seeds from one stream; ||x|| and
     ||y|| come with B(x, y), and ||x|| again with L(x).  A known
     ``gamma`` (measured before with the same B, norm, probe, ``n_probes``
-    and ``seed``) is taken as is: no y is built and no B(x, y) runs, but
-    y's seed is still drawn, so ||L|| is measured on the same x as in a
-    full run.  With no linear part nothing is probed at all.
+    and ``seed``) is taken as is; with ``measure_gamma`` False and no
+    known gamma, gamma stays None (not measured).  Either way no y is
+    built and no B(x, y) runs, but y's seed is still drawn, so ||L|| is
+    measured on the same x as in a full run.  With no linear part ||L||
+    is 0 and not probed, so then nothing is probed unless gamma is
+    measured.
     """
     if problem.probe is None:
         raise ConfigError("constant estimation needs a probe generator")
     rng = np.random.default_rng(seed)
-    measure_gamma = gamma is None
+    measure_gamma = measure_gamma and gamma is None
     gamma = 0.0 if measure_gamma else gamma
     l_norm = 0.0
     if measure_gamma or problem.linear is not None:
@@ -182,19 +194,27 @@ def solve_picard(problem: PicardProblem, tol: float = PICARD_TOL,
     increment increases, or norm above 1e6x the seed) raises
     PicardDivergenceError carrying the history.  An iterate that the
     increment already shows to be diverging is not stepped; its norm is
-    taken with ``norm``.  With ``strict`` the smallness condition
-    ||(I-L)^{-1} a|| < 1/(4 ||(I-L)^{-1}|| gamma) must hold up front.
+    taken with ``norm``.
+
+    The smallness margin 1/(4 ||(I-L)^{-1}|| gamma) - ||(I-L)^{-1} a||
+    and ``bound_holds`` need gamma; with gamma None (not measured) they
+    are NaN and None and the resolvent of a is not formed.  With
+    ``strict`` the margin must be positive up front, so gamma must be
+    known.
     """
-    if problem.gamma is None or problem.l_norm is None:
-        raise ConfigError("measure gamma and ||L|| before iterating")
+    if problem.l_norm is None:
+        raise ConfigError("measure ||L|| before iterating")
+    if strict and problem.gamma is None:
+        raise ConfigError("the strict smallness check needs a measured "
+                          "gamma")
     if problem.l_norm >= 1.0:
         raise ConfigError(f"linear operator norm {problem.l_norm} >= 1; "
                           "the resolvent bound fails")
     inv_bound = 1.0 / (1.0 - problem.l_norm)
     x = problem.a
     f, seed_norm = problem.step_and_norm(x)
-    margin = float("inf")
-    if problem.gamma > 0:
+    margin = float("nan") if problem.gamma is None else float("inf")
+    if problem.gamma is not None and problem.gamma > 0:
         # with L = 0 the resolved seed is a itself, whose norm is known
         na = seed_norm if problem.linear is None else problem.norm(
             _resolvent_apply(problem, problem.a, tol))

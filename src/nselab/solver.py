@@ -15,16 +15,13 @@ band, and only a field handed out (``traj[i]``, ``Trajectory.fields``,
 an archived CLF1 sample) is scattered to the half spectrum, one sample
 at a time.
 
-The bilinear constant gamma depends only on the grid, the schedule,
-the Kato p, the mollifier and the probe count and seed, never on the
-data.  It is measured once per key (grid, schedule bytes, the
-mollifier's rho or None, ``measure_probes``; p and the seed are the
-constants ``KATO_P`` and ``PROBE_SEED``), and the last (key, gamma)
-pair is kept in process, so a perturbed solve after a direct solve on
-the same configuration runs no B(x, y) probe; ||L|| depends on the
-background and is always measured.  One pair is enough: every caller
-meets its keys in order and never returns to an older one
-(continuation only shrinks its step).
+A solve measures no bilinear constant gamma: nothing it outputs or
+decides reads gamma, so its report's ``gamma`` is None and its
+``smallness_margin`` NaN.  It measures ||L|| where it has a linear
+part, since ||L|| >= 1 refuses a perturbed solve: that solve builds
+only the x probes and their L(x), and the direct and mollified solves
+probe nothing.  ``bilinear_constant`` measures gamma for a caller who
+wants it.
 
 Every solve is one call of ``_picard_checked`` on its config's
 schedule, with an optional divergence-free background v and mollifier
@@ -40,10 +37,10 @@ The Kato norm of every Picard iterate and probe comes from the forcing
 that transforms it: a job given a series writes the L^KATO_P norms of
 the physical samples it made, which ``_kato`` weights as
 ``kato_stack_norm`` does, bit for bit.  The Picard step gives
-(L(x) + B(x, x), ||x||), the probe B(x, y) gives ||x|| and ||y|| (under
-a mollifier it transforms (y)_rho, so y is transformed once more), and
-L(w) gives ||w||.  Increments, B(x, y) itself and the residuals are
-normed by ``kato_stack_norm``.
+(L(x) + B(x, x), ||x||), L(w) gives ||w||, and the probe B(x, y) of
+``bilinear_constant`` gives ||x|| and ||y|| (under a mollifier it
+transforms (y)_rho, so y is transformed once more).  Increments,
+B(x, y) itself and the residuals are normed by ``kato_stack_norm``.
 
 The doubled-schedule residual streams over its refined schedule in
 chunks of whole ``map_samples`` jobs, so its memory does not grow with
@@ -73,8 +70,6 @@ from .spectral import (Band, Grid, Mollifier, SpectralField, check_flow,
 KATO_P = 4.0  # p of the Kato norm K_p that the Picard iteration contracts in
 PROBE_SEED = 0  # seed of the constant-probing random stream
 STEP_FLOOR = 1e-4  # continuation step below which blow-up is suspected
-
-_last_gamma: tuple = (None, None)  # (key, gamma) of the last measurement
 
 
 @dataclass
@@ -199,21 +194,6 @@ def _make_probe(grid: Grid, times: np.ndarray):
 # Solvers
 # ---------------------------------------------------------------------
 
-def _measure_constants(problem: PicardProblem, config: SolverConfig,
-                       times: np.ndarray, rho: float | None) -> None:
-    """``estimate_constants`` with gamma reused when the last measurement
-    had the same key; the measured gamma is remembered.  With no probes
-    both constants are 0."""
-    global _last_gamma
-    grid = config.grid
-    key = ((grid.dim, grid.n, grid.box_length), times.tobytes(), rho,
-           config.measure_probes)
-    known = _last_gamma[1] if _last_gamma[0] == key else None
-    estimate_constants(problem, n_probes=config.measure_probes,
-                       seed=PROBE_SEED, gamma=known)
-    _last_gamma = (key, problem.gamma)
-
-
 def _forcing_factors(grid: Grid, times: np.ndarray, background,
                      rho: float | None):
     """A run's background as physical samples on the schedule, after the
@@ -262,8 +242,8 @@ def _picard_checked(c0: np.ndarray, config: SolverConfig, background=None,
     it, around a divergence-free background v (none when None), the
     advected factor of B(x, x) mollified by rho (none when None).  The
     Picard step and the doubled residual take their forcing from
-    ``_step_forcing``; constant probing and the resolvent use L = -B(., v)
-    - B(v, .) and B apart.  The step, B and L also return the Kato norms
+    ``_step_forcing``; ||L|| is probed on L = -B(., v) - B(v, .) apart,
+    and gamma is not measured.  The step and L also return the Kato norms
     of their arguments from their own transforms.  The last step is that
     of the solution, so its forcing is kept for the doubled residual and
     the solution's ``forcing``.  Every stack of the solve is a band
@@ -286,11 +266,6 @@ def _picard_checked(c0: np.ndarray, config: SolverConfig, background=None,
         g = last_forcing[0] = _step_forcing(band, x, pv, m_rho, series)
         return _minus_duhamel(band, times, g), _kato(times, series)
 
-    def bilinear_with_norms(x, y):
-        series = np.empty((2, times.size))
-        bxy = bilinear(x, y, series)
-        return bxy, _kato(times, series[0]), _kato(times, series[1])
-
     def linear_with_norm(w):
         series = np.empty(times.size)
         return linear(w, series), _kato(times, series)
@@ -301,11 +276,12 @@ def _picard_checked(c0: np.ndarray, config: SolverConfig, background=None,
 
     problem = PicardProblem(a=heat_stack(band, c0, times),
                             linear=linear, bilinear=bilinear, norm=norm,
-                            probe=_make_probe(grid, times), step=step,
-                            bilinear_with_norms=bilinear_with_norms,
-                            linear_with_norm=None if linear is None
+                            l_norm=0.0, probe=_make_probe(grid, times),
+                            step=step, linear_with_norm=None if linear is None
                             else linear_with_norm)
-    _measure_constants(problem, config, times, rho)
+    if linear is not None:  # ||L|| >= 1 refuses the solve
+        estimate_constants(problem, n_probes=config.measure_probes,
+                           seed=PROBE_SEED, measure_gamma=False)
     report = solve_picard(problem, tol=PICARD_TOL, max_iter=MAX_ITER)
     g = last_forcing[0]  # solve_picard's last step is the solution's
     rd = _doubled_residual(band, times, report.solution, problem.a, g,
@@ -316,6 +292,35 @@ def _picard_checked(c0: np.ndarray, config: SolverConfig, background=None,
     return MildSolution(Trajectory._from_stack(grid, times, "vector",
                                                report.solution, band),
                         report, rd, g)
+
+
+def bilinear_constant(config: SolverConfig,
+                      rho: float | None = None) -> float:
+    """The bilinear constant gamma of the solves on ``config``: the
+    largest ||B(x, y)|| / (||x|| ||y||) over ``config.measure_probes``
+    probe pairs drawn from ``PROBE_SEED``, with B that of the direct and
+    perturbed solves, or of ``mollified_solve`` with radius rho.  It
+    depends only on the grid, the schedule, rho and the probe count,
+    never on data or a background; 0 with no probes.  Measured afresh on
+    every call: no solve measures it, and nothing is kept."""
+    grid = config.grid
+    band = grid.band
+    times = config.schedule()
+    bilinear = _nse_bilinear(band, times,
+                             _forcing_factors(grid, times, None, rho)[1])
+
+    def bilinear_with_norms(x, y):
+        series = np.empty((2, times.size))
+        bxy = bilinear(x, y, series)
+        return bxy, _kato(times, series[0]), _kato(times, series[1])
+
+    problem = PicardProblem(
+        a=None, bilinear=bilinear,
+        norm=lambda stack: kato_stack_norm(band, times, stack),
+        probe=_make_probe(grid, times),
+        bilinear_with_norms=bilinear_with_norms)
+    return estimate_constants(problem, n_probes=config.measure_probes,
+                              seed=PROBE_SEED).gamma
 
 
 def _minus_duhamel(band: Band, times: np.ndarray,

@@ -10,7 +10,7 @@ from nselab.heat import heat_stack
 from nselab.picard import (PicardProblem, estimate_constants,
                            propagation_check, solve_picard)
 from nselab.solver import (KATO_P, MAX_ITER, PICARD_TOL, _nse_bilinear,
-                           _prepare_data, kato_stack_norm)
+                           _prepare_data, bilinear_constant, kato_stack_norm)
 
 
 def scalar_problem(a, gamma=1.0):
@@ -125,6 +125,73 @@ def test_known_gamma_builds_only_the_x_probes():
     assert (problem.gamma, problem.l_norm) == measured
 
 
+def test_unmeasured_gamma_builds_only_the_x_probes():
+    # gamma is left None, and ||L|| sees the x of a full run
+    seeds = []
+
+    def probe(seed):
+        seeds.append(seed)
+        return np.random.default_rng(seed).uniform(0.1, 1.0)
+
+    bilinear_calls = []
+    problem = PicardProblem(a=0.1, linear=lambda x: 0.5 * x,
+                            bilinear=lambda x, y: bilinear_calls.append(1)
+                            or x * y,
+                            norm=lambda x: abs(x) * (1.0 + x), probe=probe)
+    estimate_constants(problem, n_probes=5, seed=3)
+    full, seeds[:], bilinear_calls[:] = list(seeds), [], []
+    l_norm = problem.l_norm
+    problem.gamma = None
+    estimate_constants(problem, n_probes=5, seed=3, measure_gamma=False)
+    assert seeds == full[::2] and bilinear_calls == []
+    assert problem.gamma is None and problem.l_norm == l_norm
+    # with no linear part nothing is probed
+    problem.linear = None
+    estimate_constants(problem, n_probes=5, seed=3, measure_gamma=False)
+    assert seeds == full[::2]
+    assert problem.gamma is None and problem.l_norm == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_constants_of_probes_whose_norm_product_is_not_normal(scale):
+    # the product of two probe norms underflows to 0 (or overflows to
+    # inf) although each norm is positive: once a ZeroDivisionError (or
+    # a gain of 0); the norms then divide one at a time
+    problem = PicardProblem(a=0.0, linear=lambda x: 0.5 * x,
+                            bilinear=lambda x, y: 2.0 * (x / scale) * y,
+                            norm=abs, probe=lambda seed: scale * (
+                                1.0 + np.random.default_rng(seed).uniform()))
+    estimate_constants(problem, n_probes=4)
+    assert problem.gamma == pytest.approx(2.0 / scale, rel=1e-15)
+    assert problem.l_norm == 0.5
+
+
+def test_unmeasured_gamma_leaves_the_margin_unknown():
+    # no margin, no resolvent of a, no bound; the iterates are those of
+    # a measured gamma
+    linear_calls = []
+    problem = PicardProblem(a=0.05, linear=lambda x: linear_calls.append(1)
+                            or 0.5 * x, bilinear=lambda x, y: x * y,
+                            norm=abs, gamma=None, l_norm=0.5)
+    report = solve_picard(problem, tol=1e-14, max_iter=300)
+    assert math.isnan(report.smallness_margin)
+    assert report.gamma is None and report.bound_holds is None
+    steps = len(linear_calls)
+    assert steps == len(report.norms)  # one L per step, none in a resolvent
+    problem.gamma = 1.0
+    measured = solve_picard(problem, tol=1e-14, max_iter=300)
+    assert len(linear_calls) > 2 * steps
+    assert measured.smallness_margin > 0 and measured.bound_holds
+    assert measured.norms == report.norms and measured.diffs == report.diffs
+    assert measured.solution == report.solution
+    problem.gamma = None
+    with pytest.raises(ConfigError, match="gamma"):
+        solve_picard(problem, strict=True)
+    problem.l_norm = None
+    with pytest.raises(ConfigError):
+        solve_picard(problem)
+
+
 def test_linear_part_resolvent():
     # x = a + l x + g x^2 with l = 0.5: compare against the closed form
     a, l, g = 0.05, 0.5, 1.0
@@ -171,6 +238,8 @@ def test_zero_linear_map_is_not_evaluated(grid16):
     cfg = SolverConfig(grid=grid16, horizon=0.2, n_geometric=4, n_uniform=4,
                        measure_probes=2)
     sol = mild_solve_nse(u0, cfg)
+    gamma = bilinear_constant(cfg)  # the solve measures none
+    assert gamma > 0
     times = cfg.schedule()
     band = grid16.band
     a = heat_stack(band, _prepare_data(u0, grid16), times)
@@ -184,7 +253,7 @@ def test_zero_linear_map_is_not_evaluated(grid16):
 
         problem = PicardProblem(a=a, linear=linear,
                                 bilinear=_nse_bilinear(band, times),
-                                norm=norm, gamma=sol.report.gamma, l_norm=0.0)
+                                norm=norm, gamma=gamma, l_norm=0.0)
         reports.append(solve_picard(problem, tol=PICARD_TOL,
                                     max_iter=MAX_ITER))
         norm_calls.append(len(calls))

@@ -441,6 +441,21 @@ def test_random_data_on_a_large_box_exit_with_a_code(tmp_path, capsys,
     assert ("2 L^dim finite" in err) == (code == 2)
 
 
+# the product of two probe norms once underflowed to 0 and divided the
+# bilinear gain (a ZeroDivisionError traceback, exit 1); the perturbed
+# solve still probes ||L||
+@pytest.mark.parametrize("solver", ["direct", "split-perturbed"])
+def test_huge_data_on_a_tiny_box_exit_with_a_code(tmp_path, capsys, solver):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_tg_2d(
+        box_length=1e-5, horizon=0.1, solver=solver,
+        recipe={"family": "random", "amplitude": 1e120})))
+    code = cli.main(["solve", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # the energy of data on a large box once overflowed in the ledger (exit 4)
 # and in the split's L^2 norms (exit 3); a Picard iterate's products once
 # overflowed in the forcing (exit 3) -- each with a RuntimeWarning

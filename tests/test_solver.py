@@ -1,5 +1,7 @@
 import ast
+import math
 import os
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -15,7 +17,7 @@ from nselab.errors import ConfigError, PicardDivergenceError
 from nselab.families import (abc_flow, random_power_law, taylor_green,
                              taylor_green_decay_rate)
 from nselab.besov import block_lp_norms
-from nselab import heat
+from nselab import heat, picard
 from nselab.heat import duhamel_stack, heat_stack
 from nselab.picard import PicardProblem, estimate_constants, solve_picard
 from nselab.solver import (KATO_P, MAX_ITER, PICARD_TOL, PROBE_SEED,
@@ -159,7 +161,11 @@ def test_continuation_keeps_probe_seed(grid16):
                        measure_probes=3)
     res = solve_with_continuation(u0, cfg)
     assert res.segment_horizons == [0.2]
-    assert res.reports[0].gamma == mild_solve_nse(u0, cfg).report.gamma
+    # a direct solve probes nothing, so its segment is the one solve
+    direct = mild_solve_nse(u0, cfg).report
+    assert res.reports[0].gamma is None is direct.gamma
+    assert res.reports[0].norms == direct.norms
+    assert res.reports[0].diffs == direct.diffs
 
 
 def test_one_segment_continuation_holds_its_samples_once(grid16):
@@ -310,80 +316,87 @@ def test_only_the_solver_builds_a_forcing():
     assert offenders == []
 
 
-@pytest.fixture
-def probe_log(monkeypatch):
-    """No remembered gamma, the (gamma, ||L||) of every constant
-    measurement, and a count of bilinear calls inside measurements."""
-    monkeypatch.setattr(solver, "_last_gamma", (None, None))
-    log = {"constants": [], "probe_calls": 0}
-    measuring = []
-    estimate, make_bilinear = solver.estimate_constants, solver._nse_bilinear
+def test_only_the_linear_part_of_a_perturbed_solve_is_probed(grid16,
+                                                             monkeypatch):
+    # no solve measures gamma: the direct and mollified solves build no
+    # probe, and a perturbed solve builds the x of each probe pair (y's
+    # seed is drawn but not built) and runs L(x), never B(x, y)
+    cfg = small_config(grid16, horizon=0.2, n_geometric=4, n_uniform=4,
+                       measure_probes=3)
+    log = {"seeds": [], "bilinear_calls": 0}
+    make_probe, make_bilinear = solver._make_probe, solver._nse_bilinear
 
-    def logged_estimate(problem, **kw):
-        measuring.append(True)
-        try:
-            estimate(problem, **kw)
-        finally:
-            measuring.pop()
-        log["constants"].append((problem.gamma, problem.l_norm))
-        return problem
+    def logged_probe(*args):
+        probe = make_probe(*args)
+
+        def call(seed):
+            log["seeds"].append(seed)
+            return probe(seed)
+
+        return call
 
     def counted_bilinear(*args):
         bilinear = make_bilinear(*args)
 
         def call(x, y, series=None):
-            log["probe_calls"] += bool(measuring)
+            log["bilinear_calls"] += 1
             return bilinear(x, y, series)
 
         return call
 
-    monkeypatch.setattr(solver, "estimate_constants", logged_estimate)
+    monkeypatch.setattr(solver, "_make_probe", logged_probe)
     monkeypatch.setattr(solver, "_nse_bilinear", counted_bilinear)
-    return log
+    u0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.3)
+    v = mild_solve_nse(random_power_law(grid16, alpha=2.0, seed=4,
+                                        amplitude=0.05), cfg)
+    mollified = mollified_solve(u0, None, 0.5, cfg)
+    assert log == {"seeds": [], "bilinear_calls": 0}
+    w = mild_solve_perturbed(u0, v.trajectory, cfg)
+    rng = np.random.default_rng(PROBE_SEED)
+    pair_seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(6)]
+    assert log == {"seeds": pair_seeds[::2], "bilinear_calls": 0}
+    for sol in (v, mollified, w):
+        assert sol.report.converged and sol.report.gamma is None
+    # bilinear_constant probes each pair's x and y with one B(x, y)
+    log["seeds"] = []
+    assert solver.bilinear_constant(cfg) > 0
+    assert log == {"seeds": pair_seeds, "bilinear_calls": 3}
 
 
-def test_perturbed_solve_reuses_the_direct_gamma(grid16, probe_log):
+@pytest.mark.parametrize("horizon", [9.5e-4, 1e-3])
+def test_bilinear_constant_of_probes_with_tiny_norms(monkeypatch, horizon):
+    # on a 1e-5 box the heat flow leaves probe norms of about 1e-154
+    # (1e-163 at the longer horizon), so the product of a pair's norms is
+    # subnormal (0, once a ZeroDivisionError); gamma is the largest gain
+    # all the same (inf where it exceeds the largest float)
+    cfg = SolverConfig(grid=make_grid(2, 8, 1e-5), horizon=horizon,
+                       n_geometric=4, n_uniform=4, measure_probes=2)
+    logs = []
+    gain = picard._gain
+
+    def logged_gain(problem, value, *norms):
+        logs.append(math.log(problem.norm(value))
+                    - sum(math.log(n) for n in norms))
+        return gain(problem, value, *norms)
+
+    monkeypatch.setattr(picard, "_gain", logged_gain)
+    gamma = solver.bilinear_constant(cfg)
+    assert len(logs) == 2
+    top = max(logs)
+    if top < math.log(sys.float_info.max):
+        assert gamma == pytest.approx(math.exp(top), rel=1e-13)
+    else:
+        assert gamma == math.inf
+
+
+def test_perturbed_solve_with_a_large_linear_part_is_refused(grid16):
+    # ||L|| >= 1 fails the resolvent bound, so the solve does not start
     cfg = small_config(grid16, horizon=0.2, n_geometric=4, n_uniform=4,
-                       measure_probes=3)
-    v_sol = mild_solve_nse(
-        random_power_law(grid16, alpha=2.0, seed=4, amplitude=0.05), cfg)
-    w0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.3)
-    warm = mild_solve_perturbed(w0, v_sol.trajectory, cfg)
-    warm_constants = probe_log["constants"][-1]
-    assert probe_log["probe_calls"] == 3  # the direct solve's probes only
-    solver._last_gamma = (None, None)
-    cold = mild_solve_perturbed(w0, v_sol.trajectory, cfg)
-    assert probe_log["probe_calls"] == 6
-    assert warm_constants == probe_log["constants"][-1]
-    assert warm_constants[0] == v_sol.report.gamma
-    assert warm.report.gamma == cold.report.gamma
-    assert warm.report.norms == cold.report.norms
-    assert np.array_equal(warm.report.solution, cold.report.solution)
-
-
-def test_gamma_cache_key(grid16, probe_log):
-    u0 = random_power_law(grid16, alpha=2.0, seed=6, amplitude=0.05)
-    base = dict(horizon=0.2, n_geometric=2, n_uniform=2, measure_probes=2)
-    mild_solve_nse(u0, small_config(grid16, **base))
-    mild_solve_nse(u0, small_config(grid16, **base))
-    assert probe_log["probe_calls"] == 2
-    moved = small_config(grid16, **base).schedule()
-    moved[1:] = np.nextafter(moved[1:], 1.0)  # a schedule starts at 0
-    variants = [dict(base, measure_probes=3),
-                dict(base, n_uniform=3), dict(base, times=moved)]
-    for kw in variants:
-        # each variant right after the base key, so only kw differs
-        mild_solve_nse(u0, small_config(grid16, **base))
-        calls = probe_log["probe_calls"]
-        mild_solve_nse(u0, small_config(grid16, **kw))
-        assert probe_log["probe_calls"] > calls
-    calls = probe_log["probe_calls"]
-    for rho in (0.5, 0.25):
-        mollified_solve(u0, None, rho, small_config(grid16, **base))
-        assert probe_log["probe_calls"] > calls
-        calls = probe_log["probe_calls"]
-    mollified_solve(u0, None, 0.25, small_config(grid16, **base))
-    assert probe_log["probe_calls"] == calls
+                       measure_probes=2)
+    v = random_power_law(grid16, alpha=2.0, seed=4, amplitude=300.0)
+    u0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.3)
+    with pytest.raises(ConfigError, match="linear operator norm"):
+        mild_solve_perturbed(u0, v, cfg)
 
 
 def test_fused_step_matches_linear_plus_bilinear(grid16):
@@ -678,19 +691,18 @@ def test_forcing_norms_equal_the_composed_path(grid16, monkeypatch, case):
     cfg = small_config(grid16, horizon=0.2, n_geometric=6, n_uniform=6,
                        measure_probes=3)
     u0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.3)
-    monkeypatch.setattr(solver, "_last_gamma", (None, None))
+    rho = 0.5 if case == "mollified" else None
     if case.startswith("perturbed"):
-        # the background's solve leaves its gamma for the warm case, whose
-        # ||x|| then comes from L(x); the cold case measures both
         v = mild_solve_nse(random_power_law(grid16, alpha=2.0, seed=4,
                                             amplitude=0.05), cfg).trajectory
-        if case == "perturbed_cold":
-            solver._last_gamma = (None, None)
+        if case == "perturbed":
+            # a gamma measured before leaves nothing that the solve reads
+            solver.bilinear_constant(cfg)
     problems = _captured_problems(monkeypatch)
     report = {"direct": lambda: mild_solve_nse(u0, cfg),
               "perturbed": lambda: mild_solve_perturbed(u0, v, cfg),
               "perturbed_cold": lambda: mild_solve_perturbed(u0, v, cfg),
-              "mollified": lambda: mollified_solve(u0, None, 0.5, cfg),
+              "mollified": lambda: mollified_solve(u0, None, rho, cfg),
               }[case]().report
     problem, = problems
     # around a background the solver's fused forcing differs from
@@ -700,14 +712,53 @@ def test_forcing_norms_equal_the_composed_path(grid16, monkeypatch, case):
         lambda x: (problem.step(x)[0], problem.norm(x)))
     ref = estimate_constants(_composed(problem, step),
                              n_probes=cfg.measure_probes, seed=PROBE_SEED)
-    assert (ref.gamma, ref.l_norm) == (problem.gamma, problem.l_norm)
-    assert ref.gamma > 0 and (ref.l_norm > 0) == (problem.linear is not None)
+    # gamma by bilinear_constant, whose norms come from B's transforms
+    assert ref.gamma == solver.bilinear_constant(cfg, rho) > 0
+    assert problem.gamma is None and report.gamma is None
+    assert np.isnan(report.smallness_margin)
+    assert ref.l_norm == problem.l_norm
+    assert (ref.l_norm > 0) == (problem.linear is not None)
     want = solve_picard(ref, tol=PICARD_TOL, max_iter=MAX_ITER)
     assert report.converged and report.iterations == want.iterations
     assert report.norms == want.norms and report.diffs == want.diffs
     assert report.residual == want.residual
-    assert report.smallness_margin == want.smallness_margin
     assert np.array_equal(report.solution, want.solution)
+
+
+@pytest.mark.parametrize("kind", ["direct", "perturbed", "mollified"])
+def test_gamma_reaches_no_output(grid16, monkeypatch, kind):
+    # a solve measures no gamma; the same problem given the gamma of
+    # bilinear_constant has a smallness margin, and the same solution,
+    # history and residuals bit for bit
+    cfg = small_config(grid16, horizon=0.2, n_geometric=6, n_uniform=6,
+                       measure_probes=3)
+    u0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.3)
+    rho = 0.5 if kind == "mollified" else None
+    v = mild_solve_nse(random_power_law(grid16, alpha=2.0, seed=4,
+                                        amplitude=0.05), cfg).trajectory
+    solve = {"direct": lambda: mild_solve_nse(u0, cfg),
+             "perturbed": lambda: mild_solve_perturbed(u0, v, cfg),
+             "mollified": lambda: mollified_solve(u0, None, rho, cfg)}[kind]
+    plain = solve()
+    gamma = solver.bilinear_constant(cfg, rho)
+    run = solver.solve_picard
+
+    def with_gamma(problem, **kw):
+        problem.gamma = gamma
+        return run(problem, **kw)
+
+    monkeypatch.setattr(solver, "solve_picard", with_gamma)
+    measured = solve()
+    assert plain.report.gamma is None and plain.report.bound_holds is None
+    assert np.isnan(plain.report.smallness_margin)
+    assert measured.report.gamma == gamma > 0
+    assert np.isfinite(measured.report.smallness_margin)
+    assert measured.report.bound_holds is not None
+    assert np.array_equal(plain.report.solution, measured.report.solution)
+    assert plain.report.norms == measured.report.norms
+    assert plain.report.diffs == measured.report.diffs
+    assert plain.report.residual == measured.report.residual
+    assert plain.residual_doubled == measured.residual_doubled
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -730,12 +781,17 @@ def test_diverging_solve_keeps_its_history(grid16, monkeypatch, amplitude):
     assert len(got.value.norms) == len(got.value.diffs) + 1 > 1
 
 
-def _per_stage(monkeypatch, solve, trace_memory=False):
+def _per_stage(monkeypatch, cfg, run, trace_memory=False):
     """Inverse component transforms per sample made inside
-    ``estimate_constants`` and ``solve_picard`` during ``solve()``, on one
+    ``estimate_constants`` and ``solve_picard`` during ``run()``, on one
     thread, and with ``trace_memory`` each stage's tracemalloc peak in
-    units of one coefficient stack; and the solve's result."""
+    units of one coefficient stack on ``cfg``'s schedule; and the
+    result of ``run()``."""
     monkeypatch.setattr(spectral, "FFT_WORKERS", 1)
+    samples = cfg.schedule().size
+    band = cfg.grid.band
+    stack_bytes = samples * cfg.grid.dim * band.xi_sq.size \
+        * np.dtype(complex).itemsize
     stage = [None]
     counts = {"estimate_constants": 0, "solve_picard": 0}
     peaks = {}
@@ -747,21 +803,20 @@ def _per_stage(monkeypatch, solve, trace_memory=False):
         return inverse(grid, coeffs)
 
     def staged(name):
-        run = getattr(solver, name)
+        call_stage = getattr(solver, name)
 
         def call(problem, **kw):
             stage[0] = name
             if trace_memory:
                 tracemalloc.start()
             try:
-                return run(problem, **kw)
+                return call_stage(problem, **kw)
             finally:
                 stage[0] = None
                 if trace_memory:
                     peak = tracemalloc.get_traced_memory()[1]
                     tracemalloc.stop()
-                    peaks[name] = peak / problem.a.nbytes
-                counts[name] /= len(problem.a)
+                    peaks[name] = peak / stack_bytes
 
         return call
 
@@ -769,27 +824,44 @@ def _per_stage(monkeypatch, solve, trace_memory=False):
         monkeypatch.setattr(module, "inverse_transform", counted)
     for name in counts:
         monkeypatch.setattr(solver, name, staged(name))
-    monkeypatch.setattr(solver, "_last_gamma", (None, None))
-    return counts, peaks, solve()
+    result = run()
+    return {k: n / samples for k, n in counts.items()}, peaks, result
 
 
 def test_each_iterate_and_probe_is_transformed_once_per_use(grid16,
                                                             monkeypatch):
-    # per sample: a probe pair transforms x and y once, in B(x, y), and
-    # B(x, y) for its norm; a solve transforms the seed and each iterate
-    # once in its step, which gives its norm, and each increment once
+    # per sample: a solve transforms the seed and each iterate once in
+    # its step, which gives its norm, and each increment once; the direct
+    # and mollified solves probe nothing
     cfg = SolverConfig(grid=grid16, horizon=0.3, measure_probes=4)
     u0 = random_power_law(grid16, alpha=2.0, seed=3, amplitude=0.3)
-    counts, _, sol = _per_stage(monkeypatch, lambda: mild_solve_nse(u0, cfg))
+    counts, _, sol = _per_stage(monkeypatch, cfg,
+                                lambda: mild_solve_nse(u0, cfg))
     k = sol.report.iterations
     assert k == 4
-    assert counts == {"estimate_constants": 4 * 9, "solve_picard": 6 + 6 * k}
-    # mollified, B transforms (y)_rho, so y is transformed once more for
-    # its own norm; a step transforms x and (x)_rho
-    counts, _, sol = _per_stage(monkeypatch,
+    assert counts == {"estimate_constants": 0, "solve_picard": 6 + 6 * k}
+    # mollified, a step transforms x and (x)_rho
+    counts, _, sol = _per_stage(monkeypatch, cfg,
                                 lambda: mollified_solve(u0, None, 0.5, cfg))
     k = sol.report.iterations
-    assert counts == {"estimate_constants": 4 * 12, "solve_picard": 9 + 9 * k}
+    assert counts == {"estimate_constants": 0, "solve_picard": 9 + 9 * k}
+    # perturbed, a probe transforms x once, in L(x), and L(x) for its
+    # norm; the step transforms only x, the background being physical,
+    # and no resolvent of the seed is formed
+    v = mild_solve_nse(random_power_law(grid16, alpha=2.0, seed=4,
+                                        amplitude=0.05), cfg).trajectory
+    counts, _, sol = _per_stage(monkeypatch, cfg,
+                                lambda: mild_solve_perturbed(u0, v, cfg))
+    k = sol.report.iterations
+    assert counts == {"estimate_constants": 4 * 6, "solve_picard": 6 + 6 * k}
+    # gamma: a probe pair transforms x and y once, in B(x, y), and
+    # B(x, y) for its norm; mollified, B transforms (y)_rho, so y is
+    # transformed once more for its own norm
+    for rho, per_pair in ((None, 9), (0.5, 12)):
+        counts, _, _ = _per_stage(
+            monkeypatch, cfg, lambda: solver.bilinear_constant(cfg, rho))
+        assert counts == {"estimate_constants": 4 * per_pair,
+                          "solve_picard": 0}
 
 
 def test_probing_and_iterating_hold_few_stacks(grid16, monkeypatch):
@@ -797,10 +869,22 @@ def test_probing_and_iterating_hold_few_stacks(grid16, monkeypatch):
     # the next allocation adds a whole stack to these peaks
     cfg = SolverConfig(grid=grid16, horizon=0.3, measure_probes=4)
     u0 = random_power_law(grid16, alpha=2.0, seed=3, amplitude=0.3)
-    _, peaks, _ = _per_stage(monkeypatch, lambda: mild_solve_nse(u0, cfg),
+    _, peaks, _ = _per_stage(monkeypatch, cfg,
+                             lambda: mild_solve_nse(u0, cfg),
+                             trace_memory=True)
+    assert "estimate_constants" not in peaks
+    assert peaks["solve_picard"] <= 3.5
+    _, peaks, _ = _per_stage(monkeypatch, cfg,
+                             lambda: solver.bilinear_constant(cfg),
                              trace_memory=True)
     assert peaks["estimate_constants"] <= 4.5
-    assert peaks["solve_picard"] <= 3.5
+    # a perturbed solve's probing holds x, L(x) and L's forcing
+    v = mild_solve_nse(random_power_law(grid16, alpha=2.0, seed=4,
+                                        amplitude=0.05), cfg).trajectory
+    _, peaks, _ = _per_stage(monkeypatch, cfg,
+                             lambda: mild_solve_perturbed(u0, v, cfg),
+                             trace_memory=True)
+    assert peaks["estimate_constants"] <= 3.5
 
 
 def test_solver_stacks_are_band_blocks(grid16, monkeypatch):
