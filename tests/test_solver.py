@@ -316,14 +316,10 @@ def test_only_the_solver_builds_a_forcing():
     assert offenders == []
 
 
-def test_only_the_linear_part_of_a_perturbed_solve_is_probed(grid16,
-                                                             monkeypatch):
-    # no solve measures gamma: the direct and mollified solves build no
-    # probe, and a perturbed solve builds the x of each probe pair (y's
-    # seed is drawn but not built) and runs L(x), never B(x, y)
-    cfg = small_config(grid16, horizon=0.2, n_geometric=4, n_uniform=4,
-                       measure_probes=3)
-    log = {"seeds": [], "bilinear_calls": 0}
+def _logged_probes_and_bilinear(monkeypatch):
+    """Log the seed of every probe built and, per B built, its schedule,
+    mollifier symbol and number of B(x, y) calls."""
+    log = {"seeds": [], "bilinear": []}
     make_probe, make_bilinear = solver._make_probe, solver._nse_bilinear
 
     def logged_probe(*args):
@@ -335,32 +331,87 @@ def test_only_the_linear_part_of_a_perturbed_solve_is_probed(grid16,
 
         return call
 
-    def counted_bilinear(*args):
-        bilinear = make_bilinear(*args)
+    def counted_bilinear(band, times, m_rho=None):
+        bilinear = make_bilinear(band, times, m_rho)
+        entry = {"times": times, "m_rho": m_rho, "calls": 0}
+        log["bilinear"].append(entry)
 
         def call(x, y, series=None):
-            log["bilinear_calls"] += 1
+            entry["calls"] += 1
             return bilinear(x, y, series)
 
         return call
 
     monkeypatch.setattr(solver, "_make_probe", logged_probe)
     monkeypatch.setattr(solver, "_nse_bilinear", counted_bilinear)
+    return log
+
+
+def _bilinear_calls(log):
+    return sum(entry["calls"] for entry in log["bilinear"])
+
+
+def test_perturbed_solve_reuses_the_direct_gamma(grid16, monkeypatch):
+    # no solve measures gamma, so a perturbed solve has none to reuse: the
+    # direct and mollified solves build no probe, and a perturbed solve
+    # builds the x of each probe pair (y's seed is drawn but not built)
+    # and runs L(x), never B(x, y); a repeat gives the same bits
+    cfg = small_config(grid16, horizon=0.2, n_geometric=4, n_uniform=4,
+                       measure_probes=3)
+    log = _logged_probes_and_bilinear(monkeypatch)
     u0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.3)
     v = mild_solve_nse(random_power_law(grid16, alpha=2.0, seed=4,
                                         amplitude=0.05), cfg)
     mollified = mollified_solve(u0, None, 0.5, cfg)
-    assert log == {"seeds": [], "bilinear_calls": 0}
+    assert log["seeds"] == [] and _bilinear_calls(log) == 0
     w = mild_solve_perturbed(u0, v.trajectory, cfg)
     rng = np.random.default_rng(PROBE_SEED)
     pair_seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(6)]
-    assert log == {"seeds": pair_seeds[::2], "bilinear_calls": 0}
+    assert log["seeds"] == pair_seeds[::2] and _bilinear_calls(log) == 0
     for sol in (v, mollified, w):
         assert sol.report.converged and sol.report.gamma is None
+    again = mild_solve_perturbed(u0, v.trajectory, cfg)
+    assert again.report.norms == w.report.norms
+    assert np.array_equal(again.report.solution, w.report.solution)
     # bilinear_constant probes each pair's x and y with one B(x, y)
-    log["seeds"] = []
+    log["seeds"], log["bilinear"] = [], []
     assert solver.bilinear_constant(cfg) > 0
-    assert log == {"seeds": pair_seeds, "bilinear_calls": 3}
+    assert log["seeds"] == pair_seeds and _bilinear_calls(log) == 3
+
+
+def test_gamma_cache_key(grid16, monkeypatch):
+    # gamma is kept nowhere: bilinear_constant measures it afresh on every
+    # call from exactly what a cache key would hold (the probe count, the
+    # schedule and rho), and equal keys give equal bits
+    log = _logged_probes_and_bilinear(monkeypatch)
+    base = dict(horizon=0.2, n_geometric=2, n_uniform=2, measure_probes=2)
+    gamma = solver.bilinear_constant(small_config(grid16, **base))
+    assert solver.bilinear_constant(small_config(grid16, **base)) == gamma
+    assert [entry["calls"] for entry in log["bilinear"]] == [2, 2]
+    moved = small_config(grid16, **base).schedule()
+    moved[1:] = np.nextafter(moved[1:], 1.0)  # a schedule starts at 0
+    variants = [dict(base, measure_probes=3),
+                dict(base, n_uniform=3), dict(base, times=moved)]
+    for kw in variants:
+        log["bilinear"] = []
+        cfg = small_config(grid16, **kw)
+        solver.bilinear_constant(cfg)
+        [entry] = log["bilinear"]
+        assert entry["calls"] == cfg.measure_probes
+        assert np.array_equal(entry["times"], cfg.schedule())
+        assert entry["m_rho"] is None
+    symbols = []
+    for rho in (0.5, 0.25, 0.25):
+        log["bilinear"] = []
+        solver.bilinear_constant(small_config(grid16, **base), rho)
+        [entry] = log["bilinear"]
+        assert entry["calls"] == 2
+        symbols.append(entry["m_rho"])
+    assert not np.array_equal(symbols[0], symbols[1])
+    assert np.array_equal(symbols[1], symbols[2])
+    gammas = [solver.bilinear_constant(small_config(grid16, **base), 0.25)
+              for _ in range(2)]
+    assert gammas[0] == gammas[1] > 0
 
 
 @pytest.mark.parametrize("horizon", [9.5e-4, 1e-3])
