@@ -27,7 +27,7 @@ from .heat import (duhamel_integral, duhamel_trajectory, heat_evolve,
                    time_schedule, verify_kato_estimate,
                    verify_smoothing_derivatives)
 from .picard import (FixedPointReport, PicardProblem, estimate_constants,
-                     propagation_check, solve_picard)
+                     solve_picard)
 from .solver import (ContinuationResult, MildSolution, SolverConfig,
                      mild_solve_nse, mild_solve_perturbed, mollified_solve,
                      solve_with_continuation)

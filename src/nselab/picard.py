@@ -14,8 +14,8 @@ can take the element's norm from that same transform:
 Each one a problem leaves out is composed from ``linear``, ``bilinear``
 and ``norm``, so a float problem needs none of them.  The iteration runs
 one step ahead: the step that makes x_{k+1} also gives ||x_k||, and the
-step of the last iterate gives the final residual.  Increments, the
-resolvent and the propagation check take ``norm`` directly.
+step of the last iterate gives the final residual.  Increments take
+``norm`` directly.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ MAX_ITER = 60  # Picard iterations before a solve stops unconverged
 class PicardProblem:
     """Fixed-point data: seed a, linear part L, bilinear part B, norm.
 
-    gamma and l_norm are the measured bilinear and linear-operator
-    constants (gamma None: not measured); ``probe`` (optional) builds a
-    random element from an integer seed for measuring them.  ``step``,
+    l_norm is the measured linear-operator norm ||L|| (None: not
+    measured); ``probe`` (optional) builds a random element from an
+    integer seed for measuring it and gamma.  ``step``,
     ``bilinear_with_norms`` and ``linear_with_norm`` (optional) apply an
     operator and also give the norms of its arguments (see the module
     docstring); without them the parts and ``norm`` are composed.
@@ -50,7 +50,6 @@ class PicardProblem:
     linear: object = None       # callable or None (treated as zero map)
     bilinear: object = None     # callable or None
     norm: object = None         # callable -> float
-    gamma: float | None = None
     l_norm: float | None = None
     probe: object = None        # callable(seed) -> element
     step: object = None         # x -> (L(x) + B(x, x), ||x||), or None
@@ -108,25 +107,23 @@ def _gain(problem: PicardProblem, value, *norms) -> float:
 
 
 def estimate_constants(problem: PicardProblem, n_probes: int = 20,
-                       seed: int = 0, gamma: float | None = None,
-                       measure_gamma: bool = True) -> PicardProblem:
-    """Measure gamma and ||L|| by randomized probing and fill them in.
+                       seed: int = 0,
+                       measure_gamma: bool = True) -> float | None:
+    """Measure ||L|| by randomized probing into ``problem.l_norm`` and
+    return the bilinear constant gamma measured on the same probes, or
+    None with ``measure_gamma`` False.
 
     Each probe pair (x, y) draws two seeds from one stream; ||x|| and
-    ||y|| come with B(x, y), and ||x|| again with L(x).  A known
-    ``gamma`` (measured before with the same B, norm, probe, ``n_probes``
-    and ``seed``) is taken as is; with ``measure_gamma`` False and no
-    known gamma, gamma stays None (not measured).  Either way no y is
-    built and no B(x, y) runs, but y's seed is still drawn, so ||L|| is
-    measured on the same x as in a full run.  With no linear part ||L||
-    is 0 and not probed, so then nothing is probed unless gamma is
-    measured.
+    ||y|| come with B(x, y), and ||x|| again with L(x).  With
+    ``measure_gamma`` False no y is built and no B(x, y) runs, but y's
+    seed is still drawn, so ||L|| is measured on the same x as in a full
+    run.  With no linear part ||L|| is 0 and not probed, so then nothing
+    is probed unless gamma is measured.
     """
     if problem.probe is None:
         raise ConfigError("constant estimation needs a probe generator")
     rng = np.random.default_rng(seed)
-    measure_gamma = measure_gamma and gamma is None
-    gamma = 0.0 if measure_gamma else gamma
+    gamma = 0.0 if measure_gamma else None
     l_norm = 0.0
     if measure_gamma or problem.linear is not None:
         for _ in range(n_probes):
@@ -140,9 +137,8 @@ def estimate_constants(problem: PicardProblem, n_probes: int = 20,
             if problem.linear is not None:
                 l_norm = max(l_norm,
                              _gain(problem, *problem.linear_and_norm(x)))
-    problem.gamma = gamma
     problem.l_norm = l_norm
-    return problem
+    return gamma
 
 
 @dataclass
@@ -155,10 +151,6 @@ class FixedPointReport:
     diffs: list = dc_field(default_factory=list)
     residual: float = float("nan")
     iterations: int = 0
-    smallness_margin: float = float("nan")
-    inv_norm_bound: float = float("nan")
-    gamma: float | None = None
-    bound_holds: bool | None = None
 
     @property
     def contraction_ratios(self):
@@ -166,23 +158,8 @@ class FixedPointReport:
         return [d[i + 1] / d[i] for i in range(len(d) - 1) if d[i] > 0]
 
 
-def _resolvent_apply(problem: PicardProblem, rhs, tol: float,
-                     max_iter: int = 400):
-    """Solve y = rhs + L(y) by linear iteration (valid for ||L|| < 1)."""
-    if problem.linear is None:
-        return rhs
-    y = rhs
-    for _ in range(max_iter):
-        y_next = problem.plus_linear(rhs, y)
-        if problem.norm(y_next - y) < tol:
-            return y_next
-        y = y_next
-    return y
-
-
 def solve_picard(problem: PicardProblem, tol: float = PICARD_TOL,
-                 max_iter: int = MAX_ITER,
-                 strict: bool = False) -> FixedPointReport:
+                 max_iter: int = MAX_ITER) -> FixedPointReport:
     """Iterate P_{k+1} = a + L(P_k) + B(P_k, P_k) from P_0 = a, one
     ``problem.step_and_norm`` per iterate: the step of P_k gives P_{k+1}
     and ||P_k||, and the step of the last iterate gives the residual.
@@ -196,35 +173,16 @@ def solve_picard(problem: PicardProblem, tol: float = PICARD_TOL,
     increment already shows to be diverging is not stepped; its norm is
     taken with ``norm``.
 
-    The smallness margin 1/(4 ||(I-L)^{-1}|| gamma) - ||(I-L)^{-1} a||
-    and ``bound_holds`` need gamma; with gamma None (not measured) they
-    are NaN and None and the resolvent of a is not formed.  With
-    ``strict`` the margin must be positive up front, so gamma must be
-    known.
+    ||L|| must be measured and below 1, where the contraction argument
+    bounds ||(I - L)^{-1}|| by 1/(1 - ||L||); otherwise ``ConfigError``.
     """
     if problem.l_norm is None:
         raise ConfigError("measure ||L|| before iterating")
-    if strict and problem.gamma is None:
-        raise ConfigError("the strict smallness check needs a measured "
-                          "gamma")
     if problem.l_norm >= 1.0:
         raise ConfigError(f"linear operator norm {problem.l_norm} >= 1; "
                           "the resolvent bound fails")
-    inv_bound = 1.0 / (1.0 - problem.l_norm)
     x = problem.a
     f, seed_norm = problem.step_and_norm(x)
-    margin = float("nan") if problem.gamma is None else float("inf")
-    if problem.gamma is not None and problem.gamma > 0:
-        # with L = 0 the resolved seed is a itself, whose norm is known
-        na = seed_norm if problem.linear is None else problem.norm(
-            _resolvent_apply(problem, problem.a, tol))
-        cap = 1.0 / (4.0 * inv_bound * problem.gamma)
-        margin = cap - na
-        if strict and margin <= 0:
-            raise ConfigError(
-                f"smallness condition violated: ||(I-L)^{{-1}}a|| = {na} "
-                f">= {cap}")
-
     limit = DIVERGENCE_BLOWUP_FACTOR * seed_norm
     norms = [seed_norm]
     diffs = []
@@ -263,54 +221,7 @@ def solve_picard(problem: PicardProblem, tol: float = PICARD_TOL,
 
     f += problem.a  # the map of x, over the step's own output
     f -= x
-    residual = problem.norm(f)
-    bound_holds = None
-    if problem.gamma and problem.gamma > 0:
-        bound_holds = norms[-1] < 1.0 / (2.0 * inv_bound * problem.gamma)
     return FixedPointReport(solution=x, converged=converged, norms=norms,
-                            diffs=diffs, residual=residual, iterations=it,
-                            smallness_margin=margin, inv_norm_bound=inv_bound,
-                            gamma=problem.gamma, bound_holds=bound_holds)
+                            diffs=diffs, residual=problem.norm(f),
+                            iterations=it)
 
-
-@dataclass
-class PropagationReport:
-    holds: bool
-    e_norm_solution: float
-    e_norm_seed: float
-    inv_norm_e: float
-    bound: float
-    eta: float
-
-
-def propagation_check(problem: PicardProblem, report: FixedPointReport,
-                      e_norm, n_probes: int = 10,
-                      seed: int = 1) -> PropagationReport:
-    """Check ||x||_E <= 2 ||(I-L)^{-1}||_E ||a||_E on a solved problem.
-
-    ||(I-L)^{-1}||_E and the cross constant eta with
-    max(||B(y,z)||_E, ||B(z,y)||_E) <= eta ||y||_E ||z||_X are measured
-    on random probes.
-    """
-    rng = np.random.default_rng(seed)
-    inv_e = 1.0
-    eta = 0.0
-    if problem.probe is not None:
-        for _ in range(n_probes):
-            y = problem.probe(_next_seed(rng))
-            ney = e_norm(y)
-            if ney > 0:
-                resolved = _resolvent_apply(problem, y, 1e-12 * ney)
-                inv_e = max(inv_e, e_norm(resolved) / ney)
-            z = problem.probe(_next_seed(rng))
-            nz = problem.norm(z)
-            if ney > 0 and nz > 0:
-                eta = max(eta,
-                          e_norm(problem.apply_bilinear(y, z)) / (ney * nz),
-                          e_norm(problem.apply_bilinear(z, y)) / (ney * nz))
-    xe = e_norm(report.solution)
-    ae = e_norm(problem.a)
-    bound = 2.0 * inv_e * ae
-    return PropagationReport(holds=bool(xe <= bound or ae == 0),
-                             e_norm_solution=xe, e_norm_seed=ae,
-                             inv_norm_e=inv_e, bound=bound, eta=eta)

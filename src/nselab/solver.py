@@ -15,13 +15,14 @@ band, and only a field handed out (``traj[i]``, ``Trajectory.fields``,
 an archived CLF1 sample) is scattered to the half spectrum, one sample
 at a time.
 
-A solve measures no bilinear constant gamma: nothing it outputs or
-decides reads gamma, so its report's ``gamma`` is None and its
-``smallness_margin`` NaN.  It measures ||L|| where it has a linear
-part, since ||L|| >= 1 refuses a perturbed solve: that solve builds
-only the x probes and their L(x), and the direct and mollified solves
-probe nothing.  ``bilinear_constant`` measures gamma for a caller who
-wants it.
+A solve measures no bilinear constant gamma, since nothing it outputs
+or decides reads gamma: its report holds the solution, the Picard
+history (norms, increments, contraction ratios), the residual and
+whether it converged.  It measures ||L|| where it has a linear part,
+since ||L|| >= 1 refuses a perturbed solve: that solve builds only the
+x probes and their L(x), and the direct and mollified solves probe
+nothing.  ``bilinear_constant`` measures gamma for a caller who wants
+it.
 
 Every solve is one call of ``_picard_checked`` on its config's
 schedule, with an optional divergence-free background v and mollifier
@@ -30,7 +31,7 @@ samples and a symbol.  One forcing, ``_step_forcing``, defines its
 nonlinearity, P div dealias(w (x) (w)_rho + w (x) v + v (x) w): the
 Picard step, the doubled-schedule residual and the energy ledger
 (``nonlinear_forcing``) all take it from there.  It, the probe B(x, y)
-and the resolvent's L(w) are each one ``_forcing_stack`` job: x is
+and the linear part's L(w) are each one ``_forcing_stack`` job: x is
 transformed once per sample and the caller builds the tensor from it.
 
 The Kato norm of every Picard iterate and probe comes from the forcing
@@ -130,7 +131,7 @@ def _forcing_stack(band: Band, x: np.ndarray, tensor,
                    series: np.ndarray | None = None) -> np.ndarray:
     """P div T per sample, T = ``tensor(part, px)`` the dealiased tensor
     coefficients built from the physical samples ``px`` of ``x[part]``:
-    the one forcing job of every solve, probe and resolvent.  Runs as
+    the one forcing job of every solve, probe and L(w).  Runs as
     ``map_samples`` jobs of 4 samples on ``FFT_WORKERS`` threads, each
     job's FFTs on one thread, so the tensor temporaries do not grow with
     the schedule and the result is bit-identical to a serial run.
@@ -320,7 +321,7 @@ def bilinear_constant(config: SolverConfig,
         probe=_make_probe(grid, times),
         bilinear_with_norms=bilinear_with_norms)
     return estimate_constants(problem, n_probes=config.measure_probes,
-                              seed=PROBE_SEED).gamma
+                              seed=PROBE_SEED)
 
 
 def _minus_duhamel(band: Band, times: np.ndarray,

@@ -138,13 +138,13 @@ def test_criterion_06_taylor_green_regression():
 def test_criterion_07_picard_contract():
     a, g = 0.1, 1.0
     problem = PicardProblem(a=a, bilinear=lambda x, y: g * x * y,
-                            norm=abs, gamma=g, l_norm=0.0)
+                            norm=abs, l_norm=0.0)
     report = solve_picard(problem, tol=1e-14)
     exact = (1.0 - math.sqrt(1.0 - 4.0 * a * g)) / (2.0 * g)
     assert abs(report.solution - exact) < 1e-12
     with pytest.raises(PicardDivergenceError):
         solve_picard(PicardProblem(a=0.5, bilinear=lambda x, y: x * y,
-                                   norm=abs, gamma=1.0, l_norm=0.0))
+                                   norm=abs, l_norm=0.0))
     grid = make_grid(3, 16, 2.0 * np.pi)
     cfg = SolverConfig(grid=grid, horizon=0.3, n_geometric=8, n_uniform=8,
                        measure_probes=0)

@@ -163,7 +163,6 @@ def test_continuation_keeps_probe_seed(grid16):
     assert res.segment_horizons == [0.2]
     # a direct solve probes nothing, so its segment is the one solve
     direct = mild_solve_nse(u0, cfg).report
-    assert res.reports[0].gamma is None is direct.gamma
     assert res.reports[0].norms == direct.norms
     assert res.reports[0].diffs == direct.diffs
 
@@ -369,7 +368,7 @@ def test_perturbed_solve_reuses_the_direct_gamma(grid16, monkeypatch):
     pair_seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(6)]
     assert log["seeds"] == pair_seeds[::2] and _bilinear_calls(log) == 0
     for sol in (v, mollified, w):
-        assert sol.report.converged and sol.report.gamma is None
+        assert sol.report.converged
     again = mild_solve_perturbed(u0, v.trajectory, cfg)
     assert again.report.norms == w.report.norms
     assert np.array_equal(again.report.solution, w.report.solution)
@@ -761,12 +760,11 @@ def test_forcing_norms_equal_the_composed_path(grid16, monkeypatch, case):
     # forcing and takes only its norm apart
     step = None if problem.linear is None else (
         lambda x: (problem.step(x)[0], problem.norm(x)))
-    ref = estimate_constants(_composed(problem, step),
-                             n_probes=cfg.measure_probes, seed=PROBE_SEED)
+    ref = _composed(problem, step)
+    gamma = estimate_constants(ref, n_probes=cfg.measure_probes,
+                               seed=PROBE_SEED)
     # gamma by bilinear_constant, whose norms come from B's transforms
-    assert ref.gamma == solver.bilinear_constant(cfg, rho) > 0
-    assert problem.gamma is None and report.gamma is None
-    assert np.isnan(report.smallness_margin)
+    assert gamma == solver.bilinear_constant(cfg, rho) > 0
     assert ref.l_norm == problem.l_norm
     assert (ref.l_norm > 0) == (problem.linear is not None)
     want = solve_picard(ref, tol=PICARD_TOL, max_iter=MAX_ITER)
@@ -777,10 +775,10 @@ def test_forcing_norms_equal_the_composed_path(grid16, monkeypatch, case):
 
 
 @pytest.mark.parametrize("kind", ["direct", "perturbed", "mollified"])
-def test_gamma_reaches_no_output(grid16, monkeypatch, kind):
-    # a solve measures no gamma; the same problem given the gamma of
-    # bilinear_constant has a smallness margin, and the same solution,
-    # history and residuals bit for bit
+def test_gamma_reaches_no_output(grid16, kind):
+    # a solve measures no gamma and keeps none: one solved after
+    # bilinear_constant has measured it has the same solution, history
+    # and residuals bit for bit
     cfg = small_config(grid16, horizon=0.2, n_geometric=6, n_uniform=6,
                        measure_probes=3)
     u0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.3)
@@ -791,20 +789,8 @@ def test_gamma_reaches_no_output(grid16, monkeypatch, kind):
              "perturbed": lambda: mild_solve_perturbed(u0, v, cfg),
              "mollified": lambda: mollified_solve(u0, None, rho, cfg)}[kind]
     plain = solve()
-    gamma = solver.bilinear_constant(cfg, rho)
-    run = solver.solve_picard
-
-    def with_gamma(problem, **kw):
-        problem.gamma = gamma
-        return run(problem, **kw)
-
-    monkeypatch.setattr(solver, "solve_picard", with_gamma)
+    assert solver.bilinear_constant(cfg, rho) > 0
     measured = solve()
-    assert plain.report.gamma is None and plain.report.bound_holds is None
-    assert np.isnan(plain.report.smallness_margin)
-    assert measured.report.gamma == gamma > 0
-    assert np.isfinite(measured.report.smallness_margin)
-    assert measured.report.bound_holds is not None
     assert np.array_equal(plain.report.solution, measured.report.solution)
     assert plain.report.norms == measured.report.norms
     assert plain.report.diffs == measured.report.diffs
@@ -824,7 +810,7 @@ def test_diverging_solve_keeps_its_history(grid16, monkeypatch, amplitude):
         mild_solve_nse(u0, cfg)
     problem, = problems
     ref = _composed(problem)
-    ref.gamma, ref.l_norm = problem.gamma, problem.l_norm
+    ref.l_norm = problem.l_norm
     with pytest.raises(PicardDivergenceError) as want:
         solve_picard(ref, tol=PICARD_TOL, max_iter=MAX_ITER)
     assert got.value.norms == want.value.norms
@@ -977,7 +963,7 @@ def _out_of_place(problem, tol, max_iter):
 def _float_problem():
     return PicardProblem(a=0.3, linear=lambda x: 0.1 * x,
                          bilinear=lambda x, y: -0.5 * x * y, norm=abs,
-                         gamma=0.5, l_norm=0.1)
+                         l_norm=0.1)
 
 
 def _stack_problem(grid16, monkeypatch):
