@@ -11,14 +11,16 @@ schedule and 8 probes, archived to a temporary directory that is
 deleted afterwards.  The child's address space is capped at
 ``MAX_GB`` GiB (``RLIMIT_AS``), so a run that would not fit fails
 instead of exhausting the host.  Each record holds the wall time of
-``run_experiment``, the child's peak RSS (``ru_maxrss``), the archive
-size, the run status and the number of continuation segments.
+``run_experiment``, the child's peak RSS (``ru_maxrss``) and minor page
+faults (``ru_minflt``), the archive size, the run status and the number
+of continuation segments.
 
 Then, for each (grid size, amplitude) in ``CONTINUATIONS``, a fresh
 interpreter runs ``solve_with_continuation`` alone on the same kind of
 data (seed 1, T = 0.3, default schedule, 8 probes), under the same cap.
 Its record holds the amplitude, the status, the segments, the samples,
-the wall time of the solve, the peak RSS and ``residual_doubled``.
+the wall time of the solve, the peak RSS, the minor page faults and
+``residual_doubled``.
 
 Records are printed as JSON lines and, with ``--out``, added to that
 file under ``runs`` (an existing file keeps its other records).
@@ -43,6 +45,8 @@ ABOUT = ("benchmarks/scale.py: one 3D run_experiment per grid size, direct "
          "solver, random alpha = 2 data of amplitude 0.3, seed 1, T = 0.3, "
          "49 samples, 8 probes, each in a fresh interpreter; wall_s is "
          "run_experiment's wall time, peak_rss_mb the child's ru_maxrss, "
+         "minor_faults its ru_minflt (the whole interpreter's, import "
+         "included), "
          "archive_mb the archive's size.  Records with an amplitude are "
          "one solve_with_continuation alone on the same kind of data "
          "(seed 1, T = 0.3, default schedule, 8 probes) at that "
@@ -67,9 +71,10 @@ with tempfile.TemporaryDirectory() as out:
     report = nselab.run_experiment(config)
     wall = time.perf_counter() - start
     size = sum(os.path.getsize(os.path.join(out, f)) for f in os.listdir(out))
+usage = resource.getrusage(resource.RUSAGE_SELF)
 print(json.dumps({
     "n": n, "status": report.status, "wall_s": wall,
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "peak_rss_mb": usage.ru_maxrss / 1024, "minor_faults": usage.ru_minflt,
     "archive_mb": size / 2**20, "samples": int(report.times.size),
     "segments": len(report.meta.get("segments", []))}))
 """
@@ -90,9 +95,10 @@ config = nselab.SolverConfig(grid=grid, horizon=0.3, measure_probes=8)
 start = time.perf_counter()
 res = nselab.solve_with_continuation(u0, config)
 wall = time.perf_counter() - start
+usage = resource.getrusage(resource.RUSAGE_SELF)
 print(json.dumps({
     "n": n, "amplitude": amplitude, "status": res.status, "wall_s": wall,
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "peak_rss_mb": usage.ru_maxrss / 1024, "minor_faults": usage.ru_minflt,
     "samples": len(res.trajectory), "segments": len(res.segment_horizons),
     "residual_doubled": res.residual_doubled}))
 """

@@ -44,8 +44,11 @@ transforms (y)_rho, so y is transformed once more).  Increments,
 B(x, y) itself and the residuals are normed by ``kato_stack_norm``.
 
 The doubled-schedule residual streams over its refined schedule in
-chunks of whole ``map_samples`` jobs, so its memory does not grow with
-the schedule, and continuation writes its segments into one stack.
+chunks of whole ``map_samples`` jobs and forms only what the solve does
+not hold: it interpolates and forces the refined midpoints, and reads
+the original samples and their forcing from the solution and its last
+step.  So its memory does not grow with the schedule.  Continuation
+writes its segments into one stack.
 """
 
 from __future__ import annotations
@@ -394,16 +397,19 @@ def _doubled_residual(band: Band, times: np.ndarray, stack: np.ndarray,
     original samples, of x - a + Duhamel(forcing(x)), a = e^{tL}u0 the
     solve's seed, with x interpolated linearly onto the refined schedule.
 
-    At the original samples, the even refined ones, the interpolation
-    gives x back (up to the sign of zeros), so its forcing there is
-    ``g``, that of the whole stack; ``forcing(fine_times, fine)`` gives
-    it at the refined midpoints.  The refined schedule is streamed in
-    chunks whose midpoints fill ``FFT_WORKERS`` ``map_samples`` jobs:
-    each chunk is interpolated, forced, carried on through the Duhamel
-    recursion from the previous chunk's last sample and forcing, and
-    reduced to its largest weighted norm.  So memory does not grow with
-    the schedule, and the value equals that of one pass over the whole
-    refined stack.  The schedule must start at 0.
+    Only the refined midpoints are interpolated, and
+    ``forcing(fine_times, fine)`` gives the forcing there.  At the
+    original samples, the even refined ones, the interpolation would
+    give x back up to the sign of zeros, which no norm sees, so x is
+    read there from ``stack`` itself and its forcing is ``g``, that of
+    the whole stack.  The refined schedule is streamed in chunks whose
+    midpoints fill ``FFT_WORKERS`` ``map_samples`` jobs: each chunk's
+    forcing is laid out after the previous chunk's last one, carried in
+    its first slot, and run on through the Duhamel recursion from the
+    previous chunk's last value, then reduced to its largest weighted
+    norm.  So memory does not grow with the schedule, and the value
+    equals that of one pass over the whole refined stack.  The schedule
+    must start at 0.
     """
     fine_times = np.empty(2 * times.size - 1)
     fine_times[0::2] = times
@@ -411,24 +417,27 @@ def _doubled_residual(band: Band, times: np.ndarray, stack: np.ndarray,
     chunk = 2 * spectral.SAMPLE_CHUNK * spectral.FFT_WORKERS  # even
     worst = 0.0
     for s in range(0, fine_times.size, chunk):
-        ft = fine_times[s:s + chunk]
-        fine = interpolate_stack(times, stack, ft)
+        # after the first chunk, slot 0 carries the previous chunk's last
+        # sample, from which the Duhamel recursion runs on
+        first = max(s - 1, 0)
+        ft = fine_times[first:s + chunk]
+        node = s - first  # slot of the chunk's first original sample
         # the even refined samples are the original ones from s // 2 on
-        nodes = slice(s // 2, s // 2 + len(fine[0::2]))
-        gf = np.empty_like(fine)
-        gf[0::2] = g[nodes]
-        gf[1::2] = forcing(ft[1::2], fine[1::2])
-        if s == 0:
-            duh = duhamel_stack(ft, gf, band)
-        else:
-            duh = duhamel_stack(fine_times[s - 1:s + chunk],
-                                np.concatenate([g_last, gf]), band,
-                                start=duh[-1])[1:]
-        g_last = gf[-1:]
-        rhs = np.negative(duh[0::2])
-        rhs += a[nodes]
-        resid = np.subtract(fine[0::2], rhs, out=rhs)
-        worst = max(worst, kato_stack_norm(band, ft[0::2], resid))
+        nodes = slice(s // 2, s // 2 + len(ft[node::2]))
+        mids = ft[node + 1::2]
+        gf = np.empty((len(ft),) + g.shape[1:], dtype=g.dtype)
+        if s > 0:
+            gf[0] = g_last
+        gf[node::2] = g[nodes]
+        gf[node + 1::2] = forcing(mids, interpolate_stack(times, stack, mids))
+        duh = duhamel_stack(ft, gf, band, start=None if s == 0 else d_last)
+        g_last, d_last = gf[-1].copy(), duh[-1].copy()
+        resid = np.negative(duh[node::2])
+        del gf, duh  # not held through the next chunk
+        resid += a[nodes]
+        np.subtract(stack[nodes], resid, out=resid)
+        worst = max(worst, kato_stack_norm(band, times[nodes], resid))
+        del resid  # nor this
     return worst
 
 

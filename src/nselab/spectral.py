@@ -312,7 +312,7 @@ class Band:
         out = np.empty(wide.shape[:-d] + wide.shape[1 - d:-1]
                        + (2 * self._h - 1, wide.shape[-d]),
                        dtype=np.complex128)
-        unrolled = np.moveaxis(out, -1, -d)  # laid out as wide
+        unrolled = _roll(out, d, d - 1)  # laid out as wide
         for rows, part in self._halves:
             unrolled[..., part] = wide[..., rows]
         return out
@@ -328,12 +328,14 @@ class Band:
         return self._repr
 
 
-def _roll(x: np.ndarray, dim: int) -> np.ndarray:
-    """View of ``x`` with the first of its trailing ``dim`` axes moved
-    last; ``dim`` rolls give ``x`` back."""
+def _roll(x: np.ndarray, dim: int, shift: int = 1) -> np.ndarray:
+    """View of ``x`` with the first ``shift`` of its trailing ``dim`` axes
+    moved last, in order; ``dim`` rolls by one give ``x`` back.  (Built
+    from lists: ``np.moveaxis`` takes several microseconds, which every
+    one-component band transform would pay twice.)"""
     axes = list(range(x.ndim))
-    axes.append(axes.pop(-dim))
-    return x.transpose(axes)
+    return x.transpose(axes[:-dim] + axes[x.ndim - dim + shift:]
+                       + axes[-dim:x.ndim - dim + shift])
 
 
 def make_grid(dim: int, n: int, box_length: float) -> Grid:
@@ -505,20 +507,22 @@ def projected_divergence_coeffs(grid: Grid, tensor: np.ndarray) -> np.ndarray:
     return leray_coeffs(grid, g)
 
 
-def _dealiased_products(band: Band, count: int, products) -> np.ndarray:
-    """Band coefficients (``Band.forward``) of ``count`` physical products
-    stacked on the axis just before the grid axes, ``products(s)``
-    forming those of the slice ``s`` of that axis.  They are formed and
-    transformed ``band.dim`` at a time into one output, so the physical
-    temporaries are never larger than one vector field's."""
-    out = None
-    for start in range(0, count, band.dim):
-        part = slice(start, start + band.dim)
-        c = band.forward(products(part))
-        if out is None:
-            out = np.empty(c.shape[:-band.dim - 1] + (count,)
-                           + c.shape[-band.dim:], dtype=c.dtype)
-        out[(Ellipsis, part) + (slice(None),) * band.dim] = c
+def _dealiased_products(band: Band, pv: np.ndarray, entries,
+                        product) -> np.ndarray:
+    """Band coefficients (``Band.forward``) of a d x d tensor of physical
+    products of vector samples shaped as ``pv``, entry (i, j) of
+    ``entries`` from ``product(i, j, buf)``, which writes that product
+    into ``buf``; the other entries are left unset.  The products are
+    formed and transformed one at a time, so the physical temporaries
+    are never larger than one component's."""
+    d = band.dim
+    lead = pv.shape[:-d - 1]
+    buf = np.empty(lead + pv.shape[-d:])
+    out = np.empty(lead + (d, d) + band.xi_sq.shape, dtype=np.complex128)
+    entry = np.moveaxis(out, (-d - 2, -d - 1), (0, 1))
+    for i, j in entries:
+        product(i, j, buf)
+        entry[i, j] = band.forward(buf)
     return out
 
 
@@ -526,32 +530,35 @@ def symmetric_tensor(band: Band, pv: np.ndarray,
                      pw: np.ndarray | None) -> np.ndarray:
     """Dealiased band coefficients of the symmetric tensor v_i v_j (``pw``
     is None) or v_i w_j + w_i v_j from physical vector samples.  Only the
-    d(d+1)/2 entries i <= j are formed and transformed."""
-    axis = -band.dim - 1
-    i, j = np.triu_indices(band.dim)
+    d(d+1)/2 entries i <= j are formed, from component views, and
+    transformed, one at a time; each is copied to (j, i)."""
+    d = band.dim
+    v = np.moveaxis(pv, -d - 1, 0)
+    w = v if pw is None else np.moveaxis(pw, -d - 1, 0)
 
-    def products(s):
-        prod = np.take(pv, i[s], axis) * np.take(pv if pw is None else pw,
-                                                 j[s], axis)
+    def product(i, j, buf):
+        np.multiply(v[i], w[j], out=buf)
         if pw is not None:
-            prod += np.take(pw, i[s], axis) * np.take(pv, j[s], axis)
-        return prod
+            buf += w[i] * v[j]
 
-    out = _dealiased_products(band, i.size, products)
-    pair = np.empty((band.dim, band.dim), dtype=np.intp)
-    pair[i, j] = pair[j, i] = np.arange(i.size)
-    return np.take(out, pair, axis)
+    upper = [(i, j) for i in range(d) for j in range(i, d)]
+    out = _dealiased_products(band, pv, upper, product)
+    entry = np.moveaxis(out, (-d - 2, -d - 1), (0, 1))
+    for i, j in upper:
+        if i < j:
+            entry[j, i] = entry[i, j]
+    return out
 
 
 def dealiased_tensor(band: Band, pv: np.ndarray, pw: np.ndarray) -> np.ndarray:
     """Dealiased band coefficients of the tensor v_i w_j from physical
-    vector samples (all d^2 products formed and transformed, one row
-    v_i w_. at a time)."""
-    axis = -band.dim - 1
-    out = _dealiased_products(band, band.dim**2, lambda s: np.expand_dims(
-        np.take(pv, s.start // band.dim, axis), axis) * pw)
-    return out.reshape(out.shape[:axis] + (band.dim, band.dim)
-                       + out.shape[axis + 1:])
+    vector samples: all d^2 products formed, from component views, and
+    transformed, one at a time."""
+    d = band.dim
+    v, w = np.moveaxis(pv, -d - 1, 0), np.moveaxis(pw, -d - 1, 0)
+    return _dealiased_products(
+        band, pv, [(i, j) for i in range(d) for j in range(d)],
+        lambda i, j, buf: np.multiply(v[i], w[j], out=buf))
 
 
 def magnitude(grid: Grid, values: np.ndarray,

@@ -156,6 +156,38 @@ def test_band_transforms_hold_one_half_spectrum():
     assert max(extra) <= half_bytes + 2**16
 
 
+def test_forcing_job_tensors_hold_one_product_at_a_time(monkeypatch):
+    # a tensor of a 4-sample job is formed and transformed one product at
+    # a time into its output: beyond its inputs and output it holds one
+    # physical component, the product, and what the band transform of
+    # that component holds, its output block and at most its half
+    # spectrum and 64 KiB (as test_band_transforms_hold_one_half_spectrum
+    # bounds).  The second product of v_i w_j + w_i v_j is one more
+    # component, held only before the transform, within that bound.  At
+    # 16^3 this is 381 KiB, and the tensors held 339-340 KiB; formed
+    # band.dim products at a time (np.take copies of the factors, and a
+    # d(d+1)/2 stack before the d x d output), they held 1011-1155 KiB
+    monkeypatch.setattr(spectral, "FFT_WORKERS", 1)
+    grid = _grid(3, 16)
+    band = grid.band
+    rng = np.random.default_rng(2)
+    px, py = (rng.standard_normal((4, 3) + grid.shape) for _ in range(2))
+    component = px.nbytes // 3
+    half = component // grid.n * (grid.n // 2 + 1) * 2
+    block = 4 * band.xi_sq.size * 16
+    for tensor in (lambda: symmetric_tensor(band, px, None),
+                   lambda: symmetric_tensor(band, px, py),
+                   lambda: dealiased_tensor(band, px, py)):
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            out = tensor()
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + component + half + block + 2**16
+
+
 def test_band_is_built_on_first_use():
     grid = _grid(3, 16)
     assert "band" not in vars(grid)
