@@ -8,7 +8,6 @@ it, so a problem that must transform an element to apply an operator
 can take the element's norm from that same transform:
 - ``step(x)`` gives (L(x) + B(x, x), ||x||); it must agree with
   ``linear(x) + bilinear(x, x)`` up to rounding and with ``norm(x)``;
-- ``bilinear_with_norms(x, y)`` gives (B(x, y), ||x||, ||y||);
 - ``linear_with_norm(x)`` gives (L(x), ||x||).
 
 Each one a problem leaves out is composed from ``linear``, ``bilinear``
@@ -20,8 +19,6 @@ step of the last iterate gives the final residual.  Increments take
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -40,10 +37,10 @@ class PicardProblem:
 
     l_norm is the measured linear-operator norm ||L|| (None: not
     measured); ``probe`` (optional) builds a random element from an
-    integer seed for measuring it and gamma.  ``step``,
-    ``bilinear_with_norms`` and ``linear_with_norm`` (optional) apply an
-    operator and also give the norms of its arguments (see the module
-    docstring); without them the parts and ``norm`` are composed.
+    integer seed for measuring it.  ``step`` and ``linear_with_norm``
+    (optional) apply an operator and also give the norm of its argument
+    (see the module docstring); without them the parts and ``norm`` are
+    composed.
     """
 
     a: object
@@ -53,7 +50,6 @@ class PicardProblem:
     l_norm: float | None = None
     probe: object = None        # callable(seed) -> element
     step: object = None         # x -> (L(x) + B(x, x), ||x||), or None
-    bilinear_with_norms: object = None  # (x, y) -> (B(x, y), ||x||, ||y||)
     linear_with_norm: object = None     # x -> (L(x), ||x||)
 
     def plus_linear(self, base, x):
@@ -69,13 +65,6 @@ class PicardProblem:
             return self.step(x)
         return self.plus_linear(self.apply_bilinear(x, x), x), self.norm(x)
 
-    def bilinear_and_norms(self, x, y):
-        """(B(x, y), ||x||, ||y||), by ``bilinear_with_norms`` when
-        supplied."""
-        if self.bilinear_with_norms is not None:
-            return self.bilinear_with_norms(x, y)
-        return self.apply_bilinear(x, y), self.norm(x), self.norm(y)
-
     def linear_and_norm(self, x):
         """(L(x), ||x||) of a non-zero L, by ``linear_with_norm`` when
         supplied."""
@@ -89,56 +78,31 @@ def _next_seed(rng) -> int:
     return int(rng.integers(0, 2**31 - 1))
 
 
-def _gain(problem: PicardProblem, value, *norms) -> float:
-    """||value|| / (product of ``norms``), or 0 unless every norm is
-    positive.  Where the product is not a normal float (it underflows or
-    overflows although each norm is positive) the norms divide one at a
-    time.  Taking ``value`` as an argument lets it be freed as soon as
-    its norm is known."""
-    if not all(n > 0 for n in norms):
-        return 0.0
-    gain = problem.norm(value)
-    denominator = math.prod(norms)
-    if sys.float_info.min <= denominator < math.inf:
-        return gain / denominator
-    for n in norms:
-        gain /= n
-    return gain
-
-
 def estimate_constants(problem: PicardProblem, n_probes: int = 20,
-                       seed: int = 0,
-                       measure_gamma: bool = True) -> float | None:
+                       seed: int = 0) -> float:
     """Measure ||L|| by randomized probing into ``problem.l_norm`` and
-    return the bilinear constant gamma measured on the same probes, or
-    None with ``measure_gamma`` False.
+    return it: the largest ||L(x)|| / ||x|| over ``n_probes`` probes x,
+    ||x|| coming with L(x).  With no linear part ||L|| is 0 and nothing
+    is probed.
 
-    Each probe pair (x, y) draws two seeds from one stream; ||x|| and
-    ||y|| come with B(x, y), and ||x|| again with L(x).  With
-    ``measure_gamma`` False no y is built and no B(x, y) runs, but y's
-    seed is still drawn, so ||L|| is measured on the same x as in a full
-    run.  With no linear part ||L|| is 0 and not probed, so then nothing
-    is probed unless gamma is measured.
+    The probes are built from every other seed of the stream, the first
+    of each probe pair (x, y) that the probing once drew, so ||L||, and
+    every decision on it, keeps its value.
     """
     if problem.probe is None:
         raise ConfigError("constant estimation needs a probe generator")
     rng = np.random.default_rng(seed)
-    gamma = 0.0 if measure_gamma else None
     l_norm = 0.0
-    if measure_gamma or problem.linear is not None:
+    if problem.linear is not None:
         for _ in range(n_probes):
             x = problem.probe(_next_seed(rng))
-            y_seed = _next_seed(rng)
-            if measure_gamma:
-                bxy, nx, ny = problem.bilinear_and_norms(
-                    x, problem.probe(y_seed))
-                gamma = max(gamma, _gain(problem, bxy, nx, ny))
-                del bxy  # not held across the next probe's allocations
-            if problem.linear is not None:
-                l_norm = max(l_norm,
-                             _gain(problem, *problem.linear_and_norm(x)))
+            _next_seed(rng)  # y's seed: the next x keeps the seed of its pair
+            lx, nx = problem.linear_and_norm(x)
+            if nx > 0:
+                l_norm = max(l_norm, problem.norm(lx) / nx)
+            del lx  # not held across the next probe's allocations
     problem.l_norm = l_norm
-    return gamma
+    return l_norm
 
 
 @dataclass

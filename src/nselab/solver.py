@@ -15,14 +15,12 @@ band, and only a field handed out (``traj[i]``, ``Trajectory.fields``,
 an archived CLF1 sample) is scattered to the half spectrum, one sample
 at a time.
 
-A solve measures no bilinear constant gamma, since nothing it outputs
-or decides reads gamma: its report holds the solution, the Picard
-history (norms, increments, contraction ratios), the residual and
-whether it converged.  It measures ||L|| where it has a linear part,
-since ||L|| >= 1 refuses a perturbed solve: that solve builds only the
-x probes and their L(x), and the direct and mollified solves probe
-nothing.  ``bilinear_constant`` measures gamma for a caller who wants
-it.
+Kato's fixed-point argument is checked after the fact: a solve's
+report holds the solution, the Picard history (norms, increments,
+contraction ratios), the residual and whether it converged.  The one
+constant a solve measures is ||L||, where it has a linear part, since
+||L|| >= 1 refuses a perturbed solve: that solve builds the probes x
+and their L(x), and the direct and mollified solves probe nothing.
 
 Every solve is one call of ``_picard_checked`` on its config's
 schedule, with an optional divergence-free background v and mollifier
@@ -30,18 +28,16 @@ radius rho, which ``_forcing_factors`` alone turns into physical
 samples and a symbol.  One forcing, ``_step_forcing``, defines its
 nonlinearity, P div dealias(w (x) (w)_rho + w (x) v + v (x) w): the
 Picard step, the doubled-schedule residual and the energy ledger
-(``nonlinear_forcing``) all take it from there.  It, the probe B(x, y)
-and the linear part's L(w) are each one ``_forcing_stack`` job: x is
+(``nonlinear_forcing``) all take it from there.  It, B(x, y) and the
+linear part's L(w) are each one ``_forcing_stack`` job: x is
 transformed once per sample and the caller builds the tensor from it.
 
 The Kato norm of every Picard iterate and probe comes from the forcing
 that transforms it: a job given a series writes the L^KATO_P norms of
 the physical samples it made, which ``_kato`` weights as
 ``kato_stack_norm`` does, bit for bit.  The Picard step gives
-(L(x) + B(x, x), ||x||), L(w) gives ||w||, and the probe B(x, y) of
-``bilinear_constant`` gives ||x|| and ||y|| (under a mollifier it
-transforms (y)_rho, so y is transformed once more).  Increments,
-B(x, y) itself and the residuals are normed by ``kato_stack_norm``.
+(L(x) + B(x, x), ||x||) and L(w) gives ||w||.  Increments, L(w) itself
+and the residuals are normed by ``kato_stack_norm``.
 
 The doubled-schedule residual streams over its refined schedule in
 chunks of whole ``map_samples`` jobs and forms only what the solve does
@@ -83,6 +79,10 @@ class SolverConfig:
     The contraction norm X is the Kato norm K_p, p = KATO_P (sup of
     t^{-s_p/2}||u(t)||_p); time samples are geometric near zero and
     uniform after T/8.  Explicit ``times`` must pass ``check_schedule``.
+    ``measure_probes`` is the number of probes by which a perturbed
+    solve measures ||L||; the direct and mollified solves probe nothing.
+    The counts ``n_geometric``, ``n_uniform`` and ``measure_probes`` must
+    be integers (not bool); ``ConfigError`` otherwise.
     """
 
     grid: Grid
@@ -96,6 +96,11 @@ class SolverConfig:
         if not 0 < self.horizon < math.inf:
             raise ConfigError(f"horizon must be positive and finite, got "
                               f"{self.horizon}")
+        for name in ("n_geometric", "n_uniform", "measure_probes"):
+            value = getattr(self, name)
+            integral = isinstance(value, (int, np.integer))
+            if not integral or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.measure_probes < 0:
             raise ConfigError(f"measure_probes must be >= 0, got "
                               f"{self.measure_probes}")
@@ -246,11 +251,11 @@ def _picard_checked(c0: np.ndarray, config: SolverConfig, background=None,
     it, around a divergence-free background v (none when None), the
     advected factor of B(x, x) mollified by rho (none when None).  The
     Picard step and the doubled residual take their forcing from
-    ``_step_forcing``; ||L|| is probed on L = -B(., v) - B(v, .) apart,
-    and gamma is not measured.  The step and L also return the Kato norms
-    of their arguments from their own transforms.  The last step is that
-    of the solution, so its forcing is kept for the doubled residual and
-    the solution's ``forcing``.  Every stack of the solve is a band
+    ``_step_forcing``; ||L|| is probed on L = -B(., v) - B(v, .) apart.
+    The step and L also return the Kato norms of their arguments from
+    their own transforms.  The last step is that of the solution, so its
+    forcing is kept for the doubled residual and the solution's
+    ``forcing``.  Every stack of the solve is a band
     block, and the trajectory is the solution's, made read-only."""
     grid = config.grid
     band = grid.band
@@ -285,7 +290,7 @@ def _picard_checked(c0: np.ndarray, config: SolverConfig, background=None,
                             else linear_with_norm)
     if linear is not None:  # ||L|| >= 1 refuses the solve
         estimate_constants(problem, n_probes=config.measure_probes,
-                           seed=PROBE_SEED, measure_gamma=False)
+                           seed=PROBE_SEED)
     report = solve_picard(problem, tol=PICARD_TOL, max_iter=MAX_ITER)
     g = last_forcing[0]  # solve_picard's last step is the solution's
     rd = _doubled_residual(band, times, report.solution, problem.a, g,
@@ -298,35 +303,6 @@ def _picard_checked(c0: np.ndarray, config: SolverConfig, background=None,
                         report, rd, g)
 
 
-def bilinear_constant(config: SolverConfig,
-                      rho: float | None = None) -> float:
-    """The bilinear constant gamma of the solves on ``config``: the
-    largest ||B(x, y)|| / (||x|| ||y||) over ``config.measure_probes``
-    probe pairs drawn from ``PROBE_SEED``, with B that of the direct and
-    perturbed solves, or of ``mollified_solve`` with radius rho.  It
-    depends only on the grid, the schedule, rho and the probe count,
-    never on data or a background; 0 with no probes.  Measured afresh on
-    every call: no solve measures it, and nothing is kept."""
-    grid = config.grid
-    band = grid.band
-    times = config.schedule()
-    bilinear = _nse_bilinear(band, times,
-                             _forcing_factors(grid, times, None, rho)[1])
-
-    def bilinear_with_norms(x, y):
-        series = np.empty((2, times.size))
-        bxy = bilinear(x, y, series)
-        return bxy, _kato(times, series[0]), _kato(times, series[1])
-
-    problem = PicardProblem(
-        a=None, bilinear=bilinear,
-        norm=lambda stack: kato_stack_norm(band, times, stack),
-        probe=_make_probe(grid, times),
-        bilinear_with_norms=bilinear_with_norms)
-    return estimate_constants(problem, n_probes=config.measure_probes,
-                              seed=PROBE_SEED)
-
-
 def _minus_duhamel(band: Band, times: np.ndarray,
                    g: np.ndarray) -> np.ndarray:
     """-Duhamel(g) on the schedule, written over the recursion's output."""
@@ -336,22 +312,13 @@ def _minus_duhamel(band: Band, times: np.ndarray,
 
 def _nse_bilinear(band: Band, times: np.ndarray,
                   m_rho: np.ndarray | None = None):
-    """(x, y) -> B(x, y) = -Duhamel(P div dealias(x (x) (y)_rho)).
-
-    With ``series`` of shape (2, M) its rows get the ``_sample_norms`` of
-    x and of y from their transforms in the forcing; under a mollifier
-    the transform is of (y)_rho, so y is transformed once more."""
-    def bilinear(x, y, series=None):
+    """(x, y) -> B(x, y) = -Duhamel(P div dealias(x (x) (y)_rho))."""
+    def bilinear(x, y):
         def tensor(part, px):
-            py = inverse_transform(band, y[part] if m_rho is None
-                                   else y[part] * m_rho)
-            if series is not None:
-                own = py if m_rho is None else inverse_transform(band, y[part])
-                series[1, part] = _sample_norms(band, own)
-            return dealiased_tensor(band, px, py)
+            return dealiased_tensor(band, px, inverse_transform(
+                band, y[part] if m_rho is None else y[part] * m_rho))
 
-        return _minus_duhamel(band, times, _forcing_stack(
-            band, x, tensor, None if series is None else series[0]))
+        return _minus_duhamel(band, times, _forcing_stack(band, x, tensor))
 
     return bilinear
 

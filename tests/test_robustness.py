@@ -392,6 +392,20 @@ def test_badly_typed_config_exits_2(tmp_path, capsys, fields):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [True, 1.5, math.nan, "2"], ids=repr)
+@pytest.mark.parametrize("field", ["measure_probes", "n_geometric",
+                                   "n_uniform"])
+def test_solver_config_refuses_counts_that_are_not_integers(grid16, field,
+                                                            value):
+    # each was once built (True as 1, 1.5 and NaN past the >= 0 check)
+    # and failed only later, with a bare TypeError from range() or
+    # np.geomspace; the JSON path already refused them
+    with pytest.raises(ConfigError, match=field):
+        SolverConfig(grid=grid16, horizon=0.2, **{field: value})
+    cfg = SolverConfig(grid=grid16, horizon=0.2, **{field: np.int64(2)})
+    assert getattr(cfg, field) == 2
+
+
 def test_huge_data_exit_cleanly_under_warnings_as_errors(tmp_path):
     # continuation solves nothing, and the one-sample ledger once formed
     # the overflowing forcing of the data (inf - inf in its Gram sums)

@@ -1,7 +1,5 @@
 import ast
-import math
 import os
-import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -17,7 +15,7 @@ from nselab.errors import ConfigError, PicardDivergenceError
 from nselab.families import (abc_flow, random_power_law, taylor_green,
                              taylor_green_decay_rate)
 from nselab.besov import block_lp_norms
-from nselab import heat, picard
+from nselab import heat
 from nselab.heat import duhamel_stack, heat_stack
 from nselab.picard import PicardProblem, estimate_constants, solve_picard
 from nselab.solver import (KATO_P, MAX_ITER, PICARD_TOL, PROBE_SEED,
@@ -335,9 +333,9 @@ def _logged_probes_and_bilinear(monkeypatch):
         entry = {"times": times, "m_rho": m_rho, "calls": 0}
         log["bilinear"].append(entry)
 
-        def call(x, y, series=None):
+        def call(x, y):
             entry["calls"] += 1
-            return bilinear(x, y, series)
+            return bilinear(x, y)
 
         return call
 
@@ -353,8 +351,8 @@ def _bilinear_calls(log):
 def test_perturbed_solve_reuses_the_direct_gamma(grid16, monkeypatch):
     # no solve measures gamma, so a perturbed solve has none to reuse: the
     # direct and mollified solves build no probe, and a perturbed solve
-    # builds the x of each probe pair (y's seed is drawn but not built)
-    # and runs L(x), never B(x, y); a repeat gives the same bits
+    # builds a probe from the first seed of each pair drawn and runs
+    # L(x), never B(x, y); a repeat gives the same bits
     cfg = small_config(grid16, horizon=0.2, n_geometric=4, n_uniform=4,
                        measure_probes=3)
     log = _logged_probes_and_bilinear(monkeypatch)
@@ -372,71 +370,6 @@ def test_perturbed_solve_reuses_the_direct_gamma(grid16, monkeypatch):
     again = mild_solve_perturbed(u0, v.trajectory, cfg)
     assert again.report.norms == w.report.norms
     assert np.array_equal(again.report.solution, w.report.solution)
-    # bilinear_constant probes each pair's x and y with one B(x, y)
-    log["seeds"], log["bilinear"] = [], []
-    assert solver.bilinear_constant(cfg) > 0
-    assert log["seeds"] == pair_seeds and _bilinear_calls(log) == 3
-
-
-def test_gamma_cache_key(grid16, monkeypatch):
-    # gamma is kept nowhere: bilinear_constant measures it afresh on every
-    # call from exactly what a cache key would hold (the probe count, the
-    # schedule and rho), and equal keys give equal bits
-    log = _logged_probes_and_bilinear(monkeypatch)
-    base = dict(horizon=0.2, n_geometric=2, n_uniform=2, measure_probes=2)
-    gamma = solver.bilinear_constant(small_config(grid16, **base))
-    assert solver.bilinear_constant(small_config(grid16, **base)) == gamma
-    assert [entry["calls"] for entry in log["bilinear"]] == [2, 2]
-    moved = small_config(grid16, **base).schedule()
-    moved[1:] = np.nextafter(moved[1:], 1.0)  # a schedule starts at 0
-    variants = [dict(base, measure_probes=3),
-                dict(base, n_uniform=3), dict(base, times=moved)]
-    for kw in variants:
-        log["bilinear"] = []
-        cfg = small_config(grid16, **kw)
-        solver.bilinear_constant(cfg)
-        [entry] = log["bilinear"]
-        assert entry["calls"] == cfg.measure_probes
-        assert np.array_equal(entry["times"], cfg.schedule())
-        assert entry["m_rho"] is None
-    symbols = []
-    for rho in (0.5, 0.25, 0.25):
-        log["bilinear"] = []
-        solver.bilinear_constant(small_config(grid16, **base), rho)
-        [entry] = log["bilinear"]
-        assert entry["calls"] == 2
-        symbols.append(entry["m_rho"])
-    assert not np.array_equal(symbols[0], symbols[1])
-    assert np.array_equal(symbols[1], symbols[2])
-    gammas = [solver.bilinear_constant(small_config(grid16, **base), 0.25)
-              for _ in range(2)]
-    assert gammas[0] == gammas[1] > 0
-
-
-@pytest.mark.parametrize("horizon", [9.5e-4, 1e-3])
-def test_bilinear_constant_of_probes_with_tiny_norms(monkeypatch, horizon):
-    # on a 1e-5 box the heat flow leaves probe norms of about 1e-154
-    # (1e-163 at the longer horizon), so the product of a pair's norms is
-    # subnormal (0, once a ZeroDivisionError); gamma is the largest gain
-    # all the same (inf where it exceeds the largest float)
-    cfg = SolverConfig(grid=make_grid(2, 8, 1e-5), horizon=horizon,
-                       n_geometric=4, n_uniform=4, measure_probes=2)
-    logs = []
-    gain = picard._gain
-
-    def logged_gain(problem, value, *norms):
-        logs.append(math.log(problem.norm(value))
-                    - sum(math.log(n) for n in norms))
-        return gain(problem, value, *norms)
-
-    monkeypatch.setattr(picard, "_gain", logged_gain)
-    gamma = solver.bilinear_constant(cfg)
-    assert len(logs) == 2
-    top = max(logs)
-    if top < math.log(sys.float_info.max):
-        assert gamma == pytest.approx(math.exp(top), rel=1e-13)
-    else:
-        assert gamma == math.inf
 
 
 def test_perturbed_solve_with_a_large_linear_part_is_refused(grid16):
@@ -774,9 +707,6 @@ def test_forcing_norms_equal_the_composed_path(grid16, monkeypatch, case):
     if case.startswith("perturbed"):
         v = mild_solve_nse(random_power_law(grid16, alpha=2.0, seed=4,
                                             amplitude=0.05), cfg).trajectory
-        if case == "perturbed":
-            # a gamma measured before leaves nothing that the solve reads
-            solver.bilinear_constant(cfg)
     problems = _captured_problems(monkeypatch)
     report = {"direct": lambda: mild_solve_nse(u0, cfg),
               "perturbed": lambda: mild_solve_perturbed(u0, v, cfg),
@@ -790,10 +720,7 @@ def test_forcing_norms_equal_the_composed_path(grid16, monkeypatch, case):
     step = None if problem.linear is None else (
         lambda x: (problem.step(x)[0], problem.norm(x)))
     ref = _composed(problem, step)
-    gamma = estimate_constants(ref, n_probes=cfg.measure_probes,
-                               seed=PROBE_SEED)
-    # gamma by bilinear_constant, whose norms come from B's transforms
-    assert gamma == solver.bilinear_constant(cfg, rho) > 0
+    estimate_constants(ref, n_probes=cfg.measure_probes, seed=PROBE_SEED)
     assert ref.l_norm == problem.l_norm
     assert (ref.l_norm > 0) == (problem.linear is not None)
     want = solve_picard(ref, tol=PICARD_TOL, max_iter=MAX_ITER)
@@ -801,30 +728,6 @@ def test_forcing_norms_equal_the_composed_path(grid16, monkeypatch, case):
     assert report.norms == want.norms and report.diffs == want.diffs
     assert report.residual == want.residual
     assert np.array_equal(report.solution, want.solution)
-
-
-@pytest.mark.parametrize("kind", ["direct", "perturbed", "mollified"])
-def test_gamma_reaches_no_output(grid16, kind):
-    # a solve measures no gamma and keeps none: one solved after
-    # bilinear_constant has measured it has the same solution, history
-    # and residuals bit for bit
-    cfg = small_config(grid16, horizon=0.2, n_geometric=6, n_uniform=6,
-                       measure_probes=3)
-    u0 = random_power_law(grid16, alpha=2.0, seed=5, amplitude=0.3)
-    rho = 0.5 if kind == "mollified" else None
-    v = mild_solve_nse(random_power_law(grid16, alpha=2.0, seed=4,
-                                        amplitude=0.05), cfg).trajectory
-    solve = {"direct": lambda: mild_solve_nse(u0, cfg),
-             "perturbed": lambda: mild_solve_perturbed(u0, v, cfg),
-             "mollified": lambda: mollified_solve(u0, None, rho, cfg)}[kind]
-    plain = solve()
-    assert solver.bilinear_constant(cfg, rho) > 0
-    measured = solve()
-    assert np.array_equal(plain.report.solution, measured.report.solution)
-    assert plain.report.norms == measured.report.norms
-    assert plain.report.diffs == measured.report.diffs
-    assert plain.report.residual == measured.report.residual
-    assert plain.residual_doubled == measured.residual_doubled
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -920,14 +823,6 @@ def test_each_iterate_and_probe_is_transformed_once_per_use(grid16,
                                 lambda: mild_solve_perturbed(u0, v, cfg))
     k = sol.report.iterations
     assert counts == {"estimate_constants": 4 * 6, "solve_picard": 6 + 6 * k}
-    # gamma: a probe pair transforms x and y once, in B(x, y), and
-    # B(x, y) for its norm; mollified, B transforms (y)_rho, so y is
-    # transformed once more for its own norm
-    for rho, per_pair in ((None, 9), (0.5, 12)):
-        counts, _, _ = _per_stage(
-            monkeypatch, cfg, lambda: solver.bilinear_constant(cfg, rho))
-        assert counts == {"estimate_constants": 4 * per_pair,
-                          "solve_picard": 0}
 
 
 def test_probing_and_iterating_hold_few_stacks(grid16, monkeypatch):
@@ -940,10 +835,6 @@ def test_probing_and_iterating_hold_few_stacks(grid16, monkeypatch):
                              trace_memory=True)
     assert "estimate_constants" not in peaks
     assert peaks["solve_picard"] <= 3.5
-    _, peaks, _ = _per_stage(monkeypatch, cfg,
-                             lambda: solver.bilinear_constant(cfg),
-                             trace_memory=True)
-    assert peaks["estimate_constants"] <= 4.5
     # a perturbed solve's probing holds x, L(x) and L's forcing
     v = mild_solve_nse(random_power_law(grid16, alpha=2.0, seed=4,
                                         amplitude=0.05), cfg).trajectory
